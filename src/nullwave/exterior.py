@@ -1,18 +1,38 @@
 """Obstacle geometry, exterior grids, initial data, compatibility recursion.
 
 Two grid flavors are supported.  The radial grid covers [r0, r_max] for
-problems with an exact angular reduction; its native field representation
-is w = r * u, which turns the radial wave operator into d_tt - d_rr plus a
-centrifugal term l(l+1)/r^2.  The masked Cartesian grid embeds a convex
-obstacle into a cube with a staircase Dirichlet boundary and an absorbing
-sponge band at the outer faces.
+problems with an exact angular reduction.  The masked Cartesian grid
+embeds a convex obstacle into a cube with a staircase Dirichlet boundary
+and an absorbing sponge band at the outer faces.
+
+Both grids provide one interface, so the solver, the norms and the
+Picard iteration each have a single code path.  Fields come in the
+grid's native representation ("native") or as physical values u:
+
+    kind, ndim, h, n_nodes, sponge_cells   identification and sizes
+    zeros(), sponge_sigma()                native field shape, damping
+    coords(), radii()                      sample points and |x| per node
+    updated()                              nodes the stepper evolves
+    laplace(native)                        native spatial operator
+    pin(a, ends=None)                      set the Dirichlet nodes in place
+    on_boundary(a)                         values on obstacle-boundary nodes
+    weights()                              volume quadrature per node
+    gradient(u), native_gradient(native)   physical spatial gradient tuple
+    to_physical(native), from_physical(u)  representation changes
+    sample(u)                              initial-data field, zero in solids
+    energy(native_u, native_v, inside)     energy of a native state
+    physical_laplacian(u), hessian_sq(u, grad)   second derivatives of u
+
+The radial native representation w = r * u, which turns the radial wave
+operator into d_tt - d_rr plus a centrifugal term l(l+1)/r^2, is private
+to RadialGrid; the Cartesian native representation is u itself.
 """
 
 import numpy as np
 
 from . import fd
 from .errors import OrderError, ParamError
-from .nullforms import NullFormSpec
+from .nullforms import NullFormSpec, eval_components
 
 # mask codes for Cartesian grids
 FLUID = 0
@@ -88,6 +108,7 @@ class RadialGrid:
     """
 
     kind = "radial"
+    ndim = 1
 
     def __init__(self, r0, r_max, n, angular_mode=0, sponge_cells=0,
                  sponge_strength=4.0):
@@ -124,6 +145,52 @@ class RadialGrid:
             sig = _sponge_ramp(s, self.sponge_strength)
         return sig
 
+    def radii(self):
+        """Node radii, also the points physical callables are sampled at."""
+        return self.r
+
+    coords = radii
+
+    def updated(self):
+        """Nodes the stepper evolves (all but the two Dirichlet ends)."""
+        live = np.ones(self.n_nodes, dtype=bool)
+        live[[0, -1]] = False
+        return live
+
+    def laplace(self, w):
+        """Native spatial operator d_rr - l(l+1)/r^2 on w."""
+        acc = fd.d2(w, self.h, axis=-1)
+        l = self.angular_mode
+        if l:
+            acc -= (l * (l + 1)) * w / self.r**2
+        return acc
+
+    def pin(self, a, ends=None):
+        """Set the two Dirichlet end nodes in place: to zero, or to ends.
+
+        ends = (left, right) are native values (scalars or arrays
+        matching the leading axes).
+        """
+        left, right = (0.0, 0.0) if ends is None else ends
+        a[..., 0] = left
+        a[..., -1] = right
+
+    def on_boundary(self, a):
+        """Values of a on the obstacle boundary node r0."""
+        return a[..., :1]
+
+    def weights(self):
+        """Trapezoid weights of the volume element 4 pi r^2 dr."""
+        return 4.0 * np.pi * self.r**2 * fd.trapezoid(self.h, self.n_nodes)
+
+    def gradient(self, u):
+        """Physical spatial gradient (d u / d r,) of a physical field."""
+        return (fd.d1(u, self.h, axis=-1),)
+
+    def native_gradient(self, field):
+        """Physical spatial gradient (d u / d r,) of a native field."""
+        return (self.physical_radial_derivative(field),)
+
     def to_physical(self, field):
         """w -> u = w / r."""
         return np.asarray(field, dtype=float) / self.r
@@ -132,10 +199,45 @@ class RadialGrid:
         """u -> w = r * u."""
         return np.asarray(u, dtype=float) * self.r
 
+    # initial data needs no masking: every radial node is outside r0
+    sample = from_physical
+
     def physical_radial_derivative(self, field):
         """d u / d r from a native w field: (w' - w/r) / r."""
         w = np.asarray(field, dtype=float)
         return (fd.d1(w, self.h) - w / self.r) / self.r
+
+    def energy(self, w, vw, inside=None):
+        """Energy of the native state (w, w_t) over nodes where inside holds.
+
+        The density is kept in w form, r^2 (|du|^2 + |u|^2) in terms of w,
+        summed with trapezoid weights in r and 4 pi applied after the sum.
+        """
+        r = self.r
+        wr = fd.d1(w, self.h, axis=-1)
+        uphys = w / r
+        dens = vw**2 + (wr - uphys)**2 + w**2
+        l = self.angular_mode
+        if l:
+            dens = dens + (l * (l + 1)) * uphys**2
+        wts = fd.trapezoid(self.h, self.n_nodes)
+        if inside is not None:
+            wts = np.where(inside, wts, 0.0)
+        return float(4.0 * np.pi * np.sum(dens * wts))
+
+    def physical_laplacian(self, u):
+        """Laplacian of a physical field, including the mode term."""
+        l = self.angular_mode
+        lap = fd.d2(u, self.h) + 2.0 * fd.d1(u, self.h) / self.r
+        if l:
+            lap = lap - l * (l + 1) * u / self.r**2
+        return lap
+
+    def hessian_sq(self, u, grad):
+        """Squared Hessian Frobenius norm f''^2 + 2 (f'/r)^2 per node."""
+        (ur,) = grad
+        urr = fd.d2(u, self.h, axis=-1)
+        return urr**2 + 2.0 * (ur / self.r) ** 2
 
     def __repr__(self):
         return ("RadialGrid(r0=%g, r_max=%g, n=%d, l=%d, sponge=%d)"
@@ -147,6 +249,7 @@ class CartesianGrid:
     """Cube [-L/2, L/2]^3 with (n+1)^3 nodes and a mask classifying them."""
 
     kind = "cartesian"
+    ndim = 3
 
     def __init__(self, obstacle, L, n, mask, sponge_cells, sponge_strength):
         self.obstacle = obstacle
@@ -157,6 +260,9 @@ class CartesianGrid:
         self.sponge_cells = int(sponge_cells)
         self.sponge_strength = float(sponge_strength)
         self.axis = -self.L / 2.0 + self.h * np.arange(self.n + 1)
+        # flat indices of the Dirichlet nodes; an integer index pins an
+        # order of magnitude faster than a boolean mask
+        self._pinned = np.flatnonzero(~self.updated())
 
     @property
     def n_nodes(self):
@@ -179,11 +285,71 @@ class CartesianGrid:
         """Nodes the stepper evolves (fluid plus sponge)."""
         return (self.mask == FLUID) | (self.mask == SPONGE)
 
+    def laplace(self, u):
+        """Native spatial operator: the 7-point Laplacian."""
+        acc = fd.d2(u, self.h, axis=-3)
+        acc += fd.d2(u, self.h, axis=-2)
+        acc += fd.d2(u, self.h, axis=-1)
+        return acc
+
+    physical_laplacian = laplace
+
+    def pin(self, a, ends=None):
+        """Zero every node the stepper does not evolve, in place.
+
+        a must be C-contiguous, so that the flattened index writes into
+        it rather than into a copy.
+        """
+        if ends is not None:
+            raise ParamError("boundary values supported on radial grids only")
+        if not a.flags.c_contiguous:
+            raise ParamError("pinning needs a C-contiguous field")
+        a.reshape(a.shape[:-3] + (-1,))[..., self._pinned] = 0.0
+
+    def on_boundary(self, a):
+        """Values of a on the Dirichlet boundary nodes."""
+        return a[..., self.mask == BOUNDARY]
+
+    def weights(self):
+        """Volume quadrature: h^3 on evolved nodes, zero elsewhere."""
+        return np.where(self.updated(), self.h**3, 0.0)
+
+    def gradient(self, u):
+        """Spatial gradient (d_1 u, d_2 u, d_3 u) of a field."""
+        return tuple(fd.d1(u, self.h, axis=ax) for ax in (-3, -2, -1))
+
+    native_gradient = gradient
+
     def to_physical(self, field):
         return np.asarray(field, dtype=float)
 
     def from_physical(self, u):
         return np.asarray(u, dtype=float)
+
+    def sample(self, u):
+        """Initial-data field of physical node values u, zero in solids."""
+        return np.where(self.mask == OBSTACLE, 0.0, u)
+
+    def energy(self, u, v, inside=None):
+        """Sum of |du|^2 + |u|^2 over evolved nodes where inside holds."""
+        dens = v**2 + u**2
+        for g in self.gradient(u):
+            dens = dens + g**2
+        live = self.updated()
+        if inside is not None:
+            live = live & inside
+        return float(np.sum(dens[..., live]) * self.h**3)
+
+    def hessian_sq(self, u, grad):
+        """Squared Hessian Frobenius norm per node; grad is gradient(u)."""
+        hess = np.zeros_like(u)
+        for a in range(3):
+            daa = fd.d2(u, self.h, axis=a - 3)
+            hess += daa * daa
+            for b in range(a + 1, 3):
+                dab = fd.d1(grad[a], self.h, axis=b - 3)
+                hess += 2.0 * dab * dab
+        return hess
 
     def sponge_sigma(self):
         m = self.n + 1
@@ -223,6 +389,8 @@ def build_masked_grid(obstacle, L, n, sponge_cells=8, sponge_strength=4.0):
         raise ParamError("need n >= 16 cells")
     if sponge_cells < 8 and sponge_cells != 0:
         raise ParamError("sponge band must be at least 8 cells (or 0)")
+    if sponge_cells > n // 2:
+        raise ParamError("sponge_cells out of range")
     m = n + 1
     axis = -L / 2.0 + (L / n) * np.arange(m)
     X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
@@ -276,54 +444,26 @@ class InitialData:
     @classmethod
     def from_physical(cls, grid, f_func, g_func):
         """Sample physical callables (of r, or of (x, y, z) points)."""
-        if grid.kind == "radial":
-            f = grid.from_physical(f_func(grid.r))
-            g = grid.from_physical(g_func(grid.r))
-        else:
-            pts = grid.coords()
-            f = np.asarray(f_func(pts), dtype=float)
-            g = np.asarray(g_func(pts), dtype=float)
-            f = np.where(grid.mask == OBSTACLE, 0.0, f)
-            g = np.where(grid.mask == OBSTACLE, 0.0, g)
-        return cls(grid, f, g)
+        pts = grid.coords()
+        return cls(grid, grid.sample(f_func(pts)), grid.sample(g_func(pts)))
 
     def scaled(self, factor):
         return InitialData(self.grid, self.f * factor, self.g * factor)
 
     def boundary_residuals(self):
         """(max |f|, max |g|) over Dirichlet boundary nodes."""
-        if self.grid.kind == "radial":
-            return (float(np.max(np.abs(self.f[..., 0]))),
-                    float(np.max(np.abs(self.g[..., 0]))))
-        b = self.grid.mask == BOUNDARY
-        return (float(np.max(np.abs(self.f[..., b]), initial=0.0)),
-                float(np.max(np.abs(self.g[..., b]), initial=0.0)))
+        return (_boundary_max(self.grid, self.f),
+                _boundary_max(self.grid, self.g))
+
+
+def _boundary_max(grid, a):
+    return float(np.max(np.abs(grid.on_boundary(a)), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
 # compatibility recursion
 
 MAX_COMPAT_ORDER = 4
-
-
-def _laplacian_physical(grid, u):
-    """Laplacian of a physical field (radial: includes the mode term)."""
-    if grid.kind == "radial":
-        l = grid.angular_mode
-        lap = fd.d2(u, grid.h) + 2.0 * fd.d1(u, grid.h) / grid.r
-        if l:
-            lap = lap - l * (l + 1) * u / grid.r**2
-        return lap
-    lap = np.zeros_like(u)
-    for ax in range(3):
-        lap += fd.d2(u, grid.h, axis=ax)
-    return lap
-
-
-def _gradient_physical(grid, u):
-    if grid.kind == "radial":
-        return fd.d1(u, grid.h)
-    return [fd.d1(u, grid.h, axis=ax) for ax in range(3)]
 
 
 def compatibility_functions(data: InitialData, spec: NullFormSpec, k):
@@ -346,8 +486,8 @@ def compatibility_functions(data: InitialData, spec: NullFormSpec, k):
     shape = grid.zeros().shape
     fshape = (N,) + shape
 
-    f = grid.to_physical(data.f) if grid.kind == "radial" else data.f
-    g = grid.to_physical(data.g) if grid.kind == "radial" else data.g
+    f = grid.to_physical(data.f)
+    g = grid.to_physical(data.g)
     f = np.broadcast_to(f, fshape).copy()
     g = np.broadcast_to(g, fshape).copy()
 
@@ -362,7 +502,7 @@ def compatibility_functions(data: InitialData, spec: NullFormSpec, k):
     for p in range(k - 1):
         nxt = np.empty(fshape)
         for i in range(N):
-            nxt[i] = _laplacian_physical(grid, a[p][i])
+            nxt[i] = grid.physical_laplacian(a[p][i])
         if not spec.is_linear():
             nxt += _q_taylor_coefficient(grid, spec, a, p)
         a.append(nxt / ((p + 1) * (p + 2)))
@@ -380,48 +520,19 @@ def _q_taylor_coefficient(grid, spec, a, p):
     """Coefficient of t^p in Q(du, du) given Taylor coefficients a_0..a_{p+1}."""
     N = spec.n_components
     shape = a[0].shape[1:]
-    if grid.kind == "radial":
-        # gradient of component i at Taylor order m: (time, radial) pair
-        gt = [[(m + 1) * a[m + 1][i] for m in range(p + 1)] for i in range(N)]
-        gr = [[_gradient_physical(grid, a[m][i]) for m in range(p + 1)]
-              for i in range(N)]
-        out = np.zeros((N,) + shape)
-        for (i, j, kk, coeff, form) in spec.terms:
-            acc = np.zeros(shape)
-            for m in range(p + 1):
-                acc += gt[j][m] * gt[kk][p - m] - gr[j][m] * gr[kk][p - m]
-            out[i] += coeff * acc
-        return out
-
-    grads = []
-    for i in range(N):
-        per_order = []
-        for m in range(p + 1):
-            G = np.empty(shape + (4,))
-            G[..., 0] = (m + 1) * a[m + 1][i]
-            gx = _gradient_physical(grid, a[m][i])
-            for ax in range(3):
-                G[..., 1 + ax] = gx[ax]
-            per_order.append(G)
-        grads.append(per_order)
-
-    from .nullforms import eval_form
+    # gradient components (d_t, d_1, ...) of component i at Taylor order m
+    grads = [[((m + 1) * a[m + 1][i],) + grid.gradient(a[m][i])
+              for m in range(p + 1)] for i in range(N)]
     out = np.zeros((N,) + shape)
     for (i, j, kk, coeff, form) in spec.terms:
+        acc = np.zeros(shape)
         for m in range(p + 1):
-            out[i] += coeff * eval_form(form, grads[j][m], grads[kk][p - m])
+            acc += eval_components(form, grads[j][m], grads[kk][p - m])
+        out[i] += coeff * acc
     return out
 
 
 def check_compatibility(data: InitialData, spec: NullFormSpec, k):
     """Max-norm of each psi_j on the obstacle boundary nodes."""
     psis = compatibility_functions(data, spec, k)
-    grid = data.grid
-    out = []
-    for psi in psis:
-        if grid.kind == "radial":
-            out.append(float(np.max(np.abs(psi[..., 0]))))
-        else:
-            b = grid.mask == BOUNDARY
-            out.append(float(np.max(np.abs(psi[..., b]), initial=0.0)))
-    return out
+    return [_boundary_max(data.grid, psi) for psi in psis]

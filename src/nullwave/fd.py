@@ -1,7 +1,7 @@
-"""Small finite-difference helpers shared by several modules.
+"""Small finite-difference and quadrature helpers shared by several modules.
 
 Second-order accurate throughout: centered stencils inside, one-sided
-three/four point formulas at array ends.
+three/four point formulas at array ends, trapezoid weights.
 """
 
 import numpy as np
@@ -23,6 +23,13 @@ def d2(y, h, axis=-1):
     out[..., -1] = (2.0 * y[..., -1] - 5.0 * y[..., -2] + 4.0 * y[..., -3]
                     - y[..., -4]) / h**2
     return np.moveaxis(out, -1, axis)
+
+
+def trapezoid(h, n):
+    """Trapezoid-rule weights of n uniform nodes spaced h apart."""
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
 
 
 def dt_series(arr, dt, axis=0):

@@ -12,17 +12,7 @@ import numpy as np
 
 from . import fd, penrose
 from .errors import DomainError, OrderError, ParamError
-from .nullforms import NullFormSpec, eval_form
-
-
-def _trapezoid(h, n):
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
-
-
-def _radial_volume(grid):
-    return 4.0 * np.pi * grid.r**2 * _trapezoid(grid.h, grid.n_nodes)
+from .nullforms import NullFormSpec, eval_components
 
 
 # ---------------------------------------------------------------------------
@@ -41,38 +31,15 @@ def weighted_sobolev_norm(field, m, j, grid):
     gshape = grid.zeros().shape
     f = f.reshape((-1,) + gshape)
 
-    if grid.kind == "radial":
-        r = grid.r
-        W = 1.0 + r * r
-        vol = _radial_volume(grid)
-        acc = np.sum(f * f, axis=0) * W**j
-        if m >= 1:
-            fr = fd.d1(f, grid.h, axis=-1)
-            acc += np.sum(fr * fr, axis=0) * W**(1 + j)
-        if m >= 2:
-            frr = fd.d2(f, grid.h, axis=-1)
-            hess = frr**2 + 2.0 * (fr / r) ** 2
-            acc += np.sum(hess, axis=0) * W**(2 + j)
-        return float(np.sqrt(np.sum(acc * vol)))
-
-    live = grid.updated()
-    W = 1.0 + np.sum(grid.coords() ** 2, axis=-1)
+    r = grid.radii()
+    W = 1.0 + r * r
     acc = np.sum(f * f, axis=0) * W**j
-    grads = None
     if m >= 1:
-        grads = [fd.d1(f, grid.h, axis=ax) for ax in (-3, -2, -1)]
-        gsq = sum(g * g for g in grads)
-        acc += np.sum(gsq, axis=0) * W**(1 + j)
+        grads = grid.gradient(f)
+        acc += np.sum(sum(g * g for g in grads), axis=0) * W**(1 + j)
     if m >= 2:
-        hess = np.zeros_like(acc)
-        for a in range(3):
-            daa = fd.d2(f, grid.h, axis=a - 3)
-            hess += np.sum(daa * daa, axis=0)
-            for b in range(a + 1, 3):
-                dab = fd.d1(grads[a], grid.h, axis=b - 3)
-                hess += 2.0 * np.sum(dab * dab, axis=0)
-        acc += hess * W**(2 + j)
-    return float(np.sqrt(np.sum(acc[live]) * grid.h**3))
+        acc += np.sum(grid.hessian_sq(f, grads), axis=0) * W**(2 + j)
+    return float(np.sqrt(np.sum(acc * grid.weights())))
 
 
 def data_smallness_norm(data):
@@ -119,7 +86,7 @@ def sphere_sobolev_norm(grid, field, order):
         FRR = fd.d1(FR, grid.h, axis=-1) / dR_dr
         lap = FRR + 2.0 * (cosR / sinR) * FR
         acc = acc + lap * lap
-    wq = _trapezoid(grid.h, grid.n_nodes) * dR_dr
+    wq = fd.trapezoid(grid.h, grid.n_nodes) * dR_dr
     return float(np.sqrt(np.sum(acc * sinR**2 * wq) * 4.0 * np.pi))
 
 
@@ -127,15 +94,9 @@ def sphere_sobolev_norm(grid, field, order):
 # null-form evaluation along trajectories
 
 def _physical_gradients(grid, u_native, snap_dt):
-    """(u, u_t, spatial grads) of the physical field from native snapshots."""
-    if grid.kind == "radial":
-        up = u_native / grid.r
-        ut = fd.dt_series(up, snap_dt, axis=0)
-        ur = (fd.d1(u_native, grid.h, axis=-1) - up) / grid.r
-        return up, ut, (ur,)
-    ut = fd.dt_series(u_native, snap_dt, axis=0)
-    gx = tuple(fd.d1(u_native, grid.h, axis=ax) for ax in (-3, -2, -1))
-    return u_native, ut, gx
+    """Physical space-time gradient (u_t, d_1 u, ...) of native snapshots."""
+    ut = fd.dt_series(grid.to_physical(u_native), snap_dt, axis=0)
+    return (ut,) + grid.native_gradient(u_native)
 
 
 def evaluate_nullform_series(traj, spec: NullFormSpec, other=None):
@@ -163,29 +124,15 @@ def evaluate_nullform_series(traj, spec: NullFormSpec, other=None):
     if u.shape[1] != N or v.shape[1] != N:
         raise ParamError("trajectory component count does not match spec")
 
-    if grid.kind == "radial":
-        _, ut, (ur,) = _physical_gradients(grid, u, dt_snap)
-        if other is traj:
-            vt, vr = ut, ur
-        else:
-            _, vt, (vr,) = _physical_gradients(grid, v, dt_snap)
-        out = np.zeros((u.shape[0], N) + gshape)
-        for (i, jj, kk, a, form) in spec.terms:
-            if form == "q0":
-                out[:, i] += a * (ut[:, jj] * vt[:, kk]
-                                  - ur[:, jj] * vr[:, kk])
-        return out
-
-    _, ut, gx = _physical_gradients(grid, u, dt_snap)
-    du = np.stack([ut] + list(gx), axis=-1)
-    if other is traj:
-        dv = du
-    else:
-        _, vt, gy = _physical_gradients(grid, v, dt_snap)
-        dv = np.stack([vt] + list(gy), axis=-1)
+    du = _physical_gradients(grid, u, dt_snap)
+    dv = du if other is traj else _physical_gradients(grid, v, dt_snap)
     out = np.zeros((u.shape[0], N) + gshape)
     for (i, jj, kk, a, form) in spec.terms:
-        out[:, i] += a * eval_form(form, du[:, jj], dv[:, kk])
+        # a radial gradient is the pair (d_t, d_r): only q0 survives
+        if form != "q0" and len(du) < 4:
+            continue
+        out[:, i] += a * eval_components(form, [d[:, jj] for d in du],
+                                         [d[:, kk] for d in dv])
     return out
 
 
@@ -199,26 +146,14 @@ def slab_norm(grid, series, dt_snap):
     M = arr.shape[0]
     if M < 3:
         raise ParamError("need at least 3 snapshots for the slab norm")
-    tw = _trapezoid(dt_snap, M)
-
-    if grid.kind == "radial":
-        vol = _radial_volume(grid)
-        derivs = [arr, fd.dt_series(arr, dt_snap, axis=0),
-                  fd.d1(arr, grid.h, axis=-1)]
-        total = 0.0
-        for d in derivs:
-            sq = np.sum(d * d * vol, axis=-1)
-            while sq.ndim > 1:
-                sq = np.sum(sq, axis=-1)
-            total += np.sqrt(np.sum(sq * tw))
-        return float(total)
-
-    live = grid.updated()
+    tw = fd.trapezoid(dt_snap, M)
+    vol = grid.weights()
+    space = tuple(range(-grid.ndim, 0))
     derivs = [arr, fd.dt_series(arr, dt_snap, axis=0)]
-    derivs += [fd.d1(arr, grid.h, axis=ax) for ax in (-3, -2, -1)]
+    derivs += grid.gradient(arr)
     total = 0.0
     for d in derivs:
-        sq = np.sum((d * d)[..., live] * grid.h**3, axis=-1)
+        sq = np.sum(d * d * vol, axis=space)
         while sq.ndim > 1:
             sq = np.sum(sq, axis=-1)
         total += np.sqrt(np.sum(sq * tw))
@@ -322,8 +257,8 @@ def _assemble_samples(grid, t_sel, q, q_t, q_r, scale, dscale_dt, dscale_dr):
     g0, gb = _radial_gamma_pull(t2, r, val_t, val_r)
 
     dt_snap = t_sel[1] - t_sel[0]
-    wt = _trapezoid(dt_snap, len(t_sel))[:, None]
-    vol = _radial_volume(grid)[None, :]
+    wt = fd.trapezoid(dt_snap, len(t_sel))[:, None]
+    vol = grid.weights()[None, :]
     weight = conf**4 * vol * wt
     return CylinderSamples(np.broadcast_to(T, val.shape),
                            np.broadcast_to(R, val.shape), dist, conf,
@@ -338,10 +273,10 @@ def solution_cylinder_samples(traj, time_range=None, time_stride=1):
     idx = _sample_grid(traj, time_range, time_stride)
     t_sel = traj.times[idx]
     w = traj.u[idx]
-    up = w / grid.r
+    up = grid.to_physical(w)
     dt_snap = t_sel[1] - t_sel[0]
     ut = fd.dt_series(up, dt_snap, axis=0)
-    ur = (fd.d1(w, grid.h, axis=-1) - up) / grid.r
+    (ur,) = grid.native_gradient(w)
 
     t2 = t_sel[:, None]
     conf = penrose.conformal_factor_tr(t2, grid.r)
@@ -444,10 +379,10 @@ def weighted_energy_sup(traj, time_stride=20):
     idx = _sample_grid(traj, None, time_stride)
     t_sel = traj.times[idx]
     w = traj.u[idx]
-    up = w / grid.r
+    up = grid.to_physical(w)
     dt_snap = t_sel[1] - t_sel[0]
     ut = fd.dt_series(up, dt_snap, axis=0)
-    ur = (fd.d1(w, grid.h, axis=-1) - up) / grid.r
+    (ur,) = grid.native_gradient(w)
 
     t2 = t_sel[:, None]
     conf = penrose.conformal_factor_tr(t2, grid.r)
@@ -460,7 +395,7 @@ def weighted_energy_sup(traj, time_stride=20):
     dist4 = ((np.pi - T) ** 2 + R * R) ** 2
     dens = val * val + dist4 * (g0 * g0 + gb * gb)
     # slice measure: conf^3 dx on each sampled instant
-    slice_sq = np.sum(dens * conf**3 * _radial_volume(grid)[None, :], axis=1)
+    slice_sq = np.sum(dens * conf**3 * grid.weights()[None, :], axis=1)
     return float(np.sqrt(np.max(slice_sq)))
 
 

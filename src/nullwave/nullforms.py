@@ -1,7 +1,9 @@
 """Null forms on Minkowski gradients and their conformal transform.
 
 A gradient is an ndarray with trailing dimension 4, components ordered
-(d/dt, d/dx1, d/dx2, d/dx3).  The basic forms:
+(d/dt, d/dx1, d/dx2, d/dx3); eval_components takes the same components
+as a sequence of arrays instead, which needs no stacked copy.  The basic
+forms:
 
     q0(du, dv)  = du_t dv_t - sum_j du_j dv_j
     qjk(du, dv) = du_j dv_k - du_k dv_j,   0 <= j < k <= 3
@@ -21,27 +23,42 @@ FORM_IDS = ("q0", "q01", "q02", "q03", "q12", "q13", "q23")
 NULL_INFINITY_GUARD = 1e-8
 
 
+def eval_components(form, du, dv):
+    """One named form on gradient component sequences (d_t, d_1, ...).
+
+    q0 takes any number of spatial components, so the radial pair
+    (d_t, d_r) works as well as the full four.
+    """
+    if form == "q0":
+        s = du[1] * dv[1]
+        for a, b in zip(du[2:], dv[2:]):
+            s += a * b
+        return du[0] * dv[0] - s
+    if form not in FORM_IDS:
+        raise ParamError("unknown form id %r" % (form,))
+    j, k = int(form[1]), int(form[2])
+    return du[j] * dv[k] - du[k] * dv[j]
+
+
+def _components(grad):
+    # trailing-4 gradient -> view with the components first
+    return np.moveaxis(np.asarray(grad, dtype=float), -1, 0)
+
+
 def eval_q0(du, dv):
-    du = np.asarray(du, dtype=float)
-    dv = np.asarray(dv, dtype=float)
-    return du[..., 0] * dv[..., 0] - np.sum(du[..., 1:] * dv[..., 1:], axis=-1)
+    return eval_components("q0", _components(du), _components(dv))
 
 
 def eval_qjk(j, k, du, dv):
     if not (0 <= j < k <= 3):
         raise IndexError("need 0 <= j < k <= 3, got (%r, %r)" % (j, k))
-    du = np.asarray(du, dtype=float)
-    dv = np.asarray(dv, dtype=float)
-    return du[..., j] * dv[..., k] - du[..., k] * dv[..., j]
+    return eval_components("q%d%d" % (j, k), _components(du),
+                           _components(dv))
 
 
 def eval_form(form, du, dv):
     """Evaluate one named form ("q0" or "qJK")."""
-    if form == "q0":
-        return eval_q0(du, dv)
-    if form in FORM_IDS:
-        return eval_qjk(int(form[1]), int(form[2]), du, dv)
-    raise ParamError("unknown form id %r" % (form,))
+    return eval_components(form, _components(du), _components(dv))
 
 
 class NullFormSpec:

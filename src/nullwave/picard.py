@@ -52,28 +52,16 @@ class NonlinearSolution:
     def boundary_max(self):
         """Largest |u| ever recorded on a Dirichlet node (zero by scheme)."""
         u = self.trajectory.u
-        if self.trajectory.grid.kind == "radial":
-            return float(max(np.max(np.abs(u[..., 0])),
-                             np.max(np.abs(u[..., -1]))))
         fixed = ~self.trajectory.grid.updated()
         return float(np.max(np.abs(u[..., fixed]), initial=0.0))
 
 
 def forcing_from_trajectory(traj: Trajectory, spec: NullFormSpec):
-    """Native-representation forcing snapshots r*Q (radial) or Q."""
+    """Forcing snapshots Q in the grid's native representation."""
     q = evaluate_nullform_series(traj, spec)
-    gdim = len(traj.grid.zeros().shape)
-    if spec.n_components == 1 and traj.u.ndim == gdim + 1:
+    if spec.n_components == 1 and traj.u.ndim == traj.grid.ndim + 1:
         q = q[:, 0]
-    if traj.grid.kind == "radial":
-        return q * traj.grid.r
-    return q
-
-
-def _to_physical_series(grid, native):
-    if grid.kind == "radial":
-        return native / grid.r
-    return native
+    return traj.grid.from_physical(q)
 
 
 def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
@@ -129,8 +117,7 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
                 diff = F
             else:
                 diff = F - applied
-            res = slab_norm(grid, _to_physical_series(grid, diff),
-                            traj.snap_dt)
+            res = slab_norm(grid, grid.to_physical(diff), traj.snap_dt)
             residuals.append(res)
             if res <= tol:
                 converged = True
@@ -206,9 +193,10 @@ def bump_data_family(grid, center=2.0, width=0.8, velocity="profile"):
     """Map epsilon to smooth compact bump data of that exact data norm.
 
     f carries the profile exp(-1/(1-s^2)) on |s| < 1 with
-    s = (r - center)/width; g carries the same profile
-    (velocity="profile") or vanishes (velocity="zero"). The scale is
-    chosen so the combined smallness norm equals epsilon.
+    s = (|x| - center)/width; g carries the same profile
+    (velocity="profile") or vanishes (velocity="zero").  Both vanish
+    inside the obstacle.  The scale is chosen so the combined smallness
+    norm equals epsilon.
     """
     if velocity not in ("profile", "zero"):
         raise ParamError("velocity must be 'profile' or 'zero'")
@@ -220,11 +208,9 @@ def bump_data_family(grid, center=2.0, width=0.8, velocity="profile"):
         out[m] = np.exp(-1.0 / (1.0 - s[m] ** 2)) * np.e
         return out
 
-    def zero(r):
-        return np.zeros_like(np.asarray(r, dtype=float))
-
-    g_fun = profile if velocity == "profile" else zero
-    base = InitialData.from_physical(grid, profile, g_fun)
+    r = grid.radii()
+    g = profile(r) if velocity == "profile" else np.zeros_like(r)
+    base = InitialData(grid, grid.sample(profile(r)), grid.sample(g))
     n0 = norms.data_smallness_norm(base)
 
     def family(eps):

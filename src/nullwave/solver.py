@@ -6,14 +6,14 @@ when the forcing is sampled at the step midpoint, but it carries the
 velocity explicitly, which makes energy evaluation and sponge damping
 plain pointwise operations.
 
-Fields are stored in each grid's native representation: w = r * u on
-radial grids, u itself on Cartesian grids.  Leading axes are allowed, so
-a stack of components evolves in one call.
+Fields are stored in each grid's native representation (see
+nullwave.exterior); the grid supplies the spatial operator, the Dirichlet
+pinning and the energy.  Leading axes are allowed, so a stack of
+components evolves in one call.
 """
 
 import numpy as np
 
-from . import fd
 from .errors import CFLError, FitError, NaNError, ParamError
 from .exterior import InitialData
 
@@ -23,9 +23,7 @@ NAN_CHECK_INTERVAL = 100
 
 def cfl_limit(grid):
     """Largest admissible dt for the explicit scheme on this grid."""
-    if grid.kind == "radial":
-        return CFL_SAFETY * grid.h
-    return CFL_SAFETY * grid.h / np.sqrt(3.0)
+    return CFL_SAFETY * grid.h / np.sqrt(grid.ndim)
 
 
 class WaveState:
@@ -54,70 +52,30 @@ def state_from_data(data: InitialData):
     return WaveState(data.grid, data.f.copy(), data.g.copy(), 0.0)
 
 
-def _laplace(grid, u):
-    # native spatial operator: d_rr - l(l+1)/r^2 on w, or the 7-point
-    # Laplacian on u; pinned nodes are overwritten after each update
-    if grid.kind == "radial":
-        acc = fd.d2(u, grid.h, axis=-1)
-        l = grid.angular_mode
-        if l:
-            acc -= (l * (l + 1)) * u / grid.r**2
-        return acc
-    acc = fd.d2(u, grid.h, axis=-3)
-    acc += fd.d2(u, grid.h, axis=-2)
-    acc += fd.d2(u, grid.h, axis=-1)
-    return acc
-
-
-def _pin_u(grid, u, t, boundary_values):
-    if grid.kind == "radial":
-        if boundary_values is None:
-            u[..., 0] = 0.0
-            u[..., -1] = 0.0
-        else:
-            (uL, uR), _ = boundary_values(t)
-            u[..., 0] = uL
-            u[..., -1] = uR
-    else:
-        if boundary_values is not None:
-            raise ParamError("boundary_values supported on radial grids only")
-        u[..., ~grid.updated()] = 0.0
-
-
-def _pin_v(grid, v, t, boundary_values):
-    if grid.kind == "radial":
-        if boundary_values is None:
-            v[..., 0] = 0.0
-            v[..., -1] = 0.0
-        else:
-            _, (vL, vR) = boundary_values(t)
-            v[..., 0] = vL
-            v[..., -1] = vR
-    else:
-        v[..., ~grid.updated()] = 0.0
-
-
-def _pin(grid, u, v, t, boundary_values):
-    _pin_u(grid, u, t, boundary_values)
-    _pin_v(grid, v, t, boundary_values)
+def _ends(boundary_values, t):
+    # (u ends, v ends) to pin at time t; None pins to zero
+    return (None, None) if boundary_values is None else boundary_values(t)
 
 
 def _step_core(grid, u, v, t, dt, f_mid, damp, boundary_values):
-    a = _laplace(grid, u)
+    # pinned nodes are overwritten after each update, whatever the
+    # spatial operator left there
+    ends_u, ends_v = _ends(boundary_values, t + dt)
+    a = grid.laplace(u)
     if f_mid is not None:
         a = a + f_mid
     vh = v + (0.5 * dt) * a
     un = u + dt * vh
     # pin before the second kick so near-boundary stencils read the
     # imposed values, not the drifted ones
-    _pin_u(grid, un, t + dt, boundary_values)
-    a = _laplace(grid, un)
+    grid.pin(un, ends_u)
+    a = grid.laplace(un)
     if f_mid is not None:
         a = a + f_mid
     vn = vh + (0.5 * dt) * a
     if damp is not None:
         vn = vn * damp
-    _pin_v(grid, vn, t + dt, boundary_values)
+    grid.pin(vn, ends_v)
     return un, vn
 
 
@@ -143,8 +101,7 @@ def step(state: WaveState, forcing, dt, boundary_values=None):
 class Trajectory:
     """Snapshots of a run at a uniform stride of the step size."""
 
-    def __init__(self, grid, times, u, v=None, forcing=None, dt=None,
-                 stride=1):
+    def __init__(self, grid, times, u, v=None, dt=None, stride=1):
         times = np.asarray(times, dtype=float)
         if times.ndim != 1 or len(times) < 1:
             raise ParamError("times must be a nonempty 1d array")
@@ -154,7 +111,6 @@ class Trajectory:
         self.times = times
         self.u = u
         self.v = v
-        self.forcing = forcing
         self.dt = dt
         self.stride = stride
 
@@ -179,19 +135,16 @@ class Trajectory:
 
     def physical(self):
         """All snapshots converted to physical u values."""
-        if self.grid.kind == "radial":
-            return self.u / self.grid.r
-        return self.u
+        return self.grid.to_physical(self.u)
 
     def sup_series(self):
-        """(times, sup_x |u|) over evolved nodes, physical values."""
+        """(times, sup_x |u|) over all nodes, physical values.
+
+        The solver holds the Dirichlet nodes at their pinned values, so on
+        solver trajectories this is the sup over the evolved nodes.
+        """
         up = self.physical()
-        if self.grid.kind == "radial":
-            sup = np.max(np.abs(up), axis=tuple(range(1, up.ndim)))
-        else:
-            live = self.grid.updated()
-            sup = np.array([np.max(np.abs(up[i][..., live]), initial=0.0)
-                            for i in range(self.n_snapshots)])
+        sup = np.max(np.abs(up), axis=tuple(range(1, up.ndim)))
         return self.times, sup
 
     def local_energy_series(self, A):
@@ -203,13 +156,14 @@ class Trajectory:
 
 
 def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
-                 boundary_values=None, store_v=True, record_forcing=False):
+                 boundary_values=None, store_v=True):
     """March the linear wave equation to at least t_end.
 
     forcing may be None, a callable t -> native field (evaluated at step
     midpoints), or an array of per-step fields of shape
     (n_steps + 1,) + field shape, in which case midpoint values are taken
-    as adjacent averages.
+    as adjacent averages.  The step count is rounded up to a multiple of
+    stride; a stride above the step count is refused.
     """
     grid = data.grid
     limit = cfl_limit(grid)
@@ -223,6 +177,9 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
         raise ParamError("stride must be >= 1")
     n_steps = int(np.ceil(t_end / dt - 1e-12))
     n_steps = max(n_steps, 1)
+    if stride > n_steps:
+        raise ParamError("stride %d exceeds the %d steps of the run"
+                         % (stride, n_steps))
     if n_steps % stride:
         n_steps += stride - n_steps % stride
 
@@ -234,7 +191,9 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
 
     u = data.f.copy()
     v = data.g.copy()
-    _pin(grid, u, v, 0.0, boundary_values)
+    ends_u, ends_v = _ends(boundary_values, 0.0)
+    grid.pin(u, ends_u)
+    grid.pin(v, ends_v)
 
     damp = None
     if grid.sponge_cells > 0:
@@ -243,12 +202,9 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
     n_snap = n_steps // stride + 1
     us = np.empty((n_snap,) + u.shape)
     vs = np.empty_like(us) if store_v else None
-    fs = np.empty_like(us) if record_forcing else None
     us[0] = u
     if store_v:
         vs[0] = v
-    if record_forcing:
-        fs[0] = _forcing_at(forcing, recorded, 0, 0.0, u.shape)
 
     t = 0.0
     for k in range(n_steps):
@@ -267,22 +223,11 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
             us[i] = u
             if store_v:
                 vs[i] = v
-            if record_forcing:
-                fs[i] = _forcing_at(forcing, recorded, k + 1, t, u.shape)
     if not np.all(np.isfinite(u)):
         raise NaNError("non-finite field at final time %g" % t)
 
     times = dt * stride * np.arange(n_snap)
-    return Trajectory(grid, times, us, vs, fs, dt=dt, stride=stride)
-
-
-def _forcing_at(forcing, recorded, k, t, shape):
-    if recorded is not None:
-        return recorded[k]
-    if callable(forcing):
-        return np.broadcast_to(np.asarray(forcing(t), dtype=float),
-                               shape).copy()
-    return np.zeros(shape)
+    return Trajectory(grid, times, us, vs, dt=dt, stride=stride)
 
 
 # ---------------------------------------------------------------------------
@@ -301,28 +246,8 @@ def local_energy(state: WaveState, A):
     if A is not None and A <= 0:
         raise ParamError("A must be positive")
     grid = state.grid
-    if grid.kind == "radial":
-        w, vw = state.u, state.v
-        r = grid.r
-        wr = fd.d1(w, grid.h, axis=-1)
-        uphys = w / r
-        dens = vw**2 + (wr - uphys)**2 + w**2
-        l = grid.angular_mode
-        if l:
-            dens = dens + (l * (l + 1)) * uphys**2
-        wts = np.full(grid.n_nodes, grid.h)
-        wts[0] = wts[-1] = 0.5 * grid.h
-        if A is not None:
-            wts = np.where(r < A, wts, 0.0)
-        return float(4.0 * np.pi * np.sum(dens * wts))
-    u, v = state.u, state.v
-    dens = v**2 + u**2
-    for ax in (-3, -2, -1):
-        dens = dens + fd.d1(u, grid.h, axis=ax) ** 2
-    live = grid.updated()
-    if A is not None:
-        live = live & (grid.radii() < A)
-    return float(np.sum(dens[..., live]) * grid.h**3)
+    inside = None if A is None else grid.radii() < A
+    return grid.energy(state.u, state.v, inside)
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,29 @@ deltas = 2.0 1.0 0.0
 sup_window = 1 3
 """
 
+# the paper's setting: a convex obstacle that is not a sphere, on a
+# masked Cartesian grid kept small enough for a unit test
+ELLIPSOID_INI = """\
+[grid]
+mode = cartesian
+n = 24
+sponge_cells = 8
+
+[obstacle]
+kind = ellipsoid
+params = 1.4 1.0 0.8
+
+[data]
+center = 3.0
+
+[run]
+t_end = 1.0
+stride = 2
+
+[scan]
+eps = 1e-3 2e-3
+"""
+
 GEOMETRY_INI = """\
 [geometry]
 samples = 2000
@@ -362,6 +385,27 @@ def test_sup_window_outside_run_exit_3(tmp_path):
     assert run(["estimate-report", "--config", ini], out) == 3
     err = load(out, "error.json")["error"]
     assert err["type"] == "ParamError"
+
+
+@pytest.mark.parametrize("subcommand", sorted(cli.COMMANDS))
+def test_ellipsoid_config_never_ends_in_traceback(tmp_path, subcommand):
+    ini = write_ini(tmp_path, ELLIPSOID_INI)
+    out = tmp_path / "out"
+    rc = run([subcommand, "--config", ini], out)
+    assert rc in (0, 2, 3)
+    if rc == 3:
+        assert "error.json" in listing(out)
+
+
+def test_stride_beyond_run_exit_3(tmp_path):
+    # padding the run up to the stride would take 100000 steps
+    ini = write_ini(tmp_path, LINEAR_INI.replace(
+        "t_end = 8.0", "t_end = 0.5\nstride = 100000"))
+    out = tmp_path / "out"
+    assert run(["run-linear", "--config", ini], out) == 3
+    err = load(out, "error.json")["error"]
+    assert err["type"] == "ParamError"
+    assert "stride" in err["message"]
 
 
 def test_explicit_dt_above_cfl_exit_3(tmp_path):

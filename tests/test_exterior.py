@@ -171,6 +171,55 @@ def test_masked_grid_rejects_bad_params():
         build_masked_grid(Obstacle.sphere(1.0), 12.0, 8)
     with pytest.raises(ParamError):
         build_masked_grid(Obstacle.sphere(1.0), 12.0, 32, sponge_cells=4)
+    # a band wider than half the cube would swallow every fluid node
+    with pytest.raises(ParamError):
+        build_masked_grid(Obstacle.sphere(1.0), 12.0, 24, sponge_cells=13)
+
+
+# ---------------------------------------------------------------------------
+# the shared grid interface
+
+CONTRACT_GRIDS = {
+    "radial": lambda: build_radial_grid(1.0, 6.0, 200),
+    "ellipsoid": lambda: build_masked_grid(
+        Obstacle.ellipsoid(1.4, 1.0, 0.8), 12.0, 24, sponge_cells=8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_GRIDS))
+def test_grid_contract_pin_zeroes_exactly_the_fixed_nodes(name):
+    grid = CONTRACT_GRIDS[name]()
+    a = np.ones((2,) + grid.zeros().shape)
+    grid.pin(a)
+    assert np.array_equal(a == 0.0,
+                          np.broadcast_to(~grid.updated(), a.shape))
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_GRIDS))
+def test_grid_contract_weights(name):
+    grid = CONTRACT_GRIDS[name]()
+    total = np.sum(grid.weights())
+    if name == "radial":
+        # the trapezoid rule on r^2 is O(h^2): 7e-6 relative at this h
+        shell = 4.0 / 3.0 * np.pi * (grid.r_max**3 - grid.r0**3)
+        assert total == pytest.approx(shell, rel=1e-4)
+    else:
+        live = np.count_nonzero(grid.updated())
+        assert total == pytest.approx(grid.h**3 * live, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_GRIDS))
+def test_grid_contract_gradient_of_linear_field_is_exact(name):
+    grid = CONTRACT_GRIDS[name]()
+    slope = np.array([2.0, -1.0, 0.5])[:grid.ndim]
+    x = grid.coords()
+    u = (x[..., None] if grid.ndim == 1 else x) @ slope + 1.0
+    live = grid.updated()
+    native = grid.from_physical(u)
+    for grad in (grid.gradient(u), grid.native_gradient(native)):
+        assert len(grad) == grid.ndim
+        for comp, c in zip(grad, slope):
+            assert np.max(np.abs(comp[live] - c)) < 1e-11
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,8 @@ def test_stride_pads_step_count():
     n_steps = round(traj.times[-1] / traj.dt)
     assert n_steps % 7 == 0
     assert traj.times[-1] >= 1.0
+    with pytest.raises(ParamError):
+        solve_linear(data, None, 1.0, stride=n_steps + 1)
 
 
 # ---------------------------------------------------------------------------
