@@ -319,6 +319,11 @@ def _fit_params(ec):
     return f["model"], tuple(window), float(f["local_radius"])
 
 
+def _fit_json(fit):
+    return {"model": fit.model, "rate": fit.rate, "amplitude": fit.amplitude,
+            "window": list(fit.window), "residual": fit.residual}
+
+
 def _write_final_snapshot(ec, out, traj, name):
     if not ec.raw["output"]["snapshots"]:
         return
@@ -342,13 +347,7 @@ def cmd_run_linear(ec, out, quiet):
     summary["results"] = {
         "t_end": ec.t_end,
         "local_radius": radius,
-        "fit": {
-            "model": fit.model,
-            "rate": fit.rate,
-            "amplitude": fit.amplitude,
-            "window": list(fit.window),
-            "residual": fit.residual,
-        },
+        "fit": _fit_json(fit),
     }
     gridio.write_json(os.path.join(out, "linear.json"), summary)
     gridio.write_csv(os.path.join(out, "local_energy.csv"),
@@ -373,13 +372,7 @@ def cmd_run_nonlinear(ec, out, quiet):
         "residuals": report.residuals,
         "ratios": report.ratios,
         "boundary_max": sol.boundary_max(),
-        "sup_fit": {
-            "model": fit.model,
-            "rate": fit.rate,
-            "amplitude": fit.amplitude,
-            "window": list(fit.window),
-            "residual": fit.residual,
-        },
+        "sup_fit": _fit_json(fit),
     }
     gridio.write_json(os.path.join(out, "nonlinear.json"), summary)
     gridio.write_csv(os.path.join(out, "sup_series.csv"), ["t", "sup"],

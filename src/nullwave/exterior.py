@@ -14,7 +14,7 @@ grid's native representation ("native") or as physical values u:
     coords(), radii()                      sample points and |x| per node
     updated()                              nodes the stepper evolves
     laplace(native)                        native spatial operator
-    pin(a, ends=None)                      set the Dirichlet nodes in place
+    pin(a)                                 zero the Dirichlet nodes in place
     on_boundary(a)                         values on obstacle-boundary nodes
     weights()                              volume quadrature per node
     gradient(u), native_gradient(native)   physical spatial gradient tuple
@@ -33,6 +33,10 @@ import numpy as np
 from . import fd
 from .errors import OrderError, ParamError
 from .nullforms import NullFormSpec, eval_components
+
+# largest cell count per axis of a masked grid; (n + 1)^3 nodes, and
+# building the mask alone holds several float64 arrays of that size
+MAX_CARTESIAN_N = 256
 
 # mask codes for Cartesian grids
 FLUID = 0
@@ -165,15 +169,10 @@ class RadialGrid:
             acc -= (l * (l + 1)) * w / self.r**2
         return acc
 
-    def pin(self, a, ends=None):
-        """Set the two Dirichlet end nodes in place: to zero, or to ends.
-
-        ends = (left, right) are native values (scalars or arrays
-        matching the leading axes).
-        """
-        left, right = (0.0, 0.0) if ends is None else ends
-        a[..., 0] = left
-        a[..., -1] = right
+    def pin(self, a):
+        """Zero the two Dirichlet end nodes in place."""
+        a[..., 0] = 0.0
+        a[..., -1] = 0.0
 
     def on_boundary(self, a):
         """Values of a on the obstacle boundary node r0."""
@@ -294,14 +293,12 @@ class CartesianGrid:
 
     physical_laplacian = laplace
 
-    def pin(self, a, ends=None):
+    def pin(self, a):
         """Zero every node the stepper does not evolve, in place.
 
         a must be C-contiguous, so that the flattened index writes into
         it rather than into a copy.
         """
-        if ends is not None:
-            raise ParamError("boundary values supported on radial grids only")
         if not a.flags.c_contiguous:
             raise ParamError("pinning needs a C-contiguous field")
         a.reshape(a.shape[:-3] + (-1,))[..., self._pinned] = 0.0
@@ -387,6 +384,9 @@ def build_masked_grid(obstacle, L, n, sponge_cells=8, sponge_strength=4.0):
         raise ParamError("obstacle must fit inside |x| < L/4")
     if n < 16:
         raise ParamError("need n >= 16 cells")
+    if n > MAX_CARTESIAN_N:
+        raise ParamError("n = %d exceeds the %d cells per axis a masked "
+                         "grid allows" % (n, MAX_CARTESIAN_N))
     if sponge_cells < 8 and sponge_cells != 0:
         raise ParamError("sponge band must be at least 8 cells (or 0)")
     if sponge_cells > n // 2:

@@ -15,14 +15,19 @@ def d1(y, h, axis=-1):
 def d2(y, h, axis=-1):
     """Second derivative along one axis."""
     y = np.asarray(y, dtype=float)
-    y = np.moveaxis(y, axis, -1)
+    lead = (slice(None),) * (axis % y.ndim)
+
+    def at(i):
+        return y[lead + (i,)]
+
     out = np.empty_like(y)
-    out[..., 1:-1] = (y[..., 2:] - 2.0 * y[..., 1:-1] + y[..., :-2]) / h**2
-    out[..., 0] = (2.0 * y[..., 0] - 5.0 * y[..., 1] + 4.0 * y[..., 2]
-                   - y[..., 3]) / h**2
-    out[..., -1] = (2.0 * y[..., -1] - 5.0 * y[..., -2] + 4.0 * y[..., -3]
-                    - y[..., -4]) / h**2
-    return np.moveaxis(out, -1, axis)
+    out[lead + (slice(1, -1),)] = (at(slice(2, None)) - 2.0 * at(slice(1, -1))
+                                   + at(slice(None, -2))) / h**2
+    out[lead + (0,)] = (2.0 * at(0) - 5.0 * at(1) + 4.0 * at(2)
+                        - at(3)) / h**2
+    out[lead + (-1,)] = (2.0 * at(-1) - 5.0 * at(-2) + 4.0 * at(-3)
+                         - at(-4)) / h**2
+    return out
 
 
 def trapezoid(h, n):
@@ -31,7 +36,3 @@ def trapezoid(h, n):
     w[0] = w[-1] = 0.5 * h
     return w
 
-
-def dt_series(arr, dt, axis=0):
-    """Time derivative of a snapshot stack along axis (same stencils as d1)."""
-    return np.gradient(arr, dt, axis=axis, edge_order=2)

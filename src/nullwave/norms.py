@@ -12,7 +12,7 @@ import numpy as np
 
 from . import fd, penrose
 from .errors import DomainError, OrderError, ParamError
-from .nullforms import NullFormSpec, eval_components
+from .nullforms import NullFormSpec, accumulate_system
 
 
 # ---------------------------------------------------------------------------
@@ -95,44 +95,31 @@ def sphere_sobolev_norm(grid, field, order):
 
 def _physical_gradients(grid, u_native, snap_dt):
     """Physical space-time gradient (u_t, d_1 u, ...) of native snapshots."""
-    ut = fd.dt_series(grid.to_physical(u_native), snap_dt, axis=0)
+    ut = fd.d1(grid.to_physical(u_native), snap_dt, axis=0)
     return (ut,) + grid.native_gradient(u_native)
 
 
-def evaluate_nullform_series(traj, spec: NullFormSpec, other=None):
-    """Physical null-form values Q(du, dv) at every snapshot.
+def evaluate_nullform_series(traj, spec: NullFormSpec):
+    """Physical null-form values Q(du, du) at every snapshot.
 
-    other=None evaluates the trajectory against itself.  Returns shape
-    (M, n_components) + grid shape.  On radial grids only the q0 form
-    survives; rotational forms of spherically symmetric fields vanish
-    identically.
+    Returns shape (M, n_components) + grid shape.  On radial grids only
+    the q0 form survives; rotational forms of spherically symmetric
+    fields vanish identically.
     """
     grid = traj.grid
     dt_snap = traj.snap_dt
     if dt_snap <= 0:
         raise ParamError("need at least two snapshots")
-    if other is None:
-        other = traj
-    elif other.grid is not grid or len(other.times) != len(traj.times) \
-            or not np.allclose(other.times, traj.times):
-        raise ParamError("trajectories must share grid and snapshot times")
-
     N = spec.n_components
     gshape = grid.zeros().shape
     u = traj.u.reshape((traj.u.shape[0], -1) + gshape)
-    v = other.u.reshape((other.u.shape[0], -1) + gshape)
-    if u.shape[1] != N or v.shape[1] != N:
+    if u.shape[1] != N:
         raise ParamError("trajectory component count does not match spec")
 
     du = _physical_gradients(grid, u, dt_snap)
-    dv = du if other is traj else _physical_gradients(grid, v, dt_snap)
+    per_comp = [[d[:, j] for d in du] for j in range(N)]
     out = np.zeros((u.shape[0], N) + gshape)
-    for (i, jj, kk, a, form) in spec.terms:
-        # a radial gradient is the pair (d_t, d_r): only q0 survives
-        if form != "q0" and len(du) < 4:
-            continue
-        out[:, i] += a * eval_components(form, [d[:, jj] for d in du],
-                                         [d[:, kk] for d in dv])
+    accumulate_system(spec, per_comp, per_comp, np.moveaxis(out, 1, 0))
     return out
 
 
@@ -149,10 +136,16 @@ def slab_norm(grid, series, dt_snap):
     tw = fd.trapezoid(dt_snap, M)
     vol = grid.weights()
     space = tuple(range(-grid.ndim, 0))
-    derivs = [arr, fd.dt_series(arr, dt_snap, axis=0)]
-    derivs += grid.gradient(arr)
+
+    def derivs():
+        # each term is reduced before the next is built, so the time
+        # derivative and the spatial gradient are never held together
+        yield arr
+        yield fd.d1(arr, dt_snap, axis=0)
+        yield from grid.gradient(arr)
+
     total = 0.0
-    for d in derivs:
+    for d in derivs():
         sq = np.sum(d * d * vol, axis=space)
         while sq.ndim > 1:
             sq = np.sum(sq, axis=-1)
@@ -160,10 +153,10 @@ def slab_norm(grid, series, dt_snap):
     return float(total)
 
 
-def nullform_spacetime_norm(traj_u, traj_v, spec: NullFormSpec, window):
-    """Slab norm of Q(du, dv) restricted to a time window."""
+def nullform_spacetime_norm(traj, spec: NullFormSpec, window):
+    """Slab norm of Q(du, du) restricted to a time window."""
     t0, t1 = float(window[0]), float(window[1])
-    times = traj_u.times
+    times = traj.times
     if t0 >= t1:
         raise ParamError("window must be increasing")
     if t0 < times[0] - 1e-12 or t1 > times[-1] + 1e-12:
@@ -172,16 +165,9 @@ def nullform_spacetime_norm(traj_u, traj_v, spec: NullFormSpec, window):
     i1 = int(np.searchsorted(times, t1 + 1e-12, side="right"))
     lo = max(0, i0 - 2)
     hi = min(len(times), i1 + 2)
-
-    def sub(traj):
-        from .solver import Trajectory
-        return Trajectory(traj.grid, traj.times[lo:hi], traj.u[lo:hi],
-                          dt=traj.dt, stride=traj.stride)
-
-    q = evaluate_nullform_series(sub(traj_u), spec,
-                                 None if traj_v is traj_u else sub(traj_v))
+    q = evaluate_nullform_series(traj.select(slice(lo, hi)), spec)
     keep = slice(i0 - lo, i1 - lo)
-    return slab_norm(traj_u.grid, q[keep], traj_u.snap_dt)
+    return slab_norm(traj.grid, q[keep], traj.snap_dt)
 
 
 # ---------------------------------------------------------------------------
@@ -218,44 +204,52 @@ class CylinderSamples:
         return len(self.T)
 
 
-def _radial_gamma_pull(t, r, q_t, q_r):
-    """Time-rotation and boost derivatives of a radial scalar.
-
-    The three boost derivatives point along the radial direction with a
-    shared magnitude; rotational derivatives vanish.
-    """
-    half = 0.5 * (1.0 + t * t - r * r)
-    g0 = 0.5 * (1.0 + t * t + r * r) * q_t + t * r * q_r
-    gb = half * q_r + t * r * q_t + r * r * q_r
-    return g0, gb
-
-
-def _sample_grid(traj, time_range, time_stride):
-    times = traj.times
-    if time_range is not None:
-        keep = (times >= time_range[0]) & (times <= time_range[1])
-        idx = np.nonzero(keep)[0]
-    else:
-        idx = np.arange(len(times))
-    idx = idx[::time_stride]
+def _sample_grid(traj, time_stride):
+    if traj.grid.kind != "radial":
+        raise ParamError("cylinder sampling supports radial grids")
+    idx = np.arange(len(traj.times))[::time_stride]
     if len(idx) < 3:
         raise ParamError("need at least 3 sampled snapshots")
     return idx
 
 
-def _assemble_samples(grid, t_sel, q, q_t, q_r, scale, dscale_dt, dscale_dr):
-    """Samples of scale * q with product-rule derivatives, radial grid."""
-    r = grid.r
-    t2 = t_sel[:, None]
-    T, R = penrose.forward_tr(t2, r)
-    conf = penrose.conformal_factor_tr(t2, r)
-    dist = np.sqrt((np.pi - T) ** 2 + R * R)
+def _pull(t, r, q, q_t, q_r, scale, dscale_dt, dscale_dr):
+    """Cylinder field val = scale * q of a radial scalar q, with (g0, gb).
 
+    g0 is the time-rotation derivative of val; the three boost
+    derivatives point along the radial direction with the shared
+    magnitude gb, and rotational derivatives vanish.
+    """
     val = scale * q
     val_t = dscale_dt * q + scale * q_t
     val_r = dscale_dr * q + scale * q_r
-    g0, gb = _radial_gamma_pull(t2, r, val_t, val_r)
+    half = 0.5 * (1.0 + t * t - r * r)
+    g0 = 0.5 * (1.0 + t * t + r * r) * val_t + t * r * val_r
+    gb = half * val_r + t * r * val_t + r * r * val_r
+    return val, g0, gb
 
+
+def _solution_pullback(traj, time_stride):
+    """(t_sel, conf, val, g0, gb) of the cylinder field conf * u."""
+    grid = traj.grid
+    idx = _sample_grid(traj, time_stride)
+    t_sel = traj.times[idx]
+    w = traj.u[idx]
+    up = grid.to_physical(w)
+    ut = fd.d1(up, t_sel[1] - t_sel[0], axis=0)
+    (ur,) = grid.native_gradient(w)
+
+    t2 = t_sel[:, None]
+    conf = penrose.conformal_factor_tr(t2, grid.r)
+    dconf_dt, dconf_dr = penrose.conformal_gradient_tr(t2, grid.r)
+    return (t_sel, conf) + _pull(t2, grid.r, up, ut, ur, conf, dconf_dt,
+                                 dconf_dr)
+
+
+def _samples(grid, t_sel, conf, val, g0, gb):
+    """CylinderSamples of a pulled-back field on a radial grid."""
+    T, R = penrose.forward_tr(t_sel[:, None], grid.r)
+    dist = np.sqrt((np.pi - T) ** 2 + R * R)
     dt_snap = t_sel[1] - t_sel[0]
     wt = fd.trapezoid(dt_snap, len(t_sel))[:, None]
     vol = grid.weights()[None, :]
@@ -265,52 +259,30 @@ def _assemble_samples(grid, t_sel, q, q_t, q_r, scale, dscale_dt, dscale_dr):
                            weight, val, g0, gb)
 
 
-def solution_cylinder_samples(traj, time_range=None, time_stride=1):
+def solution_cylinder_samples(traj, time_stride=1):
     """Push the solution forward: cylinder field = conf * u."""
-    grid = traj.grid
-    if grid.kind != "radial":
-        raise ParamError("cylinder sampling supports radial grids")
-    idx = _sample_grid(traj, time_range, time_stride)
-    t_sel = traj.times[idx]
-    w = traj.u[idx]
-    up = grid.to_physical(w)
-    dt_snap = t_sel[1] - t_sel[0]
-    ut = fd.dt_series(up, dt_snap, axis=0)
-    (ur,) = grid.native_gradient(w)
-
-    t2 = t_sel[:, None]
-    conf = penrose.conformal_factor_tr(t2, grid.r)
-    dconf_dt, dconf_dr = penrose.conformal_gradient_tr(t2, grid.r)
-    return _assemble_samples(grid, t_sel, up, ut, ur, conf, dconf_dt,
-                             dconf_dr)
+    return _samples(traj.grid, *_solution_pullback(traj, time_stride))
 
 
-def forcing_cylinder_samples(traj, spec: NullFormSpec, time_range=None,
-                             time_stride=1):
+def forcing_cylinder_samples(traj, spec: NullFormSpec, time_stride=1):
     """Push the null-form forcing forward: cylinder field = conf^-3 * Q."""
     grid = traj.grid
-    if grid.kind != "radial":
-        raise ParamError("cylinder sampling supports radial grids")
+    idx = _sample_grid(traj, time_stride)
     if spec.n_components != 1:
         raise ParamError("forcing samples support scalar systems only")
-    idx = _sample_grid(traj, time_range, time_stride)
     t_sel = traj.times[idx]
-
-    from .solver import Trajectory
-    sub = Trajectory(grid, t_sel, traj.u[idx], dt=traj.dt,
-                     stride=traj.stride)
-    Q = evaluate_nullform_series(sub, spec)[:, 0]
-    dt_snap = t_sel[1] - t_sel[0]
-    Qt = fd.dt_series(Q, dt_snap, axis=0)
+    Q = evaluate_nullform_series(traj.select(idx), spec)[:, 0]
+    Qt = fd.d1(Q, t_sel[1] - t_sel[0], axis=0)
     Qr = fd.d1(Q, grid.h, axis=-1)
 
     t2 = t_sel[:, None]
     conf = penrose.conformal_factor_tr(t2, grid.r)
     dconf_dt, dconf_dr = penrose.conformal_gradient_tr(t2, grid.r)
     s = conf**-3
-    return _assemble_samples(grid, t_sel, Q, Qt, Qr, s,
-                             -3.0 * conf**-4 * dconf_dt,
-                             -3.0 * conf**-4 * dconf_dr)
+    return _samples(grid, t_sel, conf,
+                    *_pull(t2, grid.r, Q, Qt, Qr, s,
+                           -3.0 * conf**-4 * dconf_dt,
+                           -3.0 * conf**-4 * dconf_dr))
 
 
 def tip_weighted_norm(samples: CylinderSamples, scheme="l2", delta=0.0):
@@ -374,24 +346,8 @@ RATIO_NAMES = ("ratio_local_linear", "ratio_null_cylinder",
 def weighted_energy_sup(traj, time_stride=20):
     """Sup over sampled times of the tip-weighted slice norm of conf*u."""
     grid = traj.grid
-    if grid.kind != "radial":
-        raise ParamError("cylinder sampling supports radial grids")
-    idx = _sample_grid(traj, None, time_stride)
-    t_sel = traj.times[idx]
-    w = traj.u[idx]
-    up = grid.to_physical(w)
-    dt_snap = t_sel[1] - t_sel[0]
-    ut = fd.dt_series(up, dt_snap, axis=0)
-    (ur,) = grid.native_gradient(w)
-
-    t2 = t_sel[:, None]
-    conf = penrose.conformal_factor_tr(t2, grid.r)
-    dct, dcr = penrose.conformal_gradient_tr(t2, grid.r)
-    val = conf * up
-    vt = dct * up + conf * ut
-    vr = dcr * up + conf * ur
-    g0, gb = _radial_gamma_pull(t2, grid.r, vt, vr)
-    T, R = penrose.forward_tr(t2, grid.r)
+    t_sel, conf, val, g0, gb = _solution_pullback(traj, time_stride)
+    T, R = penrose.forward_tr(t_sel[:, None], grid.r)
     dist4 = ((np.pi - T) ** 2 + R * R) ** 2
     dens = val * val + dist4 * (g0 * g0 + gb * gb)
     # slice measure: conf^3 dx on each sampled instant
@@ -422,7 +378,7 @@ def estimate_ratio_report(entries, sup_window=(5.0, 40.0), time_stride=20):
         if np.max(np.abs(f)) == 0 and np.max(np.abs(g)) == 0:
             continue
 
-        nf01 = nullform_spacetime_norm(traj, traj, spec, (0.0, 1.0))
+        nf01 = nullform_spacetime_norm(traj, spec, (0.0, 1.0))
         h2 = weighted_sobolev_norm(f, 2, 0, grid)
         h1 = weighted_sobolev_norm(g, 1, 0, grid)
         h21 = weighted_sobolev_norm(f, 2, 1, grid)

@@ -107,6 +107,22 @@ class NullFormSpec:
         return "NullFormSpec(n=%d, terms=%r)" % (self.n_components, self.terms)
 
 
+def accumulate_system(spec: NullFormSpec, du, dv, out):
+    """Add the system Q(du, dv) into out; returns out.
+
+    du[j] and dv[k] are the gradient component sequences (d_t, d_1, ...)
+    of solution components j and k; out[i] receives output component i.
+    With fewer than four gradient components, as in the radial pair
+    (d_t, d_r), only q0 terms are evaluated: the rotational forms vanish
+    identically on spherically symmetric fields.
+    """
+    for (i, j, k, a, form) in spec.terms:
+        if form != "q0" and len(du[j]) < 4:
+            continue
+        out[i] += a * eval_components(form, du[j], dv[k])
+    return out
+
+
 def eval_system(spec: NullFormSpec, grads):
     """Evaluate the system on gradients of shape (N, ..., 4); returns (N, ...)."""
     grads = np.asarray(grads, dtype=float)
@@ -115,10 +131,9 @@ def eval_system(spec: NullFormSpec, grads):
             "gradients must have shape (%d, ..., 4), got %r"
             % (spec.n_components, grads.shape)
         )
+    du = [_components(g) for g in grads]
     out = np.zeros((spec.n_components,) + grads.shape[1:-1])
-    for (i, j, k, a, form) in spec.terms:
-        out[i] += a * eval_form(form, grads[j], grads[k])
-    return out
+    return accumulate_system(spec, du, du, out)
 
 
 def transformed_q(q: "penrose.EinsteinPoint", u_vals, u_grads, v_vals, v_grads,
@@ -168,6 +183,6 @@ def transformed_q(q: "penrose.EinsteinPoint", u_vals, u_grads, v_vals, v_grads,
     dv = mink_grad(v_vals, v_grads)
 
     out = np.zeros((N,) + du.shape[1:-1])
-    for (i, j, k, a, form) in spec.terms:
-        out[i] += a * eval_form(form, du[j], dv[k])
+    accumulate_system(spec, [_components(d) for d in du],
+                      [_components(d) for d in dv], out)
     return out / om[None] ** 3

@@ -65,21 +65,19 @@ def forcing_from_trajectory(traj: Trajectory, spec: NullFormSpec):
 
 
 def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
-                 tol=1e-8, max_iter=12, smallness_threshold=None,
-                 first_iterate="linear"):
+                 tol=1e-8, max_iter=12, smallness_threshold=None):
     """Iterate linear solves with fed-back null-form forcing.
 
-    Returns (NonlinearSolution, IterationReport).  The residual is the
-    slab norm of the forcing update between consecutive iterates; the
-    run stops once it drops below tol.  Raises NoConvergence when
-    max_iter solves were not enough.
+    The first iterate is the linear solution.  Returns
+    (NonlinearSolution, IterationReport).  The residual is the slab norm
+    of the forcing update between consecutive iterates; the run stops
+    once it drops below tol.  Raises NoConvergence when max_iter
+    residuals were not enough.
     """
     if tol <= 0:
         raise ParamError("tol must be positive")
     if max_iter < 1:
         raise ParamError("max_iter must be >= 1")
-    if first_iterate not in ("linear", "zero"):
-        raise ParamError("first_iterate must be 'linear' or 'zero'")
     grid = data.grid
 
     comp = check_compatibility(data, spec, 1)
@@ -95,44 +93,26 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
         raise ParamError("data norm %.3e exceeds smallness threshold %.3e"
                          % (dnorm, threshold))
 
-    if first_iterate == "zero":
-        traj = None
-        pending = True
-    else:
-        traj = solve_linear(data, None, t_end, dt=dt, stride=1, store_v=False)
-        pending = False
+    traj = solve_linear(data, None, t_end, dt=dt, stride=1, store_v=False)
     applied = None
-
     residuals = []
-    converged = False
-    iterations = 0
-    for it in range(1, max_iter + 1):
-        iterations = it
-        if traj is None:
-            F = None
-        else:
-            F = forcing_from_trajectory(traj, spec)
-        if not pending:
-            if applied is None:
-                diff = F
-            else:
-                diff = F - applied
-            res = slab_norm(grid, grid.to_physical(diff), traj.snap_dt)
-            residuals.append(res)
-            if res <= tol:
-                converged = True
-                break
-        traj = solve_linear(data, F if F is not None else None, t_end,
-                            dt=dt, stride=1, store_v=False)
+    while True:
+        F = forcing_from_trajectory(traj, spec)
+        diff = F if applied is None else F - applied
+        residuals.append(slab_norm(grid, grid.to_physical(diff),
+                                   traj.snap_dt))
+        if residuals[-1] <= tol:
+            break
+        if len(residuals) == max_iter:
+            raise NoConvergence(max_iter, residuals)
+        # solve only when another sweep follows
+        traj = solve_linear(data, F, t_end, dt=dt, stride=1, store_v=False)
         applied = F
-        pending = False
-    if not converged:
-        raise NoConvergence(iterations, residuals)
 
     ratios = [residuals[i + 1] / residuals[i]
               for i in range(len(residuals) - 1)
               if residuals[i] > 0]
-    report = IterationReport(residuals, ratios, converged, iterations, tol)
+    report = IterationReport(residuals, ratios, True, len(residuals), tol)
     return NonlinearSolution(traj, spec, data), report
 
 

@@ -52,34 +52,28 @@ def state_from_data(data: InitialData):
     return WaveState(data.grid, data.f.copy(), data.g.copy(), 0.0)
 
 
-def _ends(boundary_values, t):
-    # (u ends, v ends) to pin at time t; None pins to zero
-    return (None, None) if boundary_values is None else boundary_values(t)
-
-
-def _step_core(grid, u, v, t, dt, f_mid, damp, boundary_values):
-    # pinned nodes are overwritten after each update, whatever the
-    # spatial operator left there
-    ends_u, ends_v = _ends(boundary_values, t + dt)
+def _step_core(grid, u, v, dt, f_mid, damp):
+    # pinned nodes are zeroed after each update, whatever the spatial
+    # operator left there
     a = grid.laplace(u)
     if f_mid is not None:
         a = a + f_mid
     vh = v + (0.5 * dt) * a
     un = u + dt * vh
     # pin before the second kick so near-boundary stencils read the
-    # imposed values, not the drifted ones
-    grid.pin(un, ends_u)
+    # pinned values, not the drifted ones
+    grid.pin(un)
     a = grid.laplace(un)
     if f_mid is not None:
         a = a + f_mid
     vn = vh + (0.5 * dt) * a
     if damp is not None:
         vn = vn * damp
-    grid.pin(vn, ends_v)
+    grid.pin(vn)
     return un, vn
 
 
-def step(state: WaveState, forcing, dt, boundary_values=None):
+def step(state: WaveState, forcing, dt):
     """One explicit step.
 
     forcing is a native grid field (or None); for time-dependent forcing
@@ -91,8 +85,7 @@ def step(state: WaveState, forcing, dt, boundary_values=None):
     damp = None
     if grid.sponge_cells > 0:
         damp = np.exp(-grid.sponge_sigma() * dt)
-    un, vn = _step_core(grid, state.u, state.v, state.t, dt, forcing, damp,
-                        boundary_values)
+    un, vn = _step_core(grid, state.u, state.v, dt, forcing, damp)
     if not np.all(np.isfinite(un)):
         raise NaNError("non-finite field after step at t=%g" % (state.t + dt))
     return WaveState(grid, un, vn, state.t + dt)
@@ -123,6 +116,12 @@ class Trajectory:
         if len(self.times) < 2:
             return 0.0
         return float(self.times[1] - self.times[0])
+
+    def select(self, idx):
+        """The trajectory restricted to the snapshots idx (slice or indices)."""
+        v = None if self.v is None else self.v[idx]
+        return Trajectory(self.grid, self.times[idx], self.u[idx], v,
+                          dt=self.dt, stride=self.stride)
 
     def state(self, i):
         if self.v is None:
@@ -156,7 +155,7 @@ class Trajectory:
 
 
 def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
-                 boundary_values=None, store_v=True):
+                 store_v=True):
     """March the linear wave equation to at least t_end.
 
     forcing may be None, a callable t -> native field (evaluated at step
@@ -191,9 +190,8 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
 
     u = data.f.copy()
     v = data.g.copy()
-    ends_u, ends_v = _ends(boundary_values, 0.0)
-    grid.pin(u, ends_u)
-    grid.pin(v, ends_v)
+    grid.pin(u)
+    grid.pin(v)
 
     damp = None
     if grid.sponge_cells > 0:
@@ -214,7 +212,7 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
             f_mid = forcing(t + 0.5 * dt)
         else:
             f_mid = None
-        u, v = _step_core(grid, u, v, t, dt, f_mid, damp, boundary_values)
+        u, v = _step_core(grid, u, v, dt, f_mid, damp)
         t = (k + 1) * dt
         if (k + 1) % NAN_CHECK_INTERVAL == 0 and not np.all(np.isfinite(u)):
             raise NaNError("non-finite field at t=%g" % t)

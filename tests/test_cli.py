@@ -367,6 +367,17 @@ def test_no_convergence_writes_diagnostic(tmp_path):
     assert "convergence" in err["message"]
 
 
+def test_cartesian_mode_without_n_exit_2(tmp_path, capsys):
+    # the radial default n = 2000 would ask for a 2001^3 masked grid;
+    # it must be refused before anything is allocated or written
+    ini = write_ini(tmp_path, "[grid]\nmode = cartesian\n")
+    out = tmp_path / "never"
+    assert run(["check-compat", "--config", ini], out) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "n = 2000" in err
+    assert not out.exists()
+
+
 def test_smallness_guard_exit_3(tmp_path):
     ini = write_ini(tmp_path,
                     NONLINEAR_INI.replace("eps = 1e-3", "eps = 0.5"))

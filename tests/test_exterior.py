@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nullwave import exterior
+from nullwave import exterior, fd
 from nullwave.errors import OrderError, ParamError
 from nullwave.exterior import (
     BOUNDARY,
@@ -174,6 +174,28 @@ def test_masked_grid_rejects_bad_params():
     # a band wider than half the cube would swallow every fluid node
     with pytest.raises(ParamError):
         build_masked_grid(Obstacle.sphere(1.0), 12.0, 24, sponge_cells=13)
+
+
+def test_d2_matches_moveaxis_reference():
+    # the slice-tuple stencil does the moveaxis form's arithmetic, bit for bit
+    def reference(y, h, axis):
+        y = np.moveaxis(y, axis, -1)
+        out = np.empty_like(y)
+        out[..., 1:-1] = (y[..., 2:] - 2.0 * y[..., 1:-1] + y[..., :-2]) / h**2
+        out[..., 0] = (2.0 * y[..., 0] - 5.0 * y[..., 1] + 4.0 * y[..., 2]
+                       - y[..., 3]) / h**2
+        out[..., -1] = (2.0 * y[..., -1] - 5.0 * y[..., -2]
+                        + 4.0 * y[..., -3] - y[..., -4]) / h**2
+        return np.moveaxis(out, -1, axis)
+
+    rng = np.random.default_rng(5)
+    for shape in [(40,), (3, 40), (6, 7, 8), (2, 6, 7, 8)]:
+        y = rng.standard_normal(shape)
+        for axis in range(-len(shape), len(shape)):
+            if shape[axis] < 4:
+                continue
+            got = fd.d2(y, 0.3, axis=axis)
+            assert got.tobytes() == reference(y, 0.3, axis).tobytes()
 
 
 # ---------------------------------------------------------------------------

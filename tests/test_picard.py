@@ -63,18 +63,6 @@ def test_iteration_report_contracts(family):
     assert all(r < 1e-4 for r in rep.ratios)
 
 
-def test_fixed_point_independent_of_first_iterate(family):
-    data = family(1e-3)
-    solA, repA = picard_solve(data, SPEC, 8.0, tol=1e-10)
-    solB, repB = picard_solve(data, SPEC, 8.0, tol=1e-10,
-                              first_iterate="zero")
-    assert repA.converged and repB.converged
-    diff = np.max(np.abs(solA.trajectory.u - solB.trajectory.u))
-    assert diff < 10.0 * 1e-10
-    # starting from zero costs one extra linear solve
-    assert repB.iterations >= repA.iterations
-
-
 def test_dirichlet_boundary_preserved(family):
     sol, _ = picard_solve(family(1e-3), SPEC, 8.0, tol=1e-10)
     assert sol.boundary_max() == 0.0
@@ -104,8 +92,6 @@ def test_picard_param_guards(family):
         picard_solve(data, SPEC, 4.0, tol=0.0)
     with pytest.raises(ParamError):
         picard_solve(data, SPEC, 4.0, max_iter=0)
-    with pytest.raises(ParamError):
-        picard_solve(data, SPEC, 4.0, first_iterate="random")
 
 
 def test_no_convergence_carries_history(family):
@@ -115,6 +101,25 @@ def test_no_convergence_carries_history(family):
     assert exc.iterations == 2
     assert len(exc.residuals) == 2
     assert exc.residuals[0] > exc.residuals[1]
+
+
+def test_no_convergence_solves_only_before_another_sweep(family,
+                                                         monkeypatch):
+    data = family(1e-3)
+    with pytest.raises(NoConvergence) as longer:
+        picard_solve(data, SPEC, 8.0, tol=1e-30, max_iter=3)
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solver.solve_linear(*args, **kwargs)
+
+    monkeypatch.setattr(picard, "solve_linear", counted)
+    with pytest.raises(NoConvergence) as exc_info:
+        picard_solve(data, SPEC, 8.0, tol=1e-30, max_iter=2)
+    # the linear solve and one re-solve; none after the last residual
+    assert len(solves) == 2
+    assert exc_info.value.residuals == longer.value.residuals[:2]
 
 
 def test_scan_rows_ordered_and_reported(family):

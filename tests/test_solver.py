@@ -53,27 +53,6 @@ def test_radial_manufactured_solution_second_order():
         assert 1.85 < np.log2(coarse / fine) < 2.2
 
 
-def test_inhomogeneous_boundary_values_second_order():
-    # w = (r - 1) cos(b t): spatially linear, so spatial stencils are exact
-    # and the error isolates the time discretization and boundary plumbing
-    grid = build_radial_grid(1.0, 5.0, 200)
-    b = 1.1
-    r = grid.r
-    data = InitialData(grid, r - 1.0, np.zeros_like(r))
-
-    def force(t):
-        return -b * b * np.cos(b * t) * (grid.r - 1.0)
-
-    def bv(t):
-        return (0.0, 4.0 * np.cos(b * t)), (0.0, -4.0 * b * np.sin(b * t))
-
-    traj = solve_linear(data, force, 3.0, stride=1, store_v=False,
-                        boundary_values=bv)
-    t_fin = traj.times[-1]
-    err = np.max(np.abs(traj.u[-1] - (r - 1.0) * np.cos(b * t_fin)))
-    assert err < 1e-4
-
-
 def test_cartesian_free_space_pulse():
     # before the pulse reaches the obstacle or the faces, the masked run
     # must match the exact radial solution (w0(r-t) + w0(r+t)) / (2 r)
@@ -315,17 +294,6 @@ def test_trajectory_validation_and_series():
                          None, 1.0, stride=5, store_v=False)
     with pytest.raises(ParamError):
         novel.final_state
-
-
-def test_boundary_values_rejected_on_cartesian():
-    grid = build_masked_grid(Obstacle.sphere(1.0), 12.0, 24, sponge_cells=0)
-    data = InitialData(grid, grid.zeros(), grid.zeros())
-
-    def bv(t):
-        return (0.0, 0.0), (0.0, 0.0)
-
-    with pytest.raises(ParamError):
-        solve_linear(data, None, 0.2, boundary_values=bv)
 
 
 def test_stride_pads_step_count():
