@@ -13,7 +13,7 @@ grid's native representation ("native") or as physical values u:
     zeros(), sponge_sigma()                native field shape, damping
     coords(), radii()                      sample points and |x| per node
     updated()                              nodes the stepper evolves
-    laplace(native)                        native spatial operator
+    laplace(native, out=None, tmp=None)    native spatial operator
     pin(a)                                 zero the Dirichlet nodes in place
     on_boundary(a)                         values on obstacle-boundary nodes
     weights()                              volume quadrature per node
@@ -132,6 +132,7 @@ class RadialGrid:
         self.sponge_strength = float(sponge_strength)
         self.h = (self.r_max - self.r0) / self.n
         self.r = self.r0 + self.h * np.arange(self.n + 1)
+        self._r2 = self.r**2
 
     @property
     def n_nodes(self):
@@ -161,12 +162,18 @@ class RadialGrid:
         live[[0, -1]] = False
         return live
 
-    def laplace(self, w):
-        """Native spatial operator d_rr - l(l+1)/r^2 on w."""
-        acc = fd.d2(w, self.h, axis=-1)
+    def laplace(self, w, out=None, tmp=None):
+        """Native spatial operator d_rr - l(l+1)/r^2 on w.
+
+        Written into out if given; tmp is scratch of w's shape for the
+        mode term (allocated when needed and not given).
+        """
+        acc = fd.d2(w, self.h, axis=-1, out=out)
         l = self.angular_mode
         if l:
-            acc -= (l * (l + 1)) * w / self.r**2
+            tmp = np.multiply(l * (l + 1), w, out=tmp)
+            np.divide(tmp, self._r2, out=tmp)
+            acc -= tmp
         return acc
 
     def pin(self, a):
@@ -284,11 +291,17 @@ class CartesianGrid:
         """Nodes the stepper evolves (fluid plus sponge)."""
         return (self.mask == FLUID) | (self.mask == SPONGE)
 
-    def laplace(self, u):
-        """Native spatial operator: the 7-point Laplacian."""
-        acc = fd.d2(u, self.h, axis=-3)
-        acc += fd.d2(u, self.h, axis=-2)
-        acc += fd.d2(u, self.h, axis=-1)
+    def laplace(self, u, out=None, tmp=None):
+        """Native spatial operator: the 7-point Laplacian.
+
+        Written into out if given; tmp is scratch of u's shape that the
+        second and third axis terms pass through (allocated if not given).
+        """
+        acc = fd.d2(u, self.h, axis=-3, out=out)
+        if tmp is None:
+            tmp = np.empty_like(acc)
+        for axis in (-2, -1):
+            acc += fd.d2(u, self.h, axis=axis, out=tmp)
         return acc
 
     physical_laplacian = laplace

@@ -12,17 +12,25 @@ def d1(y, h, axis=-1):
     return np.gradient(y, h, axis=axis, edge_order=2)
 
 
-def d2(y, h, axis=-1):
-    """Second derivative along one axis."""
+def d2(y, h, axis=-1, out=None):
+    """Second derivative along one axis, written into out if given.
+
+    out must have y's shape and must not overlap y; it is returned.
+    """
     y = np.asarray(y, dtype=float)
     lead = (slice(None),) * (axis % y.ndim)
 
     def at(i):
         return y[lead + (i,)]
 
-    out = np.empty_like(y)
-    out[lead + (slice(1, -1),)] = (at(slice(2, None)) - 2.0 * at(slice(1, -1))
-                                   + at(slice(None, -2))) / h**2
+    if out is None:
+        out = np.empty_like(y)
+    # (a - 2 b + c) / h^2 evaluated in place, operation by operation
+    mid = out[lead + (slice(1, -1),)]
+    np.multiply(2.0, at(slice(1, -1)), out=mid)
+    np.subtract(at(slice(2, None)), mid, out=mid)
+    np.add(mid, at(slice(None, -2)), out=mid)
+    np.divide(mid, h**2, out=mid)
     out[lead + (0,)] = (2.0 * at(0) - 5.0 * at(1) + 4.0 * at(2)
                         - at(3)) / h**2
     out[lead + (-1,)] = (2.0 * at(-1) - 5.0 * at(-2) + 4.0 * at(-3)

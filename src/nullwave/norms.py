@@ -345,8 +345,11 @@ RATIO_NAMES = ("ratio_local_linear", "ratio_null_cylinder",
 
 def weighted_energy_sup(traj, time_stride=20):
     """Sup over sampled times of the tip-weighted slice norm of conf*u."""
-    grid = traj.grid
-    t_sel, conf, val, g0, gb = _solution_pullback(traj, time_stride)
+    return _energy_sup(traj.grid, *_solution_pullback(traj, time_stride))
+
+
+def _energy_sup(grid, t_sel, conf, val, g0, gb):
+    """weighted_energy_sup of a solution pullback."""
     T, R = penrose.forward_tr(t_sel[:, None], grid.r)
     dist4 = ((np.pi - T) ** 2 + R * R) ** 2
     dens = val * val + dist4 * (g0 * g0 + gb * gb)
@@ -386,14 +389,15 @@ def estimate_ratio_report(entries, sup_window=(5.0, 40.0), time_stride=20):
 
         fsamp = forcing_cylinder_samples(traj, spec, time_stride=time_stride)
         tip_f = tip_weighted_norm(fsamp, "l2")
-        usamp = solution_cylinder_samples(traj, time_stride=time_stride)
-        pecher = tip_weighted_norm(usamp, "l8")
+        # one pullback of conf * u serves the L^8 norm and the energy sup
+        pull = _solution_pullback(traj, time_stride)
+        pecher = tip_weighted_norm(_samples(grid, *pull), "l8")
 
         conf0 = 2.0 / (1.0 + grid.r**2)
         sph2 = sphere_sobolev_norm(grid, conf0 * f, 2)
         sph1 = sphere_sobolev_norm(grid, conf0**2 * g, 1)
 
-        wsup = weighted_energy_sup(traj, time_stride=time_stride)
+        wsup = _energy_sup(grid, *pull)
 
         tt, ss = sol.sup_times, sol.sup_values
         keep = (tt >= sup_window[0]) & (tt <= sup_window[1])

@@ -6,6 +6,12 @@ when the forcing is sampled at the step midpoint, but it carries the
 velocity explicitly, which makes energy evaluation and sponge damping
 plain pointwise operations.
 
+The second kick of a step and the first kick of the next one use the same
+acceleration, so the kernel keeps laplace(u) from the end of each step and
+evaluates the spatial operator once per step.  It updates u and v in place
+through two field-sized buffers and allocates nothing per step; step()
+runs it on copies, and solve_linear's snapshots are copies.
+
 Fields are stored in each grid's native representation (see
 nullwave.exterior); the grid supplies the spatial operator, the Dirichlet
 pinning and the energy.  Leading axes are allowed, so a stack of
@@ -52,29 +58,47 @@ def state_from_data(data: InitialData):
     return WaveState(data.grid, data.f.copy(), data.g.copy(), 0.0)
 
 
-def _step_core(grid, u, v, dt, f_mid, damp):
+def _damping(grid, dt):
+    """Per-step sponge factor, or None without a sponge."""
+    if grid.sponge_cells > 0:
+        return np.exp(-grid.sponge_sigma() * dt)
+    return None
+
+
+def _advance(grid, u, v, lap, tmp, dt, f_mid, damp):
+    """One velocity-Verlet step of (u, v), in place.
+
+    lap holds grid.laplace(u) on entry and the Laplacian of the new u on
+    return; tmp is scratch of u's shape.  Every operation keeps the operand
+    order of a = L(u) + f, vh = v + (dt/2) a, un = u + dt vh,
+    vn = (vh + (dt/2) (L(un) + f)) * damp, so the bytes do not depend on
+    whether L(u) was carried over or evaluated afresh.
+    """
+    half = 0.5 * dt
+    if f_mid is not None:
+        lap += f_mid
+    lap *= half
+    v += lap
+    np.multiply(v, dt, out=tmp)
+    u += tmp
     # pinned nodes are zeroed after each update, whatever the spatial
-    # operator left there
-    a = grid.laplace(u)
+    # operator left there; pin before the second kick so near-boundary
+    # stencils read the pinned values, not the drifted ones
+    grid.pin(u)
+    grid.laplace(u, out=lap, tmp=tmp)
     if f_mid is not None:
-        a = a + f_mid
-    vh = v + (0.5 * dt) * a
-    un = u + dt * vh
-    # pin before the second kick so near-boundary stencils read the
-    # pinned values, not the drifted ones
-    grid.pin(un)
-    a = grid.laplace(un)
-    if f_mid is not None:
-        a = a + f_mid
-    vn = vh + (0.5 * dt) * a
+        np.add(lap, f_mid, out=tmp)
+        tmp *= half
+    else:
+        np.multiply(lap, half, out=tmp)
+    v += tmp
     if damp is not None:
-        vn = vn * damp
-    grid.pin(vn)
-    return un, vn
+        v *= damp
+    grid.pin(v)
 
 
 def step(state: WaveState, forcing, dt):
-    """One explicit step.
+    """One explicit step; the input state is left unchanged.
 
     forcing is a native grid field (or None); for time-dependent forcing
     sample it at the step midpoint t + dt/2 to keep second order.
@@ -82,13 +106,13 @@ def step(state: WaveState, forcing, dt):
     grid = state.grid
     if dt > cfl_limit(grid) * (1.0 + 1e-12):
         raise CFLError("dt=%g exceeds CFL limit %g" % (dt, cfl_limit(grid)))
-    damp = None
-    if grid.sponge_cells > 0:
-        damp = np.exp(-grid.sponge_sigma() * dt)
-    un, vn = _step_core(grid, state.u, state.v, dt, forcing, damp)
-    if not np.all(np.isfinite(un)):
+    u = state.u.copy()
+    v = state.v.copy()
+    _advance(grid, u, v, grid.laplace(u), np.empty_like(u), dt, forcing,
+             _damping(grid, dt))
+    if not np.all(np.isfinite(u)):
         raise NaNError("non-finite field after step at t=%g" % (state.t + dt))
-    return WaveState(grid, un, vn, state.t + dt)
+    return WaveState(grid, u, v, state.t + dt)
 
 
 class Trajectory:
@@ -193,9 +217,11 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
     grid.pin(u)
     grid.pin(v)
 
-    damp = None
-    if grid.sponge_cells > 0:
-        damp = np.exp(-grid.sponge_sigma() * dt)
+    damp = _damping(grid, dt)
+    lap = grid.laplace(u)
+    tmp = np.empty_like(u)
+    if recorded is not None:
+        f_buf = np.empty(recorded.shape[1:])
 
     n_snap = n_steps // stride + 1
     us = np.empty((n_snap,) + u.shape)
@@ -207,12 +233,13 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
     t = 0.0
     for k in range(n_steps):
         if recorded is not None:
-            f_mid = 0.5 * (recorded[k] + recorded[k + 1])
+            f_mid = np.add(recorded[k], recorded[k + 1], out=f_buf)
+            f_mid *= 0.5
         elif callable(forcing):
             f_mid = forcing(t + 0.5 * dt)
         else:
             f_mid = None
-        u, v = _step_core(grid, u, v, dt, f_mid, damp)
+        _advance(grid, u, v, lap, tmp, dt, f_mid, damp)
         t = (k + 1) * dt
         if (k + 1) % NAN_CHECK_INTERVAL == 0 and not np.all(np.isfinite(u)):
             raise NaNError("non-finite field at t=%g" % t)

@@ -177,7 +177,8 @@ def test_masked_grid_rejects_bad_params():
 
 
 def test_d2_matches_moveaxis_reference():
-    # the slice-tuple stencil does the moveaxis form's arithmetic, bit for bit
+    # the slice-tuple stencil does the moveaxis form's arithmetic, bit for
+    # bit, whether it allocates its result or writes into out
     def reference(y, h, axis):
         y = np.moveaxis(y, axis, -1)
         out = np.empty_like(y)
@@ -196,6 +197,10 @@ def test_d2_matches_moveaxis_reference():
                 continue
             got = fd.d2(y, 0.3, axis=axis)
             assert got.tobytes() == reference(y, 0.3, axis).tobytes()
+            # the in-place form writes every node, and the same bytes
+            buf = np.full(shape, np.nan)
+            assert fd.d2(y, 0.3, axis=axis, out=buf) is buf
+            assert buf.tobytes() == got.tobytes()
 
 
 # ---------------------------------------------------------------------------

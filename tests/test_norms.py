@@ -326,13 +326,23 @@ def test_ratio_spreads_synthetic():
     assert ratio_spreads([]) == {}
 
 
-def test_estimate_ratio_report_mechanics(nonlinear_run):
+def test_estimate_ratio_report_mechanics(nonlinear_run, monkeypatch):
     rows = [
         {"eps": 1e-3, "converged": True, "solution": nonlinear_run},
         {"eps": 2e-3, "converged": False, "solution": None},
     ]
+    pullbacks = []
+    pullback = norms._solution_pullback
+
+    def counting(*args):
+        pullbacks.append(args)
+        return pullback(*args)
+
+    monkeypatch.setattr(norms, "_solution_pullback", counting)
     reports = estimate_ratio_report(rows, sup_window=(2.0, 10.0),
                                     time_stride=10)
+    # one solution pullback per row serves both of its norms
+    assert len(pullbacks) == 1
     assert len(reports) == 1
     rep = reports[0]
     assert rep.metadata["eps"] == 1e-3
@@ -340,6 +350,11 @@ def test_estimate_ratio_report_mechanics(nonlinear_run):
         tag = name[len("ratio_"):]
         assert rep[name] == rep["lhs_" + tag] / rep["rhs_" + tag]
     assert rep["pecher_l8"] > 0
+    traj = nonlinear_run.trajectory
+    assert rep["pecher_l8"] == tip_weighted_norm(
+        solution_cylinder_samples(traj, time_stride=10), "l8")
+    assert rep["lhs_weighted_energy"] == weighted_energy_sup(
+        traj, time_stride=10)
     with pytest.raises(ParamError):
         estimate_ratio_report([rows[0]], sup_window=(100.0, 200.0),
                               time_stride=10)

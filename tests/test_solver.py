@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nullwave import exterior, solver
+from nullwave import exterior, fd, solver
 from nullwave.errors import CFLError, FitError, NaNError, ParamError
 from nullwave.exterior import InitialData, Obstacle, build_masked_grid, build_radial_grid
 from nullwave.solver import (
@@ -201,6 +201,153 @@ def test_recorded_forcing_matches_callable():
 
     with pytest.raises(ParamError):
         solve_linear(data, rec[:3], t_end, stride=1)
+
+
+# ---------------------------------------------------------------------------
+# the in-place kernel against the two-Laplacian, allocating form
+
+
+def _reference_laplace(grid, u):
+    # the allocating operators the kernel replaced
+    if grid.kind == "radial":
+        acc = fd.d2(u, grid.h, axis=-1)
+        l = grid.angular_mode
+        if l:
+            acc -= (l * (l + 1)) * u / grid.r**2
+        return acc
+    acc = fd.d2(u, grid.h, axis=-3)
+    acc += fd.d2(u, grid.h, axis=-2)
+    acc += fd.d2(u, grid.h, axis=-1)
+    return acc
+
+
+def _reference_step(grid, u, v, dt, f_mid, damp):
+    # velocity Verlet with the operator evaluated afresh for both kicks
+    a = _reference_laplace(grid, u)
+    if f_mid is not None:
+        a = a + f_mid
+    vh = v + (0.5 * dt) * a
+    un = u + dt * vh
+    grid.pin(un)
+    a = _reference_laplace(grid, un)
+    if f_mid is not None:
+        a = a + f_mid
+    vn = vh + (0.5 * dt) * a
+    if damp is not None:
+        vn = vn * damp
+    grid.pin(vn)
+    return un, vn
+
+
+def _reference_solve(data, forcing, n_steps, dt):
+    grid = data.grid
+    u = data.f.copy()
+    v = data.g.copy()
+    grid.pin(u)
+    grid.pin(v)
+    damp = None
+    if grid.sponge_cells > 0:
+        damp = np.exp(-grid.sponge_sigma() * dt)
+    us, vs = [u], [v]
+    for k in range(n_steps):
+        if isinstance(forcing, np.ndarray):
+            f_mid = 0.5 * (forcing[k] + forcing[k + 1])
+        elif callable(forcing):
+            f_mid = forcing(k * dt + 0.5 * dt)
+        else:
+            f_mid = None
+        u, v = _reference_step(grid, u, v, dt, f_mid, damp)
+        us.append(u)
+        vs.append(v)
+    return np.array(us), np.array(vs)
+
+
+def _kernel_case(name):
+    """(data, forcing, t_end) of one reference comparison."""
+    if name == "ellipsoid":
+        grid = build_masked_grid(Obstacle.ellipsoid(1.4, 1.0, 0.8), 12.0, 24,
+                                 sponge_cells=8)
+
+        def bump(p):
+            return _bump(np.sqrt(np.sum(p * p, axis=-1)), 3.0, 1.5)
+
+        return InitialData.from_physical(grid, bump, bump), None, 3.0
+    l, sponge = (1, 40) if name == "radial-l1-sponge" else (0, 0)
+    grid = build_radial_grid(1.0, 11.0, 200, angular_mode=l,
+                             sponge_cells=sponge)
+    amp = _bump(grid.r, 3.0, 1.0)
+    data = InitialData(grid, amp, 0.5 * amp)
+    forcing = None
+    if name == "callable":
+        def forcing(t):
+            return np.cos(t) * _bump(grid.r, 2.5, 0.8)
+    elif name == "recorded":
+        # two stacked components, as a null-form system carries them
+        data = InitialData(grid, np.stack([amp, -amp]), np.stack([amp, amp]))
+        n_steps = int(np.ceil(6.0 / cfl_limit(grid) - 1e-12))
+        rng = np.random.default_rng(3)
+        forcing = rng.standard_normal((n_steps + 1,) + data.f.shape)
+    return data, forcing, 6.0
+
+
+KERNEL_CASES = ["radial-l0", "radial-l1-sponge", "callable", "recorded",
+                "ellipsoid"]
+
+
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_kernel_matches_two_laplacian_reference(name):
+    data, forcing, t_end = _kernel_case(name)
+    traj = solve_linear(data, forcing, t_end, stride=1)
+    us, vs = _reference_solve(data, forcing, len(traj.times) - 1, traj.dt)
+    assert traj.u.tobytes() == us.tobytes()
+    assert traj.v.tobytes() == vs.tobytes()
+
+
+def test_one_laplacian_per_step():
+    grid = build_radial_grid(1.0, 11.0, 200, angular_mode=1)
+    amp = _bump(grid.r, 3.0, 1.0)
+    calls = []
+    laplace = grid.laplace
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return laplace(*args, **kwargs)
+
+    grid.laplace = counting
+    traj = solve_linear(InitialData(grid, amp, amp), None, 2.0, stride=1)
+    # one evaluation before the first step, then one per step
+    assert len(calls) == len(traj.times)
+
+
+def test_step_leaves_its_input_untouched():
+    grid = build_radial_grid(1.0, 11.0, 200, angular_mode=1, sponge_cells=40)
+    u = _bump(grid.r, 3.0, 1.0)
+    v = 0.5 * u
+    force = _bump(grid.r, 2.5, 0.8)
+    before = (u.tobytes(), v.tobytes(), force.tobytes())
+    st = WaveState(grid, u, v, 0.25)
+    dt = cfl_limit(grid)
+    nxt = step(st, force, dt)
+    assert (u.tobytes(), v.tobytes(), force.tobytes()) == before
+    assert st.u is u and st.v is v and st.t == 0.25
+    damp = np.exp(-grid.sponge_sigma() * dt)
+    un, vn = _reference_step(grid, u, v, dt, force, damp)
+    assert nxt.u.tobytes() == un.tobytes()
+    assert nxt.v.tobytes() == vn.tobytes()
+    assert nxt.t == 0.25 + dt
+
+
+def test_solve_linear_leaves_data_and_forcing_untouched():
+    data, rec, t_end = _kernel_case("recorded")
+    before = (data.f.tobytes(), data.g.tobytes(), rec.tobytes())
+    solve_linear(data, rec, t_end)
+    assert (data.f.tobytes(), data.g.tobytes(), rec.tobytes()) == before
+
+    grid = data.grid
+    field = _bump(grid.r, 2.5, 0.8)
+    kept = field.tobytes()
+    solve_linear(data, lambda t: field, t_end)
+    assert field.tobytes() == kept
 
 
 # ---------------------------------------------------------------------------
