@@ -438,11 +438,11 @@ def cmd_estimate_report(ec, out, quiet):
         _say(quiet, "eps %.3e  " % r.metadata["eps"] + "  ".join(
             "%s %.3e" % (k, r[k]) for k in norms.RATIO_NAMES))
 
-    # truncation sweep on the largest converged entry
-    last = max((r for r in rows if r["converged"]), key=lambda r: r["eps"])
-    samples = norms.forcing_cylinder_samples(
-        last["solution"].trajectory, ec.spec, time_stride=time_stride)
-    sweep = norms.delta_sweep(samples, deltas)
+    # truncation sweep on the largest converged entry: scan rows come in
+    # ascending eps and only converged rows are reported, so it is the
+    # last report, whose forcing samples are reused
+    last = reports[-1].metadata
+    sweep = norms.delta_sweep(last["forcing_samples"], deltas)
 
     summary = ec.summary_header("estimate-report")
     summary["results"] = {

@@ -93,12 +93,6 @@ def sphere_sobolev_norm(grid, field, order):
 # ---------------------------------------------------------------------------
 # null-form evaluation along trajectories
 
-def _physical_gradients(grid, u_native, snap_dt):
-    """Physical space-time gradient (u_t, d_1 u, ...) of native snapshots."""
-    ut = fd.d1(grid.to_physical(u_native), snap_dt, axis=0)
-    return (ut,) + grid.native_gradient(u_native)
-
-
 def evaluate_nullform_series(traj, spec: NullFormSpec):
     """Physical null-form values Q(du, du) at every snapshot.
 
@@ -110,15 +104,19 @@ def evaluate_nullform_series(traj, spec: NullFormSpec):
     dt_snap = traj.snap_dt
     if dt_snap <= 0:
         raise ParamError("need at least two snapshots")
-    N = spec.n_components
     gshape = grid.zeros().shape
     u = traj.u.reshape((traj.u.shape[0], -1) + gshape)
-    if u.shape[1] != N:
+    if u.shape[1] != spec.n_components:
         raise ParamError("trajectory component count does not match spec")
+    return _nullform_values(spec, grid, u,
+                            fd.d1(grid.to_physical(u), dt_snap, axis=0))
 
-    du = _physical_gradients(grid, u, dt_snap)
-    per_comp = [[d[:, j] for d in du] for j in range(N)]
-    out = np.zeros((u.shape[0], N) + gshape)
+
+def _nullform_values(spec, grid, u, ut):
+    """Q(du, du) of native snapshots u (M, n_components, ...) and their u_t."""
+    du = (ut,) + grid.native_gradient(u)
+    per_comp = [[d[:, j] for d in du] for j in range(spec.n_components)]
+    out = np.zeros(du[0].shape)
     accumulate_system(spec, per_comp, per_comp, np.moveaxis(out, 1, 0))
     return out
 
@@ -191,98 +189,106 @@ class CylinderSamples:
         n = len(arrays[0])
         if any(len(a) != n for a in arrays):
             raise ParamError("sample arrays must share length")
-        T, R, dist, conf, weight, value, gamma0, gboost = arrays
-        if np.any(R + np.abs(T) >= np.pi):
+        for name, a in zip(self.__slots__, arrays):
+            setattr(self, name, a)
+        if np.any(self.R + np.abs(self.T) >= np.pi):
             raise DomainError("samples outside the compactified diamond")
-        if np.any(weight < 0):
+        if np.any(self.weight < 0):
             raise ParamError("negative quadrature weight")
-        self.T, self.R, self.dist, self.conf = T, R, dist, conf
-        self.weight, self.value = weight, value
-        self.gamma0, self.gboost = gamma0, gboost
 
     def __len__(self):
         return len(self.T)
 
 
-def _sample_grid(traj, time_stride):
-    if traj.grid.kind != "radial":
-        raise ParamError("cylinder sampling supports radial grids")
-    idx = np.arange(len(traj.times))[::time_stride]
-    if len(idx) < 3:
-        raise ParamError("need at least 3 sampled snapshots")
-    return idx
+class _SampleFrame:
+    """The compactified sample frame of a radial trajectory, built once.
 
-
-def _pull(t, r, q, q_t, q_r, scale, dscale_dt, dscale_dr):
-    """Cylinder field val = scale * q of a radial scalar q, with (g0, gb).
-
-    g0 is the time-rotation derivative of val; the three boost
-    derivatives point along the radial direction with the shared
-    magnitude gb, and rotational derivatives vanish.
+    The sampled snapshots (every time_stride-th), their image (T, R) and
+    squared tip distance, the conformal factor and its gradient, and the
+    pulled-back quadrature weight; every cylinder quantity reads them.
     """
-    val = scale * q
-    val_t = dscale_dt * q + scale * q_t
-    val_r = dscale_dr * q + scale * q_r
-    half = 0.5 * (1.0 + t * t - r * r)
-    g0 = 0.5 * (1.0 + t * t + r * r) * val_t + t * r * val_r
-    gb = half * val_r + t * r * val_t + r * r * val_r
-    return val, g0, gb
 
+    def __init__(self, traj, time_stride):
+        grid = traj.grid
+        if grid.kind != "radial":
+            raise ParamError("cylinder sampling supports radial grids")
+        idx = np.arange(len(traj.times))[::time_stride]
+        if len(idx) < 3:
+            raise ParamError("need at least 3 sampled snapshots")
+        self.traj, self.grid, self.idx = traj, grid, idx
+        t = self.t = traj.times[idx][:, None]
+        self.T, self.R = penrose.forward_tr(t, grid.r)
+        self.dist2 = (np.pi - self.T) ** 2 + self.R * self.R
+        self.conf = penrose.conformal_factor_tr(t, grid.r)
+        self.dconf_dt, self.dconf_dr = penrose.conformal_gradient_tr(t, grid.r)
+        wt = fd.trapezoid(t[1, 0] - t[0, 0], len(idx))[:, None]
+        self.weight = self.conf**4 * grid.weights()[None, :] * wt
 
-def _solution_pullback(traj, time_stride):
-    """(t_sel, conf, val, g0, gb) of the cylinder field conf * u."""
-    grid = traj.grid
-    idx = _sample_grid(traj, time_stride)
-    t_sel = traj.times[idx]
-    w = traj.u[idx]
-    up = grid.to_physical(w)
-    ut = fd.d1(up, t_sel[1] - t_sel[0], axis=0)
-    (ur,) = grid.native_gradient(w)
+    def sampled(self, series, rows):
+        """(F[rows], dF/dt at rows) of the snapshot series F = series(rows)."""
+        vals = series(rows)
+        t_rows = self.traj.times[rows]
+        return vals, fd.d1(vals, t_rows[1] - t_rows[0], axis=0)
 
-    t2 = t_sel[:, None]
-    conf = penrose.conformal_factor_tr(t2, grid.r)
-    dconf_dt, dconf_dr = penrose.conformal_gradient_tr(t2, grid.r)
-    return (t_sel, conf) + _pull(t2, grid.r, up, ut, ur, conf, dconf_dt,
-                                 dconf_dr)
+    def pull(self, q, q_t, q_r, power):
+        """Cylinder field val = conf**power * q of a radial q, with (g0, gb).
 
+        g0 is the time-rotation derivative of val; the three boost
+        derivatives point along the radial direction with the shared
+        magnitude gb, and rotational derivatives vanish.
+        """
+        t, r = self.t, self.grid.r
+        scale = self.conf**power
+        dscale = power * self.conf**(power - 1)
+        val_t = dscale * self.dconf_dt * q + scale * q_t
+        val_r = dscale * self.dconf_dr * q + scale * q_r
+        g0 = 0.5 * (1.0 + t * t + r * r) * val_t + t * r * val_r
+        gb = (0.5 * (1.0 + t * t - r * r) * val_r + t * r * val_t
+              + r * r * val_r)
+        return scale * q, g0, gb
 
-def _samples(grid, t_sel, conf, val, g0, gb):
-    """CylinderSamples of a pulled-back field on a radial grid."""
-    T, R = penrose.forward_tr(t_sel[:, None], grid.r)
-    dist = np.sqrt((np.pi - T) ** 2 + R * R)
-    dt_snap = t_sel[1] - t_sel[0]
-    wt = fd.trapezoid(dt_snap, len(t_sel))[:, None]
-    vol = grid.weights()[None, :]
-    weight = conf**4 * vol * wt
-    return CylinderSamples(np.broadcast_to(T, val.shape),
-                           np.broadcast_to(R, val.shape), dist, conf,
-                           weight, val, g0, gb)
+    def solution(self):
+        """(val, g0, gb) of the cylinder field conf * u."""
+        grid, u = self.grid, self.traj.u
+        up, ut = self.sampled(lambda r: grid.to_physical(u[r]), self.idx)
+        return self.pull(up, ut, grid.native_gradient(u[self.idx])[0], 1)
+
+    def forcing(self, spec):
+        """(val, g0, gb) of the cylinder field conf^-3 * Q(du, du)."""
+        if spec.n_components != 1:
+            raise ParamError("forcing samples support scalar systems only")
+        grid, w = self.grid, self.traj.u[:, None]
+
+        def nullform(rows):
+            _, ut = self.sampled(lambda r: grid.to_physical(w[r]), rows)
+            return _nullform_values(spec, grid, w[rows], ut)[:, 0]
+
+        Q, Qt = self.sampled(nullform, self.idx)
+        return self.pull(Q, Qt, fd.d1(Q, grid.h, axis=-1), -3)
+
+    def samples(self, val, g0, gb):
+        """CylinderSamples of a pulled-back field."""
+        return CylinderSamples(self.T, self.R, np.sqrt(self.dist2), self.conf,
+                               self.weight, val, g0, gb)
+
+    def energy_sup(self, val, g0, gb):
+        """Sup over sampled times of the tip-weighted slice norm of val."""
+        dens = val * val + self.dist2**2 * (g0 * g0 + gb * gb)
+        # slice measure: conf^3 dx on each sampled instant
+        slice_sq = np.sum(dens * self.conf**3 * self.grid.weights(), axis=1)
+        return float(np.sqrt(np.max(slice_sq)))
 
 
 def solution_cylinder_samples(traj, time_stride=1):
     """Push the solution forward: cylinder field = conf * u."""
-    return _samples(traj.grid, *_solution_pullback(traj, time_stride))
+    frame = _SampleFrame(traj, time_stride)
+    return frame.samples(*frame.solution())
 
 
 def forcing_cylinder_samples(traj, spec: NullFormSpec, time_stride=1):
     """Push the null-form forcing forward: cylinder field = conf^-3 * Q."""
-    grid = traj.grid
-    idx = _sample_grid(traj, time_stride)
-    if spec.n_components != 1:
-        raise ParamError("forcing samples support scalar systems only")
-    t_sel = traj.times[idx]
-    Q = evaluate_nullform_series(traj.select(idx), spec)[:, 0]
-    Qt = fd.d1(Q, t_sel[1] - t_sel[0], axis=0)
-    Qr = fd.d1(Q, grid.h, axis=-1)
-
-    t2 = t_sel[:, None]
-    conf = penrose.conformal_factor_tr(t2, grid.r)
-    dconf_dt, dconf_dr = penrose.conformal_gradient_tr(t2, grid.r)
-    s = conf**-3
-    return _samples(grid, t_sel, conf,
-                    *_pull(t2, grid.r, Q, Qt, Qr, s,
-                           -3.0 * conf**-4 * dconf_dt,
-                           -3.0 * conf**-4 * dconf_dr))
+    frame = _SampleFrame(traj, time_stride)
+    return frame.samples(*frame.forcing(spec))
 
 
 def tip_weighted_norm(samples: CylinderSamples, scheme="l2", delta=0.0):
@@ -345,17 +351,8 @@ RATIO_NAMES = ("ratio_local_linear", "ratio_null_cylinder",
 
 def weighted_energy_sup(traj, time_stride=20):
     """Sup over sampled times of the tip-weighted slice norm of conf*u."""
-    return _energy_sup(traj.grid, *_solution_pullback(traj, time_stride))
-
-
-def _energy_sup(grid, t_sel, conf, val, g0, gb):
-    """weighted_energy_sup of a solution pullback."""
-    T, R = penrose.forward_tr(t_sel[:, None], grid.r)
-    dist4 = ((np.pi - T) ** 2 + R * R) ** 2
-    dens = val * val + dist4 * (g0 * g0 + gb * gb)
-    # slice measure: conf^3 dx on each sampled instant
-    slice_sq = np.sum(dens * conf**3 * grid.weights()[None, :], axis=1)
-    return float(np.sqrt(np.max(slice_sq)))
+    frame = _SampleFrame(traj, time_stride)
+    return frame.energy_sup(*frame.solution())
 
 
 def estimate_ratio_report(entries, sup_window=(5.0, 40.0), time_stride=20):
@@ -363,15 +360,14 @@ def estimate_ratio_report(entries, sup_window=(5.0, 40.0), time_stride=20):
 
     entries: smallness_scan rows (dicts carrying "solution" and "eps") or
     bare solutions.  Rows without a converged solution, and zero-data
-    rows, are skipped.
+    rows, are skipped.  Each report's metadata carries eps, sup_window,
+    t_end and the forcing CylinderSamples its null-cylinder norm read.
     """
     reports = []
     for entry in entries:
+        sol, eps = entry, None
         if isinstance(entry, dict):
-            sol = entry.get("solution")
-            eps = entry.get("eps")
-        else:
-            sol, eps = entry, None
+            sol, eps = entry.get("solution"), entry.get("eps")
         if sol is None:
             continue
         traj, spec, data = sol.trajectory, sol.spec, sol.data
@@ -387,17 +383,19 @@ def estimate_ratio_report(entries, sup_window=(5.0, 40.0), time_stride=20):
         h21 = weighted_sobolev_norm(f, 2, 1, grid)
         h12 = weighted_sobolev_norm(g, 1, 2, grid)
 
-        fsamp = forcing_cylinder_samples(traj, spec, time_stride=time_stride)
+        # one sample frame serves the forcing and solution norms; the
+        # forcing samples stay with the report for the truncation sweep
+        frame = _SampleFrame(traj, time_stride)
+        fsamp = frame.samples(*frame.forcing(spec))
         tip_f = tip_weighted_norm(fsamp, "l2")
-        # one pullback of conf * u serves the L^8 norm and the energy sup
-        pull = _solution_pullback(traj, time_stride)
-        pecher = tip_weighted_norm(_samples(grid, *pull), "l8")
+        pull = frame.solution()
+        pecher = tip_weighted_norm(frame.samples(*pull), "l8")
 
         conf0 = 2.0 / (1.0 + grid.r**2)
         sph2 = sphere_sobolev_norm(grid, conf0 * f, 2)
         sph1 = sphere_sobolev_norm(grid, conf0**2 * g, 1)
 
-        wsup = _energy_sup(grid, *pull)
+        wsup = frame.energy_sup(*pull)
 
         tt, ss = sol.sup_times, sol.sup_values
         keep = (tt >= sup_window[0]) & (tt <= sup_window[1])
@@ -420,7 +418,7 @@ def estimate_ratio_report(entries, sup_window=(5.0, 40.0), time_stride=20):
             tag = name[len("ratio_"):]
             values[name] = values["lhs_" + tag] / values["rhs_" + tag]
         meta = {"eps": eps, "sup_window": tuple(sup_window),
-                "t_end": float(traj.times[-1])}
+                "t_end": float(traj.times[-1]), "forcing_samples": fsamp}
         reports.append(NormReport(values, meta))
     return reports
 

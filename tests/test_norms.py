@@ -331,18 +331,18 @@ def test_estimate_ratio_report_mechanics(nonlinear_run, monkeypatch):
         {"eps": 1e-3, "converged": True, "solution": nonlinear_run},
         {"eps": 2e-3, "converged": False, "solution": None},
     ]
-    pullbacks = []
-    pullback = norms._solution_pullback
+    frames = []
+    frame_class = norms._SampleFrame
 
     def counting(*args):
-        pullbacks.append(args)
-        return pullback(*args)
+        frames.append(args)
+        return frame_class(*args)
 
-    monkeypatch.setattr(norms, "_solution_pullback", counting)
+    monkeypatch.setattr(norms, "_SampleFrame", counting)
     reports = estimate_ratio_report(rows, sup_window=(2.0, 10.0),
                                     time_stride=10)
-    # one solution pullback per row serves both of its norms
-    assert len(pullbacks) == 1
+    # one sample frame per row serves all of its cylinder norms
+    assert len(frames) == 1
     assert len(reports) == 1
     rep = reports[0]
     assert rep.metadata["eps"] == 1e-3
@@ -355,6 +355,12 @@ def test_estimate_ratio_report_mechanics(nonlinear_run, monkeypatch):
         solution_cylinder_samples(traj, time_stride=10), "l8")
     assert rep["lhs_weighted_energy"] == weighted_energy_sup(
         traj, time_stride=10)
+    # the report keeps the forcing samples its null-cylinder norm read
+    fsamp = rep.metadata["forcing_samples"]
+    assert rep["lhs_null_cylinder"] == tip_weighted_norm(fsamp, "l2")
+    ref = forcing_cylinder_samples(traj, nonlinear_run.spec, time_stride=10)
+    for name in norms.CylinderSamples.__slots__:
+        assert getattr(fsamp, name).tobytes() == getattr(ref, name).tobytes()
     with pytest.raises(ParamError):
         estimate_ratio_report([rows[0]], sup_window=(100.0, 200.0),
                               time_stride=10)
