@@ -181,8 +181,12 @@ class ExperimentConfig:
         self.max_iter = int(run["max_iter"])
         if self.t_end <= 0:
             raise ConfigError("t_end must be positive")
-        if self.stride < 1:
-            raise ConfigError("stride must be >= 1")
+        for section, key in (("run", "stride"), ("report", "time_stride"),
+                             ("geometry", "samples")):
+            if cfg[section][key] < 1:
+                raise ConfigError("[%s] %s must be >= 1" % (section, key))
+        if cfg["geometry"]["extent"] <= 0:
+            raise ConfigError("[geometry] extent must be positive")
 
     @staticmethod
     def _build_grid(cfg):

@@ -6,6 +6,13 @@ Cylinder quantities are never computed on a sphere mesh: Minkowski
 quadrature is pushed forward through the compactification, with the
 volume element picking up a factor of the fourth power of the conformal
 factor.
+
+Each trajectory is pulled back once: one sample frame (the sampled
+snapshots, their image and tip distance, the conformal factor and its
+gradient, the quadrature weight) serves the solution and forcing
+samples, the L^8 norm and the weighted energy sup.  Time derivatives at
+the sampled snapshots are taken at the solver step, from the
+neighbouring stride-1 snapshots, never across the sampling stride.
 """
 
 import numpy as np
@@ -225,10 +232,18 @@ class _SampleFrame:
         self.weight = self.conf**4 * grid.weights()[None, :] * wt
 
     def sampled(self, series, rows):
-        """(F[rows], dF/dt at rows) of the snapshot series F = series(rows)."""
-        vals = series(rows)
-        t_rows = self.traj.times[rows]
-        return vals, fd.d1(vals, t_rows[1] - t_rows[0], axis=0)
+        """(F[rows], dF/dt at rows) of the snapshot series F = series(rows).
+
+        The derivative is fd.d1 of the whole series at the solver's
+        snapshot spacing, read from the three rows its stencil uses at
+        each of rows, so no full-length stack is built.
+        """
+        lo = np.clip(rows - 1, 0, len(self.traj.times) - 3)
+        need, inv = np.unique(lo[:, None] + np.arange(3), return_inverse=True)
+        vals = series(need)
+        d = fd.d1(vals[inv.reshape(-1, 3)], self.traj.snap_dt, axis=1)
+        return (vals[np.searchsorted(need, rows)],
+                d[np.arange(len(rows)), rows - lo])
 
     def pull(self, q, q_t, q_r, power):
         """Cylinder field val = conf**power * q of a radial q, with (g0, gb).

@@ -180,6 +180,8 @@ def bump_data_family(grid, center=2.0, width=0.8, velocity="profile"):
     """
     if velocity not in ("profile", "zero"):
         raise ParamError("velocity must be 'profile' or 'zero'")
+    if width <= 0:
+        raise ParamError("bump width must be positive")
 
     def profile(r):
         s = (np.asarray(r, dtype=float) - center) / width
@@ -192,6 +194,8 @@ def bump_data_family(grid, center=2.0, width=0.8, velocity="profile"):
     g = profile(r) if velocity == "profile" else np.zeros_like(r)
     base = InitialData(grid, grid.sample(profile(r)), grid.sample(g))
     n0 = norms.data_smallness_norm(base)
+    if n0 == 0:
+        raise ParamError("bump data vanish on every grid node")
 
     def family(eps):
         return base.scaled(eps / n0)

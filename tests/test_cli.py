@@ -316,6 +316,9 @@ BAD_CONFIGS = [
                      "[obstacle]\nkind = cube\n"),
     ("bad_nullform", "[nullform]\nkind = cubic\n"),
     ("bad_data_family", "[data]\nfamily = plane\n"),
+    ("zero_time_stride", "[report]\ntime_stride = 0\n"),
+    ("negative_time_stride", "[report]\ntime_stride = -1\n"),
+    ("zero_geometry_samples", "[geometry]\nsamples = 0\n"),
 ]
 
 
@@ -438,3 +441,48 @@ def test_quiet_flag_silences_progress(tmp_path, capsys):
     assert cli.main(["check-compat", "--config", ini,
                      "--out", str(tmp_path / "still"), "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+# every numeric key runs through a subcommand that reads it: run-nonlinear
+# unless listed here by section or by (section, key)
+READERS = {"fit": "run-linear", "report": "estimate-report",
+           "compat": "check-compat", "geometry": "verify-geometry",
+           ("run", "stride"): "run-linear",
+           ("nullform", "components"): "run-linear",
+           ("grid", "extent"): "check-compat"}
+NUMERIC_KEYS = [(section, key)
+                for section, entries in cli.DEFAULTS.items()
+                for key, default in entries.items()
+                if isinstance(default, (int, float))
+                and not isinstance(default, bool)]
+
+
+def tiny_ini(section, key, value):
+    """A small radial config with one key set to value."""
+    sections = {"grid": {"r_max": 8.0, "n": 200, "sponge_cells": 40,
+                         "sponge_strength": 3.0},
+                "run": {"t_end": 10.0},
+                "scan": {"eps": "5e-4 1e-3"},
+                "report": {"time_stride": 5, "sup_window": "2 8"}}
+    if (section, key) == ("grid", "extent"):
+        # only the Cartesian grid reads extent
+        sections["grid"] = {"mode": "cartesian", "n": 16, "sponge_cells": 4}
+    sections.setdefault(section, {})[key] = value
+    return "".join("[%s]\n" % name
+                   + "".join("%s = %s\n" % kv for kv in entries.items())
+                   for name, entries in sections.items())
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("section,key", NUMERIC_KEYS,
+                         ids=["%s.%s" % k for k in NUMERIC_KEYS])
+def test_numeric_keys_never_end_in_traceback(tmp_path, section, key, value):
+    sub = READERS.get((section, key), READERS.get(section, "run-nonlinear"))
+    ini = write_ini(tmp_path, tiny_ini(section, key, value))
+    out = tmp_path / "out"
+    rc = run([sub, "--config", ini], out)
+    assert rc in (0, 2, 3)
+    if rc == 2:
+        assert not out.exists() or listing(out) == []
+    if rc == 3:
+        assert "error.json" in listing(out)

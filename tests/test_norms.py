@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from nullwave import exterior, norms, picard, solver
+from nullwave import exterior, fd, norms, picard, solver
 from nullwave.errors import OrderError, ParamError
 from nullwave.exterior import InitialData, build_radial_grid
 from nullwave.norms import (
@@ -287,6 +287,34 @@ def test_delta_sweep_monotone(nonlinear_run):
     # truncating closer to the tip keeps more samples: nondecreasing
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[-1] == tip_weighted_norm(samp, "l2", 0.0)
+
+
+def test_sampled_time_derivatives_take_the_solver_step(nonlinear_run):
+    # u_t and Q_t at the sampled rows are the derivatives of the whole
+    # stride-1 series, not differences across the sampling stride
+    traj, spec = nonlinear_run.trajectory, nonlinear_run.spec
+    grid, dt = traj.grid, traj.snap_dt
+    frame = norms._SampleFrame(traj, 10)
+    idx = frame.idx
+    assert traj.times[idx[1]] - traj.times[idx[0]] > 9 * dt
+
+    u = grid.to_physical(traj.u)
+    ut = fd.d1(u, dt, axis=0)
+    up, ut_s = frame.sampled(lambda r: grid.to_physical(traj.u[r]), idx)
+    assert up.tobytes() == u[idx].tobytes()
+    assert ut_s.tobytes() == ut[idx].tobytes()
+    (ur,) = grid.native_gradient(traj.u[idx])
+    want = frame.pull(u[idx], ut[idx], ur, 1)
+    got = solution_cylinder_samples(traj, time_stride=10)
+    assert got.gamma0.tobytes() == want[1].tobytes()
+    assert got.gboost.tobytes() == want[2].tobytes()
+
+    Q = evaluate_nullform_series(traj, spec)[:, 0]
+    Qt = fd.d1(Q, dt, axis=0)
+    want = frame.pull(Q[idx], Qt[idx], fd.d1(Q[idx], grid.h, axis=-1), -3)
+    got = forcing_cylinder_samples(traj, spec, time_stride=10)
+    for have, ref in zip((got.value, got.gamma0, got.gboost), want):
+        assert have.tobytes() == ref.ravel().tobytes()
 
 
 def test_weighted_energy_sup_homogeneous(nonlinear_run):
