@@ -234,16 +234,20 @@ class _SampleFrame:
     def sampled(self, series, rows):
         """(F[rows], dF/dt at rows) of the snapshot series F = series(rows).
 
-        The derivative is fd.d1 of the whole series at the solver's
-        snapshot spacing, read from the three rows its stencil uses at
-        each of rows, so no full-length stack is built.
+        dF/dt is fd.d1 of the whole series at the solver's snapshot
+        spacing, byte for byte, read from the rows its stencil uses
+        only: the centred difference inside (numpy's operand order), and
+        fd.d1 of the first or last three rows at the ends.
         """
-        lo = np.clip(rows - 1, 0, len(self.traj.times) - 3)
-        need, inv = np.unique(lo[:, None] + np.arange(3), return_inverse=True)
+        dt, last = self.traj.snap_dt, len(self.traj.times) - 1
+        lo = np.clip(rows - 1, 0, last - 2)
+        need = np.unique(lo[:, None] + np.arange(3))
         vals = series(need)
-        d = fd.d1(vals[inv.reshape(-1, 3)], self.traj.snap_dt, axis=1)
-        return (vals[np.searchsorted(need, rows)],
-                d[np.arange(len(rows)), rows - lo])
+        p = np.searchsorted(need, lo)  # vals[p + k] holds F[lo + k]
+        d = (vals[p + 2] - vals[p]) / (2.0 * dt)
+        for j in np.flatnonzero((rows == 0) | (rows == last)):
+            d[j] = fd.d1(vals[p[j]:p[j] + 3], dt, axis=0)[rows[j] - lo[j]]
+        return vals[p + rows - lo], d
 
     def pull(self, q, q_t, q_r, power):
         """Cylinder field val = conf**power * q of a radial q, with (g0, gb).
