@@ -15,8 +15,7 @@ from .errors import (CFLError, ConfigError, DomainError, FitError,
 from .exterior import (CartesianGrid, InitialData, Obstacle, RadialGrid,
                        build_masked_grid, build_radial_grid,
                        check_compatibility, compatibility_functions)
-from .nullforms import (FORM_IDS, NullFormSpec, eval_form, eval_q0,
-                        eval_qjk, eval_system)
+from .nullforms import FORM_IDS, NullFormSpec, eval_form, eval_q0, eval_qjk
 from .penrose import (EinsteinPoint, MinkowskiPoint, conformal_factor_tr,
                       forward_tr, from_einstein, gamma_pull, tip_distance_tr,
                       to_einstein)
@@ -28,7 +27,8 @@ from .norms import (NormReport, data_smallness_norm, delta_sweep,
                     sphere_sobolev_norm, tip_weighted_norm,
                     weighted_sobolev_norm)
 from .solver import (DecayFit, Trajectory, WaveState, cfl_limit, energy,
-                     fit_decay, local_energy, solve_linear, step)
+                     fit_decay, local_energy, local_energy_fn, solve_linear,
+                     step)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "build_masked_grid", "build_radial_grid", "check_compatibility",
     "compatibility_functions",
     "FORM_IDS", "NullFormSpec", "eval_form", "eval_q0", "eval_qjk",
-    "eval_system",
     "EinsteinPoint", "MinkowskiPoint", "conformal_factor_tr", "forward_tr",
     "from_einstein", "gamma_pull", "tip_distance_tr", "to_einstein",
     "IterationReport", "NonlinearSolution", "bump_data_family",
@@ -49,6 +48,6 @@ __all__ = [
     "nullform_spacetime_norm", "solution_cylinder_samples",
     "sphere_sobolev_norm", "tip_weighted_norm", "weighted_sobolev_norm",
     "DecayFit", "Trajectory", "WaveState", "cfl_limit", "energy",
-    "fit_decay", "local_energy", "solve_linear", "step",
+    "fit_decay", "local_energy", "local_energy_fn", "solve_linear", "step",
     "__version__",
 ]

@@ -173,20 +173,48 @@ class ExperimentConfig:
             self.family = self._build_family(cfg["data"])
         except (ParamError, OrderError) as e:
             raise ConfigError(str(e))
+        # written so that NaN fails each check
+        for section, key in (("run", "t_end"), ("run", "tol"),
+                             ("fit", "local_radius"), ("geometry", "extent")):
+            if not 0 < cfg[section][key] < np.inf:
+                raise ConfigError("[%s] %s must be positive and finite"
+                                  % (section, key))
+        for section, key in (("run", "dt"), ("compat", "order")):
+            if not 0 <= cfg[section][key] < np.inf:
+                raise ConfigError("[%s] %s must be >= 0" % (section, key))
+        for section, key in (("run", "stride"), ("run", "max_iter"),
+                             ("report", "time_stride"),
+                             ("geometry", "samples")):
+            if cfg[section][key] < 1:
+                raise ConfigError("[%s] %s must be >= 1" % (section, key))
         run = cfg["run"]
         self.t_end = float(run["t_end"])
         self.dt = float(run["dt"]) or None
         self.stride = int(run["stride"])
         self.tol = float(run["tol"])
         self.max_iter = int(run["max_iter"])
-        if self.t_end <= 0:
-            raise ConfigError("t_end must be positive")
-        for section, key in (("run", "stride"), ("report", "time_stride"),
-                             ("geometry", "samples")):
-            if cfg[section][key] < 1:
-                raise ConfigError("[%s] %s must be >= 1" % (section, key))
-        if cfg["geometry"]["extent"] <= 0:
-            raise ConfigError("[geometry] extent must be positive")
+
+        # list-valued keys are parsed here, before any command runs, so
+        # that a bad one exits 2 with nothing written
+        fit = cfg["fit"]
+        window = _floats(fit["window"], "fit window")
+        if len(window) != 2 or not window[0] < window[1]:
+            raise ConfigError("fit window needs two increasing values")
+        if fit["model"] not in ("exponential", "power"):
+            raise ConfigError("unknown fit model %r" % fit["model"])
+        self.fit_model = fit["model"]
+        self.fit_window = tuple(window)
+        self.local_radius = float(fit["local_radius"])
+        rep = cfg["report"]
+        sup_window = _floats(rep["sup_window"], "sup window")
+        if len(sup_window) != 2:
+            raise ConfigError("sup_window needs two values")
+        self.sup_window = tuple(sup_window)
+        self.deltas = _floats(rep["deltas"], "delta")
+        self.time_stride = int(rep["time_stride"])
+        self.scan_eps = _floats(cfg["scan"]["eps"], "scan eps")
+        if not all(0 <= eps < np.inf for eps in self.scan_eps):
+            raise ConfigError("scan eps must be >= 0 and finite")
 
     @staticmethod
     def _build_grid(cfg):
@@ -238,8 +266,8 @@ class ExperimentConfig:
         if d["family"] != "bump":
             raise ConfigError("unknown data family %r" % d["family"])
         self.eps = float(d["eps"])
-        if self.eps < 0:
-            raise ConfigError("eps must be >= 0")
+        if not 0 <= self.eps < np.inf:
+            raise ConfigError("eps must be >= 0 and finite")
         return picard.bump_data_family(self.grid, center=d["center"],
                                        width=d["width"],
                                        velocity=d["velocity"])
@@ -313,16 +341,6 @@ def cmd_verify_geometry(ec, out, quiet):
     return summary
 
 
-def _fit_params(ec):
-    f = ec.raw["fit"]
-    window = _floats(f["window"], "fit window")
-    if len(window) != 2 or not window[0] < window[1]:
-        raise ConfigError("fit window needs two increasing values")
-    if f["model"] not in ("exponential", "power"):
-        raise ConfigError("unknown fit model %r" % f["model"])
-    return f["model"], tuple(window), float(f["local_radius"])
-
-
 def _fit_json(fit):
     return {"model": fit.model, "rate": fit.rate, "amplitude": fit.amplitude,
             "window": list(fit.window), "residual": fit.residual}
@@ -339,18 +357,24 @@ def _write_final_snapshot(ec, out, traj, name):
 
 
 def cmd_run_linear(ec, out, quiet):
-    model, window, radius = _fit_params(ec)
-    data = ec.data()
-    traj = solver.solve_linear(data, None, ec.t_end, dt=ec.dt,
-                               stride=ec.stride)
-    times, energies = traj.local_energy_series(radius)
-    fit = solver.fit_decay((times, energies), model, window=window)
+    # the local energy of each snapshot is taken during the run; only the
+    # first and the last state are kept
+    energy_at = solver.local_energy_fn(ec.grid, ec.local_radius)
+    energies = []
+    traj = solver.solve_linear(
+        ec.data(), None, ec.t_end, dt=ec.dt, stride=ec.stride,
+        observe=lambda i, u, v: energies.append(energy_at(u, v)))
+    # the stored run's snapshot times, dt * stride * arange
+    times = traj.dt * ec.stride * np.arange(len(energies))
+    energies = np.array(energies)
+    fit = solver.fit_decay((times, energies), ec.fit_model,
+                           window=ec.fit_window)
     _say(quiet, "decay rate %.4f residual %.4f" % (fit.rate, fit.residual))
 
     summary = ec.summary_header("run-linear")
     summary["results"] = {
         "t_end": ec.t_end,
-        "local_radius": radius,
+        "local_radius": ec.local_radius,
         "fit": _fit_json(fit),
     }
     gridio.write_json(os.path.join(out, "linear.json"), summary)
@@ -361,13 +385,12 @@ def cmd_run_linear(ec, out, quiet):
 
 
 def cmd_run_nonlinear(ec, out, quiet):
-    model, window, radius = _fit_params(ec)
     sol, report = picard.picard_solve(
         ec.data(), ec.spec, ec.t_end, dt=ec.dt, tol=ec.tol,
         max_iter=ec.max_iter)
     _say(quiet, "converged in %d iterations (last residual %.3e)"
          % (report.iterations, report.residuals[-1]))
-    fit = picard.measure_sup_decay(sol, window=window)
+    fit = picard.measure_sup_decay(sol, window=ec.fit_window)
 
     summary = ec.summary_header("run-nonlinear")
     summary["results"] = {
@@ -389,14 +412,13 @@ def cmd_run_nonlinear(ec, out, quiet):
 
 
 def _run_scan(ec):
-    eps_list = _floats(ec.raw["scan"]["eps"], "scan eps")
-    return eps_list, picard.smallness_scan(
-        ec.family, ec.spec, eps_list, ec.t_end, dt=ec.dt, tol=ec.tol,
+    return picard.smallness_scan(
+        ec.family, ec.spec, ec.scan_eps, ec.t_end, dt=ec.dt, tol=ec.tol,
         max_iter=ec.max_iter, threads=ec.threads)
 
 
 def cmd_scan_smallness(ec, out, quiet):
-    eps_list, rows = _run_scan(ec)
+    rows = _run_scan(ec)
     table = []
     for row in rows:
         table.append({
@@ -421,16 +443,9 @@ def cmd_scan_smallness(ec, out, quiet):
 
 
 def cmd_estimate_report(ec, out, quiet):
-    rep = ec.raw["report"]
-    sup_window = _floats(rep["sup_window"], "sup window")
-    if len(sup_window) != 2:
-        raise ConfigError("sup_window needs two values")
-    deltas = _floats(rep["deltas"], "delta")
-    time_stride = int(rep["time_stride"])
-
-    _, rows = _run_scan(ec)
+    rows = _run_scan(ec)
     reports = norms.estimate_ratio_report(
-        rows, sup_window=tuple(sup_window), time_stride=time_stride)
+        rows, sup_window=ec.sup_window, time_stride=ec.time_stride)
     if not reports:
         raise FitError("no converged scan entries to report on")
 
@@ -446,19 +461,19 @@ def cmd_estimate_report(ec, out, quiet):
     # ascending eps and only converged rows are reported, so it is the
     # last report, whose forcing samples are reused
     last = reports[-1].metadata
-    sweep = norms.delta_sweep(last["forcing_samples"], deltas)
+    sweep = norms.delta_sweep(last["forcing_samples"], ec.deltas)
 
     summary = ec.summary_header("estimate-report")
     summary["results"] = {
         "ratio_spreads": spreads,
         "rows": [dict(r.values, eps=r.metadata["eps"]) for r in reports],
-        "delta_sweep": {"eps": last["eps"], "deltas": deltas,
+        "delta_sweep": {"eps": last["eps"], "deltas": ec.deltas,
                         "values": list(sweep)},
     }
     gridio.write_json(os.path.join(out, "estimates.json"), summary)
     gridio.write_csv(os.path.join(out, "estimates.csv"), columns, csv_rows)
     gridio.write_csv(os.path.join(out, "delta_sweep.csv"),
-                     ["delta", "tip_norm"], zip(deltas, sweep))
+                     ["delta", "tip_norm"], zip(ec.deltas, sweep))
     return summary
 
 
@@ -519,12 +534,10 @@ def main(argv=None):
         print("config error: %s" % e, file=sys.stderr)
         return 2
 
+    # every configuration check has run: commands raise no ConfigError
     os.makedirs(args.out, exist_ok=True)
     try:
         COMMANDS[args.subcommand](ec, args.out, args.quiet)
-    except ConfigError as e:
-        print("config error: %s" % e, file=sys.stderr)
-        return 2
     except _NUMERICAL_ERRORS as e:
         diag = ec.summary_header(args.subcommand)
         diag["error"] = {"type": type(e).__name__, "message": str(e)}

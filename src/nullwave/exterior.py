@@ -97,6 +97,13 @@ class Obstacle:
         return "Obstacle(%r, %r)" % (self.kind, self.params)
 
 
+def _check_sponge_strength(strength):
+    # a negative strength would make the per-step factor exp(-sigma dt)
+    # exceed 1, so that the sponge amplifies instead of damping
+    if not 0 <= strength < np.inf:
+        raise ParamError("sponge_strength must be >= 0 and finite")
+
+
 def _sponge_ramp(s, strength):
     # cubic ramp keeps the damping smooth at the band entrance
     return strength * np.clip(s, 0.0, 1.0) ** 3
@@ -124,6 +131,7 @@ class RadialGrid:
             raise ParamError("angular_mode must be >= 0")
         if sponge_cells < 0 or sponge_cells > n // 2:
             raise ParamError("sponge_cells out of range")
+        _check_sponge_strength(sponge_strength)
         self.r0 = float(r0)
         self.r_max = float(r_max)
         self.n = int(n)
@@ -404,6 +412,7 @@ def build_masked_grid(obstacle, L, n, sponge_cells=8, sponge_strength=4.0):
         raise ParamError("sponge band must be at least 8 cells (or 0)")
     if sponge_cells > n // 2:
         raise ParamError("sponge_cells out of range")
+    _check_sponge_strength(sponge_strength)
     m = n + 1
     axis = -L / 2.0 + (L / n) * np.arange(m)
     X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")

@@ -1,17 +1,17 @@
-"""Binary grid/snapshot files plus deterministic CSV and JSON writers.
+"""Binary snapshot files plus deterministic CSV and JSON writers.
 
 Byte layout (all little-endian):
 
     magic    4s   b"NWB1"
     version  u16  currently 1
-    kind     u16  1 = radial grid, 2 = cartesian grid, 3 = snapshot
+    kind     u16  3 = snapshot (1 and 2 are the grid kinds below)
 
-Radial grid payload::
+Radial grid payload (kind 1)::
 
     r0 f8 | r_max f8 | n u32 | angular_mode u32 | sponge_cells u32
     | sponge_strength f8
 
-Cartesian grid payload::
+Cartesian grid payload (kind 2)::
 
     L f8 | n u32 | sponge_cells u32 | sponge_strength f8
     | obstacle_kind u8 (1 sphere, 2 ellipsoid) | params 3 x f8
@@ -113,26 +113,6 @@ def _check_header(rd):
     (version,) = rd.unpack("H")
     if version != VERSION:
         raise FormatError("unsupported version %d" % version)
-
-
-def write_grid(path, grid):
-    kind, payload = _grid_payload(grid)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<HH", VERSION, kind))
-        fh.write(payload)
-
-
-def read_grid(path):
-    with open(path, "rb") as fh:
-        rd = _Reader(fh.read())
-    _check_header(rd)
-    (kind,) = rd.unpack("H")
-    if kind == KIND_SNAPSHOT:
-        raise FormatError("file holds a snapshot, not a bare grid")
-    grid = _read_grid_payload(kind, rd)
-    rd.done()
-    return grid
 
 
 def write_snapshot(path, grid, time, fields):

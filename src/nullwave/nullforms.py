@@ -1,4 +1,4 @@
-"""Null forms on Minkowski gradients and their conformal transform.
+"""Null forms on Minkowski gradients.
 
 A gradient is an ndarray with trailing dimension 4, components ordered
 (d/dt, d/dx1, d/dx2, d/dx3); eval_components takes the same components
@@ -14,13 +14,10 @@ the global existence construction relies on.
 
 import numpy as np
 
-from . import penrose
-from .errors import DomainError, ParamError
+from .errors import ParamError
 
 # forms accepted in system specifications
 FORM_IDS = ("q0", "q01", "q02", "q03", "q12", "q13", "q23")
-
-NULL_INFINITY_GUARD = 1e-8
 
 
 def eval_components(form, du, dv):
@@ -121,68 +118,3 @@ def accumulate_system(spec: NullFormSpec, du, dv, out):
             continue
         out[i] += a * eval_components(form, du[j], dv[k])
     return out
-
-
-def eval_system(spec: NullFormSpec, grads):
-    """Evaluate the system on gradients of shape (N, ..., 4); returns (N, ...)."""
-    grads = np.asarray(grads, dtype=float)
-    if grads.ndim < 2 or grads.shape[0] != spec.n_components or grads.shape[-1] != 4:
-        raise ParamError(
-            "gradients must have shape (%d, ..., 4), got %r"
-            % (spec.n_components, grads.shape)
-        )
-    du = [_components(g) for g in grads]
-    out = np.zeros((spec.n_components,) + grads.shape[1:-1])
-    return accumulate_system(spec, du, du, out)
-
-
-def transformed_q(q: "penrose.EinsteinPoint", u_vals, u_grads, v_vals, v_grads,
-                  spec: NullFormSpec):
-    """The conformally transformed bilinear form at diamond points q.
-
-    Inputs are cylinder-side samples: u_vals has shape (N,) + S with S the
-    shape of q, u_grads has shape (N,) + S + (7,) holding the seven
-    Gamma-derivative values.  Returns Omega^{-3} Q(d(Omega u), d(Omega v))
-    evaluated at the preimage, shape (N,) + S.
-
-    Minkowski derivatives of Omega u are assembled by the chain rule from
-    the Gamma derivatives and the closed-form gradient of Omega; nothing is
-    finite-differenced here.
-    """
-    den = np.cos(q.T) + np.cos(q.R)
-    if np.any(den < NULL_INFINITY_GUARD):
-        raise DomainError("too close to null infinity (cos T + X0 < %g)"
-                          % NULL_INFINITY_GUARD)
-    u_vals = np.asarray(u_vals, dtype=float)
-    v_vals = np.asarray(v_vals, dtype=float)
-    u_grads = np.asarray(u_grads, dtype=float)
-    v_grads = np.asarray(v_grads, dtype=float)
-    N = spec.n_components
-    if u_vals.shape[0] != N or v_vals.shape[0] != N:
-        raise ParamError("value arrays must have leading dimension %d" % N)
-    if u_grads.shape[-1] != 7 or v_grads.shape[-1] != 7:
-        raise ParamError("gradient arrays must have trailing dimension 7")
-
-    p = penrose.from_einstein(q)
-    r = p.r
-    w = p.omega
-    om = penrose.conformal_factor_tr(p.t, r)
-    dom_t, dom_r = penrose.conformal_gradient_tr(p.t, r)
-    dom = np.empty(om.shape + (4,))
-    dom[..., 0] = dom_t
-    dom[..., 1:] = w * dom_r[..., None]
-
-    M = penrose.gamma_matrix(q.T, q.X)[..., :4, :]    # rows d/dt, d/dx_j
-
-    def mink_grad(vals, grads):
-        # d_a(Omega * u o P) = (d_a Omega) u + Omega * sum_c M[a,c] Gamma_c u
-        chain = np.einsum("...ac,n...c->n...a", M, grads)
-        return dom[None] * vals[..., None] + om[None, ..., None] * chain
-
-    du = mink_grad(u_vals, u_grads)
-    dv = mink_grad(v_vals, v_grads)
-
-    out = np.zeros((N,) + du.shape[1:-1])
-    accumulate_system(spec, [_components(d) for d in du],
-                      [_components(d) for d in dv], out)
-    return out / om[None] ** 3

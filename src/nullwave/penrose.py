@@ -107,48 +107,6 @@ class EinsteinPoint:
         return "EinsteinPoint(T=%r, R=%r)" % (self.T, self.R)
 
 
-class GammaCoefficients:
-    """Pushforward coefficients at a point: matrix of shape (..., 8, 7).
-
-    Row i expands the vector field ROW_NAMES[i] in the Gamma frame; the
-    first four rows are the Minkowski coordinate fields d/dt, d/dx_j, the
-    last four (d/dT and the three spatial rotations) are trivial because
-    those fields coincide on both sides of the map.
-    """
-
-    __slots__ = ("mat",)
-
-    ROWS = ROW_NAMES
-    COLS = GAMMA_NAMES
-
-    def __init__(self, mat):
-        self.mat = np.asarray(mat, dtype=float)
-        if self.mat.shape[-2:] != (8, 7):
-            raise ParamError("coefficient matrix must have shape (..., 8, 7)")
-
-    def row(self, name):
-        return self.mat[..., self.ROWS.index(name), :]
-
-    def apply(self, name, gamma_values):
-        """Contract one row against sampled Gamma-derivative values (..., 7)."""
-        gv = np.asarray(gamma_values, dtype=float)
-        return np.sum(self.row(name) * gv, axis=-1)
-
-
-class TipDistance:
-    """Distance to the tip P0 = (pi, north pole), split into components."""
-
-    __slots__ = ("value", "time_part", "space_part")
-
-    def __init__(self, time_part, space_part):
-        self.time_part = np.asarray(time_part, dtype=float)
-        self.space_part = np.asarray(space_part, dtype=float)
-        self.value = np.sqrt(self.time_part**2 + self.space_part**2)
-
-    def __repr__(self):
-        return "TipDistance(value=%r)" % (self.value,)
-
-
 # ---------------------------------------------------------------------------
 # forward / inverse map
 
@@ -266,12 +224,6 @@ def gamma_matrix(T, X):
     return M
 
 
-def gamma_coefficients(q: EinsteinPoint) -> GammaCoefficients:
-    if not np.all(q.in_diamond()):
-        raise DomainError("point outside the open diamond")
-    return GammaCoefficients(gamma_matrix(q.T, q.X))
-
-
 def gamma_pull(t, x, df_dt, df_dx):
     """Gamma-derivative values of a Minkowski scalar field, shape (..., 7).
 
@@ -304,28 +256,12 @@ def gamma_pull(t, x, df_dt, df_dx):
 
 
 # ---------------------------------------------------------------------------
-# tip distance and region predicates
-
-def tip_distance(q: EinsteinPoint) -> TipDistance:
-    """Product-metric distance to P0 = (pi, north pole).
-
-    The S^3 geodesic distance from X to the north pole is the colatitude R.
-    """
-    return TipDistance(np.pi - q.T, q.R)
-
+# tip distance
 
 def tip_distance_tr(t, r):
     """tip distance evaluated directly from Minkowski coordinates."""
     T, R = forward_tr(t, r)
     return np.sqrt((np.pi - T) ** 2 + R**2)
-
-
-def in_image_of_cylinder(q: EinsteinPoint, A) -> np.ndarray:
-    """True where the preimage (t, x) satisfies t > 0 and |x| < A."""
-    if A <= 0:
-        raise ParamError("A must be positive")
-    p = from_einstein(q)      # raises DomainError outside the diamond
-    return (p.t > 0.0) & (p.r < A)
 
 
 # ---------------------------------------------------------------------------

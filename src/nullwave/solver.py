@@ -12,6 +12,15 @@ evaluates the spatial operator once per step.  It updates u and v in place
 through two field-sized buffers and allocates nothing per step; step()
 runs it on copies, and solve_linear's snapshots are copies.
 
+solve_linear can stream its snapshots instead of storing them.  Given
+observe(i, u, v), it calls it at each of the n_steps // stride + 1
+snapshots i with the live (u, v) buffers, as read-only views that the
+next step overwrites: an observer keeps what it needs by reducing the
+state (local_energy_fn gives one such reduction) or by copying it.  The
+returned trajectory then holds only the first and the last state, with
+times [0, t_final] and stride n_steps, so memory does not grow with
+t_end.
+
 Fields are stored in each grid's native representation (see
 nullwave.exterior); the grid supplies the spatial operator, the Dirichlet
 pinning and the energy.  Leading axes are allowed, so a stack of
@@ -173,13 +182,14 @@ class Trajectory:
     def local_energy_series(self, A):
         if self.v is None:
             raise ParamError("trajectory stored without velocities")
-        vals = np.array([local_energy(self.state(i), A)
+        at = local_energy_fn(self.grid, A)
+        vals = np.array([at(self.u[i], self.v[i])
                          for i in range(self.n_snapshots)])
         return self.times, vals
 
 
 def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
-                 store_v=True):
+                 store_v=True, observe=None):
     """March the linear wave equation to at least t_end.
 
     forcing may be None, a callable t -> native field (evaluated at step
@@ -187,6 +197,10 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
     (n_steps + 1,) + field shape, in which case midpoint values are taken
     as adjacent averages.  The step count is rounded up to a multiple of
     stride; a stride above the step count is refused.
+
+    With observe, every snapshot i goes to observe(i, u, v) as read-only
+    views of the live buffers, and the trajectory keeps only the first
+    and the last state (see the module docstring).
     """
     grid = data.grid
     limit = cfl_limit(grid)
@@ -224,11 +238,19 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
         f_buf = np.empty(recorded.shape[1:])
 
     n_snap = n_steps // stride + 1
-    us = np.empty((n_snap,) + u.shape)
+    n_kept = n_snap if observe is None else 2
+    us = np.empty((n_kept,) + u.shape)
     vs = np.empty_like(us) if store_v else None
     us[0] = u
     if store_v:
         vs[0] = v
+    if observe is not None:
+        # views of the live buffers that the observer cannot write through
+        u_seen = u.view()
+        v_seen = v.view()
+        u_seen.flags.writeable = False
+        v_seen.flags.writeable = False
+        observe(0, u_seen, v_seen)
 
     t = 0.0
     for k in range(n_steps):
@@ -245,14 +267,24 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
             raise NaNError("non-finite field at t=%g" % t)
         if (k + 1) % stride == 0:
             i = (k + 1) // stride
-            us[i] = u
-            if store_v:
-                vs[i] = v
+            if observe is not None:
+                observe(i, u_seen, v_seen)
+            else:
+                us[i] = u
+                if store_v:
+                    vs[i] = v
     if not np.all(np.isfinite(u)):
         raise NaNError("non-finite field at final time %g" % t)
 
-    times = dt * stride * np.arange(n_snap)
-    return Trajectory(grid, times, us, vs, dt=dt, stride=stride)
+    if observe is None:
+        times = dt * stride * np.arange(n_snap)
+        return Trajectory(grid, times, us, vs, dt=dt, stride=stride)
+    us[1] = u
+    if store_v:
+        vs[1] = v
+    # the stored run's last time, (dt * stride) * (n_snap - 1), to the bit
+    times = np.array([0.0, dt * stride * (n_snap - 1)])
+    return Trajectory(grid, times, us, vs, dt=dt, stride=n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +300,22 @@ def local_energy(state: WaveState, A):
     A = None means no restriction.  All terms are nonnegative, so the
     value is nondecreasing in A.
     """
+    return local_energy_fn(state.grid, A)(state.u, state.v)
+
+
+def local_energy_fn(grid, A):
+    """local_energy on grid as a function of native (u, v).
+
+    A is checked and the ball |x| < A found once, so a series of
+    snapshots, stored or observed during a run, pays for them once.
+    """
     if A is not None and A <= 0:
         raise ParamError("A must be positive")
-    grid = state.grid
     inside = None if A is None else grid.radii() < A
-    return grid.energy(state.u, state.v, inside)
+
+    def at(u, v):
+        return grid.energy(u, v, inside)
+    return at
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ and byte-level determinism are all observable without subprocesses.
 
 import filecmp
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from nullwave import cli, gridio
+from nullwave import cli, gridio, solver
 
 SMALL_GRID = """\
 [grid]
@@ -168,6 +170,49 @@ def test_run_linear_artifacts_and_overlay(tmp_path):
     assert sorted(fields) == ["u", "v"]
 
 
+def _column(path, name):
+    with open(str(path)) as fh:
+        header = fh.readline().strip().split(",")
+        k = header.index(name)
+        return np.array([float(line.split(",")[k]) for line in fh])
+
+
+def test_run_linear_energies_match_a_stored_run(tmp_path):
+    ini = write_ini(tmp_path, LINEAR_INI)
+    out = tmp_path / "out"
+    assert run(["run-linear", "--config", ini], out) == 0
+    ec = cli.ExperimentConfig(cli.load_config(ini, "run-linear"), 0, 1)
+    traj = solver.solve_linear(ec.data(), None, ec.t_end, dt=ec.dt,
+                               stride=ec.stride)
+    times, energies = traj.local_energy_series(ec.local_radius)
+    # the CSV holds each float in its shortest round-trip form
+    csv = out / "local_energy.csv"
+    assert _column(csv, "t").tobytes() == times.tobytes()
+    assert _column(csv, "local_energy").tobytes() == energies.tobytes()
+    _, t_final, fields = gridio.read_snapshot(str(out / "linear_final.nwb"))
+    assert t_final == traj.times[-1]
+    assert fields["u"].tobytes() == traj.u[-1].tobytes()
+    assert fields["v"].tobytes() == traj.v[-1].tobytes()
+
+
+def test_run_linear_memory_does_not_grow_with_t_end(tmp_path):
+    # storing every u and v snapshot would take about 30 MB on the
+    # defaults and twice that at twice the length
+    for t_end in (60.0, 120.0):
+        cfg = cli.load_config(None, "run-linear")
+        cfg["run"]["t_end"] = t_end
+        ec = cli.ExperimentConfig(cfg, 0, 1)
+        out = tmp_path / ("t%g" % t_end)
+        out.mkdir()
+        tracemalloc.start()
+        try:
+            cli.cmd_run_linear(ec, str(out), True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20, (t_end, peak)
+
+
 def test_run_nonlinear_artifacts(tmp_path):
     ini = write_ini(tmp_path, NONLINEAR_INI)
     out = tmp_path / "out"
@@ -319,6 +364,25 @@ BAD_CONFIGS = [
     ("zero_time_stride", "[report]\ntime_stride = 0\n"),
     ("negative_time_stride", "[report]\ntime_stride = -1\n"),
     ("zero_geometry_samples", "[geometry]\nsamples = 0\n"),
+    ("decreasing_fit_window", "[fit]\nwindow = 3 1\n"),
+    ("bad_fit_model", "[fit]\nmodel = cubic\n"),
+    ("one_value_sup_window", "[report]\nsup_window = 5\n"),
+    ("empty_deltas", "[report]\ndeltas =\n"),
+    ("bad_scan_eps", "[scan]\neps = 1e-4 abc\n"),
+    ("nan_t_end", "[run]\nt_end = nan\n"),
+    ("nan_sponge_strength", "[grid]\nsponge_strength = nan\n"),
+    ("nan_eps", "[data]\neps = nan\n"),
+    ("negative_scan_eps", "[scan]\neps = 1e-4 -1e-4\n"),
+]
+
+# list-valued keys, each through a subcommand that reads it: a bad one must
+# be refused before the output directory is made
+LIST_KEY_CONFIGS = [
+    ("run-linear", "[fit]\nwindow = 3 1\n"),
+    ("run-nonlinear", "[fit]\nwindow = 5\n"),
+    ("estimate-report", "[report]\nsup_window = 5\n"),
+    ("estimate-report", "[report]\ndeltas = 1.0 x\n"),
+    ("scan-smallness", "[scan]\neps = abc\n"),
 ]
 
 
@@ -328,6 +392,17 @@ def test_config_errors_exit_2_and_write_nothing(tmp_path, label, text):
     ini = write_ini(tmp_path, text)
     out = tmp_path / "never"
     assert run(["check-compat", "--config", ini], out) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand,text", LIST_KEY_CONFIGS,
+                         ids=["%s-%d" % (c[0], k)
+                              for k, c in enumerate(LIST_KEY_CONFIGS)])
+def test_list_keys_exit_2_before_the_out_directory(tmp_path, subcommand,
+                                                    text):
+    ini = write_ini(tmp_path, text)
+    out = tmp_path / "never"
+    assert run([subcommand, "--config", ini], out) == 2
     assert not out.exists()
 
 
@@ -450,6 +525,13 @@ READERS = {"fit": "run-linear", "report": "estimate-report",
            ("run", "stride"): "run-linear",
            ("nullform", "components"): "run-linear",
            ("grid", "extent"): "check-compat"}
+# values that are configuration problems: each must exit 2 with no
+# output directory (dt = 0 picks the CFL step and runs)
+MUST_EXIT_2 = {("run", "tol", 0), ("run", "tol", -1),
+               ("run", "max_iter", 0), ("run", "max_iter", -1),
+               ("run", "dt", -1), ("compat", "order", -1),
+               ("fit", "local_radius", 0), ("fit", "local_radius", -1),
+               ("grid", "sponge_strength", -1)}
 NUMERIC_KEYS = [(section, key)
                 for section, entries in cli.DEFAULTS.items()
                 for key, default in entries.items()
@@ -482,6 +564,8 @@ def test_numeric_keys_never_end_in_traceback(tmp_path, section, key, value):
     out = tmp_path / "out"
     rc = run([sub, "--config", ini], out)
     assert rc in (0, 2, 3)
+    if (section, key, value) in MUST_EXIT_2:
+        assert rc == 2
     if rc == 2:
         assert not out.exists()
     if rc == 3:

@@ -24,11 +24,17 @@ def _cartesian():
 # round trips
 
 
+def _grid_back(path, grid):
+    # a snapshot with no fields carries the grid record alone
+    gridio.write_snapshot(path, grid, 0.0, {})
+    back, _, fields = gridio.read_snapshot(path)
+    assert fields == {}
+    return back
+
+
 def test_radial_grid_round_trip(tmp_path):
-    path = tmp_path / "grid.nwb"
     grid = _radial()
-    gridio.write_grid(path, grid)
-    back = gridio.read_grid(path)
+    back = _grid_back(tmp_path / "grid.nwb", grid)
     assert back.kind == "radial"
     assert back.r0 == grid.r0 and back.r_max == grid.r_max
     assert back.n == grid.n
@@ -39,10 +45,8 @@ def test_radial_grid_round_trip(tmp_path):
 
 
 def test_cartesian_grid_round_trip(tmp_path):
-    path = tmp_path / "grid.nwb"
     grid = _cartesian()
-    gridio.write_grid(path, grid)
-    back = gridio.read_grid(path)
+    back = _grid_back(tmp_path / "grid.nwb", grid)
     assert back.kind == "cartesian"
     assert back.L == grid.L and back.n == grid.n
     assert back.obstacle.kind == "ellipsoid"
@@ -78,8 +82,9 @@ def test_snapshot_multidim_field(tmp_path):
 
 def test_write_is_byte_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.nwb", tmp_path / "b.nwb"
-    gridio.write_grid(p1, _radial())
-    gridio.write_grid(p2, _radial())
+    u = _radial().r ** 0.5
+    gridio.write_snapshot(p1, _radial(), 1.5, {"u": u})
+    gridio.write_snapshot(p2, _radial(), 1.5, {"u": u.copy()})
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -91,67 +96,70 @@ def test_bad_magic(tmp_path):
     path = tmp_path / "bad.nwb"
     path.write_bytes(b"WAVE" + b"\x00" * 40)
     with pytest.raises(FormatError):
-        gridio.read_grid(path)
+        gridio.read_snapshot(path)
 
 
 def test_bad_version(tmp_path):
     path = tmp_path / "bad.nwb"
-    path.write_bytes(gridio.MAGIC + struct.pack("<HH", 9, gridio.KIND_RADIAL)
+    path.write_bytes(gridio.MAGIC + struct.pack("<HH", 9, gridio.KIND_SNAPSHOT)
                      + b"\x00" * 40)
     with pytest.raises(FormatError):
-        gridio.read_grid(path)
+        gridio.read_snapshot(path)
 
 
 def test_unknown_kind(tmp_path):
     path = tmp_path / "bad.nwb"
-    path.write_bytes(gridio.MAGIC + struct.pack("<HH", gridio.VERSION, 77)
+    # the grid record embedded in a snapshot carries an unknown kind
+    path.write_bytes(gridio.MAGIC + struct.pack("<HHH", gridio.VERSION,
+                                                gridio.KIND_SNAPSHOT, 77)
                      + b"\x00" * 40)
-    with pytest.raises(FormatError):
-        gridio.read_grid(path)
+    with pytest.raises(FormatError, match="kind 77"):
+        gridio.read_snapshot(path)
 
 
 def test_kind_mismatch_between_readers(tmp_path):
+    # a bare grid record (the layout of files from older versions) is
+    # not a snapshot
     gpath = tmp_path / "g.nwb"
-    spath = tmp_path / "s.nwb"
-    grid = build_radial_grid(1.0, 6.0, 100)
-    gridio.write_grid(gpath, grid)
-    gridio.write_snapshot(spath, grid, 1.0, {"u": grid.zeros()})
-    with pytest.raises(FormatError):
+    kind, payload = gridio._grid_payload(build_radial_grid(1.0, 6.0, 100))
+    gpath.write_bytes(gridio.MAGIC + struct.pack("<HH", gridio.VERSION, kind)
+                      + payload)
+    with pytest.raises(FormatError, match="not a snapshot"):
         gridio.read_snapshot(gpath)
-    with pytest.raises(FormatError):
-        gridio.read_grid(spath)
 
 
 def test_truncation_reports_offset(tmp_path):
     path = tmp_path / "t.nwb"
     grid = _cartesian()
-    gridio.write_grid(path, grid)
+    gridio.write_snapshot(path, grid, 0.0, {"u": grid.zeros()})
     whole = path.read_bytes()
     path.write_bytes(whole[: len(whole) // 2])
     with pytest.raises(FormatError, match="offset"):
-        gridio.read_grid(path)
+        gridio.read_snapshot(path)
 
 
 def test_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "t.nwb"
-    gridio.write_grid(path, build_radial_grid(1.0, 6.0, 100))
+    grid = build_radial_grid(1.0, 6.0, 100)
+    gridio.write_snapshot(path, grid, 0.0, {"u": grid.zeros()})
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(FormatError, match="trailing"):
-        gridio.read_grid(path)
+        gridio.read_snapshot(path)
 
 
 def test_unknown_obstacle_code(tmp_path):
     path = tmp_path / "t.nwb"
     grid = _cartesian()
-    gridio.write_grid(path, grid)
+    gridio.write_snapshot(path, grid, 0.0, {})
     raw = bytearray(path.read_bytes())
-    # obstacle code byte sits after header (8) + L, n, sponge, strength
-    off = 8 + struct.calcsize("<dIId")
+    # obstacle code byte sits after header (8), grid kind (2) and
+    # L, n, sponge, strength
+    off = 10 + struct.calcsize("<dIId")
     assert raw[off] == 2
     raw[off] = 9
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="obstacle"):
-        gridio.read_grid(path)
+        gridio.read_snapshot(path)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import pytest
 
 from nullwave import nullforms
 from nullwave.errors import ParamError
-from nullwave.nullforms import (FORM_IDS, NullFormSpec, eval_form, eval_q0,
-                                eval_qjk, eval_system)
+from nullwave.nullforms import (FORM_IDS, NullFormSpec, accumulate_system,
+                                eval_form, eval_q0, eval_qjk)
 
 
 def plane_wave_gradients(rng, n):
@@ -104,95 +104,30 @@ def test_spec_validation():
         NullFormSpec(1, [(0, 0, 0, np.inf, "q0")])   # non-finite coeff
 
 
-def test_eval_system_coupled():
+def _components(grads):
+    # per solution component, the gradient components first
+    return [nullforms._components(g) for g in grads]
+
+
+def test_accumulate_system_coupled():
     rng = np.random.default_rng(23)
     grads = rng.normal(size=(2, 40, 4))
     spec = NullFormSpec(2, [(0, 0, 1, 2.0, "q0"), (1, 1, 1, 1.0, "q01")])
-    out = eval_system(spec, grads)
-    assert out.shape == (2, 40)
+    du = _components(grads)
+    out = accumulate_system(spec, du, du, np.zeros((2, 40)))
     assert np.allclose(out[0], 2.0 * eval_q0(grads[0], grads[1]))
     assert np.allclose(out[1], eval_qjk(0, 1, grads[1], grads[1]))
-
-    with pytest.raises(ParamError):
-        eval_system(spec, grads[:1])
+    # radial gradient pairs (d_t, d_r) skip the rotational forms
+    du = [d[:2] for d in du]
+    out = accumulate_system(spec, du, du, np.zeros((2, 40)))
+    assert np.allclose(out[0], 2.0 * (grads[0, :, 0] * grads[1, :, 0]
+                                      - grads[0, :, 1] * grads[1, :, 1]))
+    assert np.all(out[1] == 0.0)
 
 
 def test_scalar_q0_coefficient():
     du = np.array([1.0, 2.0, 0.0, 0.0])
     spec = NullFormSpec.scalar_q0(coeff=-3.0)
-    out = eval_system(spec, du[None])
+    out = accumulate_system(spec, _components(du[None]),
+                            _components(du[None]), np.zeros(1))
     assert out[0] == pytest.approx(-3.0 * (1.0 - 4.0))
-
-
-def test_transformed_q_against_finite_difference_oracle():
-    # feed cylinder-side samples of two Minkowski polynomials through the
-    # transformed form; compare with Omega^{-3} Q0(d(Omega u), d(Omega v))
-    # where the scaled gradients are finite-differenced directly
-    from nullwave import penrose
-
-    def u_fn(t, x):
-        return t * x[..., 0] + x[..., 1] ** 2 - 0.5 * t**2
-
-    def du_fn(t, x):
-        g = np.zeros(np.shape(t) + (4,))
-        g[..., 0] = x[..., 0] - t
-        g[..., 1] = t
-        g[..., 2] = 2 * x[..., 1]
-        return g
-
-    def v_fn(t, x):
-        return np.sin(0.4 * t) + x[..., 2] * x[..., 0]
-
-    def dv_fn(t, x):
-        g = np.zeros(np.shape(t) + (4,))
-        g[..., 0] = 0.4 * np.cos(0.4 * t)
-        g[..., 1] = x[..., 2]
-        g[..., 3] = x[..., 0]
-        return g
-
-    def scaled(fn):
-        def out(t, x):
-            r = np.sqrt(np.sum(x * x, axis=-1))
-            return penrose.conformal_factor_tr(t, r) * fn(t, x)
-        return out
-
-    def fd_gradient(fn, t, x, h=1e-6):
-        g = np.zeros(np.shape(t) + (4,))
-        g[..., 0] = (fn(t + h, x) - fn(t - h, x)) / (2 * h)
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            g[..., 1 + j] = (fn(t, x + e) - fn(t, x - e)) / (2 * h)
-        return g
-
-    rng = np.random.default_rng(41)
-    spec = NullFormSpec.scalar_q0()
-    for _ in range(15):
-        t = rng.uniform(-1.0, 1.0)
-        x = rng.normal(size=3) * rng.uniform(0.3, 2.0)
-        p = penrose.MinkowskiPoint(t, x)
-        q = penrose.to_einstein(p)
-
-        u_vals = np.array([u_fn(t, x)])
-        v_vals = np.array([v_fn(t, x)])
-        u_gam = penrose.gamma_pull(t, x, du_fn(t, x)[0], du_fn(t, x)[1:])
-        v_gam = penrose.gamma_pull(t, x, dv_fn(t, x)[0], dv_fn(t, x)[1:])
-        got = nullforms.transformed_q(q, u_vals, u_gam[None], v_vals,
-                                      v_gam[None], spec)
-
-        om = float(penrose.conformal_factor(p))
-        q0 = eval_q0(fd_gradient(scaled(u_fn), t, x),
-                     fd_gradient(scaled(v_fn), t, x))
-        assert float(got[0]) == pytest.approx(om**-3 * q0, rel=1e-6,
-                                              abs=1e-8)
-
-
-def test_transformed_q_guards_null_infinity():
-    from nullwave import penrose
-
-    q = penrose.to_einstein(penrose.MinkowskiPoint(1e5, [0.0, 0.0, 1e-3]))
-    spec = NullFormSpec.scalar_q0()
-    vals = np.zeros((1,))
-    grads = np.zeros((1, 7))
-    with pytest.raises(nullforms.DomainError):
-        nullforms.transformed_q(q, vals, grads, vals, grads, spec)

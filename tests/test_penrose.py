@@ -195,15 +195,6 @@ def test_gamma_matrix_far_chart():
     _check_matrix_rows(rng, 20, draw)
 
 
-def test_gamma_coefficients_trivial_rows():
-    q = penrose.to_einstein(penrose.MinkowskiPoint(0.4, [0.5, -1.0, 2.0]))
-    coeff = penrose.gamma_coefficients(q)
-    vals = np.arange(1.0, 8.0)
-    assert coeff.apply("dT", vals) == pytest.approx(vals[0])
-    assert coeff.apply("rot12", vals) == pytest.approx(vals[4])
-    assert coeff.apply("rot23", vals) == pytest.approx(vals[6])
-
-
 def test_tip_distance_closed_form():
     assert abs(penrose.tip_distance_tr(0.0, 0.0) - np.pi) < 1e-15
     # late-time approach to the tip: distance shrinks like ~2/t
@@ -211,24 +202,6 @@ def test_tip_distance_closed_form():
     d = penrose.tip_distance_tr(t, 1.0)
     assert np.all(np.diff(d) < 0)
     assert np.allclose(d * t / 2.0, 1.0, rtol=0.1)
-
-
-def test_tip_distance_object_parts():
-    q = penrose.to_einstein(penrose.MinkowskiPoint(5.0, [1.0, 0, 0]))
-    td = penrose.tip_distance(q)
-    assert td.value == pytest.approx(
-        np.hypot(np.pi - q.T, q.R), rel=1e-14)
-    assert penrose.tip_distance_tr(5.0, 1.0) == pytest.approx(
-        float(td.value), rel=1e-14)
-
-
-def test_in_image_of_cylinder_region():
-    p = penrose.MinkowskiPoint([1.0, 1.0, -1.0], [[2.0, 0, 0]] * 3)
-    q = penrose.to_einstein(p)
-    flags = penrose.in_image_of_cylinder(q, 4.0)
-    assert flags.tolist() == [True, True, False]
-    with pytest.raises(ParamError):
-        penrose.in_image_of_cylinder(q, 0.0)
 
 
 def test_intertwine_residual_second_order():

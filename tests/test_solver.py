@@ -351,6 +351,52 @@ def test_solve_linear_leaves_data_and_forcing_untouched():
 
 
 # ---------------------------------------------------------------------------
+# observed runs
+
+
+@pytest.mark.parametrize("name", ["radial-l1-sponge", "ellipsoid"])
+def test_observer_sees_the_stored_rows(name):
+    data, forcing, t_end = _kernel_case(name)
+    stored = solve_linear(data, forcing, t_end, stride=3)
+    seen = []
+
+    def observe(i, u, v):
+        assert not u.flags.writeable and not v.flags.writeable
+        seen.append((i, u.tobytes(), v.tobytes()))
+
+    observed = solve_linear(data, forcing, t_end, stride=3, observe=observe)
+    assert [row[0] for row in seen] == list(range(stored.n_snapshots))
+    for i, ub, vb in seen:
+        assert ub == stored.u[i].tobytes()
+        assert vb == stored.v[i].tobytes()
+
+    # the first and last rows only, with times and stride that still
+    # give the run's step count
+    ends = [0, -1]
+    assert observed.n_snapshots == 2
+    assert observed.times.tobytes() == stored.times[ends].tobytes()
+    assert observed.stride == (stored.n_snapshots - 1) * stored.stride
+    assert observed.dt == stored.dt
+    assert observed.u.tobytes() == stored.u[ends].tobytes()
+    assert observed.v.tobytes() == stored.v[ends].tobytes()
+
+
+def test_local_energy_series_keeps_its_values():
+    data, _, t_end = _kernel_case("radial-l1-sponge")
+    traj = solve_linear(data, None, t_end, stride=10)
+    grid = traj.grid
+    _, vals = traj.local_energy_series(4.0)
+    ref = np.array([grid.energy(traj.u[i], traj.v[i], grid.radii() < 4.0)
+                    for i in range(traj.n_snapshots)])
+    assert vals.tobytes() == ref.tobytes()
+    at = solver.local_energy_fn(grid, 4.0)
+    assert at(traj.u[-1], traj.v[-1]) == vals[-1]
+    for A in (0.0, -1.0):
+        with pytest.raises(ParamError):
+            solver.local_energy_fn(grid, A)
+
+
+# ---------------------------------------------------------------------------
 # energies
 
 
@@ -383,6 +429,24 @@ def test_cfl_limits():
     assert np.isclose(cfl_limit(radial), 0.9 * radial.h)
     cart = build_masked_grid(Obstacle.sphere(1.0), 12.0, 24, sponge_cells=0)
     assert np.isclose(cfl_limit(cart), 0.9 * cart.h / np.sqrt(3.0))
+
+
+def test_sponge_factor_never_amplifies():
+    grids = [build_radial_grid(1.0, 11.0, 200, angular_mode=1,
+                               sponge_cells=40),
+             build_masked_grid(Obstacle.ellipsoid(1.4, 1.0, 0.8), 12.0, 24,
+                               sponge_cells=8)]
+    for grid in grids:
+        damp = solver._damping(grid, cfl_limit(grid))
+        assert damp.shape == grid.zeros().shape
+        assert np.all(damp <= 1.0)
+    for strength in (-1.0, np.nan):
+        with pytest.raises(ParamError):
+            build_radial_grid(1.0, 11.0, 200, sponge_cells=40,
+                              sponge_strength=strength)
+        with pytest.raises(ParamError):
+            build_masked_grid(Obstacle.sphere(1.0), 12.0, 24, sponge_cells=8,
+                              sponge_strength=strength)
 
 
 def test_step_rejects_large_dt():
