@@ -17,8 +17,7 @@ from .exterior import (CartesianGrid, InitialData, Obstacle, RadialGrid,
                        check_compatibility, compatibility_functions)
 from .nullforms import FORM_IDS, NullFormSpec, eval_form, eval_q0, eval_qjk
 from .penrose import (EinsteinPoint, MinkowskiPoint, conformal_factor_tr,
-                      forward_tr, from_einstein, gamma_pull, tip_distance_tr,
-                      to_einstein)
+                      forward_tr, from_einstein, tip_distance_tr, to_einstein)
 from .picard import (IterationReport, NonlinearSolution, bump_data_family,
                      measure_sup_decay, picard_solve, smallness_scan)
 from .norms import (NormReport, data_smallness_norm, delta_sweep,
@@ -40,7 +39,7 @@ __all__ = [
     "compatibility_functions",
     "FORM_IDS", "NullFormSpec", "eval_form", "eval_q0", "eval_qjk",
     "EinsteinPoint", "MinkowskiPoint", "conformal_factor_tr", "forward_tr",
-    "from_einstein", "gamma_pull", "tip_distance_tr", "to_einstein",
+    "from_einstein", "tip_distance_tr", "to_einstein",
     "IterationReport", "NonlinearSolution", "bump_data_family",
     "measure_sup_decay", "picard_solve", "smallness_scan",
     "NormReport", "data_smallness_norm", "delta_sweep",

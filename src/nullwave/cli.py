@@ -21,8 +21,9 @@ from . import gridio, norms, penrose, picard, solver
 from .errors import (CFLError, ConfigError, DomainError, FitError,
                      FormatError, NaNError, NoConvergence, OrderError,
                      ParamError)
-from .exterior import (InitialData, Obstacle, build_masked_grid,
-                       build_radial_grid, check_compatibility)
+from .exterior import (MAX_COMPAT_ORDER, InitialData, Obstacle,
+                       build_masked_grid, build_radial_grid,
+                       check_compatibility)
 from .nullforms import NullFormSpec
 
 SCHEMA_VERSION = 1
@@ -182,6 +183,9 @@ class ExperimentConfig:
         for section, key in (("run", "dt"), ("compat", "order")):
             if not 0 <= cfg[section][key] < np.inf:
                 raise ConfigError("[%s] %s must be >= 0" % (section, key))
+        if cfg["compat"]["order"] > MAX_COMPAT_ORDER:
+            raise ConfigError("[compat] order must be <= %d"
+                              % MAX_COMPAT_ORDER)
         for section, key in (("run", "stride"), ("run", "max_iter"),
                              ("report", "time_stride"),
                              ("geometry", "samples")):

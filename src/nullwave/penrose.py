@@ -23,15 +23,8 @@ All functions accept scalar or broadcastable ndarray inputs.
 """
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, ParamError
-
-# column layout of the Gamma frame
-GAMMA_NAMES = ("dT", "b1", "b2", "b3", "rot12", "rot13", "rot23")
-
-# row layout of the pushforward coefficient matrix
-ROW_NAMES = ("dt", "dx1", "dx2", "dx3", "dT", "rot12", "rot13", "rot23")
 
 _DEFAULT_OMEGA = np.array([0.0, 0.0, 1.0])
 
@@ -171,91 +164,6 @@ def conformal_gradient_tr(t, r):
 
 
 # ---------------------------------------------------------------------------
-# pushforward coefficients (validated against finite differences of the
-# pullback; the north-chart expansion uses the sign consistent with the
-# Kelvin transform of the south chart)
-
-def gamma_matrix(T, X):
-    """Coefficient matrix (..., 8, 7) of the pushforward rows at (T, X)."""
-    T = np.asarray(T, dtype=float)
-    X = np.asarray(X, dtype=float)
-    X0 = X[..., 0]
-    Xv = X[..., 1:]
-    cT = np.cos(T)
-    sT = np.sin(T)
-    om = cT + X0
-    if np.any(om <= 0.0):
-        raise DomainError("gamma coefficients undefined outside the diamond")
-
-    south = X0 >= 0.0
-    s = np.where(south, 1.0, -1.0)
-    d = 1.0 + s * X0          # chart denominator, >= 1 on its own chart
-    W = Xv / d[..., None]     # stereographic coordinate, |W| <= 1
-    spread = 1.0 - s * cT
-
-    M = np.zeros(np.broadcast_shapes(T.shape, X0.shape) + (8, 7))
-
-    # d/dt row: global, chart free
-    M[..., 0, 0] = 1.0 + cT * X0
-    M[..., 0, 1:4] = -sT[..., None] * Xv
-
-    # d/dx_j rows
-    rotcol = {(1, 2): 4, (1, 3): 5, (2, 3): 6}
-    for j in range(1, 4):
-        M[..., j, 0] = -sT * Xv[..., j - 1]
-        for k in range(1, 4):
-            c = spread * Xv[..., j - 1] * W[..., k - 1]
-            if k == j:
-                c = c + s * om
-            M[..., j, k] = c
-        for m in range(1, 4):
-            if m == j:
-                continue
-            if m < j:
-                M[..., j, rotcol[(m, j)]] += om * W[..., m - 1]
-            else:
-                M[..., j, rotcol[(j, m)]] -= om * W[..., m - 1]
-
-    # trivial rows: d/dT and the spatial rotations push to themselves
-    M[..., 4, 0] = 1.0
-    M[..., 5, 4] = 1.0
-    M[..., 6, 5] = 1.0
-    M[..., 7, 6] = 1.0
-    return M
-
-
-def gamma_pull(t, x, df_dt, df_dx):
-    """Gamma-derivative values of a Minkowski scalar field, shape (..., 7).
-
-    Uses the reverse expansion of the cylinder fields in d/dt, d/dx:
-
-        Gamma_0 f   = (1 + t^2 + |x|^2)/2 f_t + t <x, grad f>
-        Gamma_k f   = (1 + t^2 - |x|^2)/2 f_k + x_k (t f_t + <x, grad f>)
-        rot_jk f    = x_j f_k - x_k f_j
-
-    The plus sign on |x|^2 in Gamma_0 follows from the null-coordinate
-    derivation d/dT = (1+U^2)/2 d/dU + (1+V^2)/2 d/dV with U, V = t +- r,
-    and is what finite differences of the inverse map confirm; the two
-    boost/rotation families use the minus-sign coefficient.
-    """
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    ft = np.asarray(df_dt, dtype=float)
-    fx = np.asarray(df_dx, dtype=float)
-    r2 = np.sum(x * x, axis=-1)
-    half = 0.5 * (1.0 + t * t - r2)
-    xdotg = np.sum(x * fx, axis=-1)
-    out = np.empty(np.broadcast_shapes(t.shape, ft.shape) + (7,))
-    out[..., 0] = (half + r2) * ft + t * xdotg
-    for k in range(3):
-        out[..., 1 + k] = half * fx[..., k] + x[..., k] * (t * ft + xdotg)
-    out[..., 4] = x[..., 0] * fx[..., 1] - x[..., 1] * fx[..., 0]
-    out[..., 5] = x[..., 0] * fx[..., 2] - x[..., 2] * fx[..., 0]
-    out[..., 6] = x[..., 1] * fx[..., 2] - x[..., 2] * fx[..., 1]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # tip distance
 
 def tip_distance_tr(t, r):
@@ -276,15 +184,15 @@ def _fibonacci_directions(n):
     return np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1)
 
 
-def _time_at_cylinder_slice(T, r):
-    """The unique t >= 0 with forward time T at fixed spatial radius r."""
-    f = lambda t: np.arctan(t + r) + np.arctan(t - r) - T
-    if T <= 0.0:
-        raise ParamError("slice time must be positive")
-    hi = np.tan(min(T, np.pi - 1e-9) / 2.0) + r + 1.0
-    while f(hi) < 0.0:
-        hi *= 2.0
-    return brentq(f, 0.0, hi, xtol=1e-14, rtol=1e-14)
+def _section_colatitude(T, r):
+    """Colatitude R of the image of the event at spatial radius r with
+    cylinder time T in (0, pi).
+
+    The inverse map gives sin R = r (cos R + cos T), and sin R - r cos R
+    = hypot(1, r) sin(R - arctan r); the arcsin branch is the one that
+    runs from R = 2 arctan r at T = 0 to R = 0 at T = pi.
+    """
+    return np.arctan(r) + np.arcsin(r * np.cos(T) / np.hypot(1.0, r))
 
 
 def boundary_degeneration_ratio(T, obstacle, n_dirs=64):
@@ -296,14 +204,8 @@ def boundary_degeneration_ratio(T, obstacle, n_dirs=64):
     """
     if not (0.0 < T < np.pi):
         raise ParamError("T must lie in (0, pi)")
-    dirs = _fibonacci_directions(n_dirs)
-    best = 0.0
-    for w in dirs:
-        r = float(obstacle.support_radius(w))
-        t = _time_at_cylinder_slice(T, r)
-        _, R = forward_tr(t, r)
-        best = max(best, float(R))
-    return best / (np.pi - T) ** 2
+    r = obstacle.support_radius(_fibonacci_directions(n_dirs))
+    return float(np.max(_section_colatitude(T, r))) / (np.pi - T) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +224,14 @@ def intertwine_residual(phi, phi_wave, t, x, h):
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
 
+    def image(tt, xx):
+        p = MinkowskiPoint(tt, xx)
+        q = to_einstein(p)
+        return conformal_factor(p), q.T, q.X
+
     def pullback(tt, xx):
-        r = np.sqrt(np.sum(xx * xx, axis=-1))
-        T, R = forward_tr(tt, r)
-        w = _unit_directions(xx, r)
-        X = np.empty(T.shape + (4,))
-        X[..., 0] = np.cos(R)
-        X[..., 1:] = w * np.sin(R)[..., None]
-        return conformal_factor_tr(tt, r) * phi(T, X)
+        om, T, X = image(tt, xx)
+        return om * phi(T, X)
 
     f0 = pullback(t, x)
     box = (pullback(t + h, x) - 2.0 * f0 + pullback(t - h, x)) / h**2
@@ -338,11 +240,5 @@ def intertwine_residual(phi, phi_wave, t, x, h):
         e[j] = h
         box -= (pullback(t, x + e) - 2.0 * f0 + pullback(t, x - e)) / h**2
 
-    r = np.sqrt(np.sum(x * x, axis=-1))
-    T, R = forward_tr(t, r)
-    w = _unit_directions(x, r)
-    X = np.empty(T.shape + (4,))
-    X[..., 0] = np.cos(R)
-    X[..., 1:] = w * np.sin(R)[..., None]
-    om = conformal_factor_tr(t, r)
+    om, T, X = image(t, x)
     return phi_wave(T, X) - box / om**3

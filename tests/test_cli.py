@@ -373,6 +373,7 @@ BAD_CONFIGS = [
     ("nan_sponge_strength", "[grid]\nsponge_strength = nan\n"),
     ("nan_eps", "[data]\neps = nan\n"),
     ("negative_scan_eps", "[scan]\neps = 1e-4 -1e-4\n"),
+    ("compat_order_above_cap", "[compat]\norder = 5\n"),
 ]
 
 # list-valued keys, each through a subcommand that reads it: a bad one must

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from nullwave import exterior, fd, norms, picard, solver
+from nullwave import exterior, fd, norms, penrose, picard, solver
 from nullwave.errors import OrderError, ParamError
 from nullwave.exterior import InitialData, build_radial_grid
 from nullwave.norms import (
@@ -315,6 +315,35 @@ def test_sampled_time_derivatives_take_the_solver_step(nonlinear_run):
     got = forcing_cylinder_samples(traj, spec, time_stride=10)
     for have, ref in zip((got.value, got.gamma0, got.gboost), want):
         assert have.tobytes() == ref.ravel().tobytes()
+
+
+@pytest.mark.parametrize("power", [1, -3])
+def test_pull_is_the_cylinder_derivative_of_the_field(power):
+    # val = conf**power * q for the radial q = cos(1.3 t) exp(-(r-3)^2);
+    # g0 must be its d/dT and gb its d/dR (the boost magnitude of a
+    # zonal field), both by central differences through the inverse map
+    grid = build_radial_grid(1.0, 6.0, 100)
+    traj, _ = _separable_trajectory(grid, n_snap=31, dt_snap=0.1)
+    frame = norms._SampleFrame(traj, 1)
+    t, r = frame.t, grid.r
+
+    def q_parts(t, r):
+        prof = np.exp(-((r - 3.0) ** 2))
+        return (np.cos(1.3 * t) * prof, -1.3 * np.sin(1.3 * t) * prof,
+                -2.0 * (r - 3.0) * np.cos(1.3 * t) * prof)
+
+    def field(T, R):
+        p = penrose.from_einstein(penrose.EinsteinPoint(T, R))
+        return penrose.conformal_factor(p) ** power * q_parts(p.t, p.r)[0]
+
+    val, g0, gb = frame.pull(*q_parts(t, r), power)
+    T, R = frame.T, frame.R
+    h = 1e-5
+    fd_T = (field(T + h, R) - field(T - h, R)) / (2 * h)
+    fd_R = (field(T, R + h) - field(T, R - h)) / (2 * h)
+    assert np.allclose(val, field(T, R), rtol=1e-12, atol=0.0)
+    assert np.max(np.abs(g0 - fd_T)) < 1e-7 * np.max(np.abs(g0))
+    assert np.max(np.abs(gb - fd_R)) < 1e-7 * np.max(np.abs(gb))
 
 
 def test_weighted_energy_sup_homogeneous(nonlinear_run):

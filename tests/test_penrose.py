@@ -1,10 +1,16 @@
-"""Compactification geometry: map identities, factors, frame pulls."""
+"""Compactification geometry: map identities, factors, obstacle sections."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nullwave
 from nullwave import penrose
 from nullwave.errors import DomainError, ParamError
+from nullwave.exterior import Obstacle
 
 
 def random_events(rng, n, extent=100.0):
@@ -81,120 +87,6 @@ def test_from_einstein_rejects_null_infinity():
         penrose.from_einstein(penrose.EinsteinPoint(2.0, 1.5))
 
 
-def test_gamma_pull_radial_scalar():
-    # for q(t, r) the three boosts share one magnitude along omega and
-    # the rotations vanish; check against the radial closed form
-    rng = np.random.default_rng(23)
-    n = 500
-    t = rng.uniform(-2, 2, size=n)
-    x = rng.normal(size=(n, 3))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    r = rng.uniform(0.3, 5.0, size=n)
-    x *= r[:, None]
-
-    # q = t^2 * r + r^3: q_t = 2 t r, q_r = t^2 + 3 r^2
-    qt = 2 * t * r
-    qr = t**2 + 3 * r**2
-    omega = x / r[:, None]
-    grad = omega * qr[:, None]
-    out = penrose.gamma_pull(t, x, qt, grad)
-
-    g0 = 0.5 * (1 + t**2 + r**2) * qt + t * r * qr
-    gb = 0.5 * (1 + t**2 - r**2) * qr + r * t * qt + r**2 * qr
-    assert np.allclose(out[:, 0], g0, atol=1e-10)
-    boost = out[:, 1:4]
-    assert np.allclose(boost, omega * gb[:, None], atol=1e-10)
-    assert np.max(np.abs(out[:, 4:])) < 1e-12
-
-
-def test_gamma_pull_sum_of_squares_invariant():
-    # sum over the 7 fields of squares equals Gamma0^2 + G^2 for radial
-    # scalars (rotations vanish, boosts decompose along omega)
-    rng = np.random.default_rng(29)
-    n = 200
-    t = rng.uniform(-2, 2, size=n)
-    x = rng.normal(size=(n, 3))
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    r = rng.uniform(0.3, 4.0, size=n)
-    x *= r[:, None]
-    qt = np.cos(t) * r
-    qr = np.sin(t) + 2 * r
-    omega = x / r[:, None]
-    out = penrose.gamma_pull(t, x, qt, omega * qr[:, None])
-    g0 = 0.5 * (1 + t**2 + r**2) * qt + t * r * qr
-    gb = 0.5 * (1 + t**2 - r**2) * qr + r * t * qt + r**2 * qr
-    assert np.allclose(np.sum(out**2, axis=-1), g0**2 + gb**2, rtol=1e-10)
-
-
-def _cylinder_probe():
-    """An ambient scalar on the cylinder with exact frame derivatives."""
-    def phi(T, X):
-        return (np.cos(0.7 * T) * X[..., 1] * X[..., 3]
-                + np.sin(T) * X[..., 0])
-
-    def grad(T, X):
-        g = np.zeros(np.shape(X))
-        g[..., 0] = np.sin(T)
-        g[..., 1] = np.cos(0.7 * T) * X[..., 3]
-        g[..., 3] = np.cos(0.7 * T) * X[..., 1]
-        return g
-
-    def gammas(T, X):
-        g = grad(T, X)
-        rot = lambda a, b: X[..., a] * g[..., b] - X[..., b] * g[..., a]
-        dT = (-0.7 * np.sin(0.7 * T) * X[..., 1] * X[..., 3]
-              + np.cos(T) * X[..., 0])
-        return np.array([dT, rot(0, 1), rot(0, 2), rot(0, 3),
-                         rot(1, 2), rot(1, 3), rot(2, 3)])
-
-    return phi, gammas
-
-
-def _check_matrix_rows(rng, n, draw):
-    # contract the coordinate-field rows with exact Gamma values of a
-    # cylinder scalar; must match finite differences of its pullback
-    phi, gammas = _cylinder_probe()
-    h = 1e-6
-
-    def pullback(t, x):
-        q = penrose.to_einstein(penrose.MinkowskiPoint(t, x))
-        return phi(q.T, q.X)
-
-    for _ in range(n):
-        t, x = draw(rng)
-        q = penrose.to_einstein(penrose.MinkowskiPoint(t, x))
-        M = penrose.gamma_matrix(q.T, q.X)
-        gam = gammas(float(q.T), q.X)
-        ft = (pullback(t + h, x) - pullback(t - h, x)) / (2 * h)
-        assert float(M[0] @ gam) == pytest.approx(float(ft), abs=5e-9)
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = h
-            fj = (pullback(t, x + e) - pullback(t, x - e)) / (2 * h)
-            assert float(M[1 + j] @ gam) == pytest.approx(float(fj),
-                                                          abs=5e-9)
-
-
-def test_gamma_matrix_expands_coordinate_fields():
-    rng = np.random.default_rng(31)
-    _check_matrix_rows(rng, 20,
-                       lambda rng: (rng.uniform(-1.5, 1.5),
-                                    rng.normal(size=3) * 1.2))
-
-
-def test_gamma_matrix_far_chart():
-    # large radius at small time pushes X0 = cos R negative, exercising
-    # the second stereographic chart
-    def draw(rng):
-        t = rng.uniform(-0.3, 0.3)
-        x = rng.normal(size=3)
-        x *= (2.0 + rng.uniform(0, 3)) / np.linalg.norm(x)
-        return t, x
-
-    rng = np.random.default_rng(37)
-    _check_matrix_rows(rng, 20, draw)
-
-
 def test_tip_distance_closed_form():
     assert abs(penrose.tip_distance_tr(0.0, 0.0) - np.pi) < 1e-15
     # late-time approach to the tip: distance shrinks like ~2/t
@@ -223,7 +115,6 @@ def test_intertwine_residual_second_order():
 
 
 def test_boundary_degeneration_shrinks_like_square():
-    from nullwave.exterior import Obstacle
     # obstacle sections collapse toward the tip like (pi - T)^2; the
     # normalized ratio approaches max_radius / 2
     for obs in (Obstacle.sphere(1.0), Obstacle.ellipsoid(1.0, 0.5, 0.75)):
@@ -234,3 +125,28 @@ def test_boundary_degeneration_shrinks_like_square():
         assert ratios[-1] == pytest.approx(limit, rel=0.05)
         # monotone approach from below
         assert ratios[0] < ratios[1] < ratios[2]
+
+
+def test_section_colatitude_maps_back_onto_the_obstacle():
+    # each boundary image point (T, R(omega), omega) is the image of an
+    # event at t > 0 on the obstacle boundary
+    dirs = penrose._fibonacci_directions(64)
+    T = np.linspace(0.1, np.pi - 0.05, 50)[:, None]
+    for obs in (Obstacle.sphere(1.0), Obstacle.ellipsoid(1.0, 0.5, 0.75),
+                Obstacle.ellipsoid(2.0, 1.0, 0.3)):
+        radius = obs.support_radius(dirs)
+        R = penrose._section_colatitude(T, radius)
+        p = penrose.from_einstein(penrose.EinsteinPoint(T, R, dirs))
+        assert np.all(p.t > 0.0)
+        assert np.max(np.abs(p.r - radius) / radius) < 1e-11
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    code = ("import sys, nullwave; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(nullwave.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
