@@ -11,10 +11,19 @@ Run:  python3 demos/linear_decay.py      (a couple of seconds)
 
 import numpy as np
 
-from nullwave import solver
 from nullwave.exterior import InitialData, build_radial_grid
 from nullwave.picard import bump_data_family
-from nullwave.solver import fit_decay, solve_linear
+from nullwave.solver import fit_decay, local_energy_fn, solve_linear
+
+
+def energy_series(data, t_end, stride, radius=None):
+    """(times, energies in |x| < radius) taken while the solver runs."""
+    energy = local_energy_fn(data.grid, radius)
+    vals = []
+    traj = solve_linear(data, None, t_end, stride=stride,
+                        observe=lambda i, u, v: vals.append(energy(u, v)))
+    return traj.dt * stride * np.arange(len(vals)), np.array(vals)
+
 
 # ---------------------------------------------------------------------------
 # 1. Manufactured solution: w = sin(a(r-1)) cos(bt), forcing chosen to match
@@ -34,7 +43,7 @@ for n in (100, 200, 400, 800):
     def force(t, _grid=grid):
         return (a**2 - b**2) * np.cos(b * t) * np.sin(a * (_grid.r - 1.0))
 
-    traj = solve_linear(data, force, 2.0, stride=1, store_v=False)
+    traj = solve_linear(data, force, 2.0, stride=1)
     exact = np.sin(a * (grid.r - 1.0)) * np.cos(b * traj.times[-1])
     err = np.max(np.abs(traj.u[-1] - exact))
     order = "" if prev is None else "%.2f" % np.log2(prev / err)
@@ -48,8 +57,8 @@ print()
 
 grid = build_radial_grid(1.0, 36.0, 2000, angular_mode=1)
 data = bump_data_family(grid, center=2.2, width=0.8, velocity="zero")(1.0)
-traj = solve_linear(data, None, 16.0, stride=4)
-times, energies = traj.local_energy_series(4.0)
+
+times, energies = energy_series(data, 16.0, 4, radius=4.0)
 
 print("energy in the ball r < 4 (normalized):")
 print("    t      E(t)/E(0)")
@@ -80,18 +89,16 @@ print()
 
 grid_c = build_radial_grid(1.0, 9.0, 128)
 w0 = np.sin(2.0 * np.pi * (grid_c.r - 1.0))
-traj_c = solve_linear(InitialData(grid_c, w0, np.zeros_like(w0)),
-                      None, 400.0, stride=4)
-evals = [solver.energy(traj_c.state(i)) for i in range(traj_c.n_snapshots)]
-drift = np.polyfit(traj_c.times, np.array(evals) / evals[0], 1)[0]
+times_c, evals = energy_series(InitialData(grid_c, w0, np.zeros_like(w0)),
+                               400.0, 4)
+drift = np.polyfit(times_c, evals / evals[0], 1)[0]
 print("closed reflecting box, 400 time units: energy drift %.1e per unit"
       % abs(drift))
 
 grid_s = build_radial_grid(1.0, 20.0, 500, sponge_cells=160,
                            sponge_strength=4.0)
 data_s = bump_data_family(grid_s, center=3.0, width=1.0)(1.0)
-traj_s = solve_linear(data_s, None, 40.0, stride=10)
-e_end = solver.energy(traj_s.final_state)
-e_start = solver.energy(traj_s.state(0))
+_, evals_s = energy_series(data_s, 40.0, 10)
+e_end, e_start = evals_s[-1], evals_s[0]
 print("sponge-backed open domain, 40 time units: %.1e of the energy left"
       % (e_end / e_start))

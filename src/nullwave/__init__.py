@@ -25,9 +25,8 @@ from .norms import (NormReport, data_smallness_norm, delta_sweep,
                     nullform_spacetime_norm, solution_cylinder_samples,
                     sphere_sobolev_norm, tip_weighted_norm,
                     weighted_sobolev_norm)
-from .solver import (DecayFit, Trajectory, WaveState, cfl_limit, energy,
-                     fit_decay, local_energy, local_energy_fn, solve_linear,
-                     step)
+from .solver import (DecayFit, Trajectory, cfl_limit, fit_decay,
+                     local_energy_fn, solve_linear)
 
 __version__ = "0.1.0"
 
@@ -46,7 +45,7 @@ __all__ = [
     "estimate_ratio_report", "forcing_cylinder_samples",
     "nullform_spacetime_norm", "solution_cylinder_samples",
     "sphere_sobolev_norm", "tip_weighted_norm", "weighted_sobolev_norm",
-    "DecayFit", "Trajectory", "WaveState", "cfl_limit", "energy",
-    "fit_decay", "local_energy", "local_energy_fn", "solve_linear", "step",
+    "DecayFit", "Trajectory", "cfl_limit", "fit_decay", "local_energy_fn",
+    "solve_linear",
     "__version__",
 ]

@@ -197,6 +197,10 @@ class ExperimentConfig:
         self.stride = int(run["stride"])
         self.tol = float(run["tol"])
         self.max_iter = int(run["max_iter"])
+        self.compat_order = int(cfg["compat"]["order"])
+        self.geometry_samples = int(cfg["geometry"]["samples"])
+        self.geometry_extent = float(cfg["geometry"]["extent"])
+        self.snapshots = bool(cfg["output"]["snapshots"])
 
         # list-valued keys are parsed here, before any command runs, so
         # that a bad one exits 2 with nothing written
@@ -211,14 +215,18 @@ class ExperimentConfig:
         self.local_radius = float(fit["local_radius"])
         rep = cfg["report"]
         sup_window = _floats(rep["sup_window"], "sup window")
-        if len(sup_window) != 2:
-            raise ConfigError("sup_window needs two values")
+        if len(sup_window) != 2 or not sup_window[0] < sup_window[1]:
+            raise ConfigError("sup_window needs two increasing values")
         self.sup_window = tuple(sup_window)
         self.deltas = _floats(rep["deltas"], "delta")
+        if not all(0 <= d < np.inf for d in self.deltas):
+            raise ConfigError("deltas must be >= 0 and finite")
         self.time_stride = int(rep["time_stride"])
         self.scan_eps = _floats(cfg["scan"]["eps"], "scan eps")
         if not all(0 <= eps < np.inf for eps in self.scan_eps):
             raise ConfigError("scan eps must be >= 0 and finite")
+        if any(b <= a for a, b in zip(self.scan_eps, self.scan_eps[1:])):
+            raise ConfigError("scan eps must be ascending")
 
     @staticmethod
     def _build_grid(cfg):
@@ -294,10 +302,9 @@ def _say(quiet, msg):
 
 
 def cmd_verify_geometry(ec, out, quiet):
-    g = ec.raw["geometry"]
     rng = np.random.default_rng(ec.seed)
-    n = int(g["samples"])
-    extent = float(g["extent"])
+    n = ec.geometry_samples
+    extent = ec.geometry_extent
     t = rng.uniform(-extent, extent, size=n)
     x = rng.normal(size=(n, 3))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -351,7 +358,7 @@ def _fit_json(fit):
 
 
 def _write_final_snapshot(ec, out, traj, name):
-    if not ec.raw["output"]["snapshots"]:
+    if not ec.snapshots:
         return
     fields = {"u": traj.u[-1]}
     if traj.v is not None:
@@ -482,7 +489,7 @@ def cmd_estimate_report(ec, out, quiet):
 
 
 def cmd_check_compat(ec, out, quiet):
-    order = int(ec.raw["compat"]["order"])
+    order = ec.compat_order
     data = ec.data()
     residuals = check_compatibility(data, ec.spec, order)
     for j, res in enumerate(residuals):

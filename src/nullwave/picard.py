@@ -93,7 +93,7 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
         raise ParamError("data norm %.3e exceeds smallness threshold %.3e"
                          % (dnorm, threshold))
 
-    traj = solve_linear(data, None, t_end, dt=dt, stride=1, store_v=False)
+    traj = solve_linear(data, None, t_end, dt=dt, stride=1)
     applied = None
     residuals = []
     while True:
@@ -106,7 +106,7 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
         if len(residuals) == max_iter:
             raise NoConvergence(max_iter, residuals)
         # solve only when another sweep follows
-        traj = solve_linear(data, F, t_end, dt=dt, stride=1, store_v=False)
+        traj = solve_linear(data, F, t_end, dt=dt, stride=1)
         applied = F
 
     ratios = [residuals[i + 1] / residuals[i]

@@ -9,16 +9,16 @@ plain pointwise operations.
 The second kick of a step and the first kick of the next one use the same
 acceleration, so the kernel keeps laplace(u) from the end of each step and
 evaluates the spatial operator once per step.  It updates u and v in place
-through two field-sized buffers and allocates nothing per step; step()
-runs it on copies, and solve_linear's snapshots are copies.
+through two field-sized buffers and allocates nothing per step.
 
-solve_linear can stream its snapshots instead of storing them.  Given
-observe(i, u, v), it calls it at each of the n_steps // stride + 1
-snapshots i with the live (u, v) buffers, as read-only views that the
-next step overwrites: an observer keeps what it needs by reducing the
-state (local_energy_fn gives one such reduction) or by copying it.  The
-returned trajectory then holds only the first and the last state, with
-times [0, t_final] and stride n_steps, so memory does not grow with
+solve_linear is the one entry point, and a run is either stored or
+observed.  A stored run keeps u at each of the n_steps // stride + 1
+snapshots and no v.  An observed run, given observe(i, u, v), calls it
+at each snapshot i with the live (u, v) buffers, as read-only views that
+the next step overwrites: an observer keeps what it needs by reducing
+the state (local_energy_fn gives one such reduction) or by copying it.
+The returned trajectory then holds only the first and the last (u, v),
+with times [0, t_final] and stride n_steps, so memory does not grow with
 t_end.
 
 Fields are stored in each grid's native representation (see
@@ -39,32 +39,6 @@ NAN_CHECK_INTERVAL = 100
 def cfl_limit(grid):
     """Largest admissible dt for the explicit scheme on this grid."""
     return CFL_SAFETY * grid.h / np.sqrt(grid.ndim)
-
-
-class WaveState:
-    """Displacement and velocity at one instant, native representation."""
-
-    __slots__ = ("grid", "u", "v", "t")
-
-    def __init__(self, grid, u, v, t=0.0):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if u.shape != v.shape:
-            raise ParamError("u and v shapes differ")
-        gshape = grid.zeros().shape
-        if u.shape[len(u.shape) - len(gshape):] != gshape:
-            raise ParamError("field shape does not end with grid shape")
-        self.grid = grid
-        self.u = u
-        self.v = v
-        self.t = float(t)
-
-    def copy(self):
-        return WaveState(self.grid, self.u.copy(), self.v.copy(), self.t)
-
-
-def state_from_data(data: InitialData):
-    return WaveState(data.grid, data.f.copy(), data.g.copy(), 0.0)
 
 
 def _damping(grid, dt):
@@ -106,26 +80,11 @@ def _advance(grid, u, v, lap, tmp, dt, f_mid, damp):
     grid.pin(v)
 
 
-def step(state: WaveState, forcing, dt):
-    """One explicit step; the input state is left unchanged.
-
-    forcing is a native grid field (or None); for time-dependent forcing
-    sample it at the step midpoint t + dt/2 to keep second order.
-    """
-    grid = state.grid
-    if dt > cfl_limit(grid) * (1.0 + 1e-12):
-        raise CFLError("dt=%g exceeds CFL limit %g" % (dt, cfl_limit(grid)))
-    u = state.u.copy()
-    v = state.v.copy()
-    _advance(grid, u, v, grid.laplace(u), np.empty_like(u), dt, forcing,
-             _damping(grid, dt))
-    if not np.all(np.isfinite(u)):
-        raise NaNError("non-finite field after step at t=%g" % (state.t + dt))
-    return WaveState(grid, u, v, state.t + dt)
-
-
 class Trajectory:
-    """Snapshots of a run at a uniform stride of the step size."""
+    """Snapshots of a run at a uniform stride of the step size.
+
+    v is None for a stored run (see solve_linear).
+    """
 
     def __init__(self, grid, times, u, v=None, dt=None, stride=1):
         times = np.asarray(times, dtype=float)
@@ -156,15 +115,6 @@ class Trajectory:
         return Trajectory(self.grid, self.times[idx], self.u[idx], v,
                           dt=self.dt, stride=self.stride)
 
-    def state(self, i):
-        if self.v is None:
-            raise ParamError("trajectory stored without velocities")
-        return WaveState(self.grid, self.u[i], self.v[i], self.times[i])
-
-    @property
-    def final_state(self):
-        return self.state(self.n_snapshots - 1)
-
     def physical(self):
         """All snapshots converted to physical u values."""
         return self.grid.to_physical(self.u)
@@ -179,17 +129,9 @@ class Trajectory:
         sup = np.max(np.abs(up), axis=tuple(range(1, up.ndim)))
         return self.times, sup
 
-    def local_energy_series(self, A):
-        if self.v is None:
-            raise ParamError("trajectory stored without velocities")
-        at = local_energy_fn(self.grid, A)
-        vals = np.array([at(self.u[i], self.v[i])
-                         for i in range(self.n_snapshots)])
-        return self.times, vals
-
 
 def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
-                 store_v=True, observe=None):
+                 observe=None):
     """March the linear wave equation to at least t_end.
 
     forcing may be None, a callable t -> native field (evaluated at step
@@ -198,9 +140,10 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
     as adjacent averages.  The step count is rounded up to a multiple of
     stride; a stride above the step count is refused.
 
+    Without observe the trajectory stores u at every snapshot and no v.
     With observe, every snapshot i goes to observe(i, u, v) as read-only
     views of the live buffers, and the trajectory keeps only the first
-    and the last state (see the module docstring).
+    and the last (u, v) (see the module docstring).
     """
     grid = data.grid
     limit = cfl_limit(grid)
@@ -238,13 +181,11 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
         f_buf = np.empty(recorded.shape[1:])
 
     n_snap = n_steps // stride + 1
-    n_kept = n_snap if observe is None else 2
-    us = np.empty((n_kept,) + u.shape)
-    vs = np.empty_like(us) if store_v else None
+    us = np.empty((n_snap if observe is None else 2,) + u.shape)
     us[0] = u
-    if store_v:
-        vs[0] = v
     if observe is not None:
+        vs = np.empty_like(us)
+        vs[0] = v
         # views of the live buffers that the observer cannot write through
         u_seen = u.view()
         v_seen = v.view()
@@ -271,17 +212,14 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
                 observe(i, u_seen, v_seen)
             else:
                 us[i] = u
-                if store_v:
-                    vs[i] = v
     if not np.all(np.isfinite(u)):
         raise NaNError("non-finite field at final time %g" % t)
 
     if observe is None:
         times = dt * stride * np.arange(n_snap)
-        return Trajectory(grid, times, us, vs, dt=dt, stride=stride)
+        return Trajectory(grid, times, us, dt=dt, stride=stride)
     us[1] = u
-    if store_v:
-        vs[1] = v
+    vs[1] = v
     # the stored run's last time, (dt * stride) * (n_snap - 1), to the bit
     times = np.array([0.0, dt * stride * (n_snap - 1)])
     return Trajectory(grid, times, us, vs, dt=dt, stride=n_steps)
@@ -290,24 +228,14 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
 # ---------------------------------------------------------------------------
 # energy functionals
 
-def energy(state: WaveState):
-    return local_energy(state, None)
-
-
-def local_energy(state: WaveState, A):
-    """Sum of |du|^2 + |u|^2 over evolved nodes, restricted to |x| < A.
-
-    A = None means no restriction.  All terms are nonnegative, so the
-    value is nondecreasing in A.
-    """
-    return local_energy_fn(state.grid, A)(state.u, state.v)
-
-
 def local_energy_fn(grid, A):
-    """local_energy on grid as a function of native (u, v).
+    """The local energy on grid as a function of native (u, v).
 
-    A is checked and the ball |x| < A found once, so a series of
-    snapshots, stored or observed during a run, pays for them once.
+    The energy is the sum of |du|^2 + |u|^2 over evolved nodes,
+    restricted to |x| < A; A = None means no restriction.  All terms are
+    nonnegative, so the value is nondecreasing in A.  A is checked and
+    the ball |x| < A found once, so an observer that reduces every
+    snapshot of a run pays for them once.
     """
     if A is not None and A <= 0:
         raise ParamError("A must be positive")
@@ -325,8 +253,8 @@ class DecayFit:
     """Least-squares decay model for a positive time series.
 
     model "exponential": value ~ amplitude * exp(-rate * t).
-    model "power": value ~ amplitude * (1 + t)^rate (rate is the signed
-    exponent).  residual is the RMS misfit of log(value).
+    model "power": value ~ amplitude * (1 + t)^rate, rate signed
+    (negative for decay).  residual is the RMS misfit of log(value).
     """
 
     def __init__(self, model, rate, amplitude, window, residual):
@@ -336,10 +264,6 @@ class DecayFit:
         self.window = (float(window[0]), float(window[1]))
         self.residual = float(residual)
 
-    @property
-    def exponent(self):
-        return self.rate
-
     def __repr__(self):
         return ("DecayFit(%s, rate=%.6g, amplitude=%.6g, window=%s, "
                 "residual=%.3g)" % (self.model, self.rate, self.amplitude,
@@ -347,17 +271,14 @@ class DecayFit:
 
 
 def fit_decay(series, model, window=None):
-    """Fit log(value) against t or log(1+t) over an optional window."""
+    """Fit log(value) against t or log(1+t) over an optional window.
+
+    series is the pair (t, values) of equal-length 1d arrays.
+    """
     if model not in ("exponential", "power"):
         raise ParamError("model must be 'exponential' or 'power'")
-    if isinstance(series, tuple) and len(series) == 2:
-        t = np.asarray(series[0], dtype=float)
-        val = np.asarray(series[1], dtype=float)
-    else:
-        arr = np.asarray(series, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ParamError("series must be (t, value) arrays or Nx2")
-        t, val = arr[:, 0], arr[:, 1]
+    t = np.asarray(series[0], dtype=float)
+    val = np.asarray(series[1], dtype=float)
     if window is not None:
         keep = (t >= window[0]) & (t <= window[1])
         t, val = t[keep], val[keep]

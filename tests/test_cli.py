@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from nullwave import cli, gridio, solver
+from test_solver import _reference_solve
 
 SMALL_GRID = """\
 [grid]
@@ -182,17 +183,24 @@ def test_run_linear_energies_match_a_stored_run(tmp_path):
     out = tmp_path / "out"
     assert run(["run-linear", "--config", ini], out) == 0
     ec = cli.ExperimentConfig(cli.load_config(ini, "run-linear"), 0, 1)
-    traj = solver.solve_linear(ec.data(), None, ec.t_end, dt=ec.dt,
-                               stride=ec.stride)
-    times, energies = traj.local_energy_series(ec.local_radius)
-    # the CSV holds each float in its shortest round-trip form
+    # the reference stores every step's u and v; run-linear streams them
+    data = ec.data()
+    grid = data.grid
+    dt = solver.cfl_limit(grid)
     csv = out / "local_energy.csv"
+    n_steps = ec.stride * (len(_column(csv, "t")) - 1)
+    us, vs = _reference_solve(data, None, n_steps, dt)
+    us, vs = us[::ec.stride], vs[::ec.stride]
+    times = dt * ec.stride * np.arange(len(us))
+    inside = grid.radii() < ec.local_radius
+    energies = np.array([grid.energy(u, v, inside) for u, v in zip(us, vs)])
+    # the CSV holds each float in its shortest round-trip form
     assert _column(csv, "t").tobytes() == times.tobytes()
     assert _column(csv, "local_energy").tobytes() == energies.tobytes()
     _, t_final, fields = gridio.read_snapshot(str(out / "linear_final.nwb"))
-    assert t_final == traj.times[-1]
-    assert fields["u"].tobytes() == traj.u[-1].tobytes()
-    assert fields["v"].tobytes() == traj.v[-1].tobytes()
+    assert t_final == times[-1]
+    assert fields["u"].tobytes() == us[-1].tobytes()
+    assert fields["v"].tobytes() == vs[-1].tobytes()
 
 
 def test_run_linear_memory_does_not_grow_with_t_end(tmp_path):
@@ -374,6 +382,10 @@ BAD_CONFIGS = [
     ("nan_eps", "[data]\neps = nan\n"),
     ("negative_scan_eps", "[scan]\neps = 1e-4 -1e-4\n"),
     ("compat_order_above_cap", "[compat]\norder = 5\n"),
+    ("descending_scan_eps", "[scan]\neps = 2e-4 1e-4\n"),
+    ("decreasing_sup_window", "[report]\nsup_window = 3 1\n"),
+    ("negative_delta", "[report]\ndeltas = 1.0 -0.5\n"),
+    ("nonfinite_deltas", "[report]\ndeltas = 1.0 nan inf\n"),
 ]
 
 # list-valued keys, each through a subcommand that reads it: a bad one must
@@ -384,6 +396,10 @@ LIST_KEY_CONFIGS = [
     ("estimate-report", "[report]\nsup_window = 5\n"),
     ("estimate-report", "[report]\ndeltas = 1.0 x\n"),
     ("scan-smallness", "[scan]\neps = abc\n"),
+    ("scan-smallness", "[scan]\neps = 2e-4 1e-4\n"),
+    ("estimate-report", "[report]\nsup_window = 3 1\n"),
+    ("estimate-report", "[report]\ndeltas = 1.0 -0.5\n"),
+    ("estimate-report", "[report]\ndeltas = 1.0 nan inf\n"),
 ]
 
 

@@ -40,7 +40,7 @@ def test_zero_data_fixed_point_is_zero(grid):
 def test_linear_spec_reproduces_linear_solver(family):
     data = family(1e-3)
     sol, rep = picard_solve(data, NullFormSpec.linear(1), 8.0, tol=1e-10)
-    ref = solver.solve_linear(data, None, 8.0, stride=1, store_v=False)
+    ref = solver.solve_linear(data, None, 8.0, stride=1)
     assert rep.iterations == 1
     assert np.array_equal(sol.trajectory.u, ref.u)
 

@@ -8,13 +8,10 @@ from nullwave.errors import CFLError, FitError, NaNError, ParamError
 from nullwave.exterior import InitialData, Obstacle, build_masked_grid, build_radial_grid
 from nullwave.solver import (
     Trajectory,
-    WaveState,
     cfl_limit,
     fit_decay,
-    local_energy,
+    local_energy_fn,
     solve_linear,
-    state_from_data,
-    step,
 )
 
 
@@ -22,6 +19,18 @@ def _bump(r, center, half_width):
     s = np.clip(((r - center) / half_width) ** 2, 0.0, 1.0 - 1e-14)
     out = np.exp(-1.0 / (1.0 - s))
     return np.where(np.abs(r - center) >= half_width, 0.0, out)
+
+
+def _observed_rows(data, forcing, t_end, stride=1):
+    """An observed run and copies of the (u, v) it showed at each snapshot."""
+    us, vs = [], []
+
+    def observe(i, u, v):
+        us.append(u.copy())
+        vs.append(v.copy())
+
+    traj = solve_linear(data, forcing, t_end, stride=stride, observe=observe)
+    return traj, np.array(us), np.array(vs)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +52,7 @@ def test_radial_manufactured_solution_second_order():
         def force(t, _grid=grid):
             return (a**2 - b**2) * np.cos(b * t) * np.sin(a * (_grid.r - 1.0))
 
-        traj = solve_linear(data, force, 2.0, stride=1, store_v=False)
+        traj = solve_linear(data, force, 2.0, stride=1)
         t_fin = traj.times[-1]
         exact = np.sin(a * (grid.r - 1.0)) * np.cos(b * t_fin)
         errs.append(np.max(np.abs(traj.u[-1] - exact)))
@@ -74,7 +83,7 @@ def test_cartesian_free_space_pulse():
             return np.zeros(p.shape[:-1])
 
         data = InitialData.from_physical(grid, f_func, g_func)
-        traj = solve_linear(data, None, 0.75, stride=1, store_v=False)
+        traj = solve_linear(data, None, 0.75, stride=1)
         t_fin = traj.times[-1]
         r3 = grid.radii()
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -97,11 +106,14 @@ def test_energy_drift_is_flat():
     grid = build_radial_grid(1.0, 9.0, 128)
     w0 = np.sin(2.0 * np.pi * (grid.r - 1.0))
     data = InitialData(grid, w0, np.zeros_like(w0))
-    traj = solve_linear(data, None, 400.0, stride=4)
-    evals = np.array([solver.energy(traj.state(i))
-                      for i in range(traj.n_snapshots)])
+    energy = local_energy_fn(grid, None)
+    evals = []
+    traj = solve_linear(data, None, 400.0, stride=4,
+                        observe=lambda i, u, v: evals.append(energy(u, v)))
+    evals = np.array(evals)
+    times = traj.dt * 4 * np.arange(len(evals))
     e0 = evals[0]
-    slope = np.polyfit(traj.times, evals / e0, 1)[0]
+    slope = np.polyfit(times, evals / e0, 1)[0]
     assert abs(slope) < 1e-7
     # the oscillation itself is small but nonzero
     assert 1e-4 < (evals.max() - evals.min()) / e0 < 0.1
@@ -118,13 +130,13 @@ def test_finite_propagation_exact_regime():
     a = 4.5
     data = InitialData(grid, amp, np.zeros_like(amp))
     dt = cfl_limit(grid)
-    st = state_from_data(data)
-    for _ in range(19):
-        st = step(st, None, dt)
-    assert st.t <= 2.0 * h / (1.0 / 0.9 - 1.0) + 1e-12
-    outside = grid.r > a + st.t + 2.0 * h
+    traj = solve_linear(data, None, 19 * dt, stride=19)
+    t, u = traj.times[-1], traj.u[-1]
+    assert traj.stride == 19 and t == 19 * dt
+    assert t <= 2.0 * h / (1.0 / 0.9 - 1.0) + 1e-12
+    outside = grid.r > a + t + 2.0 * h
     assert outside.sum() > 50
-    assert np.max(np.abs(st.u[outside])) == 0.0
+    assert np.max(np.abs(u[outside])) == 0.0
 
 
 def test_finite_propagation_numerical_cone():
@@ -136,28 +148,30 @@ def test_finite_propagation_numerical_cone():
     a = 4.5
     data = InitialData(grid, amp, np.zeros_like(amp))
     dt = cfl_limit(grid)
-    st = state_from_data(data)
-    for _ in range(119):
-        st = step(st, None, dt)
-    cone = grid.r > a + st.t / 0.9 + 2.0 * h
+    traj = solve_linear(data, None, 119 * dt, stride=119)
+    t, u = traj.times[-1], traj.u[-1]
+    assert traj.stride == 119 and t == 119 * dt
+    cone = grid.r > a + t / 0.9 + 2.0 * h
     assert cone.sum() > 10
-    assert np.max(np.abs(st.u[cone])) == 0.0
-    phys = grid.r > a + st.t + 2.0 * h
-    tail = np.max(np.abs(st.u[phys]))
+    assert np.max(np.abs(u[cone])) == 0.0
+    phys = grid.r > a + t + 2.0 * h
+    tail = np.max(np.abs(u[phys]))
     assert 0.0 < tail < 1e-3
 
 
 def test_sponge_absorbs_outgoing_pulse():
-    def make(sponge_cells):
+    def final_local_energy(sponge_cells):
         grid = build_radial_grid(1.0, 21.0, 800, sponge_cells=sponge_cells)
         amp = _bump(grid.r, 3.0, 1.0)
-        return solve_linear(InitialData(grid, amp, np.zeros_like(amp)),
-                            None, 30.0, stride=100)
+        energy = local_energy_fn(grid, 10.0)
+        evals = []
+        solve_linear(InitialData(grid, amp, np.zeros_like(amp)),
+                     None, 30.0, stride=100,
+                     observe=lambda i, u, v: evals.append(energy(u, v)))
+        return evals[-1]
 
-    damped = make(160)                      # band of absolute width 4
-    refl = make(0)
-    e_damped = solver.local_energy(damped.final_state, 10.0)
-    e_refl = solver.local_energy(refl.final_state, 10.0)
+    e_damped = final_local_energy(160)      # band of absolute width 4
+    e_refl = final_local_energy(0)
     # the reflecting run sends the pulse back through r < 10; the band
     # absorbs most of it (the ramp itself reflects a few percent, so a
     # multiplicative sponge never reaches machine zero)
@@ -174,11 +188,11 @@ def test_superposition_of_data_and_forcing():
     def force(t):
         return np.cos(t) * _bump(grid.r, 2.5, 0.8)
 
-    full = solve_linear(data, force, 4.0, stride=1)
-    hom = solve_linear(data, None, 4.0, stride=1)
-    inhom = solve_linear(zero, force, 4.0, stride=1)
-    assert np.max(np.abs(full.u - hom.u - inhom.u)) < 1e-12
-    assert np.max(np.abs(full.v - hom.v - inhom.v)) < 1e-12
+    _, full_u, full_v = _observed_rows(data, force, 4.0)
+    _, hom_u, hom_v = _observed_rows(data, None, 4.0)
+    _, inhom_u, inhom_v = _observed_rows(zero, force, 4.0)
+    assert np.max(np.abs(full_u - hom_u - inhom_u)) < 1e-12
+    assert np.max(np.abs(full_v - hom_v - inhom_v)) < 1e-12
 
 
 def test_recorded_forcing_matches_callable():
@@ -195,8 +209,8 @@ def test_recorded_forcing_matches_callable():
     dt = cfl_limit(grid)
     n_steps = max(int(np.ceil(t_end / dt - 1e-12)), 1)
     rec = np.array([f_call(k * dt) for k in range(n_steps + 1)])
-    tr1 = solve_linear(data, f_call, t_end, stride=1, store_v=False)
-    tr2 = solve_linear(data, rec, t_end, stride=1, store_v=False)
+    tr1 = solve_linear(data, f_call, t_end, stride=1)
+    tr2 = solve_linear(data, rec, t_end, stride=1)
     assert np.max(np.abs(tr1.u - tr2.u)) < 1e-13
 
     with pytest.raises(ParamError):
@@ -297,10 +311,14 @@ KERNEL_CASES = ["radial-l0", "radial-l1-sponge", "callable", "recorded",
 @pytest.mark.parametrize("name", KERNEL_CASES)
 def test_kernel_matches_two_laplacian_reference(name):
     data, forcing, t_end = _kernel_case(name)
+    # a stored run keeps u and no v; the observer sees both
     traj = solve_linear(data, forcing, t_end, stride=1)
     us, vs = _reference_solve(data, forcing, len(traj.times) - 1, traj.dt)
     assert traj.u.tobytes() == us.tobytes()
-    assert traj.v.tobytes() == vs.tobytes()
+    assert traj.v is None
+    _, seen_u, seen_v = _observed_rows(data, forcing, t_end)
+    assert seen_u.tobytes() == us.tobytes()
+    assert seen_v.tobytes() == vs.tobytes()
 
 
 def test_one_laplacian_per_step():
@@ -325,16 +343,16 @@ def test_step_leaves_its_input_untouched():
     v = 0.5 * u
     force = _bump(grid.r, 2.5, 0.8)
     before = (u.tobytes(), v.tobytes(), force.tobytes())
-    st = WaveState(grid, u, v, 0.25)
+    data = InitialData(grid, u, v)
     dt = cfl_limit(grid)
-    nxt = step(st, force, dt)
+    traj, us, vs = _observed_rows(data, lambda t: force, dt)
     assert (u.tobytes(), v.tobytes(), force.tobytes()) == before
-    assert st.u is u and st.v is v and st.t == 0.25
+    assert data.f is u and data.g is v
+    assert traj.stride == 1 and traj.times[-1] == dt
     damp = np.exp(-grid.sponge_sigma() * dt)
     un, vn = _reference_step(grid, u, v, dt, force, damp)
-    assert nxt.u.tobytes() == un.tobytes()
-    assert nxt.v.tobytes() == vn.tobytes()
-    assert nxt.t == 0.25 + dt
+    assert us[1].tobytes() == traj.u[1].tobytes() == un.tobytes()
+    assert vs[1].tobytes() == traj.v[1].tobytes() == vn.tobytes()
 
 
 def test_solve_linear_leaves_data_and_forcing_untouched():
@@ -365,10 +383,11 @@ def test_observer_sees_the_stored_rows(name):
         seen.append((i, u.tobytes(), v.tobytes()))
 
     observed = solve_linear(data, forcing, t_end, stride=3, observe=observe)
+    us, vs = _reference_solve(data, forcing, observed.stride, stored.dt)
     assert [row[0] for row in seen] == list(range(stored.n_snapshots))
     for i, ub, vb in seen:
-        assert ub == stored.u[i].tobytes()
-        assert vb == stored.v[i].tobytes()
+        assert ub == stored.u[i].tobytes() == us[3 * i].tobytes()
+        assert vb == vs[3 * i].tobytes()
 
     # the first and last rows only, with times and stride that still
     # give the run's step count
@@ -378,22 +397,29 @@ def test_observer_sees_the_stored_rows(name):
     assert observed.stride == (stored.n_snapshots - 1) * stored.stride
     assert observed.dt == stored.dt
     assert observed.u.tobytes() == stored.u[ends].tobytes()
-    assert observed.v.tobytes() == stored.v[ends].tobytes()
+    assert observed.v.tobytes() == vs[ends].tobytes()
 
 
 def test_local_energy_series_keeps_its_values():
+    # energies taken on the observer's read-only views equal those of
+    # copied states
     data, _, t_end = _kernel_case("radial-l1-sponge")
-    traj = solve_linear(data, None, t_end, stride=10)
-    grid = traj.grid
-    _, vals = traj.local_energy_series(4.0)
-    ref = np.array([grid.energy(traj.u[i], traj.v[i], grid.radii() < 4.0)
-                    for i in range(traj.n_snapshots)])
-    assert vals.tobytes() == ref.tobytes()
-    at = solver.local_energy_fn(grid, 4.0)
+    grid = data.grid
+    at = local_energy_fn(grid, 4.0)
+    vals, rows = [], []
+
+    def observe(i, u, v):
+        vals.append(at(u, v))
+        rows.append((u.copy(), v.copy()))
+
+    traj = solve_linear(data, None, t_end, stride=10, observe=observe)
+    assert np.all(np.array(vals) >= 0)
+    ref = np.array([grid.energy(u, v, grid.radii() < 4.0) for u, v in rows])
+    assert np.array(vals).tobytes() == ref.tobytes()
     assert at(traj.u[-1], traj.v[-1]) == vals[-1]
     for A in (0.0, -1.0):
         with pytest.raises(ParamError):
-            solver.local_energy_fn(grid, A)
+            local_energy_fn(grid, A)
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +429,18 @@ def test_local_energy_series_keeps_its_values():
 def test_local_energy_monotone_in_radius():
     grid = build_radial_grid(1.0, 10.0, 200)
     amp = _bump(grid.r, 4.0, 2.0)
-    st = WaveState(grid, amp, 0.5 * amp)
-    vals = [local_energy(st, A) for A in (2.0, 4.0, 6.0, 8.0, None)]
+    vals = [local_energy_fn(grid, A)(amp, 0.5 * amp)
+            for A in (2.0, 4.0, 6.0, 8.0, None)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-    assert vals[-1] == solver.energy(st)
-    with pytest.raises(ParamError):
-        local_energy(st, -1.0)
+    assert vals[-1] == grid.energy(amp, 0.5 * amp)
 
 
 def test_angular_mode_energy_includes_centrifugal_term():
     grid0 = build_radial_grid(1.0, 10.0, 100, angular_mode=0)
     grid1 = build_radial_grid(1.0, 10.0, 100, angular_mode=1)
     amp = _bump(grid0.r, 4.0, 2.0)
-    e0 = solver.energy(WaveState(grid0, amp, np.zeros_like(amp)))
-    e1 = solver.energy(WaveState(grid1, amp, np.zeros_like(amp)))
+    e0 = local_energy_fn(grid0, None)(amp, np.zeros_like(amp))
+    e1 = local_energy_fn(grid1, None)(amp, np.zeros_like(amp))
     assert e1 > e0
 
 
@@ -451,9 +475,6 @@ def test_sponge_factor_never_amplifies():
 
 def test_step_rejects_large_dt():
     grid = build_radial_grid(1.0, 6.0, 100)
-    st = WaveState(grid, grid.zeros(), grid.zeros())
-    with pytest.raises(CFLError):
-        step(st, None, 2.0 * cfl_limit(grid))
     with pytest.raises(CFLError):
         solve_linear(InitialData(grid, grid.zeros(), grid.zeros()),
                      None, 1.0, dt=2.0 * cfl_limit(grid))
@@ -471,17 +492,6 @@ def test_blowup_raises_nan_error():
             solve_linear(data, force, 20.0)
 
 
-def test_wave_state_shape_guards():
-    grid = build_radial_grid(1.0, 6.0, 100)
-    with pytest.raises(ParamError):
-        WaveState(grid, np.zeros(101), np.zeros(100))
-    with pytest.raises(ParamError):
-        WaveState(grid, np.zeros(99), np.zeros(99))
-    # a leading component axis is allowed
-    st = WaveState(grid, np.zeros((2, 101)), np.zeros((2, 101)))
-    assert st.u.shape == (2, 101)
-
-
 def test_trajectory_validation_and_series():
     grid = build_radial_grid(1.0, 6.0, 100)
     amp = _bump(grid.r, 3.0, 1.0)
@@ -493,18 +503,11 @@ def test_trajectory_validation_and_series():
     assert sup.shape == times.shape
     # native w converted to physical u before taking the sup
     assert np.isclose(sup[0], np.max(np.abs(amp / grid.r)))
-    times, loc = traj.local_energy_series(4.0)
-    assert np.all(loc >= 0)
 
     with pytest.raises(ParamError):
         Trajectory(grid, np.array([]), None)
     with pytest.raises(ParamError):
         Trajectory(grid, np.array([0.0, 0.0]), None)
-
-    novel = solve_linear(InitialData(grid, amp, np.zeros_like(amp)),
-                         None, 1.0, stride=5, store_v=False)
-    with pytest.raises(ParamError):
-        novel.final_state
 
 
 def test_stride_pads_step_count():
@@ -535,15 +538,8 @@ def test_fit_decay_power_synthetic():
     t = np.linspace(0.0, 40.0, 300)
     val = 5.0 / (1.0 + t)
     fit = fit_decay((t, val), "power", window=(2.0, 30.0))
-    assert abs(fit.exponent + 1.0) < 1e-10
+    assert abs(fit.rate + 1.0) < 1e-10
     assert fit.window[0] >= 2.0 and fit.window[1] <= 30.0
-
-
-def test_fit_decay_accepts_stacked_series():
-    t = np.linspace(0.0, 5.0, 50)
-    arr = np.stack([t, np.exp(-t)], axis=1)
-    fit = fit_decay(arr, "exponential")
-    assert abs(fit.rate - 1.0) < 1e-10
 
 
 def test_fit_decay_guards():
@@ -557,5 +553,3 @@ def test_fit_decay_guards():
     with pytest.raises(FitError):
         # window keeps too few samples
         fit_decay((t, np.exp(-t)), "exponential", window=(4.9, 5.0))
-    with pytest.raises(ParamError):
-        fit_decay(np.zeros((5, 3)), "exponential")
