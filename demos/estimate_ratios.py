@@ -62,13 +62,14 @@ print()
 # ---------------------------------------------------------------------------
 # 3. Tip-weighted forcing integral under truncation
 
-samples = norms.forcing_cylinder_samples(rows[-1]["solution"].trajectory,
-                                         spec, time_stride=20)
+# the largest amplitude's report keeps the sample frame and the
+# pulled-back forcing its null-cylinder norm read
+frame, forcing = reports[-1].metadata["forcing_samples"]
 print("sample tip distances span [%.3f, %.3f]"
-      % (samples.dist.min(), samples.dist.max()))
+      % (frame.dist.min(), frame.dist.max()))
 
 deltas = [3.6, 3.2, 2.8, 2.0, 1.0, 0.3, 0.0]
-sweep = norms.delta_sweep(samples, deltas)
+sweep = norms.delta_sweep(frame, forcing, deltas)
 print("tip-weighted forcing norm, excluding dist < delta:")
 print("   delta    value          gap to delta=0")
 for d, v in zip(deltas, sweep):

@@ -15,14 +15,13 @@ from .errors import (CFLError, ConfigError, DomainError, FitError,
 from .exterior import (CartesianGrid, InitialData, Obstacle, RadialGrid,
                        build_masked_grid, build_radial_grid,
                        check_compatibility, compatibility_functions)
-from .nullforms import FORM_IDS, NullFormSpec, eval_form, eval_q0, eval_qjk
+from .nullforms import FORM_IDS, NullFormSpec, eval_components
 from .penrose import (EinsteinPoint, MinkowskiPoint, conformal_factor_tr,
                       forward_tr, from_einstein, tip_distance_tr, to_einstein)
 from .picard import (IterationReport, NonlinearSolution, bump_data_family,
                      measure_sup_decay, picard_solve, smallness_scan)
 from .norms import (NormReport, data_smallness_norm, delta_sweep,
-                    estimate_ratio_report, forcing_cylinder_samples,
-                    nullform_spacetime_norm, solution_cylinder_samples,
+                    estimate_ratio_report, nullform_spacetime_norm,
                     sphere_sobolev_norm, tip_weighted_norm,
                     weighted_sobolev_norm)
 from .solver import (DecayFit, Trajectory, cfl_limit, fit_decay,
@@ -36,14 +35,13 @@ __all__ = [
     "CartesianGrid", "InitialData", "Obstacle", "RadialGrid",
     "build_masked_grid", "build_radial_grid", "check_compatibility",
     "compatibility_functions",
-    "FORM_IDS", "NullFormSpec", "eval_form", "eval_q0", "eval_qjk",
+    "FORM_IDS", "NullFormSpec", "eval_components",
     "EinsteinPoint", "MinkowskiPoint", "conformal_factor_tr", "forward_tr",
     "from_einstein", "tip_distance_tr", "to_einstein",
     "IterationReport", "NonlinearSolution", "bump_data_family",
     "measure_sup_decay", "picard_solve", "smallness_scan",
     "NormReport", "data_smallness_norm", "delta_sweep",
-    "estimate_ratio_report", "forcing_cylinder_samples",
-    "nullform_spacetime_norm", "solution_cylinder_samples",
+    "estimate_ratio_report", "nullform_spacetime_norm",
     "sphere_sobolev_norm", "tip_weighted_norm", "weighted_sobolev_norm",
     "DecayFit", "Trajectory", "cfl_limit", "fit_decay", "local_energy_fn",
     "solve_linear",

@@ -472,7 +472,7 @@ def cmd_estimate_report(ec, out, quiet):
     # ascending eps and only converged rows are reported, so it is the
     # last report, whose forcing samples are reused
     last = reports[-1].metadata
-    sweep = norms.delta_sweep(last["forcing_samples"], ec.deltas)
+    sweep = norms.delta_sweep(*last["forcing_samples"], ec.deltas)
 
     summary = ec.summary_header("estimate-report")
     summary["results"] = {
@@ -530,6 +530,26 @@ def build_parser():
     return parser
 
 
+def _check_for_subcommand(subcommand, ec):
+    """Refuse a config that this subcommand cannot run.
+
+    Each problem here would otherwise surface only after the whole run,
+    as a numerical failure; found here, it exits 2 with nothing written.
+    """
+    if subcommand == "estimate-report":
+        if ec.grid.kind != "radial":
+            raise ConfigError("estimate-report samples the cylinder on "
+                              "radial grids only ([grid] mode = radial)")
+        window, name = ec.sup_window, "[report] sup_window"
+    elif subcommand in ("run-linear", "run-nonlinear"):
+        window, name = ec.fit_window, "[fit] window"
+    else:
+        return
+    if window[0] > ec.t_end:
+        raise ConfigError("%s starts at %g, after [run] t_end = %g"
+                          % (name, window[0], ec.t_end))
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -541,6 +561,7 @@ def main(argv=None):
         if args.threads < 1:
             raise ConfigError("threads must be >= 1")
         ec = ExperimentConfig(cfg, seed, args.threads)
+        _check_for_subcommand(args.subcommand, ec)
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)
         return 2

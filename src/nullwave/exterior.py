@@ -202,8 +202,12 @@ class RadialGrid:
         return (fd.d1(u, self.h, axis=-1),)
 
     def native_gradient(self, field):
-        """Physical spatial gradient (d u / d r,) of a native field."""
-        return (self.physical_radial_derivative(field),)
+        """Physical spatial gradient (d u / d r,) of a native field w.
+
+        d u / d r = (w' - w/r) / r.
+        """
+        w = np.asarray(field, dtype=float)
+        return ((fd.d1(w, self.h) - w / self.r) / self.r,)
 
     def to_physical(self, field):
         """w -> u = w / r."""
@@ -215,11 +219,6 @@ class RadialGrid:
 
     # initial data needs no masking: every radial node is outside r0
     sample = from_physical
-
-    def physical_radial_derivative(self, field):
-        """d u / d r from a native w field: (w' - w/r) / r."""
-        w = np.asarray(field, dtype=float)
-        return (fd.d1(w, self.h) - w / self.r) / self.r
 
     def energy(self, w, vw, inside=None):
         """Energy of the native state (w, w_t) over nodes where inside holds.
@@ -259,6 +258,20 @@ class RadialGrid:
                    self.sponge_cells))
 
 
+def _cube_coords(L, n):
+    """Node coordinates (m, m, m, 3) of the cube [-L/2, L/2]^3, m = n + 1."""
+    axis = -L / 2.0 + (L / n) * np.arange(n + 1)
+    X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
+    return np.stack([X, Y, Z], axis=-1)
+
+
+def _face_cells(m):
+    """Cells from each node of an m^3 cube to its nearest outer face."""
+    idx = np.arange(m)
+    dist = np.minimum(idx, m - 1 - idx)
+    return np.minimum.reduce(np.meshgrid(dist, dist, dist, indexing="ij"))
+
+
 class CartesianGrid:
     """Cube [-L/2, L/2]^3 with (n+1)^3 nodes and a mask classifying them."""
 
@@ -273,7 +286,6 @@ class CartesianGrid:
         self.mask = mask
         self.sponge_cells = int(sponge_cells)
         self.sponge_strength = float(sponge_strength)
-        self.axis = -self.L / 2.0 + self.h * np.arange(self.n + 1)
         # flat indices of the Dirichlet nodes; an integer index pins an
         # order of magnitude faster than a boolean mask
         self._pinned = np.flatnonzero(~self.updated())
@@ -288,8 +300,7 @@ class CartesianGrid:
 
     def coords(self):
         """Node coordinates, shape (m, m, m, 3)."""
-        X, Y, Z = np.meshgrid(self.axis, self.axis, self.axis, indexing="ij")
-        return np.stack([X, Y, Z], axis=-1)
+        return _cube_coords(self.L, self.n)
 
     def radii(self):
         c = self.coords()
@@ -373,11 +384,7 @@ class CartesianGrid:
         m = self.n + 1
         sig = np.zeros((m, m, m))
         if self.sponge_cells > 0:
-            idx = np.arange(m)
-            dist = np.minimum(idx, m - 1 - idx)
-            d3 = np.minimum.reduce(np.meshgrid(dist, dist, dist,
-                                               indexing="ij"))
-            s = (self.sponge_cells - d3) / self.sponge_cells
+            s = (self.sponge_cells - _face_cells(m)) / self.sponge_cells
             sig = _sponge_ramp(s, self.sponge_strength)
             sig[self.mask == OBSTACLE] = 0.0
             sig[self.mask == BOUNDARY] = 0.0
@@ -414,11 +421,8 @@ def build_masked_grid(obstacle, L, n, sponge_cells=8, sponge_strength=4.0):
         raise ParamError("sponge_cells out of range")
     _check_sponge_strength(sponge_strength)
     m = n + 1
-    axis = -L / 2.0 + (L / n) * np.arange(m)
-    X, Y, Z = np.meshgrid(axis, axis, axis, indexing="ij")
-    pts = np.stack([X, Y, Z], axis=-1)
     mask = np.full((m, m, m), FLUID, dtype=np.uint8)
-    solid = obstacle.contains(pts)
+    solid = obstacle.contains(_cube_coords(L, n))
     mask[solid] = OBSTACLE
 
     near = np.zeros_like(solid)
@@ -428,10 +432,7 @@ def build_masked_grid(obstacle, L, n, sponge_cells=8, sponge_strength=4.0):
     mask[near & ~solid] = BOUNDARY
 
     if sponge_cells > 0:
-        idx = np.arange(m)
-        dist = np.minimum(idx, m - 1 - idx)
-        d3 = np.minimum.reduce(np.meshgrid(dist, dist, dist, indexing="ij"))
-        band = (d3 < sponge_cells) & (mask == FLUID)
+        band = (_face_cells(m) < sponge_cells) & (mask == FLUID)
         mask[band] = SPONGE
 
     # outer faces are pinned
@@ -471,11 +472,6 @@ class InitialData:
 
     def scaled(self, factor):
         return InitialData(self.grid, self.f * factor, self.g * factor)
-
-    def boundary_residuals(self):
-        """(max |f|, max |g|) over Dirichlet boundary nodes."""
-        return (_boundary_max(self.grid, self.f),
-                _boundary_max(self.grid, self.g))
 
 
 def _boundary_max(grid, a):

@@ -7,12 +7,15 @@ quadrature is pushed forward through the compactification, with the
 volume element picking up a factor of the fourth power of the conformal
 factor.
 
-Each trajectory is pulled back once: one sample frame (the sampled
-snapshots, their image and tip distance, the conformal factor and its
-gradient, the quadrature weight) serves the solution and forcing
-samples, the L^8 norm and the weighted energy sup.  Time derivatives at
-the sampled snapshots are taken at the solver step, from the
-neighbouring stride-1 snapshots, never across the sampling stride.
+Each trajectory is pulled back once, and the sample frame is the only
+way onto the cylinder: one frame (the sampled snapshots, their image
+and tip distance, the conformal factor and its gradient, the
+quadrature weight) pulls back the solution and the forcing as fields
+(val, g0, gb), and tip_weighted_norm, delta_sweep and the frame's
+weighted energy sup read a frame with one such field.  Time
+derivatives at the sampled snapshots are taken at the solver step,
+from the neighbouring stride-1 snapshots, never across the sampling
+stride.
 """
 
 import numpy as np
@@ -176,43 +179,15 @@ def nullform_spacetime_norm(traj, spec: NullFormSpec, window):
 
 
 # ---------------------------------------------------------------------------
-# cylinder samples and tip-weighted norms
-
-class CylinderSamples:
-    """Quadrature samples of a scalar on the compactified diamond.
-
-    value holds the cylinder-side field; gamma0 its time-rotation
-    derivative; gboost the common magnitude of the three boost-rotation
-    derivatives of a zonal (radial-symmetric) field.  weight already
-    contains the pulled-back volume element.
-    """
-
-    __slots__ = ("T", "R", "dist", "conf", "weight", "value", "gamma0",
-                 "gboost")
-
-    def __init__(self, T, R, dist, conf, weight, value, gamma0, gboost):
-        arrays = [np.asarray(a, dtype=float).ravel()
-                  for a in (T, R, dist, conf, weight, value, gamma0, gboost)]
-        n = len(arrays[0])
-        if any(len(a) != n for a in arrays):
-            raise ParamError("sample arrays must share length")
-        for name, a in zip(self.__slots__, arrays):
-            setattr(self, name, a)
-        if np.any(self.R + np.abs(self.T) >= np.pi):
-            raise DomainError("samples outside the compactified diamond")
-        if np.any(self.weight < 0):
-            raise ParamError("negative quadrature weight")
-
-    def __len__(self):
-        return len(self.T)
-
+# the cylinder sample frame and tip-weighted norms
 
 class _SampleFrame:
     """The compactified sample frame of a radial trajectory, built once.
 
     The sampled snapshots (every time_stride-th), their image (T, R) and
-    squared tip distance, the conformal factor and its gradient, and the
+    tip distance, the conformal factor and its gradient, and the
     pulled-back quadrature weight; every cylinder quantity reads them.
+    Arrays have shape (sampled snapshots, radial nodes).
     """
 
     def __init__(self, traj, time_stride):
@@ -225,7 +200,10 @@ class _SampleFrame:
         self.traj, self.grid, self.idx = traj, grid, idx
         t = self.t = traj.times[idx][:, None]
         self.T, self.R = penrose.forward_tr(t, grid.r)
+        if np.any(self.R + np.abs(self.T) >= np.pi):
+            raise DomainError("samples outside the compactified diamond")
         self.dist2 = (np.pi - self.T) ** 2 + self.R * self.R
+        self.dist = np.sqrt(self.dist2)
         self.conf = penrose.conformal_factor_tr(t, grid.r)
         self.dconf_dt, self.dconf_dr = penrose.conformal_gradient_tr(t, grid.r)
         wt = fd.trapezoid(t[1, 0] - t[0, 0], len(idx))[:, None]
@@ -285,11 +263,6 @@ class _SampleFrame:
         Q, Qt = self.sampled(nullform, self.idx)
         return self.pull(Q, Qt, fd.d1(Q, grid.h, axis=-1), -3)
 
-    def samples(self, val, g0, gb):
-        """CylinderSamples of a pulled-back field."""
-        return CylinderSamples(self.T, self.R, np.sqrt(self.dist2), self.conf,
-                               self.weight, val, g0, gb)
-
     def energy_sup(self, val, g0, gb):
         """Sup over sampled times of the tip-weighted slice norm of val."""
         dens = val * val + self.dist2**2 * (g0 * g0 + gb * gb)
@@ -298,20 +271,8 @@ class _SampleFrame:
         return float(np.sqrt(np.max(slice_sq)))
 
 
-def solution_cylinder_samples(traj, time_stride=1):
-    """Push the solution forward: cylinder field = conf * u."""
-    frame = _SampleFrame(traj, time_stride)
-    return frame.samples(*frame.solution())
-
-
-def forcing_cylinder_samples(traj, spec: NullFormSpec, time_stride=1):
-    """Push the null-form forcing forward: cylinder field = conf^-3 * Q."""
-    frame = _SampleFrame(traj, time_stride)
-    return frame.samples(*frame.forcing(spec))
-
-
-def tip_weighted_norm(samples: CylinderSamples, scheme="l2", delta=0.0):
-    """Tip-weighted norm over the diamond samples.
+def tip_weighted_norm(frame, field, scheme="l2", delta=0.0):
+    """Tip-weighted norm of a pulled-back field (val, g0, gb) of frame.
 
     scheme "l2": quadratic sum of the field and its first derivatives
     along the canonical cylinder fields, the derivative block carrying
@@ -321,13 +282,13 @@ def tip_weighted_norm(samples: CylinderSamples, scheme="l2", delta=0.0):
     """
     if delta < 0:
         raise ParamError("delta must be nonnegative")
-    keep = samples.dist > delta
-    w = samples.weight[keep]
-    val = samples.value[keep]
+    val, g0, gb = field
+    keep = frame.dist > delta
+    w = frame.weight[keep]
+    val = val[keep]
     if scheme == "l2":
-        d4 = samples.dist[keep] ** 4
-        dens = val * val + d4 * (samples.gamma0[keep] ** 2
-                                 + samples.gboost[keep] ** 2)
+        d4 = frame.dist[keep] ** 4
+        dens = val * val + d4 * (g0[keep] ** 2 + gb[keep] ** 2)
         return float(np.sqrt(np.sum(dens * w)))
     if scheme == "l8":
         m = np.max(np.abs(val), initial=0.0)
@@ -338,9 +299,9 @@ def tip_weighted_norm(samples: CylinderSamples, scheme="l2", delta=0.0):
     raise ParamError("scheme must be 'l2' or 'l8'")
 
 
-def delta_sweep(samples: CylinderSamples, deltas, scheme="l2"):
-    """Norm values under truncation at each delta (descending sweep)."""
-    return [tip_weighted_norm(samples, scheme, d) for d in deltas]
+def delta_sweep(frame, field, deltas, scheme="l2"):
+    """Norm values of field under truncation at each delta."""
+    return [tip_weighted_norm(frame, field, scheme, d) for d in deltas]
 
 
 # ---------------------------------------------------------------------------
@@ -368,25 +329,18 @@ RATIO_NAMES = ("ratio_local_linear", "ratio_null_cylinder",
                "ratio_weighted_energy", "ratio_sup_decay")
 
 
-def weighted_energy_sup(traj, time_stride=20):
-    """Sup over sampled times of the tip-weighted slice norm of conf*u."""
-    frame = _SampleFrame(traj, time_stride)
-    return frame.energy_sup(*frame.solution())
-
-
-def estimate_ratio_report(entries, sup_window=(5.0, 40.0), time_stride=20):
+def estimate_ratio_report(rows, sup_window=(5.0, 40.0), time_stride=20):
     """LHS/RHS surrogate ratios for the four estimates, one report per run.
 
-    entries: smallness_scan rows (dicts carrying "solution" and "eps") or
-    bare solutions.  Rows without a converged solution, and zero-data
-    rows, are skipped.  Each report's metadata carries eps, sup_window,
-    t_end and the forcing CylinderSamples its null-cylinder norm read.
+    rows are smallness_scan rows (dicts carrying "solution" and "eps").
+    Rows without a converged solution, and zero-data rows, are skipped.
+    Each report's metadata carries eps, sup_window, t_end and, under
+    "forcing_samples", the (frame, field) pair its null-cylinder norm
+    read, which delta_sweep takes.
     """
     reports = []
-    for entry in entries:
-        sol, eps = entry, None
-        if isinstance(entry, dict):
-            sol, eps = entry.get("solution"), entry.get("eps")
+    for row in rows:
+        sol = row["solution"]
         if sol is None:
             continue
         traj, spec, data = sol.trajectory, sol.spec, sol.data
@@ -405,10 +359,10 @@ def estimate_ratio_report(entries, sup_window=(5.0, 40.0), time_stride=20):
         # one sample frame serves the forcing and solution norms; the
         # forcing samples stay with the report for the truncation sweep
         frame = _SampleFrame(traj, time_stride)
-        fsamp = frame.samples(*frame.forcing(spec))
-        tip_f = tip_weighted_norm(fsamp, "l2")
+        forcing = frame.forcing(spec)
+        tip_f = tip_weighted_norm(frame, forcing, "l2")
         pull = frame.solution()
-        pecher = tip_weighted_norm(frame.samples(*pull), "l8")
+        pecher = tip_weighted_norm(frame, pull, "l8")
 
         conf0 = 2.0 / (1.0 + grid.r**2)
         sph2 = sphere_sobolev_norm(grid, conf0 * f, 2)
@@ -436,19 +390,24 @@ def estimate_ratio_report(entries, sup_window=(5.0, 40.0), time_stride=20):
         for name in RATIO_NAMES:
             tag = name[len("ratio_"):]
             values[name] = values["lhs_" + tag] / values["rhs_" + tag]
-        meta = {"eps": eps, "sup_window": tuple(sup_window),
-                "t_end": float(traj.times[-1]), "forcing_samples": fsamp}
+        meta = {"eps": row["eps"], "sup_window": tuple(sup_window),
+                "t_end": float(traj.times[-1]),
+                "forcing_samples": (frame, forcing)}
         reports.append(NormReport(values, meta))
     return reports
 
 
 def ratio_spreads(reports):
-    """max/min per ratio across a report table."""
+    """max/min per ratio across a report table.
+
+    A ratio whose smallest value is 0 (as under a linear system, whose
+    null forms vanish) has no finite spread and gets None.
+    """
     out = {}
     for name in RATIO_NAMES:
         vals = [rep[name] for rep in reports]
         if not vals:
             continue
         lo, hi = min(vals), max(vals)
-        out[name] = np.inf if lo == 0 else hi / lo
+        out[name] = None if lo == 0 else hi / lo
     return out

@@ -1,9 +1,10 @@
 """Null forms on Minkowski gradients.
 
-A gradient is an ndarray with trailing dimension 4, components ordered
-(d/dt, d/dx1, d/dx2, d/dx3); eval_components takes the same components
-as a sequence of arrays instead, which needs no stacked copy.  The basic
-forms:
+A gradient is a sequence of component arrays ordered (d/dt, d/dx1,
+d/dx2, d/dx3): a tuple of arrays, which needs no stacked copy, or an
+ndarray with the components on its first axis (du.T for an array with
+trailing components).  eval_components evaluates one named form on
+such gradients and accumulate_system a whole system.  The basic forms:
 
     q0(du, dv)  = du_t dv_t - sum_j du_j dv_j
     qjk(du, dv) = du_j dv_k - du_k dv_j,   0 <= j < k <= 3
@@ -35,27 +36,6 @@ def eval_components(form, du, dv):
         raise ParamError("unknown form id %r" % (form,))
     j, k = int(form[1]), int(form[2])
     return du[j] * dv[k] - du[k] * dv[j]
-
-
-def _components(grad):
-    # trailing-4 gradient -> view with the components first
-    return np.moveaxis(np.asarray(grad, dtype=float), -1, 0)
-
-
-def eval_q0(du, dv):
-    return eval_components("q0", _components(du), _components(dv))
-
-
-def eval_qjk(j, k, du, dv):
-    if not (0 <= j < k <= 3):
-        raise IndexError("need 0 <= j < k <= 3, got (%r, %r)" % (j, k))
-    return eval_components("q%d%d" % (j, k), _components(du),
-                           _components(dv))
-
-
-def eval_form(form, du, dv):
-    """Evaluate one named form ("q0" or "qJK")."""
-    return eval_components(form, _components(du), _components(dv))
 
 
 class NullFormSpec:

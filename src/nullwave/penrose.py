@@ -53,10 +53,6 @@ class MinkowskiPoint:
     def r(self):
         return np.sqrt(np.sum(self.x * self.x, axis=-1))
 
-    @property
-    def omega(self):
-        return _unit_directions(self.x, self.r)
-
     def __repr__(self):
         return "MinkowskiPoint(t=%r, x=%r)" % (self.t, self.x)
 
@@ -92,9 +88,6 @@ class EinsteinPoint:
         X[..., 0] = np.cos(self.R)
         X[..., 1:] = self.omega * np.sin(self.R)[..., None]
         return X
-
-    def in_diamond(self):
-        return self.R + np.abs(self.T) < np.pi
 
     def __repr__(self):
         return "EinsteinPoint(T=%r, R=%r)" % (self.T, self.R)

@@ -26,12 +26,11 @@ DEFAULT_SMALLNESS = 0.02
 class IterationReport:
     """Residual history of one Picard run."""
 
-    def __init__(self, residuals, ratios, converged, iterations, tol):
+    def __init__(self, residuals, ratios, converged, iterations):
         self.residuals = list(residuals)
         self.ratios = list(ratios)
         self.converged = bool(converged)
         self.iterations = int(iterations)
-        self.tol = float(tol)
 
     def __repr__(self):
         return ("IterationReport(converged=%s, iterations=%d, "
@@ -112,7 +111,7 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
     ratios = [residuals[i + 1] / residuals[i]
               for i in range(len(residuals) - 1)
               if residuals[i] > 0]
-    report = IterationReport(residuals, ratios, True, len(residuals), tol)
+    report = IterationReport(residuals, ratios, True, len(residuals))
     return NonlinearSolution(traj, spec, data), report
 
 
@@ -140,7 +139,7 @@ def smallness_scan(data_family, spec: NullFormSpec, eps_list, t_end,
                     "final_residual": rep.residuals[-1] if rep.residuals
                     else 0.0,
                     "final_ratio": rep.ratios[-1] if rep.ratios else None,
-                    "solution": sol, "report": rep}
+                    "solution": sol}
         except NoConvergence as exc:
             ratio = None
             if len(exc.residuals) >= 2 and exc.residuals[-2] > 0:
@@ -150,7 +149,7 @@ def smallness_scan(data_family, spec: NullFormSpec, eps_list, t_end,
                     "final_residual": exc.residuals[-1] if exc.residuals
                     else None,
                     "final_ratio": ratio,
-                    "solution": None, "report": None}
+                    "solution": None}
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

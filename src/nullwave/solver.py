@@ -100,10 +100,6 @@ class Trajectory:
         self.stride = stride
 
     @property
-    def n_snapshots(self):
-        return len(self.times)
-
-    @property
     def snap_dt(self):
         if len(self.times) < 2:
             return 0.0
@@ -115,17 +111,13 @@ class Trajectory:
         return Trajectory(self.grid, self.times[idx], self.u[idx], v,
                           dt=self.dt, stride=self.stride)
 
-    def physical(self):
-        """All snapshots converted to physical u values."""
-        return self.grid.to_physical(self.u)
-
     def sup_series(self):
         """(times, sup_x |u|) over all nodes, physical values.
 
         The solver holds the Dirichlet nodes at their pinned values, so on
         solver trajectories this is the sup over the evolved nodes.
         """
-        up = self.physical()
+        up = self.grid.to_physical(self.u)
         sup = np.max(np.abs(up), axis=tuple(range(1, up.ndim)))
         return self.times, sup
 

@@ -15,7 +15,7 @@ import pytest
 
 from nullwave import cli, exterior, norms, penrose, picard
 from nullwave.exterior import InitialData, build_radial_grid
-from nullwave.nullforms import NullFormSpec, eval_q0, eval_qjk
+from nullwave.nullforms import FORM_IDS, NullFormSpec, eval_components
 from nullwave.penrose import MinkowskiPoint
 from nullwave.solver import cfl_limit, local_energy_fn, solve_linear
 
@@ -58,9 +58,9 @@ def ratio_scan(acceptance_grid):
     rows = picard.smallness_scan(family, spec,
                                  [1e-4, 2e-4, 4e-4, 8e-4, 1.6e-3], 60.0)
     reports = norms.estimate_ratio_report(rows)
-    samples = norms.forcing_cylinder_samples(
-        rows[-1]["solution"].trajectory, spec, time_stride=20)
-    sweep = norms.delta_sweep(samples, [3.6, 3.2, 2.8, 2.0, 1.0, 0.3, 0.0])
+    # the largest amplitude's frame and forcing, as the CLI sweeps them
+    sweep = norms.delta_sweep(*reports[-1].metadata["forcing_samples"],
+                              [3.6, 3.2, 2.8, 2.0, 1.0, 0.3, 0.0])
     return reports, sweep
 
 
@@ -128,9 +128,9 @@ def test_criterion_3_null_cancellation(verdict):
     du[:, 0] = -np.linalg.norm(xi, axis=1) * c
     du[:, 1:] = xi * c[:, None]
 
-    q0_max = float(np.max(np.abs(eval_q0(du, du))))
-    qjk_max = max(float(np.max(np.abs(eval_qjk(j, k, du, du))))
-                  for j in range(4) for k in range(j + 1, 4))
+    q0_max = float(np.max(np.abs(eval_components("q0", du.T, du.T))))
+    qjk_max = max(float(np.max(np.abs(eval_components(form, du.T, du.T))))
+                  for form in FORM_IDS[1:])
 
     ok = q0_max < 1e-13 and qjk_max == 0.0
     verdict(3, ok, "plane waves: max|Q0| %.2e (tol 1e-13), max|Qjk| %.1f"

@@ -69,7 +69,9 @@ sup_window = 1 3
 """
 
 # the paper's setting: a convex obstacle that is not a sphere, on a
-# masked Cartesian grid kept small enough for a unit test
+# masked Cartesian grid kept small enough for a unit test; the fit
+# window starts inside the short run, so run-linear and run-nonlinear
+# get past the config checks and run
 ELLIPSOID_INI = """\
 [grid]
 mode = cartesian
@@ -89,6 +91,9 @@ stride = 2
 
 [scan]
 eps = 1e-3 2e-3
+
+[fit]
+window = 0.2 1.0
 """
 
 GEOMETRY_INI = """\
@@ -108,9 +113,20 @@ def run(argv, out):
     return cli.main(list(argv) + ["--out", str(out), "--quiet"])
 
 
+def _non_finite(token):
+    raise ValueError("non-finite JSON value %s" % token)
+
+
 def load(out, name):
+    """Parse an artifact as strict JSON: NaN and Infinity are refused."""
     with open(str(out / name)) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_non_finite)
+
+
+def load_every_json(out):
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            load(out, path.name)
 
 
 def listing(out):
@@ -483,14 +499,51 @@ def test_smallness_guard_exit_3(tmp_path):
     assert "smallness" in err["message"]
 
 
-def test_sup_window_outside_run_exit_3(tmp_path):
-    ini = write_ini(tmp_path,
-                    SCAN_INI.replace("sup_window = 1 3",
-                                     "sup_window = 50 60"))
+# configs that one subcommand cannot run: each is refused before the
+# output directory is made, not after a full run
+SUBCOMMAND_CONFIGS = [
+    ("estimate-report", SCAN_INI.replace("sup_window = 1 3",
+                                         "sup_window = 50 60"),
+     "[report] sup_window"),
+    ("run-linear", LINEAR_INI.replace("window = 2 6", "window = 50 60"),
+     "[fit] window"),
+    ("run-nonlinear", NONLINEAR_INI.replace("window = 1 3", "window = 50 60"),
+     "[fit] window"),
+    ("estimate-report", ELLIPSOID_INI, "radial grids"),
+]
+
+
+@pytest.mark.parametrize("subcommand,text,message", SUBCOMMAND_CONFIGS,
+                         ids=["window-estimate-report", "window-run-linear",
+                              "window-run-nonlinear",
+                              "cartesian-estimate-report"])
+def test_subcommand_config_exit_2_before_the_run(tmp_path, capsys,
+                                                  subcommand, text, message):
+    ini = write_ini(tmp_path, text)
+    out = tmp_path / "never"
+    assert run([subcommand, "--config", ini], out) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("nullform", [
+    "[nullform]\nkind = linear\n",
+    "[nullform]\nkind = custom\nterms = 0 0 0 0.0 q0\n",
+], ids=["linear", "zero-coefficient"])
+def test_vanishing_null_form_spreads_are_null(tmp_path, nullform):
+    # the null forms vanish, so two ratios are 0 on every row and have
+    # no finite spread: strict JSON, with null in their place
+    ini = write_ini(tmp_path, SCAN_INI + nullform)
     out = tmp_path / "out"
-    assert run(["estimate-report", "--config", ini], out) == 3
-    err = load(out, "error.json")["error"]
-    assert err["type"] == "ParamError"
+    assert run(["estimate-report", "--config", ini], out) == 0
+    res = load(out, "estimates.json")["results"]
+    assert all(row["ratio_local_linear"] == 0.0 for row in res["rows"])
+    spreads = res["ratio_spreads"]
+    assert spreads["ratio_local_linear"] is None
+    assert spreads["ratio_null_cylinder"] is None
+    assert spreads["ratio_weighted_energy"] > 0
+    assert spreads["ratio_sup_decay"] > 0
 
 
 @pytest.mark.parametrize("subcommand", sorted(cli.COMMANDS))
@@ -501,12 +554,16 @@ def test_ellipsoid_config_never_ends_in_traceback(tmp_path, subcommand):
     assert rc in (0, 2, 3)
     if rc == 3:
         assert "error.json" in listing(out)
+    if rc != 2:
+        load_every_json(out)
 
 
 def test_stride_beyond_run_exit_3(tmp_path):
-    # padding the run up to the stride would take 100000 steps
+    # padding the run up to the stride would take 100000 steps; the fit
+    # window lies inside the run, so that only the stride is at fault
     ini = write_ini(tmp_path, LINEAR_INI.replace(
-        "t_end = 8.0", "t_end = 0.5\nstride = 100000"))
+        "t_end = 8.0", "t_end = 0.5\nstride = 100000").replace(
+        "window = 2 6", "window = 0.1 0.4"))
     out = tmp_path / "out"
     assert run(["run-linear", "--config", ini], out) == 3
     err = load(out, "error.json")["error"]
@@ -587,3 +644,5 @@ def test_numeric_keys_never_end_in_traceback(tmp_path, section, key, value):
         assert not out.exists()
     if rc == 3:
         assert "error.json" in listing(out)
+    if rc != 2:
+        load_every_json(out)

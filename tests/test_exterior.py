@@ -95,7 +95,7 @@ def test_radial_physical_round_trip():
 def test_radial_physical_derivative():
     grid = build_radial_grid(1.0, 6.0, 400)
     u = np.exp(-((grid.r - 3.0) ** 2))
-    du = grid.physical_radial_derivative(grid.from_physical(u))
+    (du,) = grid.native_gradient(grid.from_physical(u))
     exact = -2.0 * (grid.r - 3.0) * u
     assert np.max(np.abs(du - exact)) < 2e-4
 
@@ -259,7 +259,8 @@ def test_initial_data_radial_representation():
                                      lambda r: np.zeros_like(r))
     assert np.allclose(data.f, grid.r * (grid.r - 1.0) ** 2)
     assert np.allclose(data.g, 0.0)
-    assert data.boundary_residuals() == (0.0, 0.0)
+    assert grid.on_boundary(data.f) == 0.0
+    assert grid.on_boundary(data.g) == 0.0
 
 
 def test_initial_data_scaled():
@@ -288,8 +289,8 @@ def test_initial_data_cartesian_zeroed_inside_obstacle():
 
     data = InitialData.from_physical(grid, f_func, f_func)
     assert np.all(data.f[grid.mask == OBSTACLE] == 0.0)
-    fmax, gmax = data.boundary_residuals()
-    assert fmax == 1.0 and gmax == 1.0
+    assert np.all(grid.on_boundary(data.f) == 1.0)
+    assert np.all(grid.on_boundary(data.g) == 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Weighted norms, cylinder samples, and estimate-ratio diagnostics."""
+"""Weighted norms, the cylinder sample frame, and estimate-ratio diagnostics."""
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from nullwave import exterior, fd, norms, penrose, picard, solver
-from nullwave.errors import OrderError, ParamError
+from nullwave.errors import DomainError, OrderError, ParamError
 from nullwave.exterior import InitialData, build_radial_grid
 from nullwave.norms import (
     NormReport,
@@ -14,15 +14,12 @@ from nullwave.norms import (
     delta_sweep,
     estimate_ratio_report,
     evaluate_nullform_series,
-    forcing_cylinder_samples,
     nullform_spacetime_norm,
     ratio_spreads,
     scale_to_data_norm,
     slab_norm,
-    solution_cylinder_samples,
     sphere_sobolev_norm,
     tip_weighted_norm,
-    weighted_energy_sup,
     weighted_sobolev_norm,
 )
 from nullwave.nullforms import NullFormSpec
@@ -208,7 +205,7 @@ def test_nullform_spacetime_norm_full_window_is_slab_norm():
 
 
 # ---------------------------------------------------------------------------
-# cylinder samples and tip-weighted norms
+# the cylinder sample frame and tip-weighted norms
 
 
 @pytest.fixture(scope="module")
@@ -223,32 +220,30 @@ def nonlinear_run():
 
 def test_cylinder_samples_shapes_and_weights(nonlinear_run):
     traj = nonlinear_run.trajectory
-    samp = solution_cylinder_samples(traj, time_stride=10)
-    # samples are stored flat, snapshot-major
-    assert samp.value.ndim == 1
-    assert len(samp) == len(samp.weight) == len(samp.dist)
-    assert len(samp) % traj.grid.n_nodes == 0
-    assert np.all(samp.weight >= 0)
-    assert np.all(samp.dist > 0)
-    assert np.all(samp.conf > 0)
-    # tip distance shrinks as time grows at fixed radius
+    frame = norms._SampleFrame(traj, 10)
     n = traj.grid.n_nodes
-    assert samp.dist[-n] < samp.dist[0]
+    shape = (len(frame.idx), n)
+    # every frame array and pulled-back field is snapshot-major
+    for a in (frame.T, frame.R, frame.dist, frame.conf, frame.weight):
+        assert a.shape == shape
+    for a in frame.solution():
+        assert a.shape == shape
+    assert np.all(frame.weight >= 0)
+    assert np.all(frame.dist > 0)
+    assert np.all(frame.conf > 0)
+    assert frame.dist.tobytes() == np.sqrt(frame.dist2).tobytes()
+    # tip distance shrinks as time grows at fixed radius
+    assert frame.dist[-1, 0] < frame.dist[0, 0]
 
 
 def test_cylinder_samples_constructor_guards():
-    ones = np.ones(4)
-    with pytest.raises(ParamError):
-        norms.CylinderSamples(ones, ones, ones, ones, ones[:3], ones,
-                              ones, ones)
-    with pytest.raises(ParamError):
-        norms.CylinderSamples(ones, ones, ones, ones, -ones, ones,
-                              ones, ones)
-    from nullwave.errors import DomainError
-    past = np.full(4, 3.0)                  # R + |T| = 6 > pi
+    # at t = 1e17 the image of every node rounds onto the tip, outside
+    # the open diamond R + |T| < pi
+    grid = build_radial_grid(1.0, 6.0, 100)
+    times = 1e17 + 64.0 * np.arange(4)
+    late = Trajectory(grid, times, np.zeros((4, grid.n_nodes)))
     with pytest.raises(DomainError):
-        norms.CylinderSamples(past, past, ones, ones, ones, ones,
-                              ones, ones)
+        norms._SampleFrame(late, 1)
 
 
 def test_cylinder_sampling_guards(nonlinear_run):
@@ -257,36 +252,34 @@ def test_cylinder_sampling_guards(nonlinear_run):
                                       24, sponge_cells=0)
     fake = Trajectory(cart, np.arange(5.0), np.zeros((5,) + cart.zeros().shape))
     with pytest.raises(ParamError):
-        solution_cylinder_samples(fake)
-    with pytest.raises(ParamError):
-        forcing_cylinder_samples(fake, NullFormSpec.scalar_q0())
+        norms._SampleFrame(fake, 1)
     with pytest.raises(ParamError):
         # stride leaves fewer than 3 samples
-        solution_cylinder_samples(traj, time_stride=10**6)
+        norms._SampleFrame(traj, 10**6)
     with pytest.raises(ParamError):
-        forcing_cylinder_samples(traj, NullFormSpec.linear(2))
+        norms._SampleFrame(traj, 10).forcing(NullFormSpec.linear(2))
 
 
 def test_tip_weighted_norm_schemes(nonlinear_run):
-    samp = forcing_cylinder_samples(nonlinear_run.trajectory,
-                                    nonlinear_run.spec, time_stride=10)
-    l2 = tip_weighted_norm(samp, "l2")
-    l8 = tip_weighted_norm(samp, "l8")
+    frame = norms._SampleFrame(nonlinear_run.trajectory, 10)
+    forcing = frame.forcing(nonlinear_run.spec)
+    l2 = tip_weighted_norm(frame, forcing, "l2")
+    l8 = tip_weighted_norm(frame, forcing, "l8")
     assert l2 > 0 and l8 > 0
     with pytest.raises(ParamError):
-        tip_weighted_norm(samp, "l4")
+        tip_weighted_norm(frame, forcing, "l4")
     with pytest.raises(ParamError):
-        tip_weighted_norm(samp, "l2", delta=-0.1)
+        tip_weighted_norm(frame, forcing, "l2", delta=-0.1)
 
 
 def test_delta_sweep_monotone(nonlinear_run):
-    samp = forcing_cylinder_samples(nonlinear_run.trajectory,
-                                    nonlinear_run.spec, time_stride=10)
+    frame = norms._SampleFrame(nonlinear_run.trajectory, 10)
+    forcing = frame.forcing(nonlinear_run.spec)
     deltas = [2.5, 2.0, 1.5, 1.0, 0.5, 0.0]
-    vals = delta_sweep(samp, deltas)
+    vals = delta_sweep(frame, forcing, deltas)
     # truncating closer to the tip keeps more samples: nondecreasing
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-    assert vals[-1] == tip_weighted_norm(samp, "l2", 0.0)
+    assert vals[-1] == tip_weighted_norm(frame, forcing, "l2", 0.0)
 
 
 def test_sampled_time_derivatives_take_the_solver_step(nonlinear_run):
@@ -305,16 +298,14 @@ def test_sampled_time_derivatives_take_the_solver_step(nonlinear_run):
     assert ut_s.tobytes() == ut[idx].tobytes()
     (ur,) = grid.native_gradient(traj.u[idx])
     want = frame.pull(u[idx], ut[idx], ur, 1)
-    got = solution_cylinder_samples(traj, time_stride=10)
-    assert got.gamma0.tobytes() == want[1].tobytes()
-    assert got.gboost.tobytes() == want[2].tobytes()
+    for have, ref in zip(frame.solution(), want):
+        assert have.tobytes() == ref.tobytes()
 
     Q = evaluate_nullform_series(traj, spec)[:, 0]
     Qt = fd.d1(Q, dt, axis=0)
     want = frame.pull(Q[idx], Qt[idx], fd.d1(Q[idx], grid.h, axis=-1), -3)
-    got = forcing_cylinder_samples(traj, spec, time_stride=10)
-    for have, ref in zip((got.value, got.gamma0, got.gboost), want):
-        assert have.tobytes() == ref.ravel().tobytes()
+    for have, ref in zip(frame.forcing(spec), want):
+        assert have.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("power", [1, -3])
@@ -348,10 +339,12 @@ def test_pull_is_the_cylinder_derivative_of_the_field(power):
 
 def test_weighted_energy_sup_homogeneous(nonlinear_run):
     traj = nonlinear_run.trajectory
-    a = weighted_energy_sup(traj, time_stride=10)
+    frame = norms._SampleFrame(traj, 10)
+    a = frame.energy_sup(*frame.solution())
     doubled = Trajectory(traj.grid, traj.times, 2.0 * traj.u, dt=traj.dt,
                          stride=traj.stride)
-    b = weighted_energy_sup(doubled, time_stride=10)
+    frame2 = norms._SampleFrame(doubled, 10)
+    b = frame2.energy_sup(*frame2.solution())
     assert a > 0
     assert np.isclose(b, 2.0 * a, rtol=1e-12)
 
@@ -381,6 +374,9 @@ def test_ratio_spreads_synthetic():
     for name in RATIO_NAMES:
         assert np.isclose(spreads[name], 2.0)
     assert ratio_spreads([]) == {}
+    # a ratio that reaches 0 has no finite spread
+    spreads = ratio_spreads([rep(0.0), rep(1.0)])
+    assert all(spreads[name] is None for name in RATIO_NAMES)
 
 
 def test_estimate_ratio_report_mechanics(nonlinear_run, monkeypatch):
@@ -407,17 +403,17 @@ def test_estimate_ratio_report_mechanics(nonlinear_run, monkeypatch):
         tag = name[len("ratio_"):]
         assert rep[name] == rep["lhs_" + tag] / rep["rhs_" + tag]
     assert rep["pecher_l8"] > 0
-    traj = nonlinear_run.trajectory
-    assert rep["pecher_l8"] == tip_weighted_norm(
-        solution_cylinder_samples(traj, time_stride=10), "l8")
-    assert rep["lhs_weighted_energy"] == weighted_energy_sup(
-        traj, time_stride=10)
-    # the report keeps the forcing samples its null-cylinder norm read
-    fsamp = rep.metadata["forcing_samples"]
-    assert rep["lhs_null_cylinder"] == tip_weighted_norm(fsamp, "l2")
-    ref = forcing_cylinder_samples(traj, nonlinear_run.spec, time_stride=10)
-    for name in norms.CylinderSamples.__slots__:
-        assert getattr(fsamp, name).tobytes() == getattr(ref, name).tobytes()
+    frame = norms._SampleFrame(nonlinear_run.trajectory, 10)
+    pull = frame.solution()
+    assert rep["pecher_l8"] == tip_weighted_norm(frame, pull, "l8")
+    assert rep["lhs_weighted_energy"] == frame.energy_sup(*pull)
+    # the report keeps the frame and forcing its null-cylinder norm read
+    kept_frame, forcing = rep.metadata["forcing_samples"]
+    assert rep["lhs_null_cylinder"] == tip_weighted_norm(kept_frame, forcing,
+                                                         "l2")
+    assert kept_frame.weight.tobytes() == frame.weight.tobytes()
+    for have, ref in zip(forcing, frame.forcing(nonlinear_run.spec)):
+        assert have.tobytes() == ref.tobytes()
     with pytest.raises(ParamError):
         estimate_ratio_report([rows[0]], sup_window=(100.0, 200.0),
                               time_stride=10)

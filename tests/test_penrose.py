@@ -46,7 +46,7 @@ def test_image_inside_diamond():
     rng = np.random.default_rng(7)
     p = random_events(rng, 2000)
     q = penrose.to_einstein(p)
-    assert np.all(q.in_diamond())
+    assert np.all(q.R + np.abs(q.T) < np.pi)
     assert np.all(np.abs(q.T) < np.pi)
     assert np.all((q.R >= 0) & (q.R < np.pi))
 
