@@ -536,10 +536,16 @@ def _check_for_subcommand(subcommand, ec):
     Each problem here would otherwise surface only after the whole run,
     as a numerical failure; found here, it exits 2 with nothing written.
     """
+    if subcommand in ("run-nonlinear", "scan-smallness", "estimate-report") \
+            and ec.spec.n_components != 1:
+        raise ConfigError("[nullform] components must be 1 for bump data")
     if subcommand == "estimate-report":
         if ec.grid.kind != "radial":
             raise ConfigError("estimate-report samples the cylinder on "
                               "radial grids only ([grid] mode = radial)")
+        if ec.t_end < norms.LOCAL_LINEAR_WINDOW[1]:
+            raise ConfigError("estimate-report needs [run] t_end >= %g"
+                              % norms.LOCAL_LINEAR_WINDOW[1])
         window, name = ec.sup_window, "[report] sup_window"
     elif subcommand in ("run-linear", "run-nonlinear"):
         window, name = ec.fit_window, "[fit] window"

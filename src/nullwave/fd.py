@@ -2,14 +2,49 @@
 
 Second-order accurate throughout: centered stencils inside, one-sided
 three/four point formulas at array ends, trapezoid weights.
+
+A trajectory has one time derivative, d1_rows; whole-trajectory sums
+read it one row_blocks block at a time, row by row, so no temporary
+outgrows a block and no byte depends on the block size.
 """
 
 import numpy as np
+
+from .errors import ParamError
+
+# float64 values per block of rows (8 MB arrays ran fastest end to end)
+BLOCK_VALUES = 2**20
 
 
 def d1(y, h, axis=-1):
     """First derivative, centered interior, second-order one-sided ends."""
     return np.gradient(y, h, axis=axis, edge_order=2)
+
+
+def d1_rows(read, rows, n, h):
+    """(F[rows], dF/dt at rows) of the n-row series F = read(indices).
+
+    rows is increasing.  dF/dt is d1(F, h, axis=0), byte for byte, read
+    from the rows the stencil uses only: numpy's centred difference
+    inside, and d1 of the first or last three rows at the ends.
+    """
+    if n < 3:
+        raise ParamError("the time stencil needs at least 3 snapshots")
+    lo = np.clip(rows - 1, 0, n - 3)
+    need = np.unique(lo[:, None] + np.arange(3))
+    vals = read(need)
+    p = np.searchsorted(need, lo)  # vals[p + k] holds F[lo + k]
+    d = (vals[p + 2] - vals[p]) / (2.0 * h)
+    for j in np.flatnonzero((rows == 0) | (rows == n - 1)):
+        d[j] = d1(vals[p[j]:p[j] + 3], h, axis=0)[rows[j] - lo[j]]
+    return vals[p + rows - lo], d
+
+
+def row_blocks(n, row_values):
+    """Consecutive index arrays over range(n), of rows of row_values
+    values: about BLOCK_VALUES values per block, and at least one row."""
+    step = max(1, BLOCK_VALUES // row_values)
+    return (np.arange(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 def d2(y, h, axis=-1, out=None):

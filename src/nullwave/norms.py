@@ -12,10 +12,11 @@ way onto the cylinder: one frame (the sampled snapshots, their image
 and tip distance, the conformal factor and its gradient, the
 quadrature weight) pulls back the solution and the forcing as fields
 (val, g0, gb), and tip_weighted_norm, delta_sweep and the frame's
-weighted energy sup read a frame with one such field.  Time
-derivatives at the sampled snapshots are taken at the solver step,
-from the neighbouring stride-1 snapshots, never across the sampling
-stride.
+weighted energy sup read a frame with one such field.
+
+Every time derivative is fd.d1_rows at the solver step, never across
+the sampling stride, and null forms and slab norms of whole
+trajectories are read one row block at a time.
 """
 
 import numpy as np
@@ -103,62 +104,43 @@ def sphere_sobolev_norm(grid, field, order):
 # ---------------------------------------------------------------------------
 # null-form evaluation along trajectories
 
-def evaluate_nullform_series(traj, spec: NullFormSpec):
-    """Physical null-form values Q(du, du) at every snapshot.
+def evaluate_nullform_series(traj, spec: NullFormSpec, rows):
+    """Physical Q(du, du) at the increasing snapshot index array rows.
 
-    Returns shape (M, n_components) + grid shape.  On radial grids only
-    the q0 form survives; rotational forms of spherically symmetric
-    fields vanish identically.
+    Shape (len(rows), n_components) + grid shape.  On radial grids only
+    q0 survives: rotational forms of radial fields vanish identically.
     """
-    grid = traj.grid
-    dt_snap = traj.snap_dt
-    if dt_snap <= 0:
-        raise ParamError("need at least two snapshots")
-    gshape = grid.zeros().shape
-    u = traj.u.reshape((traj.u.shape[0], -1) + gshape)
+    grid, n = traj.grid, len(traj.u)
+    u = traj.u.reshape((n, -1) + grid.zeros().shape)
     if u.shape[1] != spec.n_components:
         raise ParamError("trajectory component count does not match spec")
-    return _nullform_values(spec, grid, u,
-                            fd.d1(grid.to_physical(u), dt_snap, axis=0))
-
-
-def _nullform_values(spec, grid, u, ut):
-    """Q(du, du) of native snapshots u (M, n_components, ...) and their u_t."""
-    du = (ut,) + grid.native_gradient(u)
+    _, ut = fd.d1_rows(lambda r: grid.to_physical(u[r]), rows, n,
+                       traj.snap_dt)
+    du = (ut,) + grid.native_gradient(u[rows])
     per_comp = [[d[:, j] for d in du] for j in range(spec.n_components)]
     out = np.zeros(du[0].shape)
     accumulate_system(spec, per_comp, per_comp, np.moveaxis(out, 1, 0))
     return out
 
 
-def slab_norm(grid, series, dt_snap):
+def slab_norm(grid, series, n, dt_snap):
     """Sum over |alpha| <= 1 of space-time L2 norms of a snapshot series.
 
-    series holds physical values, shape (M, ...) ending with the grid
-    shape; the measure is 4 pi r^2 dr dt (radial) or dx dt.
+    series(rows) gives the n-snapshot series' physical values at the
+    index array rows, with trailing grid shape, read one row block at a
+    time.  The measure is 4 pi r^2 dr dt (radial) or dx dt.
     """
-    arr = np.asarray(series, dtype=float)
-    M = arr.shape[0]
-    if M < 3:
-        raise ParamError("need at least 3 snapshots for the slab norm")
-    tw = fd.trapezoid(dt_snap, M)
     vol = grid.weights()
     space = tuple(range(-grid.ndim, 0))
-
-    def derivs():
-        # each term is reduced before the next is built, so the time
-        # derivative and the spatial gradient are never held together
-        yield arr
-        yield fd.d1(arr, dt_snap, axis=0)
-        yield from grid.gradient(arr)
-
-    total = 0.0
-    for d in derivs():
-        sq = np.sum(d * d * vol, axis=space)
-        while sq.ndim > 1:
-            sq = np.sum(sq, axis=-1)
-        total += np.sqrt(np.sum(sq * tw))
-    return float(total)
+    # per-snapshot spatial sums of the value and of each derivative
+    sq = np.empty((2 + grid.ndim, n))
+    for rows in fd.row_blocks(n, vol.size):
+        val, val_t = fd.d1_rows(series, rows, n, dt_snap)
+        for k, d in enumerate((val, val_t) + grid.gradient(val)):
+            s = np.sum(d * d * vol, axis=space)
+            sq[k, rows] = s.reshape(len(rows), -1).sum(axis=1)
+    tw = fd.trapezoid(dt_snap, n)
+    return float(sum(np.sqrt(np.sum(s * tw)) for s in sq))
 
 
 def nullform_spacetime_norm(traj, spec: NullFormSpec, window):
@@ -171,11 +153,9 @@ def nullform_spacetime_norm(traj, spec: NullFormSpec, window):
         raise ParamError("window outside trajectory times")
     i0 = int(np.searchsorted(times, t0 - 1e-12))
     i1 = int(np.searchsorted(times, t1 + 1e-12, side="right"))
-    lo = max(0, i0 - 2)
-    hi = min(len(times), i1 + 2)
-    q = evaluate_nullform_series(traj.select(slice(lo, hi)), spec)
-    keep = slice(i0 - lo, i1 - lo)
-    return slab_norm(traj.grid, q[keep], traj.snap_dt)
+    return slab_norm(traj.grid,
+                     lambda r: evaluate_nullform_series(traj, spec, r + i0),
+                     i1 - i0, traj.snap_dt)
 
 
 # ---------------------------------------------------------------------------
@@ -209,24 +189,6 @@ class _SampleFrame:
         wt = fd.trapezoid(t[1, 0] - t[0, 0], len(idx))[:, None]
         self.weight = self.conf**4 * grid.weights()[None, :] * wt
 
-    def sampled(self, series, rows):
-        """(F[rows], dF/dt at rows) of the snapshot series F = series(rows).
-
-        dF/dt is fd.d1 of the whole series at the solver's snapshot
-        spacing, byte for byte, read from the rows its stencil uses
-        only: the centred difference inside (numpy's operand order), and
-        fd.d1 of the first or last three rows at the ends.
-        """
-        dt, last = self.traj.snap_dt, len(self.traj.times) - 1
-        lo = np.clip(rows - 1, 0, last - 2)
-        need = np.unique(lo[:, None] + np.arange(3))
-        vals = series(need)
-        p = np.searchsorted(need, lo)  # vals[p + k] holds F[lo + k]
-        d = (vals[p + 2] - vals[p]) / (2.0 * dt)
-        for j in np.flatnonzero((rows == 0) | (rows == last)):
-            d[j] = fd.d1(vals[p[j]:p[j] + 3], dt, axis=0)[rows[j] - lo[j]]
-        return vals[p + rows - lo], d
-
     def pull(self, q, q_t, q_r, power):
         """Cylinder field val = conf**power * q of a radial q, with (g0, gb).
 
@@ -247,21 +209,18 @@ class _SampleFrame:
     def solution(self):
         """(val, g0, gb) of the cylinder field conf * u."""
         grid, u = self.grid, self.traj.u
-        up, ut = self.sampled(lambda r: grid.to_physical(u[r]), self.idx)
+        up, ut = fd.d1_rows(lambda r: grid.to_physical(u[r]), self.idx,
+                            len(u), self.traj.snap_dt)
         return self.pull(up, ut, grid.native_gradient(u[self.idx])[0], 1)
 
     def forcing(self, spec):
         """(val, g0, gb) of the cylinder field conf^-3 * Q(du, du)."""
         if spec.n_components != 1:
             raise ParamError("forcing samples support scalar systems only")
-        grid, w = self.grid, self.traj.u[:, None]
-
-        def nullform(rows):
-            _, ut = self.sampled(lambda r: grid.to_physical(w[r]), rows)
-            return _nullform_values(spec, grid, w[rows], ut)[:, 0]
-
-        Q, Qt = self.sampled(nullform, self.idx)
-        return self.pull(Q, Qt, fd.d1(Q, grid.h, axis=-1), -3)
+        Q, Qt = fd.d1_rows(
+            lambda r: evaluate_nullform_series(self.traj, spec, r)[:, 0],
+            self.idx, len(self.traj.u), self.traj.snap_dt)
+        return self.pull(Q, Qt, fd.d1(Q, self.grid.h, axis=-1), -3)
 
     def energy_sup(self, val, g0, gb):
         """Sup over sampled times of the tip-weighted slice norm of val."""
@@ -328,6 +287,8 @@ class NormReport:
 RATIO_NAMES = ("ratio_local_linear", "ratio_null_cylinder",
                "ratio_weighted_energy", "ratio_sup_decay")
 
+LOCAL_LINEAR_WINDOW = (0.0, 1.0)
+
 
 def estimate_ratio_report(rows, sup_window=(5.0, 40.0), time_stride=20):
     """LHS/RHS surrogate ratios for the four estimates, one report per run.
@@ -350,7 +311,7 @@ def estimate_ratio_report(rows, sup_window=(5.0, 40.0), time_stride=20):
         if np.max(np.abs(f)) == 0 and np.max(np.abs(g)) == 0:
             continue
 
-        nf01 = nullform_spacetime_norm(traj, spec, (0.0, 1.0))
+        nf01 = nullform_spacetime_norm(traj, spec, LOCAL_LINEAR_WINDOW)
         h2 = weighted_sobolev_norm(f, 2, 0, grid)
         h1 = weighted_sobolev_norm(g, 1, 0, grid)
         h21 = weighted_sobolev_norm(f, 2, 1, grid)

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import norms
+from . import fd, norms
 from .norms import evaluate_nullform_series, slab_norm
 from .errors import NoConvergence, ParamError
 from .exterior import InitialData, check_compatibility
@@ -57,10 +57,11 @@ class NonlinearSolution:
 
 def forcing_from_trajectory(traj: Trajectory, spec: NullFormSpec):
     """Forcing snapshots Q in the grid's native representation."""
-    q = evaluate_nullform_series(traj, spec)
-    if spec.n_components == 1 and traj.u.ndim == traj.grid.ndim + 1:
-        q = q[:, 0]
-    return traj.grid.from_physical(q)
+    F = np.empty(traj.u.shape)
+    for rows in fd.row_blocks(len(F), F[0].size):
+        q = traj.grid.from_physical(evaluate_nullform_series(traj, spec, rows))
+        F[rows] = q.reshape((len(rows),) + F.shape[1:])
+    return F
 
 
 def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
@@ -97,14 +98,15 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
     residuals = []
     while True:
         F = forcing_from_trajectory(traj, spec)
-        diff = F if applied is None else F - applied
-        residuals.append(slab_norm(grid, grid.to_physical(diff),
-                                   traj.snap_dt))
+        residuals.append(slab_norm(grid, lambda r: grid.to_physical(
+            F[r] if applied is None else F[r] - applied[r]),
+            len(F), traj.snap_dt))
         if residuals[-1] <= tol:
             break
         if len(residuals) == max_iter:
             raise NoConvergence(max_iter, residuals)
-        # solve only when another sweep follows
+        # solve only when another sweep follows, old run and forcing freed
+        traj = applied = None
         traj = solve_linear(data, F, t_end, dt=dt, stride=1)
         applied = F
 

@@ -29,6 +29,7 @@ components evolves in one call.
 
 import numpy as np
 
+from . import fd
 from .errors import CFLError, FitError, NaNError, ParamError
 from .exterior import InitialData
 
@@ -105,20 +106,16 @@ class Trajectory:
             return 0.0
         return float(self.times[1] - self.times[0])
 
-    def select(self, idx):
-        """The trajectory restricted to the snapshots idx (slice or indices)."""
-        v = None if self.v is None else self.v[idx]
-        return Trajectory(self.grid, self.times[idx], self.u[idx], v,
-                          dt=self.dt, stride=self.stride)
-
     def sup_series(self):
         """(times, sup_x |u|) over all nodes, physical values.
 
         The solver holds the Dirichlet nodes at their pinned values, so on
         solver trajectories this is the sup over the evolved nodes.
         """
-        up = self.grid.to_physical(self.u)
-        sup = np.max(np.abs(up), axis=tuple(range(1, up.ndim)))
+        sup = np.empty(len(self.times))
+        for rows in fd.row_blocks(len(sup), self.u[0].size):
+            up = self.grid.to_physical(self.u[rows])
+            sup[rows] = np.max(np.abs(up), axis=tuple(range(1, up.ndim)))
         return self.times, sup
 
 

@@ -499,6 +499,9 @@ def test_smallness_guard_exit_3(tmp_path):
     assert "smallness" in err["message"]
 
 
+# the scalar bump data under a two-component system
+TWO_COMPONENTS = "[nullform]\nkind = linear\ncomponents = 2\n"
+
 # configs that one subcommand cannot run: each is refused before the
 # output directory is made, not after a full run
 SUBCOMMAND_CONFIGS = [
@@ -510,13 +513,23 @@ SUBCOMMAND_CONFIGS = [
     ("run-nonlinear", NONLINEAR_INI.replace("window = 1 3", "window = 50 60"),
      "[fit] window"),
     ("estimate-report", ELLIPSOID_INI, "radial grids"),
+    ("run-nonlinear", NONLINEAR_INI + TWO_COMPONENTS, "[nullform] components"),
+    ("scan-smallness", SCAN_INI + TWO_COMPONENTS, "[nullform] components"),
+    ("estimate-report", SCAN_INI + TWO_COMPONENTS, "[nullform] components"),
+    # the local-linear window is [0, 1]
+    ("estimate-report", SCAN_INI.replace("t_end = 4.0", "t_end = 0.5")
+     .replace("sup_window = 1 3", "sup_window = 0.1 0.4"), "[run] t_end"),
 ]
 
 
 @pytest.mark.parametrize("subcommand,text,message", SUBCOMMAND_CONFIGS,
                          ids=["window-estimate-report", "window-run-linear",
                               "window-run-nonlinear",
-                              "cartesian-estimate-report"])
+                              "cartesian-estimate-report",
+                              "components-run-nonlinear",
+                              "components-scan-smallness",
+                              "components-estimate-report",
+                              "short-run-estimate-report"])
 def test_subcommand_config_exit_2_before_the_run(tmp_path, capsys,
                                                   subcommand, text, message):
     ini = write_ini(tmp_path, text)
@@ -525,6 +538,14 @@ def test_subcommand_config_exit_2_before_the_run(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "config error" in err and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand,text", [
+    ("check-compat", NONLINEAR_INI), ("run-linear", LINEAR_INI)])
+def test_two_components_run_where_no_system_is_solved(tmp_path, subcommand,
+                                                      text):
+    ini = write_ini(tmp_path, text + TWO_COMPONENTS)
+    assert run([subcommand, "--config", ini], tmp_path / "out") == 0
 
 
 @pytest.mark.parametrize("nullform", [

@@ -135,20 +135,20 @@ def test_slab_norm_constant_series():
     grid = build_radial_grid(1.0, 5.0, 100)
     M = 11
     series = np.full((M,) + grid.zeros().shape, 2.0)
-    num = slab_norm(grid, series, 0.5)
+    num = slab_norm(grid, lambda r: series[r], M, 0.5)
     V = 4.0 / 3.0 * np.pi * (5.0**3 - 1.0)
     T = 0.5 * (M - 1)
     assert abs(num - 2.0 * np.sqrt(V * T)) / num < 1e-4
     with pytest.raises(ParamError):
-        slab_norm(grid, series[:2], 0.5)
+        slab_norm(grid, lambda r: series[r], 2, 0.5)
 
 
 def test_slab_norm_homogeneity():
     grid = build_radial_grid(1.0, 5.0, 100)
     rng = np.random.default_rng(3)
     series = rng.standard_normal((8,) + grid.zeros().shape)
-    a = slab_norm(grid, series, 0.25)
-    b = slab_norm(grid, 3.0 * series, 0.25)
+    a = slab_norm(grid, lambda r: series[r], len(series), 0.25)
+    b = slab_norm(grid, lambda r: 3.0 * series[r], len(series), 0.25)
     assert np.isclose(b, 3.0 * a, rtol=1e-12)
 
 
@@ -164,7 +164,7 @@ def test_nullform_series_separable_oracle():
     grid = build_radial_grid(1.0, 6.0, 800)
     traj, prof = _separable_trajectory(grid)
     spec = NullFormSpec.scalar_q0()
-    q = evaluate_nullform_series(traj, spec)
+    q = evaluate_nullform_series(traj, spec, np.arange(len(traj.times)))
     i = 20                                    # interior snapshot
     t = traj.times[i]
     ut = -1.3 * np.sin(1.3 * t) * prof
@@ -180,10 +180,12 @@ def test_nullform_series_guards():
     spec = NullFormSpec.scalar_q0()
     two = NullFormSpec.linear(2)
     with pytest.raises(ParamError):
-        evaluate_nullform_series(traj, two)
-    single = Trajectory(grid, traj.times[:1], traj.u[:1], dt=traj.dt)
-    with pytest.raises(ParamError):
-        evaluate_nullform_series(single, spec)
+        evaluate_nullform_series(traj, two, np.arange(3))
+    # the one-sided end stencils need three snapshots
+    for m in (1, 2):
+        short = Trajectory(grid, traj.times[:m], traj.u[:m], dt=traj.dt)
+        with pytest.raises(ParamError):
+            evaluate_nullform_series(short, spec, np.arange(m))
 
 
 def test_nullform_spacetime_norm_full_window_is_slab_norm():
@@ -192,9 +194,9 @@ def test_nullform_spacetime_norm_full_window_is_slab_norm():
     spec = NullFormSpec.scalar_q0()
     full = nullform_spacetime_norm(traj, spec,
                                    (traj.times[0], traj.times[-1]))
-    q = evaluate_nullform_series(traj, spec)
-    ref = slab_norm(grid, q, traj.snap_dt)
-    assert np.isclose(full, ref, rtol=1e-12)
+    q = evaluate_nullform_series(traj, spec, np.arange(len(traj.times)))
+    ref = slab_norm(grid, lambda r: q[r], len(q), traj.snap_dt)
+    assert full == ref
     # sub-windows are smaller than the whole
     part = nullform_spacetime_norm(traj, spec, (0.2, 0.6))
     assert part < full
@@ -293,7 +295,8 @@ def test_sampled_time_derivatives_take_the_solver_step(nonlinear_run):
 
     u = grid.to_physical(traj.u)
     ut = fd.d1(u, dt, axis=0)
-    up, ut_s = frame.sampled(lambda r: grid.to_physical(traj.u[r]), idx)
+    up, ut_s = fd.d1_rows(lambda r: grid.to_physical(traj.u[r]), idx,
+                          len(traj.times), dt)
     assert up.tobytes() == u[idx].tobytes()
     assert ut_s.tobytes() == ut[idx].tobytes()
     (ur,) = grid.native_gradient(traj.u[idx])
@@ -301,11 +304,48 @@ def test_sampled_time_derivatives_take_the_solver_step(nonlinear_run):
     for have, ref in zip(frame.solution(), want):
         assert have.tobytes() == ref.tobytes()
 
-    Q = evaluate_nullform_series(traj, spec)[:, 0]
+    # Q = q0(du, du) of the whole stack, with the whole stack's u_t
+    (ur_all,) = grid.native_gradient(traj.u)
+    Q = ut * ut - ur_all * ur_all
+    rows = np.arange(len(traj.times))
+    assert evaluate_nullform_series(traj, spec, rows)[:, 0].tobytes() == \
+        Q.tobytes()
     Qt = fd.d1(Q, dt, axis=0)
     want = frame.pull(Q[idx], Qt[idx], fd.d1(Q[idx], grid.h, axis=-1), -3)
     for have, ref in zip(frame.forcing(spec), want):
         assert have.tobytes() == ref.tobytes()
+
+
+def test_row_stencil_is_the_whole_series_derivative():
+    # byte for byte d1 along the snapshot axis, at the ends and next to
+    # them as well as inside, read from the rows the stencil uses only
+    rng = np.random.default_rng(5)
+    F = rng.standard_normal((9, 2, 5))
+    whole = fd.d1(F, 0.3, axis=0)
+    cases = (([0], [0, 1, 2]), ([1], [0, 1, 2]), ([4], [3, 4, 5]),
+             ([7], [6, 7, 8]), ([8], [6, 7, 8]),
+             ([0, 1, 7, 8], [0, 1, 2, 6, 7, 8]), ([2, 6], [1, 2, 3, 5, 6, 7]),
+             (range(9), range(9)))
+    for rows, reads in cases:
+        rows = np.array(rows)
+        seen = []
+
+        def read(r):
+            seen.append(list(r))
+            return F[r]
+        val, d = fd.d1_rows(read, rows, len(F), 0.3)
+        assert val.tobytes() == F[rows].tobytes()
+        assert d.tobytes() == whole[rows].tobytes()
+        assert seen == [list(reads)]
+
+
+def test_row_blocks_cover_the_run_in_order(monkeypatch):
+    monkeypatch.setattr(fd, "BLOCK_VALUES", 10)
+    assert [list(b) for b in fd.row_blocks(7, 3)] == [[0, 1, 2], [3, 4, 5],
+                                                      [6]]
+    # a row larger than a block is read on its own
+    assert [list(b) for b in fd.row_blocks(3, 11)] == [[0], [1], [2]]
+    assert list(fd.row_blocks(0, 3)) == []
 
 
 @pytest.mark.parametrize("power", [1, -3])

@@ -2,16 +2,20 @@
 
 Each workload's setup, run and check handlers from perfbench/child.py
 run in-process on the tiny inputs, so a change to the API the harness
-calls fails here rather than only when the benchmark runs.
+calls fails here rather than only when the benchmark runs.  A traced
+child run checks that the tracer still finds the entry points it spans.
 """
 
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
 def _load(name):
@@ -42,3 +46,21 @@ def test_workload_handlers_pass_their_check(tmp_path, monkeypatch, name):
     assert os.listdir(str(out))
     nodes, steps = shape(spec, state)
     assert nodes > 0 and steps > 0
+
+
+@pytest.mark.parametrize("name", ["radial-scan", "ellipsoid-picard"])
+def test_traced_child_counts_the_spanned_layers(tmp_path, name):
+    # the tracer skips a name it cannot find, so a renamed entry point
+    # would read 0 here instead of failing
+    result = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    subprocess.run([sys.executable, os.path.join(PERFBENCH, "child.py"),
+                    "--workload", name, "--seed", "0", "--mode", "trace",
+                    "--tiny", "--workdir", str(tmp_path / "work"),
+                    "--result", str(result)], check=True, env=env)
+    record = json.loads(result.read_text())
+    assert record["error"] is None
+    layers = record["layers"]
+    for key in ("nullforms.calls", "norms.slab_calls", "solver.calls",
+                "picard.sweeps"):
+        assert layers[key] > 0, key

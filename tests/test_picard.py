@@ -1,9 +1,11 @@
 """Fixed-point construction of small-data nonlinear solutions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nullwave import exterior, norms, picard, solver
+from nullwave import exterior, fd, norms, picard, solver
 from nullwave.errors import NoConvergence, ParamError
 from nullwave.exterior import InitialData, build_radial_grid
 from nullwave.nullforms import NullFormSpec
@@ -120,6 +122,91 @@ def test_no_convergence_solves_only_before_another_sweep(family,
     # the linear solve and one re-solve; none after the last residual
     assert len(solves) == 2
     assert exc_info.value.residuals == longer.value.residuals[:2]
+
+
+def _block_case(name):
+    """(data, spec, t_end) of one block-size comparison."""
+    if name == "ellipsoid":
+        grid = exterior.build_masked_grid(
+            exterior.Obstacle.ellipsoid(1.4, 1.0, 0.8), 12.0, 24,
+            sponge_cells=8)
+        return bump_data_family(grid, center=3.0)(0.05), SPEC, 4.0
+    grid = build_radial_grid(1.0, 8.0, 200, sponge_cells=40)
+    data = bump_data_family(grid)(2e-3)
+    if name == "radial-sponge":
+        return data, SPEC, 8.0
+    # two coupled components, stacked on the leading field axis
+    stacked = InitialData(grid, np.stack([data.f, -0.5 * data.f]),
+                          np.stack([data.g, data.g]))
+    spec = NullFormSpec(2, [(0, 0, 1, 1.0, "q0"), (1, 1, 1, -2.0, "q0")])
+    return stacked, spec, 8.0
+
+
+@pytest.mark.parametrize("name", ["radial-sponge", "radial-system",
+                                  "ellipsoid"])
+def test_results_do_not_depend_on_the_block_size(monkeypatch, name):
+    data, spec, t_end = _block_case(name)
+    grid = data.grid
+    seen = []
+    # one row per block, the shipped size, and the whole run in one block
+    for block in (1, fd.BLOCK_VALUES, 2**40):
+        monkeypatch.setattr(fd, "BLOCK_VALUES", block)
+        traj = solver.solve_linear(data, None, t_end)
+        n = len(traj.times)
+        q = norms.evaluate_nullform_series(traj, spec, np.arange(n))
+        F = picard.forcing_from_trajectory(traj, spec)
+        assert F.shape == traj.u.shape
+        assert F.tobytes() == grid.from_physical(q).reshape(F.shape).tobytes()
+        slab = norms.slab_norm(grid, lambda r: grid.to_physical(F[r]), n,
+                               traj.snap_dt)
+        sup = traj.sup_series()[1]
+        assert sup.tobytes() == np.max(
+            np.abs(grid.to_physical(traj.u)).reshape(n, -1), axis=1).tobytes()
+        with pytest.raises(NoConvergence) as exc_info:
+            picard_solve(data, spec, t_end, tol=1e-30, max_iter=3,
+                         smallness_threshold=np.inf)
+        residuals = exc_info.value.residuals
+        assert residuals[0] == slab
+        seen.append((q.tobytes(), F.tobytes(), slab, sup.tobytes(),
+                     residuals))
+    assert seen[0] == seen[1] == seen[2]
+    # the row stencil is the whole stack's time derivative at the ends
+    u = grid.to_physical(traj.u)
+    ends = np.array([0, 1, n - 2, n - 1])
+    _, ut = fd.d1_rows(lambda r: grid.to_physical(traj.u[r]), ends, n,
+                       traj.snap_dt)
+    assert ut.tobytes() == fd.d1(u, traj.snap_dt, axis=0)[ends].tobytes()
+
+
+@pytest.mark.parametrize("sweeps", [1, 3])
+def test_picard_holds_no_space_time_temporaries(monkeypatch, sweeps):
+    # blocks far below the run, so that one whole-run temporary shows
+    monkeypatch.setattr(fd, "BLOCK_VALUES", 2**12)
+    block = 8 * fd.BLOCK_VALUES
+    data = bump_data_family(build_radial_grid(1.0, 12.0, 400,
+                                              sponge_cells=100))(1e-3)
+    t_end = 40.0
+    stack = solver.solve_linear(data, None, t_end).u.nbytes
+    assert stack >= 20 * block
+
+    def run():
+        if sweeps == 1:
+            assert picard_solve(data, SPEC, t_end)[1].iterations == 1
+        else:
+            with pytest.raises(NoConvergence):
+                picard_solve(data, SPEC, t_end, tol=1e-30, max_iter=sweeps)
+
+    run()  # one-time lazy imports are not the run's
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the solution and its forcing; from the second sweep on, the forcing
+    # that made the solution as well
+    held = 2 if sweeps == 1 else 3
+    assert peak < held * stack + 32 * block
 
 
 def test_scan_rows_ordered_and_reported(family):
