@@ -428,19 +428,16 @@ def _run_scan(ec):
         max_iter=ec.max_iter, threads=ec.threads)
 
 
+def _table_row(row, quiet):
+    _say(quiet, "eps %.3e  converged %s  iterations %d"
+         % (row["eps"], row["converged"], row["iterations"]))
+    return {key: row[key] for key in ("eps", "converged", "iterations",
+                                      "final_residual", "final_ratio")}
+
+
 def cmd_scan_smallness(ec, out, quiet):
-    rows = _run_scan(ec)
-    table = []
-    for row in rows:
-        table.append({
-            "eps": row["eps"],
-            "converged": row["converged"],
-            "iterations": row["iterations"],
-            "final_residual": row["final_residual"],
-            "final_ratio": row["final_ratio"],
-        })
-        _say(quiet, "eps %.3e  converged %s  iterations %d"
-             % (row["eps"], row["converged"], row["iterations"]))
+    # map drops each row, and its solution, before the next entry runs
+    table = list(map(lambda row: _table_row(row, quiet), _run_scan(ec)))
 
     summary = ec.summary_header("scan-smallness")
     summary["results"] = {"rows": table}
@@ -454,9 +451,8 @@ def cmd_scan_smallness(ec, out, quiet):
 
 
 def cmd_estimate_report(ec, out, quiet):
-    rows = _run_scan(ec)
     reports = norms.estimate_ratio_report(
-        rows, sup_window=ec.sup_window, time_stride=ec.time_stride)
+        _run_scan(ec), sup_window=ec.sup_window, time_stride=ec.time_stride)
     if not reports:
         raise FitError("no converged scan entries to report on")
 
@@ -470,7 +466,7 @@ def cmd_estimate_report(ec, out, quiet):
 
     # truncation sweep on the largest converged entry: scan rows come in
     # ascending eps and only converged rows are reported, so it is the
-    # last report, whose forcing samples are reused
+    # last report, the only one that keeps its forcing samples
     last = reports[-1].metadata
     sweep = norms.delta_sweep(*last["forcing_samples"], ec.deltas)
 
@@ -525,7 +521,8 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (overrides [run] seed)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for scan entries")
+                        help="worker threads for scan entries (at most "
+                             "this many entries in flight)")
     parser.add_argument("--quiet", action="store_true")
     return parser
 

@@ -167,7 +167,10 @@ class _SampleFrame:
     The sampled snapshots (every time_stride-th), their image (T, R) and
     tip distance, the conformal factor and its gradient, and the
     pulled-back quadrature weight; every cylinder quantity reads them.
-    Arrays have shape (sampled snapshots, radial nodes).
+    Arrays have shape (sampled snapshots, radial nodes).  The frame
+    keeps no reference to the trajectory (solution and forcing take it
+    as an argument), so a frame and its pulled-back fields do not keep
+    the run's stored u alive.
     """
 
     def __init__(self, traj, time_stride):
@@ -177,7 +180,7 @@ class _SampleFrame:
         idx = np.arange(len(traj.times))[::time_stride]
         if len(idx) < 3:
             raise ParamError("need at least 3 sampled snapshots")
-        self.traj, self.grid, self.idx = traj, grid, idx
+        self.grid, self.idx = grid, idx
         t = self.t = traj.times[idx][:, None]
         self.T, self.R = penrose.forward_tr(t, grid.r)
         if np.any(self.R + np.abs(self.T) >= np.pi):
@@ -206,20 +209,23 @@ class _SampleFrame:
               + r * r * val_r)
         return scale * q, g0, gb
 
-    def solution(self):
-        """(val, g0, gb) of the cylinder field conf * u."""
-        grid, u = self.grid, self.traj.u
+    def solution(self, traj):
+        """(val, g0, gb) of the cylinder field conf * u of traj.
+
+        traj is the trajectory the frame was built from.
+        """
+        grid, u = self.grid, traj.u
         up, ut = fd.d1_rows(lambda r: grid.to_physical(u[r]), self.idx,
-                            len(u), self.traj.snap_dt)
+                            len(u), traj.snap_dt)
         return self.pull(up, ut, grid.native_gradient(u[self.idx])[0], 1)
 
-    def forcing(self, spec):
-        """(val, g0, gb) of the cylinder field conf^-3 * Q(du, du)."""
+    def forcing(self, traj, spec):
+        """(val, g0, gb) of the cylinder field conf^-3 * Q(du, du) of traj."""
         if spec.n_components != 1:
             raise ParamError("forcing samples support scalar systems only")
         Q, Qt = fd.d1_rows(
-            lambda r: evaluate_nullform_series(self.traj, spec, r)[:, 0],
-            self.idx, len(self.traj.u), self.traj.snap_dt)
+            lambda r: evaluate_nullform_series(traj, spec, r)[:, 0],
+            self.idx, len(traj.u), traj.snap_dt)
         return self.pull(Q, Qt, fd.d1(Q, self.grid.h, axis=-1), -3)
 
     def energy_sup(self, val, g0, gb):
@@ -293,69 +299,82 @@ LOCAL_LINEAR_WINDOW = (0.0, 1.0)
 def estimate_ratio_report(rows, sup_window=(5.0, 40.0), time_stride=20):
     """LHS/RHS surrogate ratios for the four estimates, one report per run.
 
-    rows are smallness_scan rows (dicts carrying "solution" and "eps").
-    Rows without a converged solution, and zero-data rows, are skipped.
-    Each report's metadata carries eps, sup_window, t_end and, under
-    "forcing_samples", the (frame, field) pair its null-cylinder norm
-    read, which delta_sweep takes.
+    rows are smallness_scan rows (dicts carrying "solution" and "eps"),
+    read one at a time: no row is held once its report is made, so each
+    solution of a streamed scan is freed after its report, before the
+    next entry is solved.  Rows
+    without a converged solution, and zero-data rows, are skipped.  Each
+    report's metadata carries eps, sup_window and t_end; only the last
+    report also keeps, under "forcing_samples", the (frame, field) pair
+    its null-cylinder norm read, which delta_sweep takes.
     """
     reports = []
-    for row in rows:
-        sol = row["solution"]
-        if sol is None:
+    for rep in map(lambda row: _ratio_report(row, sup_window, time_stride),
+                   rows):
+        if rep is None:
             continue
-        traj, spec, data = sol.trajectory, sol.spec, sol.data
-        grid = traj.grid
-        f = grid.to_physical(data.f)
-        g = grid.to_physical(data.g)
-        if np.max(np.abs(f)) == 0 and np.max(np.abs(g)) == 0:
-            continue
-
-        nf01 = nullform_spacetime_norm(traj, spec, LOCAL_LINEAR_WINDOW)
-        h2 = weighted_sobolev_norm(f, 2, 0, grid)
-        h1 = weighted_sobolev_norm(g, 1, 0, grid)
-        h21 = weighted_sobolev_norm(f, 2, 1, grid)
-        h12 = weighted_sobolev_norm(g, 1, 2, grid)
-
-        # one sample frame serves the forcing and solution norms; the
-        # forcing samples stay with the report for the truncation sweep
-        frame = _SampleFrame(traj, time_stride)
-        forcing = frame.forcing(spec)
-        tip_f = tip_weighted_norm(frame, forcing, "l2")
-        pull = frame.solution()
-        pecher = tip_weighted_norm(frame, pull, "l8")
-
-        conf0 = 2.0 / (1.0 + grid.r**2)
-        sph2 = sphere_sobolev_norm(grid, conf0 * f, 2)
-        sph1 = sphere_sobolev_norm(grid, conf0**2 * g, 1)
-
-        wsup = frame.energy_sup(*pull)
-
-        tt, ss = sol.sup_times, sol.sup_values
-        keep = (tt >= sup_window[0]) & (tt <= sup_window[1])
-        if not keep.any():
-            raise ParamError("sup window outside the trajectory")
-        sup_t = float(np.max(tt[keep] * ss[keep]))
-
-        values = {
-            "lhs_local_linear": nf01,
-            "rhs_local_linear": (h2 + h1 + nf01) ** 2,
-            "lhs_null_cylinder": tip_f,
-            "rhs_null_cylinder": (sph2 + sph1 + tip_f) ** 2,
-            "lhs_weighted_energy": wsup,
-            "rhs_weighted_energy": sph2 + sph1 + tip_f,
-            "lhs_sup_decay": sup_t,
-            "rhs_sup_decay": h21 + h12 + tip_f,
-            "pecher_l8": pecher,
-        }
-        for name in RATIO_NAMES:
-            tag = name[len("ratio_"):]
-            values[name] = values["lhs_" + tag] / values["rhs_" + tag]
-        meta = {"eps": row["eps"], "sup_window": tuple(sup_window),
-                "t_end": float(traj.times[-1]),
-                "forcing_samples": (frame, forcing)}
-        reports.append(NormReport(values, meta))
+        if reports:
+            del reports[-1].metadata["forcing_samples"]
+        reports.append(rep)
     return reports
+
+
+def _ratio_report(row, sup_window, time_stride):
+    """The NormReport of one scan row, or None when it has nothing to show."""
+    sol = row["solution"]
+    if sol is None:
+        return None
+    traj, spec, data = sol.trajectory, sol.spec, sol.data
+    grid = traj.grid
+    f = grid.to_physical(data.f)
+    g = grid.to_physical(data.g)
+    if np.max(np.abs(f)) == 0 and np.max(np.abs(g)) == 0:
+        return None
+
+    nf01 = nullform_spacetime_norm(traj, spec, LOCAL_LINEAR_WINDOW)
+    h2 = weighted_sobolev_norm(f, 2, 0, grid)
+    h1 = weighted_sobolev_norm(g, 1, 0, grid)
+    h21 = weighted_sobolev_norm(f, 2, 1, grid)
+    h12 = weighted_sobolev_norm(g, 1, 2, grid)
+
+    # one sample frame serves the forcing and solution norms; the
+    # forcing samples stay with the report for the truncation sweep
+    frame = _SampleFrame(traj, time_stride)
+    forcing = frame.forcing(traj, spec)
+    tip_f = tip_weighted_norm(frame, forcing, "l2")
+    pull = frame.solution(traj)
+    pecher = tip_weighted_norm(frame, pull, "l8")
+
+    conf0 = 2.0 / (1.0 + grid.r**2)
+    sph2 = sphere_sobolev_norm(grid, conf0 * f, 2)
+    sph1 = sphere_sobolev_norm(grid, conf0**2 * g, 1)
+
+    wsup = frame.energy_sup(*pull)
+
+    tt, ss = sol.sup_times, sol.sup_values
+    keep = (tt >= sup_window[0]) & (tt <= sup_window[1])
+    if not keep.any():
+        raise ParamError("sup window outside the trajectory")
+    sup_t = float(np.max(tt[keep] * ss[keep]))
+
+    values = {
+        "lhs_local_linear": nf01,
+        "rhs_local_linear": (h2 + h1 + nf01) ** 2,
+        "lhs_null_cylinder": tip_f,
+        "rhs_null_cylinder": (sph2 + sph1 + tip_f) ** 2,
+        "lhs_weighted_energy": wsup,
+        "rhs_weighted_energy": sph2 + sph1 + tip_f,
+        "lhs_sup_decay": sup_t,
+        "rhs_sup_decay": h21 + h12 + tip_f,
+        "pecher_l8": pecher,
+    }
+    for name in RATIO_NAMES:
+        tag = name[len("ratio_"):]
+        values[name] = values["lhs_" + tag] / values["rhs_" + tag]
+    meta = {"eps": row["eps"], "sup_window": tuple(sup_window),
+            "t_end": float(traj.times[-1]),
+            "forcing_samples": (frame, forcing)}
+    return NormReport(values, meta)
 
 
 def ratio_spreads(reports):

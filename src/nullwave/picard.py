@@ -7,6 +7,7 @@ monitored through the space-time norm of the forcing update, which is
 the practical surrogate for the contraction distance.
 """
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,7 +17,7 @@ from .norms import evaluate_nullform_series, slab_norm
 from .errors import NoConvergence, ParamError
 from .exterior import InitialData, check_compatibility
 from .nullforms import NullFormSpec
-from .solver import Trajectory, solve_linear
+from .solver import Trajectory, fit_decay, solve_linear
 
 # Half the largest data norm verified to converge in the reference scan;
 # picard_solve refuses louder data unless the caller overrides.
@@ -119,10 +120,14 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
 
 def smallness_scan(data_family, spec: NullFormSpec, eps_list, t_end,
                    dt=None, tol=1e-8, max_iter=12, threads=1):
-    """Run picard_solve per epsilon; report the convergence table.
+    """Run picard_solve per epsilon; yield the convergence table rows.
 
-    data_family maps epsilon to InitialData.  Failures are recorded, not
-    raised.  Rows come back in epsilon order regardless of threads.
+    data_family maps epsilon to InitialData.  The eps values are checked
+    here, at call time; the returned generator yields one row per
+    epsilon, in epsilon order whatever threads is.  Failures are
+    recorded, not raised.  A row's "solution" is freed once the caller
+    drops the row, so a caller that keeps no row keeps one entry's run
+    alive at a time; with threads = N at most N entries are in flight.
     """
     eps_list = list(eps_list)
     if any(e < 0 for e in eps_list):
@@ -154,15 +159,28 @@ def smallness_scan(data_family, spec: NullFormSpec, eps_list, t_end,
                     "solution": None}
 
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(entry, e) for e in eps_list]
-            return [f.result() for f in futures]
-    return [entry(e) for e in eps_list]
+        return _windowed(entry, eps_list, threads)
+    return (entry(eps) for eps in eps_list)
+
+
+def _windowed(entry, eps_list, threads):
+    """entry over eps_list on a pool, at most threads entries in flight.
+
+    Rows are yielded oldest first, in eps_list order; no name stays bound
+    to a yielded row, so its run is freed when the caller drops it.
+    """
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        window = deque()
+        for eps in eps_list:
+            window.append(pool.submit(entry, eps))
+            if len(window) == threads:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
 
 
 def measure_sup_decay(sol: NonlinearSolution, window=(5.0, 40.0)):
     """Power-law fit of the recorded sup norm over the window."""
-    from .solver import fit_decay
     t, s = sol.sup_times, sol.sup_values
     keep = (t >= window[0]) & (t <= window[1])
     if not keep.any():

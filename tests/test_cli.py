@@ -348,14 +348,16 @@ def test_rerun_is_byte_identical(tmp_path):
 
 def test_threads_do_not_change_bytes(tmp_path):
     ini = write_ini(tmp_path, SCAN_INI)
-    out_1 = tmp_path / "t1"
-    out_3 = tmp_path / "t3"
-    assert run(["scan-smallness", "--config", ini], out_1) == 0
-    assert cli.main(["scan-smallness", "--config", ini, "--threads", "3",
-                     "--out", str(out_3), "--quiet"]) == 0
-    for name in listing(out_1):
-        assert filecmp.cmp(str(out_1 / name), str(out_3 / name),
-                           shallow=False), name
+    for sub, threads in (("scan-smallness", "3"), ("estimate-report", "2")):
+        out_1 = tmp_path / (sub + "-1")
+        out_n = tmp_path / (sub + "-" + threads)
+        assert run([sub, "--config", ini], out_1) == 0
+        assert cli.main([sub, "--config", ini, "--threads", threads,
+                         "--out", str(out_n), "--quiet"]) == 0
+        assert listing(out_1) == listing(out_n)
+        for name in listing(out_1):
+            assert filecmp.cmp(str(out_1 / name), str(out_n / name),
+                               shallow=False), name
 
 
 def test_seed_changes_geometry_samples(tmp_path):

@@ -228,7 +228,7 @@ def test_cylinder_samples_shapes_and_weights(nonlinear_run):
     # every frame array and pulled-back field is snapshot-major
     for a in (frame.T, frame.R, frame.dist, frame.conf, frame.weight):
         assert a.shape == shape
-    for a in frame.solution():
+    for a in frame.solution(traj):
         assert a.shape == shape
     assert np.all(frame.weight >= 0)
     assert np.all(frame.dist > 0)
@@ -259,12 +259,12 @@ def test_cylinder_sampling_guards(nonlinear_run):
         # stride leaves fewer than 3 samples
         norms._SampleFrame(traj, 10**6)
     with pytest.raises(ParamError):
-        norms._SampleFrame(traj, 10).forcing(NullFormSpec.linear(2))
+        norms._SampleFrame(traj, 10).forcing(traj, NullFormSpec.linear(2))
 
 
 def test_tip_weighted_norm_schemes(nonlinear_run):
     frame = norms._SampleFrame(nonlinear_run.trajectory, 10)
-    forcing = frame.forcing(nonlinear_run.spec)
+    forcing = frame.forcing(nonlinear_run.trajectory, nonlinear_run.spec)
     l2 = tip_weighted_norm(frame, forcing, "l2")
     l8 = tip_weighted_norm(frame, forcing, "l8")
     assert l2 > 0 and l8 > 0
@@ -276,7 +276,7 @@ def test_tip_weighted_norm_schemes(nonlinear_run):
 
 def test_delta_sweep_monotone(nonlinear_run):
     frame = norms._SampleFrame(nonlinear_run.trajectory, 10)
-    forcing = frame.forcing(nonlinear_run.spec)
+    forcing = frame.forcing(nonlinear_run.trajectory, nonlinear_run.spec)
     deltas = [2.5, 2.0, 1.5, 1.0, 0.5, 0.0]
     vals = delta_sweep(frame, forcing, deltas)
     # truncating closer to the tip keeps more samples: nondecreasing
@@ -301,7 +301,7 @@ def test_sampled_time_derivatives_take_the_solver_step(nonlinear_run):
     assert ut_s.tobytes() == ut[idx].tobytes()
     (ur,) = grid.native_gradient(traj.u[idx])
     want = frame.pull(u[idx], ut[idx], ur, 1)
-    for have, ref in zip(frame.solution(), want):
+    for have, ref in zip(frame.solution(traj), want):
         assert have.tobytes() == ref.tobytes()
 
     # Q = q0(du, du) of the whole stack, with the whole stack's u_t
@@ -312,7 +312,7 @@ def test_sampled_time_derivatives_take_the_solver_step(nonlinear_run):
         Q.tobytes()
     Qt = fd.d1(Q, dt, axis=0)
     want = frame.pull(Q[idx], Qt[idx], fd.d1(Q[idx], grid.h, axis=-1), -3)
-    for have, ref in zip(frame.forcing(spec), want):
+    for have, ref in zip(frame.forcing(traj, spec), want):
         assert have.tobytes() == ref.tobytes()
 
 
@@ -380,11 +380,11 @@ def test_pull_is_the_cylinder_derivative_of_the_field(power):
 def test_weighted_energy_sup_homogeneous(nonlinear_run):
     traj = nonlinear_run.trajectory
     frame = norms._SampleFrame(traj, 10)
-    a = frame.energy_sup(*frame.solution())
+    a = frame.energy_sup(*frame.solution(traj))
     doubled = Trajectory(traj.grid, traj.times, 2.0 * traj.u, dt=traj.dt,
                          stride=traj.stride)
     frame2 = norms._SampleFrame(doubled, 10)
-    b = frame2.energy_sup(*frame2.solution())
+    b = frame2.energy_sup(*frame2.solution(doubled))
     assert a > 0
     assert np.isclose(b, 2.0 * a, rtol=1e-12)
 
@@ -444,7 +444,7 @@ def test_estimate_ratio_report_mechanics(nonlinear_run, monkeypatch):
         assert rep[name] == rep["lhs_" + tag] / rep["rhs_" + tag]
     assert rep["pecher_l8"] > 0
     frame = norms._SampleFrame(nonlinear_run.trajectory, 10)
-    pull = frame.solution()
+    pull = frame.solution(nonlinear_run.trajectory)
     assert rep["pecher_l8"] == tip_weighted_norm(frame, pull, "l8")
     assert rep["lhs_weighted_energy"] == frame.energy_sup(*pull)
     # the report keeps the frame and forcing its null-cylinder norm read
@@ -452,7 +452,8 @@ def test_estimate_ratio_report_mechanics(nonlinear_run, monkeypatch):
     assert rep["lhs_null_cylinder"] == tip_weighted_norm(kept_frame, forcing,
                                                          "l2")
     assert kept_frame.weight.tobytes() == frame.weight.tobytes()
-    for have, ref in zip(forcing, frame.forcing(nonlinear_run.spec)):
+    for have, ref in zip(forcing, frame.forcing(nonlinear_run.trajectory,
+                                                nonlinear_run.spec)):
         assert have.tobytes() == ref.tobytes()
     with pytest.raises(ParamError):
         estimate_ratio_report([rows[0]], sup_window=(100.0, 200.0),

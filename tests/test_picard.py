@@ -210,7 +210,7 @@ def test_picard_holds_no_space_time_temporaries(monkeypatch, sweeps):
 
 
 def test_scan_rows_ordered_and_reported(family):
-    rows = smallness_scan(family, SPEC, [5e-4, 1e-3, 2e-3], 8.0)
+    rows = list(smallness_scan(family, SPEC, [5e-4, 1e-3, 2e-3], 8.0))
     assert [r["eps"] for r in rows] == [5e-4, 1e-3, 2e-3]
     for row in rows:
         assert row["converged"]
@@ -219,8 +219,9 @@ def test_scan_rows_ordered_and_reported(family):
 
 
 def test_scan_threads_bitwise_identical(family):
-    rows1 = smallness_scan(family, SPEC, [5e-4, 1e-3], 8.0, threads=1)
-    rows3 = smallness_scan(family, SPEC, [5e-4, 1e-3], 8.0, threads=3)
+    rows1 = list(smallness_scan(family, SPEC, [5e-4, 1e-3], 8.0, threads=1))
+    rows3 = list(smallness_scan(family, SPEC, [5e-4, 1e-3], 8.0, threads=3))
+    assert len(rows1) == len(rows3) == 2
     for a, b in zip(rows1, rows3):
         assert a["eps"] == b["eps"]
         assert a["iterations"] == b["iterations"]
@@ -230,7 +231,8 @@ def test_scan_threads_bitwise_identical(family):
 
 
 def test_scan_records_failures_without_raising(family):
-    rows = smallness_scan(family, SPEC, [1e-3], 8.0, tol=1e-30, max_iter=2)
+    rows = list(smallness_scan(family, SPEC, [1e-3], 8.0, tol=1e-30,
+                               max_iter=2))
     row = rows[0]
     assert not row["converged"]
     assert row["solution"] is None
@@ -240,10 +242,63 @@ def test_scan_records_failures_without_raising(family):
 
 
 def test_scan_eps_validation(family):
+    # refused when called, before the first row is asked for
     with pytest.raises(ParamError):
         smallness_scan(family, SPEC, [1e-3, 5e-4], 8.0)
     with pytest.raises(ParamError):
         smallness_scan(family, SPEC, [-1e-3, 5e-4], 8.0)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_scan_yields_rows_in_eps_order(family, threads):
+    # the middle entry fails to converge in one sweep; zero data converge
+    eps_list = [1e-3, 2e-3, 3e-3]
+    rows = smallness_scan(lambda eps: family(eps if eps == 2e-3 else 0.0),
+                          SPEC, eps_list, 8.0, tol=1e-30, max_iter=1,
+                          threads=threads)
+    assert iter(rows) is rows  # an iterator, not a table
+    rows = list(rows)
+    assert [r["eps"] for r in rows] == eps_list
+    assert [r["converged"] for r in rows] == [True, False, True]
+    assert rows[1]["solution"] is None
+    assert rows[0]["solution"] is not None and rows[2]["solution"] is not None
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_streamed_scan_holds_one_entry_per_thread(monkeypatch, threads):
+    # blocks far below the run, so that only what the scan holds shows
+    monkeypatch.setattr(fd, "BLOCK_VALUES", 2**12)
+    family = bump_data_family(build_radial_grid(1.0, 12.0, 400,
+                                                sponge_cells=100))
+    t_end, time_stride = 20.0, 40
+    stack = solver.solve_linear(family(1e-3), None, t_end).u.nbytes
+
+    def peak(eps_list, threads):
+        def run():
+            reports = norms.estimate_ratio_report(
+                smallness_scan(family, SPEC, eps_list, t_end,
+                               threads=threads),
+                sup_window=(2.0, 10.0), time_stride=time_stride)
+            assert len(reports) == len(eps_list)
+            assert "forcing_samples" in reports[-1].metadata
+            assert all("forcing_samples" not in r.metadata
+                       for r in reports[:-1])
+
+        run()  # one-time lazy imports are not the run's
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak([1e-3], 1)
+    four = peak([1e-3, 2e-3, 4e-3, 8e-3], threads)
+    # each of the threads entries in flight may be at its own peak; the
+    # previous report's frame and forcing (eleven arrays, each one
+    # time_stride-th of a stack: 11/40 here) stay until the next report
+    # replaces them
+    assert four < threads * one + stack / 2
 
 
 def test_bump_family_norm_calibration(grid, family):
