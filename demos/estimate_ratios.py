@@ -26,8 +26,10 @@ spec = NullFormSpec.scalar_q0()
 # 1. Solve across an amplitude scan and measure every ratio
 
 eps_list = [1e-4, 2e-4, 4e-4, 8e-4, 1.6e-3]
-rows = picard.smallness_scan(family, spec, eps_list, 60.0)
-reports = norms.estimate_ratio_report(rows)
+deltas = [3.6, 3.2, 2.8, 2.0, 1.0, 0.3, 0.0]
+# each solution keeps its cylinder samples at every 20th snapshot
+rows = picard.smallness_scan(family, spec, eps_list, 60.0, time_stride=20)
+reports = norms.estimate_ratio_report(rows, deltas=deltas)
 
 print("LHS/RHS ratios per amplitude:")
 header = "   eps      " + "".join("%-16s" % name.replace("ratio_", "")
@@ -62,14 +64,9 @@ print()
 # ---------------------------------------------------------------------------
 # 3. Tip-weighted forcing integral under truncation
 
-# the largest amplitude's report keeps the sample frame and the
-# pulled-back forcing its null-cylinder norm read
-frame, forcing = reports[-1].metadata["forcing_samples"]
-print("sample tip distances span [%.3f, %.3f]"
-      % (frame.dist.min(), frame.dist.max()))
-
-deltas = [3.6, 3.2, 2.8, 2.0, 1.0, 0.3, 0.0]
-sweep = norms.delta_sweep(frame, forcing, deltas)
+# each report keeps the truncation sweep of the pulled-back forcing its
+# null-cylinder norm read; the largest amplitude's is shown
+sweep = reports[-1].metadata["delta_sweep"]
 print("tip-weighted forcing norm, excluding dist < delta:")
 print("   delta    value          gap to delta=0")
 for d, v in zip(deltas, sweep):

@@ -357,11 +357,11 @@ def _fit_json(fit):
             "window": list(fit.window), "residual": fit.residual}
 
 
-def _write_final_snapshot(ec, out, traj, name):
+def _write_final_snapshot(ec, out, traj, name, velocity):
     if not ec.snapshots:
         return
     fields = {"u": traj.u[-1]}
-    if traj.v is not None:
+    if velocity:
         fields["v"] = traj.v[-1]
     gridio.write_snapshot(os.path.join(out, name), traj.grid,
                           float(traj.times[-1]), fields)
@@ -391,7 +391,7 @@ def cmd_run_linear(ec, out, quiet):
     gridio.write_json(os.path.join(out, "linear.json"), summary)
     gridio.write_csv(os.path.join(out, "local_energy.csv"),
                      ["t", "local_energy"], zip(times, energies))
-    _write_final_snapshot(ec, out, traj, "linear_final.nwb")
+    _write_final_snapshot(ec, out, traj, "linear_final.nwb", True)
     return summary
 
 
@@ -418,14 +418,15 @@ def cmd_run_nonlinear(ec, out, quiet):
     gridio.write_csv(os.path.join(out, "residuals.csv"),
                      ["iteration", "residual"],
                      enumerate(report.residuals, start=1))
-    _write_final_snapshot(ec, out, sol.trajectory, "nonlinear_final.nwb")
+    _write_final_snapshot(ec, out, sol.trajectory, "nonlinear_final.nwb",
+                          False)
     return summary
 
 
-def _run_scan(ec):
+def _run_scan(ec, time_stride=None):
     return picard.smallness_scan(
         ec.family, ec.spec, ec.scan_eps, ec.t_end, dt=ec.dt, tol=ec.tol,
-        max_iter=ec.max_iter, threads=ec.threads)
+        max_iter=ec.max_iter, threads=ec.threads, time_stride=time_stride)
 
 
 def _table_row(row, quiet):
@@ -452,7 +453,8 @@ def cmd_scan_smallness(ec, out, quiet):
 
 def cmd_estimate_report(ec, out, quiet):
     reports = norms.estimate_ratio_report(
-        _run_scan(ec), sup_window=ec.sup_window, time_stride=ec.time_stride)
+        _run_scan(ec, ec.time_stride), sup_window=ec.sup_window,
+        deltas=ec.deltas)
     if not reports:
         raise FitError("no converged scan entries to report on")
 
@@ -466,9 +468,9 @@ def cmd_estimate_report(ec, out, quiet):
 
     # truncation sweep on the largest converged entry: scan rows come in
     # ascending eps and only converged rows are reported, so it is the
-    # last report, the only one that keeps its forcing samples
+    # last report's
     last = reports[-1].metadata
-    sweep = norms.delta_sweep(*last["forcing_samples"], ec.deltas)
+    sweep = last["delta_sweep"]
 
     summary = ec.summary_header("estimate-report")
     summary["results"] = {
@@ -543,6 +545,18 @@ def _check_for_subcommand(subcommand, ec):
         if ec.t_end < norms.LOCAL_LINEAR_WINDOW[1]:
             raise ConfigError("estimate-report needs [run] t_end >= %g"
                               % norms.LOCAL_LINEAR_WINDOW[1])
+        dt = ec.dt or solver.cfl_limit(ec.grid)
+        n = solver.step_count(ec.t_end, dt)
+        if n // ec.time_stride + 1 < 3:
+            raise ConfigError("[report] time_stride = %d samples fewer "
+                              "than 3 of the run's %d snapshots"
+                              % (ec.time_stride, n + 1))
+        i0, i1 = norms.window_rows(dt * np.arange(n + 1),
+                                   norms.LOCAL_LINEAR_WINDOW)
+        if i1 - i0 < 3:
+            raise ConfigError("the local-linear window [0, 1] holds %d "
+                              "snapshots at step %g, fewer than 3"
+                              % (i1 - i0, dt))
         window, name = ec.sup_window, "[report] sup_window"
     elif subcommand in ("run-linear", "run-nonlinear"):
         window, name = ec.fit_window, "[fit] window"

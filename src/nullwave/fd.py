@@ -3,8 +3,9 @@
 Second-order accurate throughout: centered stencils inside, one-sided
 three/four point formulas at array ends, trapezoid weights.
 
-A trajectory has one time derivative, d1_rows; whole-trajectory sums
-read it one row_blocks block at a time, row by row, so no temporary
+A snapshot series has one time derivative, d1_rows: d1 along the
+snapshot axis, read from the rows its stencil uses.  Whole-series
+quantities read it one row_blocks block at a time, so no temporary
 outgrows a block and no byte depends on the block size.
 """
 
@@ -12,8 +13,10 @@ import numpy as np
 
 from .errors import ParamError
 
-# float64 values per block of rows (8 MB arrays ran fastest end to end)
-BLOCK_VALUES = 2**20
+# float64 values per block of rows: blocks of 2**14 to 2**16 values (128
+# to 512 KB arrays) ran fastest end to end, 2**18 and 2**20 ran 5-36%
+# slower, and 2**20 also peaked 50-60 MB higher (perfbench, 2-core VM)
+BLOCK_VALUES = 2**16
 
 
 def d1(y, h, axis=-1):
@@ -30,6 +33,11 @@ def d1_rows(read, rows, n, h):
     """
     if n < 3:
         raise ParamError("the time stencil needs at least 3 snapshots")
+    if 0 < rows[0] and rows[-1] < n - 1 and \
+            rows[-1] - rows[0] == len(rows) - 1:
+        # consecutive rows inside: the same difference on slices
+        vals = read(np.arange(rows[0] - 1, rows[-1] + 2))
+        return vals[1:-1], (vals[2:] - vals[:-2]) / (2.0 * h)
     lo = np.clip(rows - 1, 0, n - 3)
     need = np.unique(lo[:, None] + np.arange(3))
     vals = read(need)

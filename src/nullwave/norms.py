@@ -7,16 +7,19 @@ quadrature is pushed forward through the compactification, with the
 volume element picking up a factor of the fourth power of the conformal
 factor.
 
-Each trajectory is pulled back once, and the sample frame is the only
-way onto the cylinder: one frame (the sampled snapshots, their image
-and tip distance, the conformal factor and its gradient, the
-quadrature weight) pulls back the solution and the forcing as fields
+Each run is pulled back once, and the sample frame is the only way
+onto the cylinder: one frame (the sample times, their image and tip
+distance, the conformal factor and its gradient, the quadrature
+weight) pulls back the solution and the forcing as fields
 (val, g0, gb), and tip_weighted_norm, delta_sweep and the frame's
-weighted energy sup read a frame with one such field.
+weighted energy sup read a frame with one such field.  The frame reads
+the rows a Picard sweep recorded while it ran (the samples of a
+NonlinearSolution), and the local-linear norm reads the Q rows of its
+window; no stored run is walked again.
 
-Every time derivative is fd.d1_rows at the solver step, never across
-the sampling stride, and null forms and slab norms of whole
-trajectories are read one row block at a time.
+Every time derivative is taken at the solver step, never across the
+sampling stride, with fd.d1_rows; slab norms read their series one row
+block at a time.
 """
 
 import numpy as np
@@ -102,24 +105,22 @@ def sphere_sobolev_norm(grid, field, order):
 
 
 # ---------------------------------------------------------------------------
-# null-form evaluation along trajectories
+# null forms and space-time norms of snapshot series
 
-def evaluate_nullform_series(traj, spec: NullFormSpec, rows):
-    """Physical Q(du, du) at the increasing snapshot index array rows.
+def evaluate_nullform_series(grid, spec: NullFormSpec, u, u_t):
+    """Physical Q(du, du) of snapshot rows.
 
-    Shape (len(rows), n_components) + grid shape.  On radial grids only
-    q0 survives: rotational forms of radial fields vanish identically.
+    u holds native rows and u_t their physical time derivatives, both of
+    shape (rows, n_components) + grid shape, and so does the result.  On
+    radial grids only q0 survives: rotational forms of radial fields
+    vanish identically.
     """
-    grid, n = traj.grid, len(traj.u)
-    u = traj.u.reshape((n, -1) + grid.zeros().shape)
     if u.shape[1] != spec.n_components:
         raise ParamError("trajectory component count does not match spec")
-    _, ut = fd.d1_rows(lambda r: grid.to_physical(u[r]), rows, n,
-                       traj.snap_dt)
-    du = (ut,) + grid.native_gradient(u[rows])
+    du = (u_t,) + grid.native_gradient(u)
     per_comp = [[d[:, j] for d in du] for j in range(spec.n_components)]
     out = np.zeros(du[0].shape)
-    accumulate_system(spec, per_comp, per_comp, np.moveaxis(out, 1, 0))
+    accumulate_system(spec, per_comp, per_comp, out.swapaxes(0, 1))
     return out
 
 
@@ -143,45 +144,42 @@ def slab_norm(grid, series, n, dt_snap):
     return float(sum(np.sqrt(np.sum(s * tw)) for s in sq))
 
 
-def nullform_spacetime_norm(traj, spec: NullFormSpec, window):
-    """Slab norm of Q(du, du) restricted to a time window."""
+def window_rows(times, window):
+    """(i0, i1) such that times[i0:i1] are the snapshot times in window.
+
+    window must be increasing and lie inside [times[0], times[-1]].
+    """
     t0, t1 = float(window[0]), float(window[1])
-    times = traj.times
     if t0 >= t1:
         raise ParamError("window must be increasing")
     if t0 < times[0] - 1e-12 or t1 > times[-1] + 1e-12:
         raise ParamError("window outside trajectory times")
     i0 = int(np.searchsorted(times, t0 - 1e-12))
     i1 = int(np.searchsorted(times, t1 + 1e-12, side="right"))
-    return slab_norm(traj.grid,
-                     lambda r: evaluate_nullform_series(traj, spec, r + i0),
-                     i1 - i0, traj.snap_dt)
+    return i0, i1
 
 
 # ---------------------------------------------------------------------------
 # the cylinder sample frame and tip-weighted norms
 
 class _SampleFrame:
-    """The compactified sample frame of a radial trajectory, built once.
+    """The compactified sample frame of a radial run, built once.
 
-    The sampled snapshots (every time_stride-th), their image (T, R) and
-    tip distance, the conformal factor and its gradient, and the
-    pulled-back quadrature weight; every cylinder quantity reads them.
-    Arrays have shape (sampled snapshots, radial nodes).  The frame
-    keeps no reference to the trajectory (solution and forcing take it
-    as an argument), so a frame and its pulled-back fields do not keep
-    the run's stored u alive.
+    The sample times t, their image (T, R) and tip distance, the
+    conformal factor and its gradient, and the pulled-back quadrature
+    weight; every cylinder quantity reads them.  Arrays have shape
+    (sampled snapshots, radial nodes).  The frame holds no field:
+    solution and forcing pull back the rows a Picard sweep recorded at
+    these times (NonlinearSolution.samples).
     """
 
-    def __init__(self, traj, time_stride):
-        grid = traj.grid
+    def __init__(self, grid, t):
         if grid.kind != "radial":
             raise ParamError("cylinder sampling supports radial grids")
-        idx = np.arange(len(traj.times))[::time_stride]
-        if len(idx) < 3:
+        if len(t) < 3:
             raise ParamError("need at least 3 sampled snapshots")
-        self.grid, self.idx = grid, idx
-        t = self.t = traj.times[idx][:, None]
+        self.grid = grid
+        t = self.t = np.asarray(t, dtype=float)[:, None]
         self.T, self.R = penrose.forward_tr(t, grid.r)
         if np.any(self.R + np.abs(self.T) >= np.pi):
             raise DomainError("samples outside the compactified diamond")
@@ -189,7 +187,7 @@ class _SampleFrame:
         self.dist = np.sqrt(self.dist2)
         self.conf = penrose.conformal_factor_tr(t, grid.r)
         self.dconf_dt, self.dconf_dr = penrose.conformal_gradient_tr(t, grid.r)
-        wt = fd.trapezoid(t[1, 0] - t[0, 0], len(idx))[:, None]
+        wt = fd.trapezoid(t[1, 0] - t[0, 0], len(t))[:, None]
         self.weight = self.conf**4 * grid.weights()[None, :] * wt
 
     def pull(self, q, q_t, q_r, power):
@@ -209,24 +207,15 @@ class _SampleFrame:
               + r * r * val_r)
         return scale * q, g0, gb
 
-    def solution(self, traj):
-        """(val, g0, gb) of the cylinder field conf * u of traj.
+    def solution(self, samples):
+        """(val, g0, gb) of the cylinder field conf * u of recorded rows."""
+        return self.pull(samples["u"], samples["u_t"], samples["u_r"], 1)
 
-        traj is the trajectory the frame was built from.
-        """
-        grid, u = self.grid, traj.u
-        up, ut = fd.d1_rows(lambda r: grid.to_physical(u[r]), self.idx,
-                            len(u), traj.snap_dt)
-        return self.pull(up, ut, grid.native_gradient(u[self.idx])[0], 1)
-
-    def forcing(self, traj, spec):
-        """(val, g0, gb) of the cylinder field conf^-3 * Q(du, du) of traj."""
-        if spec.n_components != 1:
-            raise ParamError("forcing samples support scalar systems only")
-        Q, Qt = fd.d1_rows(
-            lambda r: evaluate_nullform_series(traj, spec, r)[:, 0],
-            self.idx, len(traj.u), traj.snap_dt)
-        return self.pull(Q, Qt, fd.d1(Q, self.grid.h, axis=-1), -3)
+    def forcing(self, samples):
+        """(val, g0, gb) of the cylinder field conf^-3 * Q of recorded rows."""
+        Q = samples["Q"]
+        return self.pull(Q, samples["Q_t"], fd.d1(Q, self.grid.h, axis=-1),
+                         -3)
 
     def energy_sup(self, val, g0, gb):
         """Sup over sampled times of the tip-weighted slice norm of val."""
@@ -296,53 +285,53 @@ RATIO_NAMES = ("ratio_local_linear", "ratio_null_cylinder",
 LOCAL_LINEAR_WINDOW = (0.0, 1.0)
 
 
-def estimate_ratio_report(rows, sup_window=(5.0, 40.0), time_stride=20):
+def estimate_ratio_report(rows, sup_window=(5.0, 40.0), deltas=()):
     """LHS/RHS surrogate ratios for the four estimates, one report per run.
 
-    rows are smallness_scan rows (dicts carrying "solution" and "eps"),
-    read one at a time: no row is held once its report is made, so each
-    solution of a streamed scan is freed after its report, before the
-    next entry is solved.  Rows
-    without a converged solution, and zero-data rows, are skipped.  Each
-    report's metadata carries eps, sup_window and t_end; only the last
-    report also keeps, under "forcing_samples", the (frame, field) pair
-    its null-cylinder norm read, which delta_sweep takes.
+    rows are smallness_scan rows (dicts carrying "solution" and "eps")
+    of a scan run with a time_stride, so that each solution carries its
+    sample rows and its local-linear window.  They are read one at a
+    time and no row is held once its report is made, so each solution of
+    a streamed scan is freed after its report, before the next entry is
+    solved.  Rows without a converged solution, and zero-data rows, are
+    skipped.  Each report's metadata carries eps, sup_window, t_end and,
+    under "delta_sweep", the delta_sweep values of its pulled-back
+    forcing at deltas; no report keeps its frame.
     """
-    reports = []
-    for rep in map(lambda row: _ratio_report(row, sup_window, time_stride),
-                   rows):
-        if rep is None:
-            continue
-        if reports:
-            del reports[-1].metadata["forcing_samples"]
-        reports.append(rep)
-    return reports
+    return [rep for rep in map(
+        lambda row: _ratio_report(row, sup_window, deltas), rows)
+        if rep is not None]
 
 
-def _ratio_report(row, sup_window, time_stride):
+def _ratio_report(row, sup_window, deltas):
     """The NormReport of one scan row, or None when it has nothing to show."""
     sol = row["solution"]
     if sol is None:
         return None
-    traj, spec, data = sol.trajectory, sol.spec, sol.data
+    traj, data = sol.trajectory, sol.data
     grid = traj.grid
     f = grid.to_physical(data.f)
     g = grid.to_physical(data.g)
     if np.max(np.abs(f)) == 0 and np.max(np.abs(g)) == 0:
         return None
+    samples = sol.samples
+    if samples is None:
+        raise ParamError("the solution keeps no sample rows; solve it "
+                         "with a time_stride")
 
-    nf01 = nullform_spacetime_norm(traj, spec, LOCAL_LINEAR_WINDOW)
+    window = sol.window
+    nf01 = slab_norm(grid, lambda r: window[r], len(window), traj.dt)
     h2 = weighted_sobolev_norm(f, 2, 0, grid)
     h1 = weighted_sobolev_norm(g, 1, 0, grid)
     h21 = weighted_sobolev_norm(f, 2, 1, grid)
     h12 = weighted_sobolev_norm(g, 1, 2, grid)
 
-    # one sample frame serves the forcing and solution norms; the
-    # forcing samples stay with the report for the truncation sweep
-    frame = _SampleFrame(traj, time_stride)
-    forcing = frame.forcing(traj, spec)
+    # one sample frame serves the forcing and solution norms and the
+    # truncation sweep
+    frame = _SampleFrame(grid, samples["t"])
+    forcing = frame.forcing(samples)
     tip_f = tip_weighted_norm(frame, forcing, "l2")
-    pull = frame.solution(traj)
+    pull = frame.solution(samples)
     pecher = tip_weighted_norm(frame, pull, "l8")
 
     conf0 = 2.0 / (1.0 + grid.r**2)
@@ -373,7 +362,7 @@ def _ratio_report(row, sup_window, time_stride):
         values[name] = values["lhs_" + tag] / values["rhs_" + tag]
     meta = {"eps": row["eps"], "sup_window": tuple(sup_window),
             "t_end": float(traj.times[-1]),
-            "forcing_samples": (frame, forcing)}
+            "delta_sweep": delta_sweep(frame, forcing, deltas)}
     return NormReport(values, meta)
 
 

@@ -2,9 +2,21 @@
 
 The nonlinear problem (wave equation with a null-form right side) is
 solved as a fixed point: each iterate feeds the null form of the previous
-trajectory back in as forcing for a linear solve.  Convergence is
-monitored through the space-time norm of the forcing update, which is
-the practical surrogate for the contraction distance.
+one back in as forcing for a linear solve.  Convergence is monitored
+through the space-time norm of the forcing update, which is the
+practical surrogate for the contraction distance.
+
+Every sweep is an observed solve_linear run, so no sweep stores its u
+stack.  Its observer (_Sweep) keeps the last few rows of u, a block of
+about fd.BLOCK_VALUES values and the rows its time stencil reaches past
+it, and works a block behind the solver: it takes the block's Q with
+the time derivative of the whole run (fd.d1_rows: centred inside, fd.d1
+of the first or last three rows at the ends), writes it into the next
+sweep's forcing, and reduces on the way what the callers read: the sup
+series, the boundary max, and with a time_stride the sample-frame rows
+and the Q rows of the local-linear window.  A sweep holds its forcing
+and, from the second sweep on, the forcing it applies; the converged
+sweep's forcing is dropped before the solution is returned.
 """
 
 from collections import deque
@@ -13,11 +25,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import fd, norms
-from .norms import evaluate_nullform_series, slab_norm
+from .norms import LOCAL_LINEAR_WINDOW, evaluate_nullform_series, slab_norm
 from .errors import NoConvergence, ParamError
 from .exterior import InitialData, check_compatibility
 from .nullforms import NullFormSpec
-from .solver import Trajectory, fit_decay, solve_linear
+from .solver import cfl_limit, fit_decay, solve_linear, step_count
 
 # Half the largest data norm verified to converge in the reference scan;
 # picard_solve refuses louder data unless the caller overrides.
@@ -41,45 +53,166 @@ class IterationReport:
 
 
 class NonlinearSolution:
-    """Converged trajectory with the null-form system and data behind it."""
+    """The converged sweep of a Picard run, as its observer reduced it.
 
-    def __init__(self, trajectory, spec, data):
+    trajectory is the observed run: its first and last (u, v).
+    sup_times and sup_values are the physical sup series.  samples (the
+    sample-frame rows: snapshot times "t" and physical "u", "u_t",
+    "u_r", "Q", "Q_t" at every time_stride-th snapshot) and window (the
+    physical Q rows of LOCAL_LINEAR_WINDOW) are None unless the run was
+    solved with a time_stride.
+    """
+
+    def __init__(self, trajectory, spec, data, sweep):
         self.trajectory = trajectory
         self.spec = spec
         self.data = data
-        self.sup_times, self.sup_values = trajectory.sup_series()
+        # the stored run's snapshot times, dt * stride * arange
+        self.sup_times = trajectory.dt * np.arange(sweep.n)
+        self.sup_values = sweep.sup
+        self.samples = sweep.samples
+        self.window = sweep.window
+        self._boundary_max = sweep.boundary
 
     def boundary_max(self):
         """Largest |u| ever recorded on a Dirichlet node (zero by scheme)."""
-        u = self.trajectory.u
-        fixed = ~self.trajectory.grid.updated()
-        return float(np.max(np.abs(u[..., fixed]), initial=0.0))
+        return self._boundary_max
 
 
-def forcing_from_trajectory(traj: Trajectory, spec: NullFormSpec):
-    """Forcing snapshots Q in the grid's native representation."""
-    F = np.empty(traj.u.shape)
-    for rows in fd.row_blocks(len(F), F[0].size):
-        q = traj.grid.from_physical(evaluate_nullform_series(traj, spec, rows))
-        F[rows] = q.reshape((len(rows),) + F.shape[1:])
-    return F
+def _complete(m, n):
+    """How many rows of an n-row series have their whole fd.d1_rows
+    stencil among rows 0, ..., m."""
+    if m == n - 1:
+        return n
+    return m if m >= 2 else 0
+
+
+class _Sweep:
+    """Observer of one Picard sweep: solve_linear's observe(i, u, v).
+
+    n and dt are the run's snapshot count and step.  Rows of u go into a
+    sliding buffer; once a block of rows (about fd.BLOCK_VALUES values)
+    has its whole time stencil there, the block gets u_t (fd.d1_rows)
+    and Q, and Q goes into forcing, the next sweep's forcing; the sup
+    series and the boundary max are reduced a block at a time too.  The
+    buffer holds a block and the rows its stencils reach past it, in
+    order, so a block is read as a slice.  With time_stride, a ring of
+    Q rows gives Q_t at the sampled rows.
+    """
+
+    def __init__(self, data, spec, n, dt, time_stride):
+        grid = self.grid = data.grid
+        self.spec, self.n, self.dt = spec, n, dt
+        shape = data.f.shape
+        # a row as evaluate_nullform_series reads it, less the row axis
+        self.comp = (spec.n_components,) + grid.zeros().shape
+        self.block = min(n, max(1, fd.BLOCK_VALUES // data.f.size))
+        # row base + i of the run is in buf[i]
+        self.buf = np.empty((self.block + 3,) + shape)
+        self.base = self.done = 0
+        self.forcing = np.empty((n,) + shape)
+        self.sup = np.empty(n)
+        # flat indices of the Dirichlet nodes in a row
+        self.fixed = np.flatnonzero(np.broadcast_to(~grid.updated(), shape))
+        self.boundary = 0.0
+        self.stride = time_stride
+        self.samples = self.window = None
+        if time_stride is None:
+            return
+        t = dt * np.arange(n)
+        self.samples = {"t": t[::time_stride]}
+        for name in ("u", "u_t", "u_r", "Q", "Q_t"):
+            self.samples[name] = np.empty((len(self.samples["t"]),) + shape)
+        self.q = np.empty(self.buf.shape)
+        self.q_done = 0
+        self.i0, i1 = norms.window_rows(t, LOCAL_LINEAR_WINDOW)
+        if i1 - self.i0 < 3:
+            raise ParamError("the local-linear window holds fewer than 3 "
+                             "snapshots")
+        self.window = np.empty((i1 - self.i0,) + self.comp)
+
+    def __call__(self, m, u, v):
+        buf = self.buf
+        if m - self.base == len(buf):
+            # slide: keep from the first row the next block's stencils read
+            keep = max(min(self.done - 1, self.n - 3), 0)
+            buf[:m - keep] = buf[keep - self.base:m - self.base]
+            self.base = keep
+        buf[m - self.base] = u
+        end = _complete(m, self.n)
+        if end - self.done >= self.block or end == self.n:
+            self._take(np.arange(self.done, end))
+            self.done = end
+
+    def _take(self, rows):
+        """Q, the forcing and the recorded rows of the snapshots rows."""
+        grid, buf, base, n, dt = self.grid, self.buf, self.base, self.n, \
+            self.dt
+        # rows, and the rows their stencils read, are consecutive
+        u, u_t = fd.d1_rows(lambda r: grid.to_physical(
+            buf[r[0] - base:r[-1] + 1 - base]), rows, n, dt)
+        native = buf[rows[0] - base:rows[-1] + 1 - base]
+        self.sup[rows] = np.abs(u).reshape(len(rows), -1).max(axis=1)
+        pinned = native.reshape(len(rows), -1)[:, self.fixed]
+        self.boundary = max(self.boundary,
+                            float(np.abs(pinned).max(initial=0.0)))
+        lead = (len(rows),) + self.comp
+        q = evaluate_nullform_series(grid, self.spec, native.reshape(lead),
+                                     u_t.reshape(lead))
+        self.forcing[rows] = grid.from_physical(q).reshape(native.shape)
+        if self.stride is None:
+            return
+        s, stride, i0, ring = self.samples, self.stride, self.i0, len(self.q)
+        win = rows[(rows >= i0) & (rows < i0 + len(self.window))]
+        self.window[win - i0] = q[win - rows[0]]
+        self.q[rows % ring] = q[:, 0]
+        hit = rows % stride == 0
+        at = rows[hit] // stride
+        s["u"][at] = u[hit]
+        s["u_t"][at] = u_t[hit]
+        (s["u_r"][at],) = grid.native_gradient(native[hit])
+        s["Q"][at] = q[hit, 0]
+        # sampled rows whose Q_t stencil the Q rows so far complete
+        end = _complete(rows[-1], n)
+        want = np.arange(-(-self.q_done // stride) * stride, end, stride)
+        if len(want):
+            _, s["Q_t"][want // stride] = fd.d1_rows(
+                lambda r: self.q[r % ring], want, n, dt)
+        self.q_done = end
 
 
 def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
-                 tol=1e-8, max_iter=12, smallness_threshold=None):
+                 tol=1e-8, max_iter=12, smallness_threshold=None,
+                 time_stride=None):
     """Iterate linear solves with fed-back null-form forcing.
 
     The first iterate is the linear solution.  Returns
     (NonlinearSolution, IterationReport).  The residual is the slab norm
     of the forcing update between consecutive iterates; the run stops
     once it drops below tol.  Raises NoConvergence when max_iter
-    residuals were not enough.
+    residuals were not enough.  time_stride (radial grids and scalar
+    systems only) makes the solution keep the sample-frame rows of every
+    time_stride-th snapshot and the local-linear window, which
+    norms.estimate_ratio_report reads.
     """
     if tol <= 0:
         raise ParamError("tol must be positive")
     if max_iter < 1:
         raise ParamError("max_iter must be >= 1")
     grid = data.grid
+    dt = cfl_limit(grid) if dt is None else dt
+    n = step_count(t_end, dt) + 1
+    if n < 3:
+        raise ParamError("the time stencil needs at least 3 snapshots")
+    if time_stride is not None:
+        if grid.kind != "radial":
+            raise ParamError("cylinder sampling supports radial grids")
+        if spec.n_components != 1:
+            raise ParamError("forcing samples support scalar systems only")
+        if time_stride < 1:
+            raise ParamError("time_stride must be >= 1")
+        if len(range(0, n, time_stride)) < 3:
+            raise ParamError("need at least 3 sampled snapshots")
 
     comp = check_compatibility(data, spec, 1)
     scale = max(np.max(np.abs(data.f)), np.max(np.abs(data.g)), 1e-30)
@@ -94,32 +227,33 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
         raise ParamError("data norm %.3e exceeds smallness threshold %.3e"
                          % (dnorm, threshold))
 
-    traj = solve_linear(data, None, t_end, dt=dt, stride=1)
     applied = None
     residuals = []
     while True:
-        F = forcing_from_trajectory(traj, spec)
+        sweep = _Sweep(data, spec, n, dt, time_stride)
+        traj = solve_linear(data, applied, t_end, dt=dt, stride=1,
+                            observe=sweep)
+        F = sweep.forcing
         residuals.append(slab_norm(grid, lambda r: grid.to_physical(
-            F[r] if applied is None else F[r] - applied[r]),
-            len(F), traj.snap_dt))
+            F[r] if applied is None else F[r] - applied[r]), n, dt))
         if residuals[-1] <= tol:
             break
         if len(residuals) == max_iter:
             raise NoConvergence(max_iter, residuals)
-        # solve only when another sweep follows, old run and forcing freed
-        traj = applied = None
-        traj = solve_linear(data, F, t_end, dt=dt, stride=1)
-        applied = F
+        # the forcing applied here, and this sweep's other rows, are
+        # freed before the next sweep runs
+        applied, sweep = F, None
 
     ratios = [residuals[i + 1] / residuals[i]
               for i in range(len(residuals) - 1)
               if residuals[i] > 0]
     report = IterationReport(residuals, ratios, True, len(residuals))
-    return NonlinearSolution(traj, spec, data), report
+    return NonlinearSolution(traj, spec, data, sweep), report
 
 
 def smallness_scan(data_family, spec: NullFormSpec, eps_list, t_end,
-                   dt=None, tol=1e-8, max_iter=12, threads=1):
+                   dt=None, tol=1e-8, max_iter=12, threads=1,
+                   time_stride=None):
     """Run picard_solve per epsilon; yield the convergence table rows.
 
     data_family maps epsilon to InitialData.  The eps values are checked
@@ -128,6 +262,8 @@ def smallness_scan(data_family, spec: NullFormSpec, eps_list, t_end,
     recorded, not raised.  A row's "solution" is freed once the caller
     drops the row, so a caller that keeps no row keeps one entry's run
     alive at a time; with threads = N at most N entries are in flight.
+    time_stride goes to picard_solve (norms.estimate_ratio_report reads
+    the rows it keeps).
     """
     eps_list = list(eps_list)
     if any(e < 0 for e in eps_list):
@@ -140,7 +276,8 @@ def smallness_scan(data_family, spec: NullFormSpec, eps_list, t_end,
         try:
             sol, rep = picard_solve(data, spec, t_end, dt=dt, tol=tol,
                                     max_iter=max_iter,
-                                    smallness_threshold=np.inf)
+                                    smallness_threshold=np.inf,
+                                    time_stride=time_stride)
             return {"eps": eps, "converged": True,
                     "iterations": rep.iterations,
                     "final_residual": rep.residuals[-1] if rep.residuals

@@ -19,7 +19,9 @@ the next step overwrites: an observer keeps what it needs by reducing
 the state (local_energy_fn gives one such reduction) or by copying it.
 The returned trajectory then holds only the first and the last (u, v),
 with times [0, t_final] and stride n_steps, so memory does not grow with
-t_end.
+t_end.  run-linear observes its local energies, and every Picard sweep
+is observed too (see nullwave.picard); step_count gives the number of
+steps, and so of snapshots, before the run.
 
 Fields are stored in each grid's native representation (see
 nullwave.exterior); the grid supplies the spatial operator, the Dirichlet
@@ -29,7 +31,6 @@ components evolves in one call.
 
 import numpy as np
 
-from . import fd
 from .errors import CFLError, FitError, NaNError, ParamError
 from .exterior import InitialData
 
@@ -100,23 +101,20 @@ class Trajectory:
         self.dt = dt
         self.stride = stride
 
-    @property
-    def snap_dt(self):
-        if len(self.times) < 2:
-            return 0.0
-        return float(self.times[1] - self.times[0])
 
-    def sup_series(self):
-        """(times, sup_x |u|) over all nodes, physical values.
+def step_count(t_end, dt, stride=1):
+    """The number of steps solve_linear takes to reach t_end at step dt.
 
-        The solver holds the Dirichlet nodes at their pinned values, so on
-        solver trajectories this is the sup over the evolved nodes.
-        """
-        sup = np.empty(len(self.times))
-        for rows in fd.row_blocks(len(sup), self.u[0].size):
-            up = self.grid.to_physical(self.u[rows])
-            sup[rows] = np.max(np.abs(up), axis=tuple(range(1, up.ndim)))
-        return self.times, sup
+    At least one, rounded up to a multiple of stride; a stride above
+    the unrounded count is refused.
+    """
+    if dt <= 0:
+        raise ParamError("dt must be positive")
+    n_steps = max(int(np.ceil(t_end / dt - 1e-12)), 1)
+    if stride > n_steps:
+        raise ParamError("stride %d exceeds the %d steps of the run"
+                         % (stride, n_steps))
+    return n_steps + (-n_steps) % stride
 
 
 def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
@@ -126,8 +124,8 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
     forcing may be None, a callable t -> native field (evaluated at step
     midpoints), or an array of per-step fields of shape
     (n_steps + 1,) + field shape, in which case midpoint values are taken
-    as adjacent averages.  The step count is rounded up to a multiple of
-    stride; a stride above the step count is refused.
+    as adjacent averages.  The run takes step_count(t_end, dt, stride)
+    steps.
 
     Without observe the trajectory stores u at every snapshot and no v.
     With observe, every snapshot i goes to observe(i, u, v) as read-only
@@ -138,19 +136,11 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
     limit = cfl_limit(grid)
     if dt is None:
         dt = limit
-    if dt <= 0:
-        raise ParamError("dt must be positive")
     if dt > limit * (1.0 + 1e-12):
         raise CFLError("dt=%g exceeds CFL limit %g" % (dt, limit))
     if stride < 1:
         raise ParamError("stride must be >= 1")
-    n_steps = int(np.ceil(t_end / dt - 1e-12))
-    n_steps = max(n_steps, 1)
-    if stride > n_steps:
-        raise ParamError("stride %d exceeds the %d steps of the run"
-                         % (stride, n_steps))
-    if n_steps % stride:
-        n_steps += stride - n_steps % stride
+    n_steps = step_count(t_end, dt, stride)
 
     recorded = None
     if isinstance(forcing, np.ndarray):

@@ -501,6 +501,28 @@ def test_smallness_guard_exit_3(tmp_path):
     assert "smallness" in err["message"]
 
 
+# a grid so coarse that the solver step exceeds half a time unit
+COARSE_INI = """\
+[grid]
+r_max = 10.6
+n = 16
+sponge_cells = 2
+
+[data]
+center = 4.0
+width = 2.0
+
+[run]
+t_end = 8.0
+
+[scan]
+eps = 1e-3
+
+[report]
+time_stride = 1
+sup_window = 2 6
+"""
+
 # the scalar bump data under a two-component system
 TWO_COMPONENTS = "[nullform]\nkind = linear\ncomponents = 2\n"
 
@@ -521,6 +543,11 @@ SUBCOMMAND_CONFIGS = [
     # the local-linear window is [0, 1]
     ("estimate-report", SCAN_INI.replace("t_end = 4.0", "t_end = 0.5")
      .replace("sup_window = 1 3", "sup_window = 0.1 0.4"), "[run] t_end"),
+    # two of the default run's 2839 snapshots are sampled
+    ("estimate-report", "[report]\ntime_stride = 2000\n",
+     "[report] time_stride"),
+    # a step of 0.54 puts 2 snapshots in the local-linear window [0, 1]
+    ("estimate-report", COARSE_INI, "local-linear window"),
 ]
 
 
@@ -531,7 +558,9 @@ SUBCOMMAND_CONFIGS = [
                               "components-run-nonlinear",
                               "components-scan-smallness",
                               "components-estimate-report",
-                              "short-run-estimate-report"])
+                              "short-run-estimate-report",
+                              "sparse-samples-estimate-report",
+                              "coarse-step-estimate-report"])
 def test_subcommand_config_exit_2_before_the_run(tmp_path, capsys,
                                                   subcommand, text, message):
     ini = write_ini(tmp_path, text)
@@ -540,6 +569,21 @@ def test_subcommand_config_exit_2_before_the_run(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "config error" in err and message in err
     assert not out.exists()
+
+
+def test_time_stride_needs_three_samples(tmp_path, capsys):
+    # the largest time_stride that samples 3 snapshots runs; one more
+    # samples 2 and is refused before the output directory is made
+    cfg = cli.load_config(write_ini(tmp_path, SCAN_INI), "estimate-report")
+    ec = cli.ExperimentConfig(cfg, 0, 1)
+    steps = solver.step_count(ec.t_end, solver.cfl_limit(ec.grid))
+    for stride, code in ((steps // 2, 0), (steps // 2 + 1, 2)):
+        ini = write_ini(tmp_path, SCAN_INI.replace(
+            "time_stride = 5", "time_stride = %d" % stride))
+        out = tmp_path / ("out%d" % stride)
+        assert run(["estimate-report", "--config", ini], out) == code
+        assert out.exists() == (code == 0)
+    assert "[report] time_stride" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("subcommand,text", [

@@ -14,13 +14,13 @@ from nullwave.norms import (
     delta_sweep,
     estimate_ratio_report,
     evaluate_nullform_series,
-    nullform_spacetime_norm,
     ratio_spreads,
     scale_to_data_norm,
     slab_norm,
     sphere_sobolev_norm,
     tip_weighted_norm,
     weighted_sobolev_norm,
+    window_rows,
 )
 from nullwave.nullforms import NullFormSpec
 from nullwave.solver import Trajectory
@@ -160,11 +160,19 @@ def _separable_trajectory(grid, n_snap=41, dt_snap=0.02):
     return Trajectory(grid, times, u, dt=dt_snap, stride=1), prof
 
 
+def _series_rows(traj):
+    """(native u, physical u_t) of a scalar trajectory, with the
+    component axis evaluate_nullform_series reads."""
+    grid = traj.grid
+    u_t = fd.d1(grid.to_physical(traj.u), traj.dt, axis=0)
+    return traj.u[:, None], u_t[:, None]
+
+
 def test_nullform_series_separable_oracle():
     grid = build_radial_grid(1.0, 6.0, 800)
     traj, prof = _separable_trajectory(grid)
     spec = NullFormSpec.scalar_q0()
-    q = evaluate_nullform_series(traj, spec, np.arange(len(traj.times)))
+    q = evaluate_nullform_series(grid, spec, *_series_rows(traj))
     i = 20                                    # interior snapshot
     t = traj.times[i]
     ut = -1.3 * np.sin(1.3 * t) * prof
@@ -180,30 +188,28 @@ def test_nullform_series_guards():
     spec = NullFormSpec.scalar_q0()
     two = NullFormSpec.linear(2)
     with pytest.raises(ParamError):
-        evaluate_nullform_series(traj, two, np.arange(3))
+        evaluate_nullform_series(grid, two, *_series_rows(traj))
     # the one-sided end stencils need three snapshots
     for m in (1, 2):
-        short = Trajectory(grid, traj.times[:m], traj.u[:m], dt=traj.dt)
         with pytest.raises(ParamError):
-            evaluate_nullform_series(short, spec, np.arange(m))
+            fd.d1_rows(lambda r: traj.u[r], np.arange(m), m, traj.dt)
+    data = picard.bump_data_family(grid)(1e-3)
+    with pytest.raises(ParamError):
+        picard.picard_solve(data, spec, 0.5 * solver.cfl_limit(grid))
 
 
-def test_nullform_spacetime_norm_full_window_is_slab_norm():
-    grid = build_radial_grid(1.0, 6.0, 200)
-    traj, _ = _separable_trajectory(grid)
-    spec = NullFormSpec.scalar_q0()
-    full = nullform_spacetime_norm(traj, spec,
-                                   (traj.times[0], traj.times[-1]))
-    q = evaluate_nullform_series(traj, spec, np.arange(len(traj.times)))
-    ref = slab_norm(grid, lambda r: q[r], len(q), traj.snap_dt)
-    assert full == ref
-    # sub-windows are smaller than the whole
-    part = nullform_spacetime_norm(traj, spec, (0.2, 0.6))
-    assert part < full
+def test_window_rows_select_the_window_snapshots():
+    times = 0.02 * np.arange(41)
+    i0, i1 = window_rows(times, (times[0], times[-1]))
+    assert (i0, i1) == (0, 41)
+    # the ends are kept within a rounding of the snapshot times
+    i0, i1 = window_rows(times, (0.2, 0.6))
+    assert (i0, i1) == (10, 31)
+    assert times[i0] == 0.2 and np.isclose(times[i1 - 1], 0.6)
     with pytest.raises(ParamError):
-        nullform_spacetime_norm(traj, spec, (0.6, 0.2))
+        window_rows(times, (0.6, 0.2))
     with pytest.raises(ParamError):
-        nullform_spacetime_norm(traj, spec, (0.0, 99.0))
+        window_rows(times, (0.0, 99.0))
 
 
 # ---------------------------------------------------------------------------
@@ -215,20 +221,23 @@ def nonlinear_run():
     grid = build_radial_grid(1.0, 12.0, 400, sponge_cells=100)
     family = picard.bump_data_family(grid, center=2.0, width=0.8)
     sol, rep = picard.picard_solve(family(1e-3), NullFormSpec.scalar_q0(),
-                                   12.0, tol=1e-10)
+                                   12.0, tol=1e-10, time_stride=10)
     assert rep.converged
     return sol
 
 
+def _frame(sol):
+    return norms._SampleFrame(sol.trajectory.grid, sol.samples["t"])
+
+
 def test_cylinder_samples_shapes_and_weights(nonlinear_run):
-    traj = nonlinear_run.trajectory
-    frame = norms._SampleFrame(traj, 10)
-    n = traj.grid.n_nodes
-    shape = (len(frame.idx), n)
+    frame = _frame(nonlinear_run)
+    n = nonlinear_run.trajectory.grid.n_nodes
+    shape = (len(nonlinear_run.samples["t"]), n)
     # every frame array and pulled-back field is snapshot-major
     for a in (frame.T, frame.R, frame.dist, frame.conf, frame.weight):
         assert a.shape == shape
-    for a in frame.solution(traj):
+    for a in frame.solution(nonlinear_run.samples):
         assert a.shape == shape
     assert np.all(frame.weight >= 0)
     assert np.all(frame.dist > 0)
@@ -242,29 +251,49 @@ def test_cylinder_samples_constructor_guards():
     # at t = 1e17 the image of every node rounds onto the tip, outside
     # the open diamond R + |T| < pi
     grid = build_radial_grid(1.0, 6.0, 100)
-    times = 1e17 + 64.0 * np.arange(4)
-    late = Trajectory(grid, times, np.zeros((4, grid.n_nodes)))
     with pytest.raises(DomainError):
-        norms._SampleFrame(late, 1)
+        norms._SampleFrame(grid, 1e17 + 64.0 * np.arange(4))
 
 
 def test_cylinder_sampling_guards(nonlinear_run):
-    traj = nonlinear_run.trajectory
+    grid = nonlinear_run.trajectory.grid
     cart = exterior.build_masked_grid(exterior.Obstacle.sphere(1.0), 12.0,
                                       24, sponge_cells=0)
-    fake = Trajectory(cart, np.arange(5.0), np.zeros((5,) + cart.zeros().shape))
     with pytest.raises(ParamError):
-        norms._SampleFrame(fake, 1)
+        norms._SampleFrame(cart, np.arange(5.0))
     with pytest.raises(ParamError):
-        # stride leaves fewer than 3 samples
-        norms._SampleFrame(traj, 10**6)
+        # fewer than 3 samples
+        norms._SampleFrame(grid, np.arange(2.0))
+    # picard_solve refuses, before it solves, a time_stride the frame
+    # cannot read
+    data = nonlinear_run.data
+    spec = nonlinear_run.spec
     with pytest.raises(ParamError):
-        norms._SampleFrame(traj, 10).forcing(traj, NullFormSpec.linear(2))
+        picard.picard_solve(data, spec, 12.0, time_stride=10**6)
+    with pytest.raises(ParamError):
+        picard.picard_solve(data, spec, 12.0, time_stride=0)
+    with pytest.raises(ParamError):
+        # the local-linear window [0, 1] lies past the run
+        picard.picard_solve(data, spec, 0.5, time_stride=1)
+    stacked = InitialData(grid, np.stack([data.f, data.f]),
+                          np.stack([data.g, data.g]))
+    with pytest.raises(ParamError):
+        picard.picard_solve(stacked, NullFormSpec.linear(2), 12.0,
+                            time_stride=10)
+    cart_data = picard.bump_data_family(cart, center=3.0)(1e-3)
+    with pytest.raises(ParamError):
+        picard.picard_solve(cart_data, spec, 2.0, time_stride=1)
+    # a step of 0.54 puts 2 snapshots in the local-linear window [0, 1]
+    coarse = build_radial_grid(1.0, 10.6, 16, sponge_cells=2)
+    coarse_data = picard.bump_data_family(coarse, center=4.0,
+                                          width=2.0)(1e-3)
+    with pytest.raises(ParamError):
+        picard.picard_solve(coarse_data, spec, 8.0, time_stride=1)
 
 
 def test_tip_weighted_norm_schemes(nonlinear_run):
-    frame = norms._SampleFrame(nonlinear_run.trajectory, 10)
-    forcing = frame.forcing(nonlinear_run.trajectory, nonlinear_run.spec)
+    frame = _frame(nonlinear_run)
+    forcing = frame.forcing(nonlinear_run.samples)
     l2 = tip_weighted_norm(frame, forcing, "l2")
     l8 = tip_weighted_norm(frame, forcing, "l8")
     assert l2 > 0 and l8 > 0
@@ -275,8 +304,8 @@ def test_tip_weighted_norm_schemes(nonlinear_run):
 
 
 def test_delta_sweep_monotone(nonlinear_run):
-    frame = norms._SampleFrame(nonlinear_run.trajectory, 10)
-    forcing = frame.forcing(nonlinear_run.trajectory, nonlinear_run.spec)
+    frame = _frame(nonlinear_run)
+    forcing = frame.forcing(nonlinear_run.samples)
     deltas = [2.5, 2.0, 1.5, 1.0, 0.5, 0.0]
     vals = delta_sweep(frame, forcing, deltas)
     # truncating closer to the tip keeps more samples: nondecreasing
@@ -284,35 +313,44 @@ def test_delta_sweep_monotone(nonlinear_run):
     assert vals[-1] == tip_weighted_norm(frame, forcing, "l2", 0.0)
 
 
-def test_sampled_time_derivatives_take_the_solver_step(nonlinear_run):
+def test_sampled_time_derivatives_take_the_solver_step():
     # u_t and Q_t at the sampled rows are the derivatives of the whole
-    # stride-1 series, not differences across the sampling stride
-    traj, spec = nonlinear_run.trajectory, nonlinear_run.spec
-    grid, dt = traj.grid, traj.snap_dt
-    frame = norms._SampleFrame(traj, 10)
-    idx = frame.idx
-    assert traj.times[idx[1]] - traj.times[idx[0]] > 9 * dt
+    # stride-1 series, not differences across the sampling stride; a
+    # one-sweep run (tol above the first residual) is the stored linear
+    # run, which gives the whole series
+    grid = build_radial_grid(1.0, 12.0, 400, sponge_cells=100)
+    data = picard.bump_data_family(grid, center=2.0, width=0.8)(1e-3)
+    spec = NullFormSpec.scalar_q0()
+    sol, rep = picard.picard_solve(data, spec, 12.0, tol=1.0,
+                                   time_stride=10)
+    assert rep.iterations == 1
+    traj = solver.solve_linear(data, None, 12.0)
+    dt = traj.dt
+    idx = np.arange(0, len(traj.times), 10)
+    samples = sol.samples
+    assert samples["t"].tobytes() == traj.times[idx].tobytes()
+    assert samples["t"][1] - samples["t"][0] > 9 * dt
 
     u = grid.to_physical(traj.u)
     ut = fd.d1(u, dt, axis=0)
-    up, ut_s = fd.d1_rows(lambda r: grid.to_physical(traj.u[r]), idx,
-                          len(traj.times), dt)
-    assert up.tobytes() == u[idx].tobytes()
-    assert ut_s.tobytes() == ut[idx].tobytes()
     (ur,) = grid.native_gradient(traj.u[idx])
+    for name, ref in (("u", u[idx]), ("u_t", ut[idx]), ("u_r", ur)):
+        assert samples[name].tobytes() == ref.tobytes(), name
+    frame = _frame(sol)
     want = frame.pull(u[idx], ut[idx], ur, 1)
-    for have, ref in zip(frame.solution(traj), want):
+    for have, ref in zip(frame.solution(samples), want):
         assert have.tobytes() == ref.tobytes()
 
     # Q = q0(du, du) of the whole stack, with the whole stack's u_t
     (ur_all,) = grid.native_gradient(traj.u)
     Q = ut * ut - ur_all * ur_all
-    rows = np.arange(len(traj.times))
-    assert evaluate_nullform_series(traj, spec, rows)[:, 0].tobytes() == \
-        Q.tobytes()
+    assert evaluate_nullform_series(grid, spec, *_series_rows(traj))[:, 0] \
+        .tobytes() == Q.tobytes()
     Qt = fd.d1(Q, dt, axis=0)
+    assert samples["Q"].tobytes() == Q[idx].tobytes()
+    assert samples["Q_t"].tobytes() == Qt[idx].tobytes()
     want = frame.pull(Q[idx], Qt[idx], fd.d1(Q[idx], grid.h, axis=-1), -3)
-    for have, ref in zip(frame.forcing(traj, spec), want):
+    for have, ref in zip(frame.forcing(samples), want):
         assert have.tobytes() == ref.tobytes()
 
 
@@ -325,6 +363,7 @@ def test_row_stencil_is_the_whole_series_derivative():
     cases = (([0], [0, 1, 2]), ([1], [0, 1, 2]), ([4], [3, 4, 5]),
              ([7], [6, 7, 8]), ([8], [6, 7, 8]),
              ([0, 1, 7, 8], [0, 1, 2, 6, 7, 8]), ([2, 6], [1, 2, 3, 5, 6, 7]),
+             ([2, 3, 4, 5], [1, 2, 3, 4, 5, 6]),
              (range(9), range(9)))
     for rows, reads in cases:
         rows = np.array(rows)
@@ -354,8 +393,7 @@ def test_pull_is_the_cylinder_derivative_of_the_field(power):
     # g0 must be its d/dT and gb its d/dR (the boost magnitude of a
     # zonal field), both by central differences through the inverse map
     grid = build_radial_grid(1.0, 6.0, 100)
-    traj, _ = _separable_trajectory(grid, n_snap=31, dt_snap=0.1)
-    frame = norms._SampleFrame(traj, 1)
+    frame = norms._SampleFrame(grid, 0.1 * np.arange(31))
     t, r = frame.t, grid.r
 
     def q_parts(t, r):
@@ -378,13 +416,11 @@ def test_pull_is_the_cylinder_derivative_of_the_field(power):
 
 
 def test_weighted_energy_sup_homogeneous(nonlinear_run):
-    traj = nonlinear_run.trajectory
-    frame = norms._SampleFrame(traj, 10)
-    a = frame.energy_sup(*frame.solution(traj))
-    doubled = Trajectory(traj.grid, traj.times, 2.0 * traj.u, dt=traj.dt,
-                         stride=traj.stride)
-    frame2 = norms._SampleFrame(doubled, 10)
-    b = frame2.energy_sup(*frame2.solution(doubled))
+    frame = _frame(nonlinear_run)
+    samples = nonlinear_run.samples
+    a = frame.energy_sup(*frame.solution(samples))
+    doubled = {name: 2.0 * samples[name] for name in ("u", "u_t", "u_r")}
+    b = frame.energy_sup(*frame.solution(doubled))
     assert a > 0
     assert np.isclose(b, 2.0 * a, rtol=1e-12)
 
@@ -432,8 +468,9 @@ def test_estimate_ratio_report_mechanics(nonlinear_run, monkeypatch):
         return frame_class(*args)
 
     monkeypatch.setattr(norms, "_SampleFrame", counting)
+    deltas = [2.0, 1.0, 0.0]
     reports = estimate_ratio_report(rows, sup_window=(2.0, 10.0),
-                                    time_stride=10)
+                                    deltas=deltas)
     # one sample frame per row serves all of its cylinder norms
     assert len(frames) == 1
     assert len(reports) == 1
@@ -443,18 +480,27 @@ def test_estimate_ratio_report_mechanics(nonlinear_run, monkeypatch):
         tag = name[len("ratio_"):]
         assert rep[name] == rep["lhs_" + tag] / rep["rhs_" + tag]
     assert rep["pecher_l8"] > 0
-    frame = norms._SampleFrame(nonlinear_run.trajectory, 10)
-    pull = frame.solution(nonlinear_run.trajectory)
+    frame = _frame(nonlinear_run)
+    pull = frame.solution(nonlinear_run.samples)
     assert rep["pecher_l8"] == tip_weighted_norm(frame, pull, "l8")
     assert rep["lhs_weighted_energy"] == frame.energy_sup(*pull)
-    # the report keeps the frame and forcing its null-cylinder norm read
-    kept_frame, forcing = rep.metadata["forcing_samples"]
-    assert rep["lhs_null_cylinder"] == tip_weighted_norm(kept_frame, forcing,
+    # the report keeps the truncation sweep of the forcing its
+    # null-cylinder norm read, not the frame
+    forcing = frame.forcing(nonlinear_run.samples)
+    assert rep["lhs_null_cylinder"] == tip_weighted_norm(frame, forcing,
                                                          "l2")
-    assert kept_frame.weight.tobytes() == frame.weight.tobytes()
-    for have, ref in zip(forcing, frame.forcing(nonlinear_run.trajectory,
-                                                nonlinear_run.spec)):
-        assert have.tobytes() == ref.tobytes()
+    assert rep.metadata["delta_sweep"] == delta_sweep(frame, forcing, deltas)
+    assert rep.metadata["delta_sweep"][-1] == rep["lhs_null_cylinder"]
+    assert "forcing_samples" not in rep.metadata
+    window = nonlinear_run.window
+    assert rep["lhs_local_linear"] == slab_norm(
+        frame.grid, lambda r: window[r], len(window),
+        nonlinear_run.trajectory.dt)
     with pytest.raises(ParamError):
-        estimate_ratio_report([rows[0]], sup_window=(100.0, 200.0),
-                              time_stride=10)
+        estimate_ratio_report([rows[0]], sup_window=(100.0, 200.0))
+    # a solution solved without a time_stride keeps no sample rows
+    plain, _ = picard.picard_solve(nonlinear_run.data, nonlinear_run.spec,
+                                   12.0, tol=1e-10)
+    assert plain.samples is None and plain.window is None
+    with pytest.raises(ParamError):
+        estimate_ratio_report([{"eps": 1e-3, "solution": plain}])

@@ -39,12 +39,16 @@ def test_zero_data_fixed_point_is_zero(grid):
     assert np.max(np.abs(sol.trajectory.u)) == 0.0
 
 
-def test_linear_spec_reproduces_linear_solver(family):
+def test_linear_spec_reproduces_linear_solver(family, grid):
     data = family(1e-3)
     sol, rep = picard_solve(data, NullFormSpec.linear(1), 8.0, tol=1e-10)
     ref = solver.solve_linear(data, None, 8.0, stride=1)
     assert rep.iterations == 1
-    assert np.array_equal(sol.trajectory.u, ref.u)
+    # the observed sweep keeps the first and last state of the stored run
+    assert np.array_equal(sol.trajectory.u, ref.u[[0, -1]])
+    assert sol.sup_times.tobytes() == ref.times.tobytes()
+    assert sol.sup_values.tobytes() == np.max(
+        np.abs(grid.to_physical(ref.u)), axis=1).tobytes()
 
 
 def test_first_residual_scales_quadratically(family):
@@ -142,40 +146,105 @@ def _block_case(name):
     return stacked, spec, 8.0
 
 
+def _stored_sweep(data, spec, forcing, t_end, dt=None):
+    """The reference of one sweep: a stored run, d1 over its whole stack.
+
+    Returns the stored trajectory and, over all its snapshots, physical
+    u and u_t and Q (rows with a component axis) and the native forcing.
+    """
+    grid = data.grid
+    traj = solver.solve_linear(data, forcing, t_end, dt=dt)
+    n = len(traj.times)
+    u = traj.u.reshape((n, spec.n_components) + grid.zeros().shape)
+    up = grid.to_physical(u)
+    ut = fd.d1(up, traj.dt, axis=0)
+    q = norms.evaluate_nullform_series(grid, spec, u, ut)
+    F = grid.from_physical(q).reshape(traj.u.shape)
+    return traj, up, ut, q, F
+
+
+def _check_sweep(sweep, ref, time_stride):
+    """The observed sweep's rows against the stored reference."""
+    traj, up, ut, q, F = ref
+    grid, n, dt = traj.grid, len(traj.times), traj.dt
+    assert sweep.n == n and sweep.dt == dt
+    assert sweep.forcing.tobytes() == F.tobytes()
+    assert sweep.sup.tobytes() == np.max(np.abs(up).reshape(n, -1),
+                                         axis=1).tobytes()
+    assert sweep.boundary == np.max(np.abs(traj.u[..., ~grid.updated()]),
+                                    initial=0.0)
+    if time_stride is None:
+        assert sweep.samples is None and sweep.window is None
+        return
+    idx = np.arange(0, n, time_stride)
+    Q = q[:, 0, :]
+    want = {"t": traj.times[idx], "u": up[idx, 0], "u_t": ut[idx, 0],
+            "u_r": grid.native_gradient(traj.u[idx])[0], "Q": Q[idx],
+            "Q_t": fd.d1(Q, dt, axis=0)[idx]}
+    for name, ref_rows in want.items():
+        assert sweep.samples[name].tobytes() == ref_rows.tobytes(), name
+    i0, i1 = norms.window_rows(traj.times, norms.LOCAL_LINEAR_WINDOW)
+    assert sweep.window.tobytes() == q[i0:i1].tobytes()
+
+
 @pytest.mark.parametrize("name", ["radial-sponge", "radial-system",
                                   "ellipsoid"])
 def test_results_do_not_depend_on_the_block_size(monkeypatch, name):
+    # each observed sweep, whatever the block its rows are taken in,
+    # equals a stored run with the same forcing and d1 over its stack
     data, spec, t_end = _block_case(name)
     grid = data.grid
+    time_stride = 7 if name == "radial-sponge" else None
     seen = []
-    # one row per block, the shipped size, and the whole run in one block
     for block in (1, fd.BLOCK_VALUES, 2**40):
         monkeypatch.setattr(fd, "BLOCK_VALUES", block)
-        traj = solver.solve_linear(data, None, t_end)
-        n = len(traj.times)
-        q = norms.evaluate_nullform_series(traj, spec, np.arange(n))
-        F = picard.forcing_from_trajectory(traj, spec)
-        assert F.shape == traj.u.shape
-        assert F.tobytes() == grid.from_physical(q).reshape(F.shape).tobytes()
-        slab = norms.slab_norm(grid, lambda r: grid.to_physical(F[r]), n,
-                               traj.snap_dt)
-        sup = traj.sup_series()[1]
-        assert sup.tobytes() == np.max(
-            np.abs(grid.to_physical(traj.u)).reshape(n, -1), axis=1).tobytes()
+        sweeps = []
+
+        def spy(data, forcing, t_end, **kwargs):
+            sweeps.append((forcing, kwargs["observe"]))
+            return solver.solve_linear(data, forcing, t_end, **kwargs)
+
+        monkeypatch.setattr(picard, "solve_linear", spy)
         with pytest.raises(NoConvergence) as exc_info:
             picard_solve(data, spec, t_end, tol=1e-30, max_iter=3,
-                         smallness_threshold=np.inf)
+                         smallness_threshold=np.inf,
+                         time_stride=time_stride)
         residuals = exc_info.value.residuals
-        assert residuals[0] == slab
-        seen.append((q.tobytes(), F.tobytes(), slab, sup.tobytes(),
-                     residuals))
+        assert len(sweeps) == 3
+        applied = None
+        for (forcing, sweep), residual in zip(sweeps, residuals):
+            assert forcing is applied
+            ref = _stored_sweep(data, spec, forcing, t_end)
+            _check_sweep(sweep, ref, time_stride)
+            F, n, dt = ref[4], sweep.n, sweep.dt
+            assert residual == norms.slab_norm(
+                grid, lambda r: grid.to_physical(
+                    F[r] if applied is None else F[r] - applied[r]), n, dt)
+            applied = sweep.forcing
+        seen.append(residuals)
     assert seen[0] == seen[1] == seen[2]
-    # the row stencil is the whole stack's time derivative at the ends
-    u = grid.to_physical(traj.u)
-    ends = np.array([0, 1, n - 2, n - 1])
-    _, ut = fd.d1_rows(lambda r: grid.to_physical(traj.u[r]), ends, n,
-                       traj.snap_dt)
-    assert ut.tobytes() == fd.d1(u, traj.snap_dt, axis=0)[ends].tobytes()
+
+
+@pytest.mark.parametrize("t_end, time_stride",
+                         [(1.0, 1), (8.0, 1), (8.0, 5), (8.0, 6)],
+                         ids=["3-snapshots", "stride-1", "stride-5",
+                              "stride-6"])
+def test_observed_sweep_edge_cases(monkeypatch, t_end, time_stride):
+    # dt = 0.5 on a coarse grid gives a run of 3 snapshots at t_end 1;
+    # at t_end 8 (17 snapshots) stride 5 samples miss the last row and
+    # stride 6 ones miss the last two, and blocks of 3 rows put the
+    # ends of the run and of the samples on every side of a block edge
+    grid = build_radial_grid(1.0, 10.6, 16, sponge_cells=2)
+    data = bump_data_family(grid, center=4.0, width=2.0)(1e-3)
+    dt = 0.5
+    ref = _stored_sweep(data, SPEC, None, t_end, dt=dt)
+    n = len(ref[0].times)
+    assert n == (3 if t_end == 1.0 else 17)
+    for block in (1, 3 * grid.n_nodes, 2**40):
+        monkeypatch.setattr(fd, "BLOCK_VALUES", block)
+        sweep = picard._Sweep(data, SPEC, n, dt, time_stride)
+        solver.solve_linear(data, None, t_end, dt=dt, observe=sweep)
+        _check_sweep(sweep, ref, time_stride)
 
 
 @pytest.mark.parametrize("sweeps", [1, 3])
@@ -203,9 +272,9 @@ def test_picard_holds_no_space_time_temporaries(monkeypatch, sweeps):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the solution and its forcing; from the second sweep on, the forcing
-    # that made the solution as well
-    held = 2 if sweeps == 1 else 3
+    # no u stack: the forcing the sweep makes and, from the second sweep
+    # on, the forcing it applies
+    held = 1 if sweeps == 1 else 2
     assert peak < held * stack + 32 * block
 
 
@@ -277,12 +346,11 @@ def test_streamed_scan_holds_one_entry_per_thread(monkeypatch, threads):
         def run():
             reports = norms.estimate_ratio_report(
                 smallness_scan(family, SPEC, eps_list, t_end,
-                               threads=threads),
-                sup_window=(2.0, 10.0), time_stride=time_stride)
+                               threads=threads, time_stride=time_stride),
+                sup_window=(2.0, 10.0), deltas=[1.0, 0.0])
             assert len(reports) == len(eps_list)
-            assert "forcing_samples" in reports[-1].metadata
-            assert all("forcing_samples" not in r.metadata
-                       for r in reports[:-1])
+            assert all(len(r.metadata["delta_sweep"]) == 2 and
+                       "forcing_samples" not in r.metadata for r in reports)
 
         run()  # one-time lazy imports are not the run's
         tracemalloc.start()
@@ -294,10 +362,8 @@ def test_streamed_scan_holds_one_entry_per_thread(monkeypatch, threads):
 
     one = peak([1e-3], 1)
     four = peak([1e-3, 2e-3, 4e-3, 8e-3], threads)
-    # each of the threads entries in flight may be at its own peak; the
-    # previous report's frame and forcing (eleven arrays, each one
-    # time_stride-th of a stack: 11/40 here) stay until the next report
-    # replaces them
+    # each of the threads entries in flight may be at its own peak; no
+    # report keeps its frame
     assert four < threads * one + stack / 2
 
 

@@ -496,11 +496,8 @@ def test_trajectory_validation_and_series():
     amp = _bump(grid.r, 3.0, 1.0)
     traj = solve_linear(InitialData(grid, amp, np.zeros_like(amp)),
                         None, 1.0, stride=5)
-    assert np.isclose(traj.snap_dt, 5 * traj.dt)
-    times, sup = traj.sup_series()
-    assert sup.shape == times.shape
-    # native w converted to physical u before taking the sup
-    assert np.isclose(sup[0], np.max(np.abs(amp / grid.r)))
+    assert np.isclose(traj.times[1] - traj.times[0], 5 * traj.dt)
+    assert traj.u.shape == (len(traj.times), grid.n_nodes)
 
     with pytest.raises(ParamError):
         Trajectory(grid, np.array([]), None)
