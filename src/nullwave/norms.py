@@ -129,19 +129,28 @@ def slab_norm(grid, series, n, dt_snap):
 
     series(rows) gives the n-snapshot series' physical values at the
     index array rows, with trailing grid shape, read one row block at a
-    time.  The measure is 4 pi r^2 dr dt (radial) or dx dt.
+    time, or is the slab_sums of all n snapshots, taken as they came.
+    The measure is 4 pi r^2 dr dt (radial) or dx dt.
     """
-    vol = grid.weights()
-    space = tuple(range(-grid.ndim, 0))
-    # per-snapshot spatial sums of the value and of each derivative
-    sq = np.empty((2 + grid.ndim, n))
-    for rows in fd.row_blocks(n, vol.size):
-        val, val_t = fd.d1_rows(series, rows, n, dt_snap)
-        for k, d in enumerate((val, val_t) + grid.gradient(val)):
-            s = np.sum(d * d * vol, axis=space)
-            sq[k, rows] = s.reshape(len(rows), -1).sum(axis=1)
+    sq = series
+    if callable(series):
+        sq = np.empty((2 + grid.ndim, n))
+        for rows in fd.row_blocks(n, grid.weights().size):
+            sq[:, rows] = slab_sums(grid,
+                                    *fd.d1_rows(series, rows, n, dt_snap))
     tw = fd.trapezoid(dt_snap, n)
     return float(sum(np.sqrt(np.sum(s * tw)) for s in sq))
+
+
+def slab_sums(grid, val, val_t):
+    """slab_norm's spatial sums of rows val, of d/dt val_t and of grad val."""
+    vol = grid.weights()
+    space = tuple(range(-grid.ndim, 0))
+    sq = np.empty((2 + grid.ndim, len(val)))
+    for k, d in enumerate((val, val_t) + grid.gradient(val)):
+        s = np.sum(d * d * vol, axis=space)
+        sq[k] = s.reshape(len(val), -1).sum(axis=1)
+    return sq
 
 
 def window_rows(times, window):
@@ -236,26 +245,26 @@ def tip_weighted_norm(frame, field, scheme="l2", delta=0.0):
     """
     if delta < 0:
         raise ParamError("delta must be nonnegative")
-    val, g0, gb = field
-    keep = frame.dist > delta
-    w = frame.weight[keep]
-    val = val[keep]
     if scheme == "l2":
-        d4 = frame.dist[keep] ** 4
-        dens = val * val + d4 * (g0[keep] ** 2 + gb[keep] ** 2)
-        return float(np.sqrt(np.sum(dens * w)))
+        return delta_sweep(frame, field, [delta])[0]
     if scheme == "l8":
-        m = np.max(np.abs(val), initial=0.0)
+        keep = frame.dist > delta
+        val = np.abs(field[0][keep])
+        m = np.max(val, initial=0.0)
         if m == 0.0:
             return 0.0
         # normalize before the eighth power to keep the sum in range
-        return float(m * np.sum((np.abs(val) / m) ** 8 * w) ** 0.125)
+        return float(m * np.sum((val / m) ** 8 * frame.weight[keep]) ** 0.125)
     raise ParamError("scheme must be 'l2' or 'l8'")
 
 
 def delta_sweep(frame, field, deltas, scheme="l2"):
-    """Norm values of field under truncation at each delta."""
-    return [tip_weighted_norm(frame, field, scheme, d) for d in deltas]
+    """Norm values of field under truncation at each delta, one density."""
+    if scheme != "l2" or any(d < 0 for d in deltas):
+        return [tip_weighted_norm(frame, field, scheme, d) for d in deltas]
+    val, g0, gb = field
+    dens = (val * val + frame.dist**4 * (g0**2 + gb**2)) * frame.weight
+    return [float(np.sqrt(np.sum(dens[frame.dist > d]))) for d in deltas]
 
 
 # ---------------------------------------------------------------------------

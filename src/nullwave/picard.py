@@ -11,12 +11,12 @@ stack.  Its observer (_Sweep) keeps the last few rows of u, a block of
 about fd.BLOCK_VALUES values and the rows its time stencil reaches past
 it, and works a block behind the solver: it takes the block's Q with
 the time derivative of the whole run (fd.d1_rows: centred inside, fd.d1
-of the first or last three rows at the ends), writes it into the next
-sweep's forcing, and reduces on the way what the callers read: the sup
-series, the boundary max, and with a time_stride the sample-frame rows
-and the Q rows of the local-linear window.  A sweep holds its forcing
-and, from the second sweep on, the forcing it applies; the converged
-sweep's forcing is dropped before the solution is returned.
+of the first or last three rows at the ends), and reduces on the way
+what the callers read: the sup series, the boundary max, the residual's
+slab_sums, and with a time_stride the sample-frame rows and the Q rows
+of the local-linear window.  A run holds one forcing array: the solver
+has read a block's rows of it (see nullwave.solver), so the observer
+takes their residual and writes its Q over them for the next sweep.
 """
 
 from collections import deque
@@ -79,38 +79,65 @@ class NonlinearSolution:
         return self._boundary_max
 
 
-def _complete(m, n):
-    """How many rows of an n-row series have their whole fd.d1_rows
-    stencil among rows 0, ..., m."""
-    if m == n - 1:
-        return n
-    return m if m >= 2 else 0
+class _Rows:
+    """The last rows of an n-row series, in order, for fd.d1_rows.
+
+    put(lo, rows) stores rows lo, lo + 1, ...; once least rows (or the
+    last rows) have their whole stencil stored, it returns them as index
+    arrays of at most block rows, and read(rows) gives them as a slice.
+    """
+
+    def __init__(self, n, block, shape, least=1):
+        self.n, self.block, self.least = n, block, least
+        # row base + i of the series is in buf[i]
+        self.buf = np.empty((block + 3,) + shape)
+        self.base = self.done = 0
+
+    def put(self, lo, rows):
+        buf, m, n = self.buf, lo + len(rows) - 1, self.n
+        if m - self.base >= len(buf):
+            # to a fresh buffer: sliding in place lets glibc trim the heap,
+            # and perfbench's ellipsoid faulted 240k pages in sweep 1, not 45k
+            keep = max(min(self.done - 1, n - 3), 0)
+            old, buf = buf, np.empty_like(buf)
+            buf[:lo - keep] = old[keep - self.base:lo - self.base]
+            self.buf, self.base = buf, keep
+        buf[lo - self.base:m + 1 - self.base] = rows
+        # the rows whose stencil rows 0, ..., m hold
+        end = n if m == n - 1 else m if m >= 2 else 0
+        if end - self.done < self.least and end < n:
+            return []
+        first, self.done = self.done, end
+        return [np.arange(a, min(a + self.block, end))
+                for a in range(first, end, self.block)]
+
+    def read(self, rows):
+        return self.buf[rows[0] - self.base:rows[-1] + 1 - self.base]
 
 
 class _Sweep:
     """Observer of one Picard sweep: solve_linear's observe(i, u, v).
 
     n and dt are the run's snapshot count and step.  Rows of u go into a
-    sliding buffer; once a block of rows (about fd.BLOCK_VALUES values)
-    has its whole time stencil there, the block gets u_t (fd.d1_rows)
-    and Q, and Q goes into forcing, the next sweep's forcing; the sup
-    series and the boundary max are reduced a block at a time too.  The
-    buffer holds a block and the rows its stencils reach past it, in
-    order, so a block is read as a slice.  With time_stride, a ring of
-    Q rows gives Q_t at the sampled rows.
+    _Rows buffer, and a block with its whole stencil there gets u_t
+    (fd.d1_rows) and Q.  The residual rows, Q less the forcing applied
+    (if applied), go into a second _Rows, whose blocks add their
+    slab_sums to sq; then Q goes over the block's rows of forcing.  The
+    sup series and the boundary max are reduced a block at a time too.
+    With time_stride, a third _Rows of Q rows gives Q_t at the samples.
     """
 
-    def __init__(self, data, spec, n, dt, time_stride):
+    def __init__(self, data, spec, n, dt, time_stride, forcing, applied):
         grid = self.grid = data.grid
         self.spec, self.n, self.dt = spec, n, dt
         shape = data.f.shape
         # a row as evaluate_nullform_series reads it, less the row axis
         self.comp = (spec.n_components,) + grid.zeros().shape
-        self.block = min(n, max(1, fd.BLOCK_VALUES // data.f.size))
-        # row base + i of the run is in buf[i]
-        self.buf = np.empty((self.block + 3,) + shape)
-        self.base = self.done = 0
-        self.forcing = np.empty((n,) + shape)
+        block = min(n, max(1, fd.BLOCK_VALUES // data.f.size))
+        self.u = _Rows(n, block, shape, block)
+        self.res = _Rows(n, block, shape)
+        self.sq = np.empty((2 + grid.ndim, n))
+        self.forcing, self.applied = forcing, applied
         self.sup = np.empty(n)
         # flat indices of the Dirichlet nodes in a row
         self.fixed = np.flatnonzero(np.broadcast_to(~grid.updated(), shape))
@@ -123,8 +150,7 @@ class _Sweep:
         self.samples = {"t": t[::time_stride]}
         for name in ("u", "u_t", "u_r", "Q", "Q_t"):
             self.samples[name] = np.empty((len(self.samples["t"]),) + shape)
-        self.q = np.empty(self.buf.shape)
-        self.q_done = 0
+        self.q = _Rows(n, block, grid.zeros().shape)
         self.i0, i1 = norms.window_rows(t, LOCAL_LINEAR_WINDOW)
         if i1 - self.i0 < 3:
             raise ParamError("the local-linear window holds fewer than 3 "
@@ -132,26 +158,19 @@ class _Sweep:
         self.window = np.empty((i1 - self.i0,) + self.comp)
 
     def __call__(self, m, u, v):
-        buf = self.buf
-        if m - self.base == len(buf):
-            # slide: keep from the first row the next block's stencils read
-            keep = max(min(self.done - 1, self.n - 3), 0)
-            buf[:m - keep] = buf[keep - self.base:m - self.base]
-            self.base = keep
-        buf[m - self.base] = u
-        end = _complete(m, self.n)
-        if end - self.done >= self.block or end == self.n:
-            self._take(np.arange(self.done, end))
-            self.done = end
+        for rows in self.u.put(m, u[None]):
+            # the residual rows, once the block's other rows are freed
+            for res in self._take(rows):
+                self.sq[:, res] = norms.slab_sums(self.grid, *fd.d1_rows(
+                    self.res.read, res, self.n, self.dt))
 
     def _take(self, rows):
-        """Q, the forcing and the recorded rows of the snapshots rows."""
-        grid, buf, base, n, dt = self.grid, self.buf, self.base, self.n, \
-            self.dt
+        """Q, forcing and recorded rows of rows; returns the residual's put."""
+        grid, n, dt = self.grid, self.n, self.dt
         # rows, and the rows their stencils read, are consecutive
-        u, u_t = fd.d1_rows(lambda r: grid.to_physical(
-            buf[r[0] - base:r[-1] + 1 - base]), rows, n, dt)
-        native = buf[rows[0] - base:rows[-1] + 1 - base]
+        u, u_t = fd.d1_rows(lambda r: grid.to_physical(self.u.read(r)),
+                            rows, n, dt)
+        native = self.u.read(rows)
         self.sup[rows] = np.abs(u).reshape(len(rows), -1).max(axis=1)
         pinned = native.reshape(len(rows), -1)[:, self.fixed]
         self.boundary = max(self.boundary,
@@ -159,26 +178,27 @@ class _Sweep:
         lead = (len(rows),) + self.comp
         q = evaluate_nullform_series(grid, self.spec, native.reshape(lead),
                                      u_t.reshape(lead))
-        self.forcing[rows] = grid.from_physical(q).reshape(native.shape)
+        new = grid.from_physical(q).reshape(native.shape)
+        rows_f = self.forcing[rows[0]:rows[-1] + 1]
+        done = self.res.put(rows[0], grid.to_physical(
+            new - rows_f if self.applied else new))
+        rows_f[...] = new
         if self.stride is None:
-            return
-        s, stride, i0, ring = self.samples, self.stride, self.i0, len(self.q)
+            return done
+        s, stride, i0 = self.samples, self.stride, self.i0
         win = rows[(rows >= i0) & (rows < i0 + len(self.window))]
         self.window[win - i0] = q[win - rows[0]]
-        self.q[rows % ring] = q[:, 0]
         hit = rows % stride == 0
         at = rows[hit] // stride
         s["u"][at] = u[hit]
         s["u_t"][at] = u_t[hit]
         (s["u_r"][at],) = grid.native_gradient(native[hit])
         s["Q"][at] = q[hit, 0]
-        # sampled rows whose Q_t stencil the Q rows so far complete
-        end = _complete(rows[-1], n)
-        want = np.arange(-(-self.q_done // stride) * stride, end, stride)
-        if len(want):
-            _, s["Q_t"][want // stride] = fd.d1_rows(
-                lambda r: self.q[r % ring], want, n, dt)
-        self.q_done = end
+        for block in self.q.put(rows[0], q[:, 0]):
+            hit = block % stride == 0
+            s["Q_t"][block[hit] // stride] = fd.d1_rows(
+                self.q.read, block, n, dt)[1][hit]
+        return done
 
 
 def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
@@ -227,22 +247,22 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
         raise ParamError("data norm %.3e exceeds smallness threshold %.3e"
                          % (dnorm, threshold))
 
+    # one forcing array per run: each sweep writes over what it applies
+    forcing = np.empty((n,) + data.f.shape)
     applied = None
     residuals = []
     while True:
-        sweep = _Sweep(data, spec, n, dt, time_stride)
+        sweep = _Sweep(data, spec, n, dt, time_stride, forcing,
+                       applied is not None)
         traj = solve_linear(data, applied, t_end, dt=dt, stride=1,
                             observe=sweep)
-        F = sweep.forcing
-        residuals.append(slab_norm(grid, lambda r: grid.to_physical(
-            F[r] if applied is None else F[r] - applied[r]), n, dt))
+        residuals.append(slab_norm(grid, sweep.sq, n, dt))
         if residuals[-1] <= tol:
             break
         if len(residuals) == max_iter:
             raise NoConvergence(max_iter, residuals)
-        # the forcing applied here, and this sweep's other rows, are
-        # freed before the next sweep runs
-        applied, sweep = F, None
+        # this sweep's other rows are freed before the next sweep runs
+        applied, sweep, traj = forcing, None, None
 
     ratios = [residuals[i + 1] / residuals[i]
               for i in range(len(residuals) - 1)
@@ -266,8 +286,8 @@ def smallness_scan(data_family, spec: NullFormSpec, eps_list, t_end,
     the rows it keeps).
     """
     eps_list = list(eps_list)
-    if any(e < 0 for e in eps_list):
-        raise ParamError("epsilon values must be nonnegative")
+    if not all(0 <= e < np.inf for e in eps_list):
+        raise ParamError("epsilon values must be finite and nonnegative")
     if any(b <= a for a, b in zip(eps_list, eps_list[1:])):
         raise ParamError("epsilon values must be ascending")
 

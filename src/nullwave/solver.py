@@ -19,9 +19,11 @@ the next step overwrites: an observer keeps what it needs by reducing
 the state (local_energy_fn gives one such reduction) or by copying it.
 The returned trajectory then holds only the first and the last (u, v),
 with times [0, t_final] and stride n_steps, so memory does not grow with
-t_end.  run-linear observes its local energies, and every Picard sweep
-is observed too (see nullwave.picard); step_count gives the number of
-steps, and so of snapshots, before the run.
+t_end.  Step k reads rows k and k + 1 of a recorded forcing only, so an
+observer may overwrite the rows below i * stride at observe(i, u, v),
+and every row at the last one.  run-linear observes its local energies,
+and every Picard sweep is observed too (see nullwave.picard); step_count
+gives the number of steps, and so of snapshots, before the run.
 
 Fields are stored in each grid's native representation (see
 nullwave.exterior); the grid supplies the spatial operator, the Dirichlet

@@ -163,12 +163,13 @@ def _stored_sweep(data, spec, forcing, t_end, dt=None):
     return traj, up, ut, q, F
 
 
-def _check_sweep(sweep, ref, time_stride):
-    """The observed sweep's rows against the stored reference."""
+def _check_sweep(sweep, forcing, ref, time_stride):
+    """The observed sweep's rows, and the forcing it made, against the
+    stored reference."""
     traj, up, ut, q, F = ref
     grid, n, dt = traj.grid, len(traj.times), traj.dt
     assert sweep.n == n and sweep.dt == dt
-    assert sweep.forcing.tobytes() == F.tobytes()
+    assert forcing.tobytes() == F.tobytes()
     assert sweep.sup.tobytes() == np.max(np.abs(up).reshape(n, -1),
                                          axis=1).tobytes()
     assert sweep.boundary == np.max(np.abs(traj.u[..., ~grid.updated()]),
@@ -201,8 +202,13 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, name):
         sweeps = []
 
         def spy(data, forcing, t_end, **kwargs):
-            sweeps.append((forcing, kwargs["observe"]))
-            return solver.solve_linear(data, forcing, t_end, **kwargs)
+            # the sweep overwrites the forcing it is handed with the one
+            # it makes: copy both
+            handed = None if forcing is None else forcing.copy()
+            traj = solver.solve_linear(data, forcing, t_end, **kwargs)
+            sweep = kwargs["observe"]
+            sweeps.append((handed, sweep, sweep.forcing.copy()))
+            return traj
 
         monkeypatch.setattr(picard, "solve_linear", spy)
         with pytest.raises(NoConvergence) as exc_info:
@@ -212,15 +218,16 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, name):
         residuals = exc_info.value.residuals
         assert len(sweeps) == 3
         applied = None
-        for (forcing, sweep), residual in zip(sweeps, residuals):
-            assert forcing is applied
+        for (forcing, sweep, made), residual in zip(sweeps, residuals):
+            assert (forcing is None) == (applied is None)
+            assert applied is None or forcing.tobytes() == applied.tobytes()
             ref = _stored_sweep(data, spec, forcing, t_end)
-            _check_sweep(sweep, ref, time_stride)
+            _check_sweep(sweep, made, ref, time_stride)
             F, n, dt = ref[4], sweep.n, sweep.dt
             assert residual == norms.slab_norm(
                 grid, lambda r: grid.to_physical(
                     F[r] if applied is None else F[r] - applied[r]), n, dt)
-            applied = sweep.forcing
+            applied = made
         seen.append(residuals)
     assert seen[0] == seen[1] == seen[2]
 
@@ -242,9 +249,10 @@ def test_observed_sweep_edge_cases(monkeypatch, t_end, time_stride):
     assert n == (3 if t_end == 1.0 else 17)
     for block in (1, 3 * grid.n_nodes, 2**40):
         monkeypatch.setattr(fd, "BLOCK_VALUES", block)
-        sweep = picard._Sweep(data, SPEC, n, dt, time_stride)
+        sweep = picard._Sweep(data, SPEC, n, dt, time_stride,
+                              np.empty((n,) + data.f.shape), False)
         solver.solve_linear(data, None, t_end, dt=dt, observe=sweep)
-        _check_sweep(sweep, ref, time_stride)
+        _check_sweep(sweep, sweep.forcing, ref, time_stride)
 
 
 @pytest.mark.parametrize("sweeps", [1, 3])
@@ -272,10 +280,9 @@ def test_picard_holds_no_space_time_temporaries(monkeypatch, sweeps):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # no u stack: the forcing the sweep makes and, from the second sweep
-    # on, the forcing it applies
-    held = 1 if sweeps == 1 else 2
-    assert peak < held * stack + 32 * block
+    # no u stack, and one forcing array: each sweep writes the forcing
+    # it makes over the rows of the applied one that the solver has read
+    assert peak < stack + 32 * block
 
 
 def test_scan_rows_ordered_and_reported(family):
@@ -316,6 +323,9 @@ def test_scan_eps_validation(family):
         smallness_scan(family, SPEC, [1e-3, 5e-4], 8.0)
     with pytest.raises(ParamError):
         smallness_scan(family, SPEC, [-1e-3, 5e-4], 8.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParamError):
+            smallness_scan(family, SPEC, [1e-3, bad], 8.0)
 
 
 @pytest.mark.parametrize("threads", [1, 3])

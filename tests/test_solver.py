@@ -12,6 +12,7 @@ from nullwave.solver import (
     fit_decay,
     local_energy_fn,
     solve_linear,
+    step_count,
 )
 
 
@@ -397,6 +398,29 @@ def test_observer_sees_the_stored_rows(name):
     assert observed.dt == stored.dt
     assert observed.u.tobytes() == stored.u[ends].tobytes()
     assert observed.v.tobytes() == vs[ends].tobytes()
+
+
+@pytest.mark.parametrize("name", ["recorded", "ellipsoid"])
+def test_observer_may_overwrite_the_recorded_rows_read(name):
+    # by observe(i, ...) step i - 1 is done, and the steps left read
+    # recorded rows i and above only
+    data, rec, t_end = _kernel_case(name)
+    if rec is None:
+        n_steps = step_count(t_end, cfl_limit(data.grid))
+        rng = np.random.default_rng(5)
+        rec = rng.standard_normal((n_steps + 1,) + data.f.shape)
+    _, us, vs = _observed_rows(data, rec, t_end)
+    spoiled = rec.copy()
+    seen = []
+
+    def observe(i, u, v):
+        seen.append((u.tobytes(), v.tobytes()))
+        spoiled[:i] = np.nan
+
+    solve_linear(data, spoiled, t_end, observe=observe)
+    assert len(seen) == len(us)
+    for (ub, vb), u, v in zip(seen, us, vs):
+        assert ub == u.tobytes() and vb == v.tobytes()
 
 
 def test_local_energy_series_keeps_its_values():
