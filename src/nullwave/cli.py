@@ -239,14 +239,14 @@ class ExperimentConfig:
         if g["mode"] == "cartesian":
             o = cfg["obstacle"]
             params = _floats(o["params"], "obstacle params")
-            if o["kind"] == "sphere":
-                obs = Obstacle.sphere(*params)
-            elif o["kind"] == "ellipsoid":
-                obs = Obstacle.ellipsoid(*params)
-            else:
-                raise ConfigError("unknown obstacle kind %r" % o["kind"])
+            count = {"sphere": 1, "ellipsoid": 3}.get(o["kind"], len(params))
+            if len(params) != count:
+                raise ConfigError("[obstacle] params of a %s take %d values"
+                                  % (o["kind"], count))
+            # Obstacle refuses an unknown kind and non-finite parameters
             return build_masked_grid(
-                obs, g["extent"], g["n"], sponge_cells=g["sponge_cells"],
+                Obstacle(o["kind"], params), g["extent"], g["n"],
+                sponge_cells=g["sponge_cells"],
                 sponge_strength=g["sponge_strength"])
         raise ConfigError("unknown grid mode %r" % g["mode"])
 

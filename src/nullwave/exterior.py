@@ -12,16 +12,18 @@ grid's native representation ("native") or as physical values u:
     kind, ndim, h, n_nodes, sponge_cells   identification and sizes
     zeros(), sponge_sigma()                native field shape, damping
     coords(), radii()                      sample points and |x| per node
-    updated()                              nodes the stepper evolves
+    updated()                              nodes the stepper evolves (*)
     laplace(native, out=None, tmp=None)    native spatial operator
     pin(a)                                 zero the Dirichlet nodes in place
     on_boundary(a)                         values on obstacle-boundary nodes
-    weights()                              volume quadrature per node
-    gradient(u), native_gradient(native)   physical spatial gradient tuple
+    weights()                              volume quadrature per node (*)
+    gradient(u, out), native_gradient(native, out)   physical gradient tuple
     to_physical(native), from_physical(u)  representation changes
     sample(u)                              initial-data field, zero in solids
-    energy(native_u, native_v, inside)     energy of a native state
+    energy_fn(inside)                      energy of a native state (u, v)
     physical_laplacian(u), hessian_sq(u, grad)   second derivatives of u
+
+(*) one read-only array, made with the grid.
 
 The radial native representation w = r * u, which turns the radial wave
 operator into d_tt - d_rr plus a centrifugal term l(l+1)/r^2, is private
@@ -51,12 +53,12 @@ class Obstacle:
     def __init__(self, kind, params):
         if kind == "sphere":
             (r0,) = params
-            if r0 <= 0:
-                raise ParamError("sphere radius must be positive")
+            if not 0 < r0 < np.inf:
+                raise ParamError("sphere radius must be in (0, inf)")
         elif kind == "ellipsoid":
             a, b, c = params
-            if min(a, b, c) <= 0:
-                raise ParamError("ellipsoid semi-axes must be positive")
+            if not all(0 < p < np.inf for p in (a, b, c)):
+                raise ParamError("ellipsoid semi-axes must be in (0, inf)")
         else:
             raise ParamError("unknown obstacle kind %r" % (kind,))
         self.kind = kind
@@ -141,6 +143,10 @@ class RadialGrid:
         self.h = (self.r_max - self.r0) / self.n
         self.r = self.r0 + self.h * np.arange(self.n + 1)
         self._r2 = self.r**2
+        self._live = np.ones(self.n + 1, dtype=bool)
+        self._live[[0, -1]] = False
+        self._vol = 4.0 * np.pi * self._r2 * fd.trapezoid(self.h, self.n + 1)
+        self._live.flags.writeable = self._vol.flags.writeable = False
 
     @property
     def n_nodes(self):
@@ -166,9 +172,7 @@ class RadialGrid:
 
     def updated(self):
         """Nodes the stepper evolves (all but the two Dirichlet ends)."""
-        live = np.ones(self.n_nodes, dtype=bool)
-        live[[0, -1]] = False
-        return live
+        return self._live
 
     def laplace(self, w, out=None, tmp=None):
         """Native spatial operator d_rr - l(l+1)/r^2 on w.
@@ -195,19 +199,20 @@ class RadialGrid:
 
     def weights(self):
         """Trapezoid weights of the volume element 4 pi r^2 dr."""
-        return 4.0 * np.pi * self.r**2 * fd.trapezoid(self.h, self.n_nodes)
+        return self._vol
 
-    def gradient(self, u):
+    def gradient(self, u, out=None):
         """Physical spatial gradient (d u / d r,) of a physical field."""
-        return (fd.d1(u, self.h, axis=-1),)
+        return (fd.d1(u, self.h, axis=-1, out=out and out[0]),)
 
-    def native_gradient(self, field):
+    def native_gradient(self, field, out=None):
         """Physical spatial gradient (d u / d r,) of a native field w.
 
         d u / d r = (w' - w/r) / r.
         """
         w = np.asarray(field, dtype=float)
-        return ((fd.d1(w, self.h) - w / self.r) / self.r,)
+        (d,) = self.gradient(w, out)
+        return (np.divide(np.subtract(d, w / self.r, out=d), self.r, out=d),)
 
     def to_physical(self, field):
         """w -> u = w / r."""
@@ -220,23 +225,25 @@ class RadialGrid:
     # initial data needs no masking: every radial node is outside r0
     sample = from_physical
 
-    def energy(self, w, vw, inside=None):
-        """Energy of the native state (w, w_t) over nodes where inside holds.
+    def energy_fn(self, inside=None):
+        """Energy of native states (w, w_t) over nodes where inside holds.
 
         The density is kept in w form, r^2 (|du|^2 + |u|^2) in terms of w,
-        summed with trapezoid weights in r and 4 pi applied after the sum.
+        summed with trapezoid weights in r, made here, and 4 pi after.
         """
-        r = self.r
-        wr = fd.d1(w, self.h, axis=-1)
-        uphys = w / r
-        dens = vw**2 + (wr - uphys)**2 + w**2
-        l = self.angular_mode
-        if l:
-            dens = dens + (l * (l + 1)) * uphys**2
+        r, l = self.r, self.angular_mode
         wts = fd.trapezoid(self.h, self.n_nodes)
         if inside is not None:
             wts = np.where(inside, wts, 0.0)
-        return float(4.0 * np.pi * np.sum(dens * wts))
+
+        def at(w, vw):
+            wr = fd.d1(w, self.h, axis=-1)
+            uphys = w / r
+            dens = vw**2 + (wr - uphys)**2 + w**2
+            if l:
+                dens = dens + (l * (l + 1)) * uphys**2
+            return float(4.0 * np.pi * np.sum(dens * wts))
+        return at
 
     def physical_laplacian(self, u):
         """Laplacian of a physical field, including the mode term."""
@@ -286,9 +293,12 @@ class CartesianGrid:
         self.mask = mask
         self.sponge_cells = int(sponge_cells)
         self.sponge_strength = float(sponge_strength)
+        self._live = (mask == FLUID) | (mask == SPONGE)
+        self._vol = np.where(self._live, self.h**3, 0.0)
+        self._live.flags.writeable = self._vol.flags.writeable = False
         # flat indices of the Dirichlet nodes; an integer index pins an
         # order of magnitude faster than a boolean mask
-        self._pinned = np.flatnonzero(~self.updated())
+        self._pinned = np.flatnonzero(~self._live)
 
     @property
     def n_nodes(self):
@@ -308,7 +318,7 @@ class CartesianGrid:
 
     def updated(self):
         """Nodes the stepper evolves (fluid plus sponge)."""
-        return (self.mask == FLUID) | (self.mask == SPONGE)
+        return self._live
 
     def laplace(self, u, out=None, tmp=None):
         """Native spatial operator: the 7-point Laplacian.
@@ -341,11 +351,12 @@ class CartesianGrid:
 
     def weights(self):
         """Volume quadrature: h^3 on evolved nodes, zero elsewhere."""
-        return np.where(self.updated(), self.h**3, 0.0)
+        return self._vol
 
-    def gradient(self, u):
+    def gradient(self, u, out=None):
         """Spatial gradient (d_1 u, d_2 u, d_3 u) of a field."""
-        return tuple(fd.d1(u, self.h, axis=ax) for ax in (-3, -2, -1))
+        return tuple(fd.d1(u, self.h, axis=ax, out=o)
+                     for ax, o in zip((-3, -2, -1), out or (None,) * 3))
 
     native_gradient = gradient
 
@@ -359,15 +370,17 @@ class CartesianGrid:
         """Initial-data field of physical node values u, zero in solids."""
         return np.where(self.mask == OBSTACLE, 0.0, u)
 
-    def energy(self, u, v, inside=None):
-        """Sum of |du|^2 + |u|^2 over evolved nodes where inside holds."""
-        dens = v**2 + u**2
-        for g in self.gradient(u):
-            dens = dens + g**2
-        live = self.updated()
-        if inside is not None:
-            live = live & inside
-        return float(np.sum(dens[..., live]) * self.h**3)
+    def energy_fn(self, inside=None):
+        """Sum of |du|^2 + |u|^2 over evolved nodes where inside holds, as
+        a function of (u, v); the nodes are found once, here."""
+        live = self._live if inside is None else self._live & inside
+
+        def at(u, v):
+            dens = v**2 + u**2
+            for g in self.gradient(u):
+                dens = dens + g**2
+            return float(np.sum(dens[..., live]) * self.h**3)
+        return at
 
     def hessian_sq(self, u, grad):
         """Squared Hessian Frobenius norm per node; grad is gradient(u)."""

@@ -107,20 +107,27 @@ def sphere_sobolev_norm(grid, field, order):
 # ---------------------------------------------------------------------------
 # null forms and space-time norms of snapshot series
 
-def evaluate_nullform_series(grid, spec: NullFormSpec, u, u_t):
+def evaluate_nullform_series(grid, spec: NullFormSpec, u, u_t, out=None,
+                             work=None):
     """Physical Q(du, du) of snapshot rows.
 
     u holds native rows and u_t their physical time derivatives, both of
-    shape (rows, n_components) + grid shape, and so does the result.  On
-    radial grids only q0 survives: rotational forms of radial fields
+    shape (rows, n_components) + grid shape, and so does the result
+    (into out if given).  The gradient rows and two products go into the
+    grid.ndim + 2 C-contiguous arrays of u's size of work, or new ones.
+    On radial grids only q0 survives: rotational forms of radial fields
     vanish identically.
     """
     if u.shape[1] != spec.n_components:
         raise ParamError("trajectory component count does not match spec")
-    du = (u_t,) + grid.native_gradient(u)
+    *grads, s, p = np.empty((grid.ndim + 2,) + u.shape) if work is None \
+        else [a.reshape(u.shape) for a in work]
+    du = (u_t,) + grid.native_gradient(u, grads)
     per_comp = [[d[:, j] for d in du] for j in range(spec.n_components)]
-    out = np.zeros(du[0].shape)
-    accumulate_system(spec, per_comp, per_comp, out.swapaxes(0, 1))
+    out = np.empty(du[0].shape) if out is None else out
+    out.fill(0.0)
+    accumulate_system(spec, per_comp, per_comp, out.swapaxes(0, 1),
+                      (s[:, 0], p[:, 0]))
     return out
 
 
@@ -142,14 +149,18 @@ def slab_norm(grid, series, n, dt_snap):
     return float(sum(np.sqrt(np.sum(s * tw)) for s in sq))
 
 
-def slab_sums(grid, val, val_t):
-    """slab_norm's spatial sums of rows val, of d/dt val_t and of grad val."""
+def slab_sums(grid, val, val_t, work=None):
+    """slab_norm's spatial sums of rows val, of d/dt val_t and of grad val;
+    work as in evaluate_nullform_series (one product is used)."""
     vol = grid.weights()
     space = tuple(range(-grid.ndim, 0))
+    *grads, t, _ = np.empty((grid.ndim + 2,) + val.shape) if work is None \
+        else [a.reshape(val.shape) for a in work]
     sq = np.empty((2 + grid.ndim, len(val)))
-    for k, d in enumerate((val, val_t) + grid.gradient(val)):
-        s = np.sum(d * d * vol, axis=space)
-        sq[k] = s.reshape(len(val), -1).sum(axis=1)
+    for k, d in enumerate((val, val_t) + grid.gradient(val, grads)):
+        t = np.multiply(d, d, out=t)
+        t *= vol
+        sq[k] = np.sum(t, axis=space).reshape(len(val), -1).sum(axis=1)
     return sq
 
 

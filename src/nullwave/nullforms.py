@@ -21,21 +21,24 @@ from .errors import ParamError
 FORM_IDS = ("q0", "q01", "q02", "q03", "q12", "q13", "q23")
 
 
-def eval_components(form, du, dv):
+def eval_components(form, du, dv, work=(None, None)):
     """One named form on gradient component sequences (d_t, d_1, ...).
 
     q0 takes any number of spatial components, so the radial pair
-    (d_t, d_r) works as well as the full four.
+    (d_t, d_r) works as well as the full four.  work, if given, is a pair
+    of arrays that take the products, the result in the first.
     """
+    o, p = work
     if form == "q0":
-        s = du[1] * dv[1]
+        s = np.multiply(du[1], dv[1], out=o)
         for a, b in zip(du[2:], dv[2:]):
-            s += a * b
-        return du[0] * dv[0] - s
+            s += np.multiply(a, b, out=p)
+        return np.subtract(np.multiply(du[0], dv[0], out=p), s, out=o)
     if form not in FORM_IDS:
         raise ParamError("unknown form id %r" % (form,))
     j, k = int(form[1]), int(form[2])
-    return du[j] * dv[k] - du[k] * dv[j]
+    return np.subtract(np.multiply(du[j], dv[k], out=o),
+                       np.multiply(du[k], dv[j], out=p), out=o)
 
 
 class NullFormSpec:
@@ -84,17 +87,18 @@ class NullFormSpec:
         return "NullFormSpec(n=%d, terms=%r)" % (self.n_components, self.terms)
 
 
-def accumulate_system(spec: NullFormSpec, du, dv, out):
+def accumulate_system(spec: NullFormSpec, du, dv, out, work=(None, None)):
     """Add the system Q(du, dv) into out; returns out.
 
     du[j] and dv[k] are the gradient component sequences (d_t, d_1, ...)
     of solution components j and k; out[i] receives output component i.
     With fewer than four gradient components, as in the radial pair
     (d_t, d_r), only q0 terms are evaluated: the rotational forms vanish
-    identically on spherically symmetric fields.
+    identically on spherically symmetric fields.  work: eval_components.
     """
     for (i, j, k, a, form) in spec.terms:
         if form != "q0" and len(du[j]) < 4:
             continue
-        out[i] += a * eval_components(form, du[j], dv[k])
+        out[i] += np.multiply(a, eval_components(form, du[j], dv[k], work),
+                              out=work[0])
     return out

@@ -16,7 +16,11 @@ what the callers read: the sup series, the boundary max, the residual's
 slab_sums, and with a time_stride the sample-frame rows and the Q rows
 of the local-linear window.  A run holds one forcing array: the solver
 has read a block's rows of it (see nullwave.solver), so the observer
-takes their residual and writes its Q over them for the next sweep.
+takes their residual in them and writes its Q over them for the next
+sweep.  Each sweep owns a workspace of block rows, for u_t, Q and the
+gradient rows and products (work) of the null form and then of the
+residual's slab_sums: on a Cartesian grid the observer allocates no row
+per block, on a radial one only the w <-> u conversions do.
 """
 
 from collections import deque
@@ -85,6 +89,7 @@ class _Rows:
     put(lo, rows) stores rows lo, lo + 1, ...; once least rows (or the
     last rows) have their whole stencil stored, it returns them as index
     arrays of at most block rows, and read(rows) gives them as a slice.
+    A full buffer slides the rows still to be read into a fresh one.
     """
 
     def __init__(self, n, block, shape, least=1):
@@ -96,8 +101,8 @@ class _Rows:
     def put(self, lo, rows):
         buf, m, n = self.buf, lo + len(rows) - 1, self.n
         if m - self.base >= len(buf):
-            # to a fresh buffer: sliding in place lets glibc trim the heap,
-            # and perfbench's ellipsoid faulted 240k pages in sweep 1, not 45k
+            # not in place: that faulted 120k pages, not 95k, on perfbench's
+            # radial-scan (ru_minflt), though 37k, not 39k, on ellipsoid
             keep = max(min(self.done - 1, n - 3), 0)
             old, buf = buf, np.empty_like(buf)
             buf[:lo - keep] = old[keep - self.base:lo - self.base]
@@ -136,6 +141,8 @@ class _Sweep:
         block = min(n, max(1, fd.BLOCK_VALUES // data.f.size))
         self.u = _Rows(n, block, shape, block)
         self.res = _Rows(n, block, shape)
+        self.ut, self.q_out = np.empty((2, block) + shape)
+        self.work = np.empty((grid.ndim + 2, block) + shape)
         self.sq = np.empty((2 + grid.ndim, n))
         self.forcing, self.applied = forcing, applied
         self.sup = np.empty(n)
@@ -161,27 +168,31 @@ class _Sweep:
         for rows in self.u.put(m, u[None]):
             # the residual rows, once the block's other rows are freed
             for res in self._take(rows):
+                k = len(res)
                 self.sq[:, res] = norms.slab_sums(self.grid, *fd.d1_rows(
-                    self.res.read, res, self.n, self.dt))
+                    self.res.read, res, self.n, self.dt, self.ut[:k]),
+                    self.work[:, :k])
 
     def _take(self, rows):
         """Q, forcing and recorded rows of rows; returns the residual's put."""
-        grid, n, dt = self.grid, self.n, self.dt
+        grid, n, dt, k = self.grid, self.n, self.dt, len(rows)
         # rows, and the rows their stencils read, are consecutive
         u, u_t = fd.d1_rows(lambda r: grid.to_physical(self.u.read(r)),
-                            rows, n, dt)
+                            rows, n, dt, self.ut[:k])
         native = self.u.read(rows)
-        self.sup[rows] = np.abs(u).reshape(len(rows), -1).max(axis=1)
-        pinned = native.reshape(len(rows), -1)[:, self.fixed]
+        self.sup[rows] = np.abs(u, out=self.work[0, :k]).reshape(
+            k, -1).max(axis=1)
+        pinned = native.reshape(k, -1)[:, self.fixed]
         self.boundary = max(self.boundary,
                             float(np.abs(pinned).max(initial=0.0)))
-        lead = (len(rows),) + self.comp
-        q = evaluate_nullform_series(grid, self.spec, native.reshape(lead),
-                                     u_t.reshape(lead))
+        lead = (k,) + self.comp
+        q = evaluate_nullform_series(
+            grid, self.spec, native.reshape(lead), u_t.reshape(lead),
+            self.q_out[:k].reshape(lead), self.work[:, :k])
         new = grid.from_physical(q).reshape(native.shape)
         rows_f = self.forcing[rows[0]:rows[-1] + 1]
         done = self.res.put(rows[0], grid.to_physical(
-            new - rows_f if self.applied else new))
+            np.subtract(new, rows_f, out=rows_f) if self.applied else new))
         rows_f[...] = new
         if self.stride is None:
             return done

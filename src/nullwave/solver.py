@@ -214,17 +214,14 @@ def local_energy_fn(grid, A):
 
     The energy is the sum of |du|^2 + |u|^2 over evolved nodes,
     restricted to |x| < A; A = None means no restriction.  All terms are
-    nonnegative, so the value is nondecreasing in A.  A is checked and
-    the ball |x| < A found once, so an observer that reduces every
-    snapshot of a run pays for them once.
+    nonnegative, so the value is nondecreasing in A.  A is checked, and
+    the ball |x| < A and the grid's weights on it (grid.energy_fn) are
+    found once, so an observer that reduces every snapshot of a run pays
+    for them once.
     """
     if A is not None and A <= 0:
         raise ParamError("A must be positive")
-    inside = None if A is None else grid.radii() < A
-
-    def at(u, v):
-        return grid.energy(u, v, inside)
-    return at
+    return grid.energy_fn(None if A is None else grid.radii() < A)
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,8 @@ def test_run_linear_energies_match_a_stored_run(tmp_path):
     us, vs = us[::ec.stride], vs[::ec.stride]
     times = dt * ec.stride * np.arange(len(us))
     inside = grid.radii() < ec.local_radius
-    energies = np.array([grid.energy(u, v, inside) for u, v in zip(us, vs)])
+    energy = grid.energy_fn(inside)
+    energies = np.array([energy(u, v) for u, v in zip(us, vs)])
     # the CSV holds each float in its shortest round-trip form
     assert _column(csv, "t").tobytes() == times.tobytes()
     assert _column(csv, "local_energy").tobytes() == energies.tobytes()
@@ -404,6 +405,16 @@ BAD_CONFIGS = [
     ("decreasing_sup_window", "[report]\nsup_window = 3 1\n"),
     ("negative_delta", "[report]\ndeltas = 1.0 -0.5\n"),
     ("nonfinite_deltas", "[report]\ndeltas = 1.0 nan inf\n"),
+] + [
+    # a wrong count of obstacle params, or a non-finite one in any slot
+    ("%s_params_%s" % (kind, params.replace(" ", "_")),
+     "[grid]\nmode = cartesian\nn = 16\nextent = 6.0\n"
+     "[obstacle]\nkind = %s\nparams = %s\n" % (kind, params))
+    for kind, params in [("sphere", "1 2"), ("sphere", "1 2 3 4"),
+                         ("sphere", "nan"), ("sphere", "inf"),
+                         ("ellipsoid", "1 2"), ("ellipsoid", "1 2 1 1"),
+                         ("ellipsoid", "nan 1 1"), ("ellipsoid", "1 nan 1"),
+                         ("ellipsoid", "1 1 nan")]
 ]
 
 # list-valued keys, each through a subcommand that reads it: a bad one must
@@ -418,6 +429,8 @@ LIST_KEY_CONFIGS = [
     ("estimate-report", "[report]\nsup_window = 3 1\n"),
     ("estimate-report", "[report]\ndeltas = 1.0 -0.5\n"),
     ("estimate-report", "[report]\ndeltas = 1.0 nan inf\n"),
+    ("run-linear", "[grid]\nmode = cartesian\nn = 16\nextent = 6.0\n"
+                   "[obstacle]\nkind = ellipsoid\nparams = 1 1 nan\n"),
 ]
 
 

@@ -55,6 +55,15 @@ def test_obstacle_rejects_bad_params():
         Obstacle.ellipsoid(1.0, -0.5, 1.0)
     with pytest.raises(ParamError):
         Obstacle("cube", (1.0,))
+    # NaN passes a "<= 0" test: each slot must be refused
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParamError):
+            Obstacle.sphere(bad)
+        for slot in range(3):
+            axes = [1.0, 1.0, 1.0]
+            axes[slot] = bad
+            with pytest.raises(ParamError):
+                Obstacle.ellipsoid(*axes)
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +185,36 @@ def test_masked_grid_rejects_bad_params():
         build_masked_grid(Obstacle.sphere(1.0), 12.0, 24, sponge_cells=13)
 
 
+def _stencil_cases(least):
+    """(y, axis, out) over every axis of 1-d, 3-d and 4-d (row-stacked)
+    arrays with axis lengths least, 5 and 49: C-contiguous, strided and
+    transposed inputs, with no out, a C-contiguous out and a transposed
+    one (flat and sliced interiors both)."""
+    rng = np.random.default_rng(5)
+    for shape in [(least,), (5,), (49,), (least, 5, 49), (5, 49, least, 5)]:
+        big = rng.standard_normal(tuple(2 * n for n in shape))
+        y = big[tuple(slice(None, n) for n in shape)].copy()
+        for view in (y, y.T, big[(slice(None, None, 2),) * len(shape)]):
+            for axis in range(-view.ndim, view.ndim):
+                yield view, axis, None
+                yield view, axis, np.full(view.shape, np.nan)
+                yield view, axis, np.full(view.shape[::-1], np.nan).T
+
+
+def test_d1_matches_np_gradient():
+    # the flat interior and numpy's ends are np.gradient byte for byte
+    for y, axis, out in _stencil_cases(3):
+        want = np.gradient(y, 0.3, axis=axis, edge_order=2)
+        got = fd.d1(y, 0.3, axis=axis, out=out)
+        assert out is None or got is out
+        assert got.tobytes() == want.tobytes(), (y.shape, axis)
+    with pytest.raises(ParamError):
+        fd.d1(np.ones((5, 2)), 0.3, axis=-1)
+
+
 def test_d2_matches_moveaxis_reference():
-    # the slice-tuple stencil does the moveaxis form's arithmetic, bit for
-    # bit, whether it allocates its result or writes into out
+    # the flat or sliced stencil does the moveaxis form's arithmetic, bit
+    # for bit, whether it allocates its result or writes into out
     def reference(y, h, axis):
         y = np.moveaxis(y, axis, -1)
         out = np.empty_like(y)
@@ -189,18 +225,12 @@ def test_d2_matches_moveaxis_reference():
                         + 4.0 * y[..., -3] - y[..., -4]) / h**2
         return np.moveaxis(out, -1, axis)
 
-    rng = np.random.default_rng(5)
-    for shape in [(40,), (3, 40), (6, 7, 8), (2, 6, 7, 8)]:
-        y = rng.standard_normal(shape)
-        for axis in range(-len(shape), len(shape)):
-            if shape[axis] < 4:
-                continue
-            got = fd.d2(y, 0.3, axis=axis)
-            assert got.tobytes() == reference(y, 0.3, axis).tobytes()
-            # the in-place form writes every node, and the same bytes
-            buf = np.full(shape, np.nan)
-            assert fd.d2(y, 0.3, axis=axis, out=buf) is buf
-            assert buf.tobytes() == got.tobytes()
+    for y, axis, out in _stencil_cases(4):
+        got = fd.d2(y, 0.3, axis=axis, out=out)
+        assert out is None or got is out
+        assert got.tobytes() == reference(y, 0.3, axis).tobytes()
+    with pytest.raises(ParamError):
+        fd.d2(np.ones((3, 5)), 0.3, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +263,25 @@ def test_grid_contract_weights(name):
     else:
         live = np.count_nonzero(grid.updated())
         assert total == pytest.approx(grid.h**3 * live, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_GRIDS))
+def test_grid_contract_weights_and_updated_are_made_once(name):
+    # one read-only array each, shared by every caller
+    grid = CONTRACT_GRIDS[name]()
+    for get in (grid.weights, grid.updated):
+        assert get() is get()
+        with pytest.raises(ValueError):
+            get()[...] = 0
+    live = np.ones(grid.n_nodes, dtype=bool) if name == "radial" else \
+        (grid.mask == exterior.FLUID) | (grid.mask == exterior.SPONGE)
+    if name == "radial":
+        live[[0, -1]] = False
+        vol = 4.0 * np.pi * grid.r**2 * fd.trapezoid(grid.h, grid.n_nodes)
+    else:
+        vol = np.where(live, grid.h**3, 0.0)
+    assert np.array_equal(grid.updated(), live)
+    assert grid.weights().tobytes() == vol.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACT_GRIDS))

@@ -285,6 +285,56 @@ def test_picard_holds_no_space_time_temporaries(monkeypatch, sweeps):
     assert peak < stack + 32 * block
 
 
+def test_cartesian_picard_holds_a_fixed_number_of_rows(monkeypatch):
+    # blocks of one row: the solver's state, the observer's workspace and
+    # its row windows are a fixed number of rows, and the null form and
+    # the slab sums write into the workspace, allocating no row
+    monkeypatch.setattr(fd, "BLOCK_VALUES", 2**12)
+    data, spec, t_end = _block_case("ellipsoid")
+    row = data.f.nbytes
+    assert fd.BLOCK_VALUES < data.f.size
+    n = solver.step_count(t_end, solver.cfl_limit(data.grid)) + 1
+    peaks, grown = [], []
+
+    def watched(fn):
+        def call(*args, **kwargs):
+            # what fn allocates on top of what was held when it was called
+            before, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak)
+            tracemalloc.reset_peak()
+            result = fn(*args, **kwargs)
+            grown.append(tracemalloc.get_traced_memory()[1] - before)
+            return result
+        return call
+
+    monkeypatch.setattr(picard, "evaluate_nullform_series",
+                        watched(norms.evaluate_nullform_series))
+    monkeypatch.setattr(norms, "slab_sums", watched(norms.slab_sums))
+
+    def run():
+        with pytest.raises(NoConvergence):
+            picard_solve(data, spec, t_end, tol=1e-30, max_iter=2,
+                         smallness_threshold=np.inf)
+
+    run()  # one-time lazy imports are not the run's
+    peaks.clear()
+    grown.clear()
+    tracemalloc.start()
+    try:
+        run()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert len(grown) == 4 * n
+    assert max(grown) < row / 4
+    # one forcing array; u, v, the Laplacian, scratch, the forcing
+    # midpoint, the damping and the first and last (u, v) of the solver;
+    # then the u and residual windows of 4 rows, a window's fresh buffer
+    # at a slide, u_t, Q and the 5 workspace rows
+    solver_rows = 10
+    assert max(peaks) < n * row + (solver_rows + 24) * row
+
+
 def test_scan_rows_ordered_and_reported(family):
     rows = list(smallness_scan(family, SPEC, [5e-4, 1e-3, 2e-3], 8.0))
     assert [r["eps"] for r in rows] == [5e-4, 1e-3, 2e-3]

@@ -437,7 +437,9 @@ def test_local_energy_series_keeps_its_values():
 
     traj = solve_linear(data, None, t_end, stride=10, observe=observe)
     assert np.all(np.array(vals) >= 0)
-    ref = np.array([grid.energy(u, v, grid.radii() < 4.0) for u, v in rows])
+    # the energy with its weights made afresh for each state
+    ref = np.array([grid.energy_fn(grid.radii() < 4.0)(u, v)
+                    for u, v in rows])
     assert np.array(vals).tobytes() == ref.tobytes()
     assert at(traj.u[-1], traj.v[-1]) == vals[-1]
     for A in (0.0, -1.0):
@@ -455,7 +457,7 @@ def test_local_energy_monotone_in_radius():
     vals = [local_energy_fn(grid, A)(amp, 0.5 * amp)
             for A in (2.0, 4.0, 6.0, 8.0, None)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-    assert vals[-1] == grid.energy(amp, 0.5 * amp)
+    assert vals[-1] == grid.energy_fn()(amp, 0.5 * amp)
 
 
 def test_angular_mode_energy_includes_centrifugal_term():
