@@ -106,6 +106,18 @@ def _check_sponge_strength(strength):
         raise ParamError("sponge_strength must be >= 0 and finite")
 
 
+def _check_spacing(h, power):
+    # fd.d2 divides by h**2 and a cube's volume element is h**3: a spacing
+    # whose power overflows ends in a traceback or in NaN output
+    try:
+        finite = np.isfinite(h**power)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ParamError("grid spacing %g is too large: h**%d overflows"
+                         % (h, power))
+
+
 def _sponge_ramp(s, strength):
     # cubic ramp keeps the damping smooth at the band entrance
     return strength * np.clip(s, 0.0, 1.0) ** 3
@@ -125,8 +137,8 @@ class RadialGrid:
 
     def __init__(self, r0, r_max, n, angular_mode=0, sponge_cells=0,
                  sponge_strength=4.0):
-        if not (0 < r0 < r_max):
-            raise ParamError("need 0 < r0 < r_max")
+        if not (0 < r0 < r_max < np.inf):
+            raise ParamError("need 0 < r0 < r_max < inf")
         if n < 16:
             raise ParamError("need n >= 16 cells")
         if angular_mode < 0:
@@ -141,6 +153,7 @@ class RadialGrid:
         self.sponge_cells = int(sponge_cells)
         self.sponge_strength = float(sponge_strength)
         self.h = (self.r_max - self.r0) / self.n
+        _check_spacing(self.h, 2)
         self.r = self.r0 + self.h * np.arange(self.n + 1)
         self._r2 = self.r**2
         self._live = np.ones(self.n + 1, dtype=bool)
@@ -421,6 +434,8 @@ def build_masked_grid(obstacle, L, n, sponge_cells=8, sponge_strength=4.0):
     6-neighbor form the Dirichlet staircase; the outer faces are Dirichlet
     as well, with the sponge band just inside them.
     """
+    if not L < np.inf:
+        raise ParamError("the cube extent L must be finite")
     if obstacle.max_radius >= L / 4.0:
         raise ParamError("obstacle must fit inside |x| < L/4")
     if n < 16:
@@ -433,6 +448,7 @@ def build_masked_grid(obstacle, L, n, sponge_cells=8, sponge_strength=4.0):
     if sponge_cells > n // 2:
         raise ParamError("sponge_cells out of range")
     _check_sponge_strength(sponge_strength)
+    _check_spacing(L / n, 3)
     m = n + 1
     mask = np.full((m, m, m), FLUID, dtype=np.uint8)
     solid = obstacle.contains(_cube_coords(L, n))

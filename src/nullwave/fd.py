@@ -3,17 +3,16 @@
 Second-order accurate throughout: centered stencils inside, one-sided
 three/four point formulas at array ends, trapezoid weights.
 
-d1 and d2 write into out if given.  On C-contiguous y and out their
-interior is one difference of the flattened arrays, shifted by the axis
-stride s: (f[2s:] - f[:-2s]) / (2h) for d1.  What it takes across the
-axis ends falls on edge positions, which the one-sided formulas then
-overwrite, so d1 is np.gradient(y, h, axis, edge_order=2) byte for byte.
-Other arrays take the same interior as slices along the axis.
+d1 and d2 write into out if given, which must then be C-contiguous;
+y is read as a C-contiguous array.  Their interior is one difference of
+the flattened arrays, shifted by the axis stride s: (f[2s:] - f[:-2s]) /
+(2h) for d1.  What it takes across the axis ends falls on edge
+positions, which the one-sided formulas then overwrite, so d1 is
+np.gradient(y, h, axis, edge_order=2) byte for byte.
 
 A snapshot series has one time derivative, d1_rows: d1 along the
-snapshot axis, read from the rows its stencil uses.  Whole-series
-quantities read it one row_blocks block at a time, so no temporary
-outgrows a block and no byte depends on the block size.
+snapshot axis at a range of rows, read once from the rows its stencil
+uses, so no byte depends on how a series is cut into blocks.
 """
 
 import math
@@ -31,16 +30,17 @@ BLOCK_VALUES = 2**16
 def _stencil(y, out, axis, least):
     """y, out (made if None), lead such that y[lead + (i,)] is index i of
     axis, and the views y[i-1], y[i], y[i+1], out[i] of the interior."""
-    y = np.asarray(y, dtype=float)
+    y = np.ascontiguousarray(y, dtype=float)
     if y.shape[axis] < least:
         raise ParamError("the stencil needs at least %d points" % least)
-    out = np.empty_like(y) if out is None else out
+    if out is None:
+        out = np.empty_like(y)
+    elif not out.flags.c_contiguous:
+        raise ParamError("the stencil writes into C-contiguous arrays only")
     lead = (slice(None),) * (axis % y.ndim)
-    f, o, ix, s, n = y, out, lead, 1, y.shape[axis]
-    if y.flags.c_contiguous and out.flags.c_contiguous:
-        f, o, ix, n = y.ravel(), out.ravel(), (), y.size
-        s = math.prod(y.shape[len(lead) + 1:])
-    return y, out, lead, [a[ix + (slice(k * s, n - (2 - k) * s),)]
+    f, o, n = y.ravel(), out.ravel(), y.size
+    s = math.prod(y.shape[len(lead) + 1:])
+    return y, out, lead, [a[k * s:n - (2 - k) * s]
                           for a, k in ((f, 0), (f, 1), (f, 2), (o, 1))]
 
 
@@ -55,37 +55,26 @@ def d1(y, h, axis=-1, out=None):
     return out
 
 
-def d1_rows(read, rows, n, h, out=None):
-    """(F[rows], dF/dt at rows) of the n-row series F = read(indices).
+def d1_rows(read, lo, hi, n, h, out=None):
+    """(F[lo:hi], dF/dt there) of the n-row series F, read(a, b) = F[a:b].
 
-    rows is increasing.  dF/dt, written into out if given, is d1(F, h,
-    axis=0) byte for byte, read from the rows the stencil uses only: the
-    centred difference inside, d1 of the first or last three at the ends.
+    dF/dt, written into out if given, is d1(F, h, axis=0)[lo:hi] byte for
+    byte, from one read of the rows its stencil uses: the centred
+    difference inside, d1 of the first or last three rows at the ends.
     """
     if n < 3:
         raise ParamError("the time stencil needs at least 3 snapshots")
-    if 0 < rows[0] and rows[-1] < n - 1 and \
-            rows[-1] - rows[0] == len(rows) - 1:
-        # consecutive rows inside: the same difference on slices
-        vals = read(np.arange(rows[0] - 1, rows[-1] + 2))
-        return vals[1:-1], np.divide(np.subtract(
-            vals[2:], vals[:-2], out=out), 2.0 * h, out=out)
-    lo = np.clip(rows - 1, 0, n - 3)
-    need = np.unique(lo[:, None] + np.arange(3))
-    vals = read(need)
-    p = np.searchsorted(need, lo)  # vals[p + k] holds F[lo + k]
-    d = np.divide(np.subtract(vals[p + 2], vals[p], out=out), 2.0 * h,
-                  out=out)
-    for j in np.flatnonzero((rows == 0) | (rows == n - 1)):
-        d[j] = d1(vals[p[j]:p[j] + 3], h, axis=0)[rows[j] - lo[j]]
-    return vals[p + rows - lo], d
-
-
-def row_blocks(n, row_values):
-    """Consecutive index arrays over range(n), of rows of row_values
-    values: about BLOCK_VALUES values per block, and at least one row."""
-    step = max(1, BLOCK_VALUES // row_values)
-    return (np.arange(lo, min(lo + step, n)) for lo in range(0, n, step))
+    a = min(max(lo - 1, 0), n - 3)
+    vals = read(a, max(min(hi + 1, n), 3))
+    out = np.empty((hi - lo,) + vals.shape[1:]) if out is None else out
+    i, j = max(lo, 1), min(hi, n - 1)  # the rows with both neighbours
+    f, mid = vals[i - 1 - a:j + 1 - a], out[i - lo:j - lo]
+    np.divide(np.subtract(f[2:], f[:-2], out=mid), 2.0 * h, out=mid)
+    if lo == 0:
+        out[0] = d1(vals[:3], h, axis=0)[0]
+    if hi == n:
+        out[-1] = d1(vals[-3:], h, axis=0)[-1]
+    return vals[lo - a:hi - a], out
 
 
 def d2(y, h, axis=-1, out=None):

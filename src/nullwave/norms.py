@@ -18,8 +18,9 @@ NonlinearSolution), and the local-linear norm reads the Q rows of its
 window; no stored run is walked again.
 
 Every time derivative is taken at the solver step, never across the
-sampling stride, with fd.d1_rows; slab norms read their series one row
-block at a time.
+sampling stride.  A slab norm is formed from the per-row slab_sums of
+its whole series: a Picard sweep adds them a block of rows at a time,
+and the local-linear norm takes them of its window in one call.
 """
 
 import numpy as np
@@ -131,21 +132,13 @@ def evaluate_nullform_series(grid, spec: NullFormSpec, u, u_t, out=None,
     return out
 
 
-def slab_norm(grid, series, n, dt_snap):
+def slab_norm(sq, dt_snap):
     """Sum over |alpha| <= 1 of space-time L2 norms of a snapshot series.
 
-    series(rows) gives the n-snapshot series' physical values at the
-    index array rows, with trailing grid shape, read one row block at a
-    time, or is the slab_sums of all n snapshots, taken as they came.
+    sq is the slab_sums of all the series' snapshots, taken as they came.
     The measure is 4 pi r^2 dr dt (radial) or dx dt.
     """
-    sq = series
-    if callable(series):
-        sq = np.empty((2 + grid.ndim, n))
-        for rows in fd.row_blocks(n, grid.weights().size):
-            sq[:, rows] = slab_sums(grid,
-                                    *fd.d1_rows(series, rows, n, dt_snap))
-    tw = fd.trapezoid(dt_snap, n)
+    tw = fd.trapezoid(dt_snap, sq.shape[1])
     return float(sum(np.sqrt(np.sum(s * tw)) for s in sq))
 
 
@@ -269,10 +262,10 @@ def tip_weighted_norm(frame, field, scheme="l2", delta=0.0):
     raise ParamError("scheme must be 'l2' or 'l8'")
 
 
-def delta_sweep(frame, field, deltas, scheme="l2"):
+def delta_sweep(frame, field, deltas):
     """Norm values of field under truncation at each delta, one density."""
-    if scheme != "l2" or any(d < 0 for d in deltas):
-        return [tip_weighted_norm(frame, field, scheme, d) for d in deltas]
+    if any(d < 0 for d in deltas):
+        raise ParamError("delta must be nonnegative")
     val, g0, gb = field
     dens = (val * val + frame.dist**4 * (g0**2 + gb**2)) * frame.weight
     return [float(np.sqrt(np.sum(dens[frame.dist > d]))) for d in deltas]
@@ -340,7 +333,8 @@ def _ratio_report(row, sup_window, deltas):
                          "with a time_stride")
 
     window = sol.window
-    nf01 = slab_norm(grid, lambda r: window[r], len(window), traj.dt)
+    nf01 = slab_norm(slab_sums(grid, window, fd.d1(window, traj.dt, axis=0)),
+                     traj.dt)
     h2 = weighted_sobolev_norm(f, 2, 0, grid)
     h1 = weighted_sobolev_norm(g, 1, 0, grid)
     h21 = weighted_sobolev_norm(f, 2, 1, grid)

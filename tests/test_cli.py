@@ -405,6 +405,17 @@ BAD_CONFIGS = [
     ("decreasing_sup_window", "[report]\nsup_window = 3 1\n"),
     ("negative_delta", "[report]\ndeltas = 1.0 -0.5\n"),
     ("nonfinite_deltas", "[report]\ndeltas = 1.0 nan inf\n"),
+    # grid sizes whose spacing, or its square or cube, is not finite
+    ("inf_r_max", "[grid]\nr_max = inf\n"),
+    ("huge_r_max", "[grid]\nr_max = 1e200\n"),
+    # a finite spacing on which the bump data norm overflows
+    ("large_r_max", "[grid]\nr_max = 1e100\n"),
+] + [
+    ("%s_extent" % label,
+     "[grid]\nmode = cartesian\nn = 16\nsponge_cells = 8\nextent = %s\n"
+     % extent)
+    for label, extent in [("nan", "nan"), ("inf", "inf"), ("huge", "1e200"),
+                          ("large", "1e90")]
 ] + [
     # a wrong count of obstacle params, or a non-finite one in any slot
     ("%s_params_%s" % (kind, params.replace(" ", "_")),

@@ -17,6 +17,7 @@ from nullwave.norms import (
     ratio_spreads,
     scale_to_data_norm,
     slab_norm,
+    slab_sums,
     sphere_sobolev_norm,
     tip_weighted_norm,
     weighted_sobolev_norm,
@@ -131,24 +132,29 @@ def test_data_norm_scaling_helpers():
 # slab and space-time null-form norms
 
 
+def _slab(grid, series, dt):
+    """The slab norm of a whole stored series."""
+    return slab_norm(slab_sums(grid, series, fd.d1(series, dt, axis=0)), dt)
+
+
 def test_slab_norm_constant_series():
     grid = build_radial_grid(1.0, 5.0, 100)
     M = 11
     series = np.full((M,) + grid.zeros().shape, 2.0)
-    num = slab_norm(grid, lambda r: series[r], M, 0.5)
+    num = _slab(grid, series, 0.5)
     V = 4.0 / 3.0 * np.pi * (5.0**3 - 1.0)
     T = 0.5 * (M - 1)
     assert abs(num - 2.0 * np.sqrt(V * T)) / num < 1e-4
     with pytest.raises(ParamError):
-        slab_norm(grid, lambda r: series[r], 2, 0.5)
+        _slab(grid, series[:2], 0.5)
 
 
 def test_slab_norm_homogeneity():
     grid = build_radial_grid(1.0, 5.0, 100)
     rng = np.random.default_rng(3)
     series = rng.standard_normal((8,) + grid.zeros().shape)
-    a = slab_norm(grid, lambda r: series[r], len(series), 0.25)
-    b = slab_norm(grid, lambda r: 3.0 * series[r], len(series), 0.25)
+    a = _slab(grid, series, 0.25)
+    b = _slab(grid, 3.0 * series, 0.25)
     assert np.isclose(b, 3.0 * a, rtol=1e-12)
 
 
@@ -192,7 +198,7 @@ def test_nullform_series_guards():
     # the one-sided end stencils need three snapshots
     for m in (1, 2):
         with pytest.raises(ParamError):
-            fd.d1_rows(lambda r: traj.u[r], np.arange(m), m, traj.dt)
+            fd.d1_rows(lambda a, b: traj.u[a:b], 0, m, m, traj.dt)
     data = picard.bump_data_family(grid)(1e-3)
     with pytest.raises(ParamError):
         picard.picard_solve(data, spec, 0.5 * solver.cfl_limit(grid))
@@ -311,6 +317,8 @@ def test_delta_sweep_monotone(nonlinear_run):
     # truncating closer to the tip keeps more samples: nondecreasing
     assert all(b >= a for a, b in zip(vals, vals[1:]))
     assert vals[-1] == tip_weighted_norm(frame, forcing, "l2", 0.0)
+    with pytest.raises(ParamError):
+        delta_sweep(frame, forcing, [1.0, -0.1])
 
 
 def test_sampled_time_derivatives_take_the_solver_step():
@@ -356,35 +364,25 @@ def test_sampled_time_derivatives_take_the_solver_step():
 
 def test_row_stencil_is_the_whole_series_derivative():
     # byte for byte d1 along the snapshot axis, at the ends and next to
-    # them as well as inside, read from the rows the stencil uses only
+    # them as well as inside, from one read of the rows the stencil uses
     rng = np.random.default_rng(5)
     F = rng.standard_normal((9, 2, 5))
     whole = fd.d1(F, 0.3, axis=0)
-    cases = (([0], [0, 1, 2]), ([1], [0, 1, 2]), ([4], [3, 4, 5]),
-             ([7], [6, 7, 8]), ([8], [6, 7, 8]),
-             ([0, 1, 7, 8], [0, 1, 2, 6, 7, 8]), ([2, 6], [1, 2, 3, 5, 6, 7]),
-             ([2, 3, 4, 5], [1, 2, 3, 4, 5, 6]),
-             (range(9), range(9)))
-    for rows, reads in cases:
-        rows = np.array(rows)
-        seen = []
+    cases = (((0, 1), (0, 3)), ((1, 2), (0, 3)), ((4, 5), (3, 6)),
+             ((7, 8), (6, 9)), ((8, 9), (6, 9)), ((0, 2), (0, 3)),
+             ((7, 9), (6, 9)), ((2, 6), (1, 7)), ((0, 9), (0, 9)))
+    for (lo, hi), reads in cases:
+        for out in (None, np.full((hi - lo,) + F.shape[1:], np.nan)):
+            seen = []
 
-        def read(r):
-            seen.append(list(r))
-            return F[r]
-        val, d = fd.d1_rows(read, rows, len(F), 0.3)
-        assert val.tobytes() == F[rows].tobytes()
-        assert d.tobytes() == whole[rows].tobytes()
-        assert seen == [list(reads)]
-
-
-def test_row_blocks_cover_the_run_in_order(monkeypatch):
-    monkeypatch.setattr(fd, "BLOCK_VALUES", 10)
-    assert [list(b) for b in fd.row_blocks(7, 3)] == [[0, 1, 2], [3, 4, 5],
-                                                      [6]]
-    # a row larger than a block is read on its own
-    assert [list(b) for b in fd.row_blocks(3, 11)] == [[0], [1], [2]]
-    assert list(fd.row_blocks(0, 3)) == []
+            def read(a, b):
+                seen.append((a, b))
+                return F[a:b]
+            val, d = fd.d1_rows(read, lo, hi, len(F), 0.3, out)
+            assert out is None or d is out
+            assert val.tobytes() == F[lo:hi].tobytes()
+            assert d.tobytes() == whole[lo:hi].tobytes()
+            assert seen == [reads]
 
 
 @pytest.mark.parametrize("power", [1, -3])
@@ -492,10 +490,8 @@ def test_estimate_ratio_report_mechanics(nonlinear_run, monkeypatch):
     assert rep.metadata["delta_sweep"] == delta_sweep(frame, forcing, deltas)
     assert rep.metadata["delta_sweep"][-1] == rep["lhs_null_cylinder"]
     assert "forcing_samples" not in rep.metadata
-    window = nonlinear_run.window
-    assert rep["lhs_local_linear"] == slab_norm(
-        frame.grid, lambda r: window[r], len(window),
-        nonlinear_run.trajectory.dt)
+    assert rep["lhs_local_linear"] == _slab(
+        frame.grid, nonlinear_run.window, nonlinear_run.trajectory.dt)
     with pytest.raises(ParamError):
         estimate_ratio_report([rows[0]], sup_window=(100.0, 200.0))
     # a solution solved without a time_stride keeps no sample rows

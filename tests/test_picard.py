@@ -223,10 +223,10 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, name):
             assert applied is None or forcing.tobytes() == applied.tobytes()
             ref = _stored_sweep(data, spec, forcing, t_end)
             _check_sweep(sweep, made, ref, time_stride)
-            F, n, dt = ref[4], sweep.n, sweep.dt
-            assert residual == norms.slab_norm(
-                grid, lambda r: grid.to_physical(
-                    F[r] if applied is None else F[r] - applied[r]), n, dt)
+            F, dt = ref[4], sweep.dt
+            res = grid.to_physical(F if applied is None else F - applied)
+            assert residual == norms.slab_norm(norms.slab_sums(
+                grid, res, fd.d1(res, dt, axis=0)), dt)
             applied = made
         seen.append(residuals)
     assert seen[0] == seen[1] == seen[2]
