@@ -21,8 +21,8 @@ from .penrose import (EinsteinPoint, MinkowskiPoint, conformal_factor_tr,
 from .picard import (IterationReport, NonlinearSolution, bump_data_family,
                      measure_sup_decay, picard_solve, smallness_scan)
 from .norms import (NormReport, data_smallness_norm, delta_sweep,
-                    estimate_ratio_report, sphere_sobolev_norm,
-                    tip_weighted_norm, weighted_sobolev_norm)
+                    estimate_ratio_report, l8_norm, sphere_sobolev_norm,
+                    weighted_sobolev_norm)
 from .solver import (DecayFit, Trajectory, cfl_limit, fit_decay,
                      local_energy_fn, solve_linear)
 
@@ -40,7 +40,8 @@ __all__ = [
     "IterationReport", "NonlinearSolution", "bump_data_family",
     "measure_sup_decay", "picard_solve", "smallness_scan",
     "NormReport", "data_smallness_norm", "delta_sweep",
-    "estimate_ratio_report", "sphere_sobolev_norm", "tip_weighted_norm", "weighted_sobolev_norm",
+    "estimate_ratio_report", "l8_norm", "sphere_sobolev_norm",
+    "weighted_sobolev_norm",
     "DecayFit", "Trajectory", "cfl_limit", "fit_decay", "local_energy_fn",
     "solve_linear",
     "__version__",

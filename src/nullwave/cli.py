@@ -162,12 +162,16 @@ def _floats(text, what):
 
 
 class ExperimentConfig:
-    """Resolved experiment: grid, data family, null form, run window."""
+    """Resolved experiment: grid, data family, null form, run window.
 
-    def __init__(self, cfg, seed, threads):
+    cfg is load_config's dict and seed the run seed.  Scan entries run
+    one at a time.
+    """
+
+    # perfbench/child.py still passes a third argument, which is ignored
+    def __init__(self, cfg, seed, _threads=None):
         self.raw = cfg
         self.seed = int(seed)
-        self.threads = int(threads)
         try:
             self.grid = self._build_grid(cfg)
             self.spec = self._build_spec(cfg["nullform"])
@@ -426,7 +430,7 @@ def cmd_run_nonlinear(ec, out, quiet):
 def _run_scan(ec, time_stride=None):
     return picard.smallness_scan(
         ec.family, ec.spec, ec.scan_eps, ec.t_end, dt=ec.dt, tol=ec.tol,
-        max_iter=ec.max_iter, threads=ec.threads, time_stride=time_stride)
+        max_iter=ec.max_iter, time_stride=time_stride)
 
 
 def _table_row(row, quiet):
@@ -522,9 +526,6 @@ def build_parser():
     parser.add_argument("--out", default=".", help="artifact directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed (overrides [run] seed)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for scan entries (at most "
-                             "this many entries in flight)")
     parser.add_argument("--quiet", action="store_true")
     return parser
 
@@ -575,9 +576,7 @@ def main(argv=None):
         if seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         cfg["run"]["seed"] = int(seed)
-        if args.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        ec = ExperimentConfig(cfg, seed, args.threads)
+        ec = ExperimentConfig(cfg, seed)
         _check_for_subcommand(args.subcommand, ec)
     except ConfigError as e:
         print("config error: %s" % e, file=sys.stderr)

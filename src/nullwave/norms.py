@@ -11,11 +11,11 @@ Each run is pulled back once, and the sample frame is the only way
 onto the cylinder: one frame (the sample times, their image and tip
 distance, the conformal factor and its gradient, the quadrature
 weight) pulls back the solution and the forcing as fields
-(val, g0, gb), and tip_weighted_norm, delta_sweep and the frame's
-weighted energy sup read a frame with one such field.  The frame reads
-the rows a Picard sweep recorded while it ran (the samples of a
-NonlinearSolution), and the local-linear norm reads the Q rows of its
-window; no stored run is walked again.
+(val, g0, gb), and delta_sweep (the tip-weighted norm), l8_norm and
+the frame's weighted energy sup read a frame with one such field.  The
+frame reads the rows a Picard sweep recorded while it ran (the samples
+of a NonlinearSolution), and the local-linear norm reads the Q rows of
+its window; no stored run is walked again.
 
 Every time derivative is taken at the solver step, never across the
 sampling stride.  A slab norm is formed from the per-row slab_sums of
@@ -71,6 +71,8 @@ def scale_to_data_norm(data, target):
     n = data_smallness_norm(data)
     if n == 0:
         raise ParamError("cannot rescale zero data")
+    if not n < np.inf:  # the weights overflow on grids reaching |x| ~ 1e38
+        raise ParamError("the data norm is %g on this grid" % n)
     return data.scaled(target / n), n
 
 
@@ -238,32 +240,24 @@ class _SampleFrame:
         return float(np.sqrt(np.max(slice_sq)))
 
 
-def tip_weighted_norm(frame, field, scheme="l2", delta=0.0):
-    """Tip-weighted norm of a pulled-back field (val, g0, gb) of frame.
-
-    scheme "l2": quadratic sum of the field and its first derivatives
-    along the canonical cylinder fields, the derivative block carrying
-    the weight dist^4 (squared dist^2).  scheme "l8": the plain eighth
-    power norm of the field.  delta > 0 drops samples with
-    dist <= delta.
-    """
-    if delta < 0:
-        raise ParamError("delta must be nonnegative")
-    if scheme == "l2":
-        return delta_sweep(frame, field, [delta])[0]
-    if scheme == "l8":
-        keep = frame.dist > delta
-        val = np.abs(field[0][keep])
-        m = np.max(val, initial=0.0)
-        if m == 0.0:
-            return 0.0
-        # normalize before the eighth power to keep the sum in range
-        return float(m * np.sum((val / m) ** 8 * frame.weight[keep]) ** 0.125)
-    raise ParamError("scheme must be 'l2' or 'l8'")
+def l8_norm(frame, val):
+    """Eighth power norm of the value val of a field pulled back by frame."""
+    val = np.abs(val)
+    m = np.max(val, initial=0.0)
+    if m == 0.0:
+        return 0.0
+    # normalize before the eighth power to keep the sum in range
+    return float(m * np.sum((val / m) ** 8 * frame.weight) ** 0.125)
 
 
 def delta_sweep(frame, field, deltas):
-    """Norm values of field under truncation at each delta, one density."""
+    """Tip-weighted norms of a pulled-back field (val, g0, gb) of frame.
+
+    The quadratic sum of the field and its first derivatives along the
+    canonical cylinder fields, the derivative block carrying the weight
+    dist^4 (squared dist^2), over the samples with dist > delta, for
+    each delta; one density serves them all.
+    """
     if any(d < 0 for d in deltas):
         raise ParamError("delta must be nonnegative")
     val, g0, gb = field
@@ -343,10 +337,10 @@ def _ratio_report(row, sup_window, deltas):
     # one sample frame serves the forcing and solution norms and the
     # truncation sweep
     frame = _SampleFrame(grid, samples["t"])
-    forcing = frame.forcing(samples)
-    tip_f = tip_weighted_norm(frame, forcing, "l2")
+    tip_f, *sweep = delta_sweep(frame, frame.forcing(samples),
+                                [0.0] + list(deltas))
     pull = frame.solution(samples)
-    pecher = tip_weighted_norm(frame, pull, "l8")
+    pecher = l8_norm(frame, pull[0])
 
     conf0 = 2.0 / (1.0 + grid.r**2)
     sph2 = sphere_sobolev_norm(grid, conf0 * f, 2)
@@ -376,7 +370,7 @@ def _ratio_report(row, sup_window, deltas):
         values[name] = values["lhs_" + tag] / values["rhs_" + tag]
     meta = {"eps": row["eps"], "sup_window": tuple(sup_window),
             "t_end": float(traj.times[-1]),
-            "delta_sweep": delta_sweep(frame, forcing, deltas)}
+            "delta_sweep": sweep}
     return NormReport(values, meta)
 
 

@@ -23,9 +23,6 @@ residual's slab_sums: on a Cartesian grid the observer allocates no row
 per block, on a radial one only the w <-> u conversions do.
 """
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from . import fd, norms
@@ -41,13 +38,13 @@ DEFAULT_SMALLNESS = 0.02
 
 
 class IterationReport:
-    """Residual history of one Picard run."""
+    """Residuals of a converged Picard run, all but the last above tol > 0."""
 
-    def __init__(self, residuals, ratios, converged, iterations):
-        self.residuals = list(residuals)
-        self.ratios = list(ratios)
-        self.converged = bool(converged)
-        self.iterations = int(iterations)
+    def __init__(self, residuals):
+        res = self.residuals = list(residuals)
+        self.ratios = [b / a for a, b in zip(res, res[1:])]
+        self.converged = True
+        self.iterations = len(res)
 
     def __repr__(self):
         return ("IterationReport(converged=%s, iterations=%d, "
@@ -257,7 +254,7 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
     threshold = DEFAULT_SMALLNESS if smallness_threshold is None \
         else smallness_threshold
     dnorm = norms.data_smallness_norm(data)
-    if dnorm > threshold:
+    if not dnorm <= threshold:  # NaN too (see bump_data_family)
         raise ParamError("data norm %.3e exceeds smallness threshold %.3e"
                          % (dnorm, threshold))
 
@@ -278,26 +275,21 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
         # this sweep's other rows are freed before the next sweep runs
         applied, sweep, traj = forcing, None, None
 
-    ratios = [residuals[i + 1] / residuals[i]
-              for i in range(len(residuals) - 1)
-              if residuals[i] > 0]
-    report = IterationReport(residuals, ratios, True, len(residuals))
-    return NonlinearSolution(traj, spec, data, sweep), report
+    return NonlinearSolution(traj, spec, data, sweep), \
+        IterationReport(residuals)
 
 
 def smallness_scan(data_family, spec: NullFormSpec, eps_list, t_end,
-                   dt=None, tol=1e-8, max_iter=12, threads=1,
-                   time_stride=None):
+                   dt=None, tol=1e-8, max_iter=12, time_stride=None):
     """Run picard_solve per epsilon; yield the convergence table rows.
 
     data_family maps epsilon to InitialData.  The eps values are checked
-    here, at call time; the returned generator yields one row per
-    epsilon, in epsilon order whatever threads is.  Failures are
-    recorded, not raised.  A row's "solution" is freed once the caller
-    drops the row, so a caller that keeps no row keeps one entry's run
-    alive at a time; with threads = N at most N entries are in flight.
-    time_stride goes to picard_solve (norms.estimate_ratio_report reads
-    the rows it keeps).
+    here, at call time; the returned generator solves one entry per row
+    it yields, one at a time, in epsilon order.  Failures are recorded,
+    not raised.  A row's "solution" is freed once the caller drops the
+    row, so a caller that keeps no row keeps one entry's run alive at a
+    time.  time_stride goes to picard_solve (norms.estimate_ratio_report
+    reads the rows it keeps).
     """
     eps_list = list(eps_list)
     if not all(0 <= e < np.inf for e in eps_list):
@@ -306,46 +298,21 @@ def smallness_scan(data_family, spec: NullFormSpec, eps_list, t_end,
         raise ParamError("epsilon values must be ascending")
 
     def entry(eps):
-        data = data_family(eps)
         try:
-            sol, rep = picard_solve(data, spec, t_end, dt=dt, tol=tol,
-                                    max_iter=max_iter,
+            sol, rep = picard_solve(data_family(eps), spec, t_end, dt=dt,
+                                    tol=tol, max_iter=max_iter,
                                     smallness_threshold=np.inf,
                                     time_stride=time_stride)
-            return {"eps": eps, "converged": True,
-                    "iterations": rep.iterations,
-                    "final_residual": rep.residuals[-1],
-                    "final_ratio": rep.ratios[-1] if rep.ratios else None,
-                    "solution": sol}
+            res = rep.residuals
         except NoConvergence as exc:
-            ratio = None
-            if len(exc.residuals) >= 2 and exc.residuals[-2] > 0:
-                ratio = exc.residuals[-1] / exc.residuals[-2]
-            return {"eps": eps, "converged": False,
-                    "iterations": exc.iterations,
-                    "final_residual": exc.residuals[-1],
-                    "final_ratio": ratio,
-                    "solution": None}
+            sol, res = None, exc.residuals
+        # as in IterationReport: res[-2] > tol > 0
+        return {"eps": eps, "converged": sol is not None,
+                "iterations": len(res), "final_residual": res[-1],
+                "final_ratio": res[-1] / res[-2] if len(res) > 1 else None,
+                "solution": sol}
 
-    if threads > 1:
-        return _windowed(entry, eps_list, threads)
     return (entry(eps) for eps in eps_list)
-
-
-def _windowed(entry, eps_list, threads):
-    """entry over eps_list on a pool, at most threads entries in flight.
-
-    Rows are yielded oldest first, in eps_list order; no name stays bound
-    to a yielded row, so its run is freed when the caller drops it.
-    """
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        window = deque()
-        for eps in eps_list:
-            window.append(pool.submit(entry, eps))
-            if len(window) == threads:
-                yield window.popleft().result()
-        while window:
-            yield window.popleft().result()
 
 
 def measure_sup_decay(sol: NonlinearSolution, window=(5.0, 40.0)):

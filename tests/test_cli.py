@@ -347,20 +347,6 @@ def test_rerun_is_byte_identical(tmp_path):
                            shallow=False), name
 
 
-def test_threads_do_not_change_bytes(tmp_path):
-    ini = write_ini(tmp_path, SCAN_INI)
-    for sub, threads in (("scan-smallness", "3"), ("estimate-report", "2")):
-        out_1 = tmp_path / (sub + "-1")
-        out_n = tmp_path / (sub + "-" + threads)
-        assert run([sub, "--config", ini], out_1) == 0
-        assert cli.main([sub, "--config", ini, "--threads", threads,
-                         "--out", str(out_n), "--quiet"]) == 0
-        assert listing(out_1) == listing(out_n)
-        for name in listing(out_1):
-            assert filecmp.cmp(str(out_1 / name), str(out_n / name),
-                               shallow=False), name
-
-
 def test_seed_changes_geometry_samples(tmp_path):
     ini = write_ini(tmp_path, GEOMETRY_INI)
     out_0 = tmp_path / "s0"
@@ -472,12 +458,16 @@ def test_missing_config_file_exit_2(tmp_path):
     assert not out.exists()
 
 
-def test_bad_flags_exit_2(tmp_path):
+def test_bad_flags_exit_2(tmp_path, capsys):
     out = tmp_path / "never"
     assert cli.main(["verify-geometry", "--seed", "-2",
                      "--out", str(out), "--quiet"]) == 2
-    assert cli.main(["scan-smallness", "--threads", "0",
-                     "--out", str(out), "--quiet"]) == 2
+    # scan entries run one at a time: argparse knows no --threads
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan-smallness", "--threads", "2",
+                  "--out", str(out), "--quiet"])
+    assert exc.value.code == 2
+    capsys.readouterr()
     assert not out.exists()
 
 

@@ -14,12 +14,12 @@ from nullwave.norms import (
     delta_sweep,
     estimate_ratio_report,
     evaluate_nullform_series,
+    l8_norm,
     ratio_spreads,
     scale_to_data_norm,
     slab_norm,
     slab_sums,
     sphere_sobolev_norm,
-    tip_weighted_norm,
     weighted_sobolev_norm,
     window_rows,
 )
@@ -126,6 +126,19 @@ def test_data_norm_scaling_helpers():
     zero = InitialData(grid, grid.zeros(), grid.zeros())
     with pytest.raises(ParamError):
         scale_to_data_norm(zero, 1.0)
+
+
+def test_scale_to_data_norm_refuses_a_nan_norm():
+    # the weights overflow at |x| ~ 1e60, so one nonzero node gives
+    # 0 * inf = NaN in the norm, not NaN-scaled data
+    grid = build_radial_grid(1.0, 1e60, 64)
+    f = grid.zeros()
+    f[5] = 1.0
+    data = InitialData(grid, f, grid.zeros())
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(data_smallness_norm(data))
+        with pytest.raises(ParamError):
+            scale_to_data_norm(data, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +313,15 @@ def test_cylinder_sampling_guards(nonlinear_run):
 def test_tip_weighted_norm_schemes(nonlinear_run):
     frame = _frame(nonlinear_run)
     forcing = frame.forcing(nonlinear_run.samples)
-    l2 = tip_weighted_norm(frame, forcing, "l2")
-    l8 = tip_weighted_norm(frame, forcing, "l8")
+    l2 = delta_sweep(frame, forcing, [0.0])[0]
+    l8 = l8_norm(frame, forcing[0])
     assert l2 > 0 and l8 > 0
+    # the eighth power norm, normalised or not, of the same quadrature
+    assert np.isclose(l8, np.sum(forcing[0] ** 8 * frame.weight) ** 0.125,
+                      rtol=1e-12)
+    assert l8_norm(frame, np.zeros_like(forcing[0])) == 0.0
     with pytest.raises(ParamError):
-        tip_weighted_norm(frame, forcing, "l4")
-    with pytest.raises(ParamError):
-        tip_weighted_norm(frame, forcing, "l2", delta=-0.1)
+        delta_sweep(frame, forcing, [-0.1])
 
 
 def test_delta_sweep_monotone(nonlinear_run):
@@ -316,7 +331,7 @@ def test_delta_sweep_monotone(nonlinear_run):
     vals = delta_sweep(frame, forcing, deltas)
     # truncating closer to the tip keeps more samples: nondecreasing
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-    assert vals[-1] == tip_weighted_norm(frame, forcing, "l2", 0.0)
+    assert vals[-1] == delta_sweep(frame, forcing, [0.0])[0]
     with pytest.raises(ParamError):
         delta_sweep(frame, forcing, [1.0, -0.1])
 
@@ -480,13 +495,12 @@ def test_estimate_ratio_report_mechanics(nonlinear_run, monkeypatch):
     assert rep["pecher_l8"] > 0
     frame = _frame(nonlinear_run)
     pull = frame.solution(nonlinear_run.samples)
-    assert rep["pecher_l8"] == tip_weighted_norm(frame, pull, "l8")
+    assert rep["pecher_l8"] == l8_norm(frame, pull[0])
     assert rep["lhs_weighted_energy"] == frame.energy_sup(*pull)
     # the report keeps the truncation sweep of the forcing its
     # null-cylinder norm read, not the frame
     forcing = frame.forcing(nonlinear_run.samples)
-    assert rep["lhs_null_cylinder"] == tip_weighted_norm(frame, forcing,
-                                                         "l2")
+    assert rep["lhs_null_cylinder"] == delta_sweep(frame, forcing, [0.0])[0]
     assert rep.metadata["delta_sweep"] == delta_sweep(frame, forcing, deltas)
     assert rep.metadata["delta_sweep"][-1] == rep["lhs_null_cylinder"]
     assert "forcing_samples" not in rep.metadata

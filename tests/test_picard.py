@@ -84,6 +84,20 @@ def test_smallness_guard(family):
     assert rep.converged
 
 
+def test_smallness_guard_refuses_a_nan_norm():
+    # the weights overflow at |x| ~ 1e60, so one nonzero node gives a
+    # NaN data norm, which no threshold admits
+    grid = build_radial_grid(1.0, 1e60, 64)
+    f = grid.zeros()
+    f[5] = 1.0
+    data = InitialData(grid, f, grid.zeros())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for threshold in (None, np.inf):
+            with pytest.raises(ParamError):
+                picard_solve(data, SPEC, 2.0, dt=1.0,
+                             smallness_threshold=threshold)
+
+
 def test_compatibility_guard(grid):
     # f does not vanish at the obstacle: order-1 compatibility fails
     data = InitialData.from_physical(grid, lambda r: np.ones_like(r),
@@ -344,16 +358,26 @@ def test_scan_rows_ordered_and_reported(family):
         assert row["final_residual"] <= 1e-8
 
 
-def test_scan_threads_bitwise_identical(family):
-    rows1 = list(smallness_scan(family, SPEC, [5e-4, 1e-3], 8.0, threads=1))
-    rows3 = list(smallness_scan(family, SPEC, [5e-4, 1e-3], 8.0, threads=3))
-    assert len(rows1) == len(rows3) == 2
-    for a, b in zip(rows1, rows3):
-        assert a["eps"] == b["eps"]
-        assert a["iterations"] == b["iterations"]
-        assert a["final_residual"] == b["final_residual"]
-        assert np.array_equal(a["solution"].trajectory.u,
-                              b["solution"].trajectory.u)
+def test_scan_rows_match_picard_solve(family):
+    # one row builder: a failed and a converged entry carry what
+    # picard_solve raises or returns for the same data, to the bit
+    with pytest.raises(NoConvergence) as exc:
+        picard_solve(family(1e-3), SPEC, 8.0, tol=1e-30, max_iter=3)
+    res = exc.value.residuals
+    (row,) = smallness_scan(family, SPEC, [1e-3], 8.0, tol=1e-30,
+                            max_iter=3)
+    assert not row["converged"] and row["solution"] is None
+    assert row["iterations"] == exc.value.iterations == 3
+    assert row["final_residual"] == res[-1]
+    assert row["final_ratio"] == res[-1] / res[-2]
+    # a tol of the second residual stops the run after two sweeps
+    _, rep = picard_solve(family(1e-3), SPEC, 8.0, tol=res[1])
+    assert rep.iterations == 2
+    (row,) = smallness_scan(family, SPEC, [1e-3], 8.0, tol=res[1])
+    assert row["converged"] and row["solution"] is not None
+    assert row["iterations"] == rep.iterations
+    assert row["final_residual"] == rep.residuals[-1]
+    assert row["final_ratio"] == rep.ratios[-1]
 
 
 def test_scan_records_failures_without_raising(family):
@@ -378,13 +402,11 @@ def test_scan_eps_validation(family):
             smallness_scan(family, SPEC, [1e-3, bad], 8.0)
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_scan_yields_rows_in_eps_order(family, threads):
+def test_scan_yields_rows_in_eps_order(family):
     # the middle entry fails to converge in one sweep; zero data converge
     eps_list = [1e-3, 2e-3, 3e-3]
     rows = smallness_scan(lambda eps: family(eps if eps == 2e-3 else 0.0),
-                          SPEC, eps_list, 8.0, tol=1e-30, max_iter=1,
-                          threads=threads)
+                          SPEC, eps_list, 8.0, tol=1e-30, max_iter=1)
     assert iter(rows) is rows  # an iterator, not a table
     rows = list(rows)
     assert [r["eps"] for r in rows] == eps_list
@@ -393,8 +415,7 @@ def test_scan_yields_rows_in_eps_order(family, threads):
     assert rows[0]["solution"] is not None and rows[2]["solution"] is not None
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_streamed_scan_holds_one_entry_per_thread(monkeypatch, threads):
+def test_streamed_scan_holds_one_entry(monkeypatch):
     # blocks far below the run, so that only what the scan holds shows
     monkeypatch.setattr(fd, "BLOCK_VALUES", 2**12)
     family = bump_data_family(build_radial_grid(1.0, 12.0, 400,
@@ -402,11 +423,11 @@ def test_streamed_scan_holds_one_entry_per_thread(monkeypatch, threads):
     t_end, time_stride = 20.0, 40
     stack = solver.solve_linear(family(1e-3), None, t_end).u.nbytes
 
-    def peak(eps_list, threads):
+    def peak(eps_list):
         def run():
             reports = norms.estimate_ratio_report(
                 smallness_scan(family, SPEC, eps_list, t_end,
-                               threads=threads, time_stride=time_stride),
+                               time_stride=time_stride),
                 sup_window=(2.0, 10.0), deltas=[1.0, 0.0])
             assert len(reports) == len(eps_list)
             assert all(len(r.metadata["delta_sweep"]) == 2 and
@@ -420,11 +441,10 @@ def test_streamed_scan_holds_one_entry_per_thread(monkeypatch, threads):
         finally:
             tracemalloc.stop()
 
-    one = peak([1e-3], 1)
-    four = peak([1e-3, 2e-3, 4e-3, 8e-3], threads)
-    # each of the threads entries in flight may be at its own peak; no
-    # report keeps its frame
-    assert four < threads * one + stack / 2
+    one = peak([1e-3])
+    four = peak([1e-3, 2e-3, 4e-3, 8e-3])
+    # one entry is in flight at a time, and no report keeps its frame
+    assert four < one + stack / 2
 
 
 def test_bump_family_norm_calibration(grid, family):
