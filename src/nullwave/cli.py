@@ -28,8 +28,8 @@ from .nullforms import NullFormSpec
 
 SCHEMA_VERSION = 1
 
-_NUMERICAL_ERRORS = (CFLError, DomainError, FitError, FormatError,
-                     NaNError, NoConvergence, OrderError, ParamError)
+_NUMERICAL_ERRORS = (CFLError, DomainError, FitError, FormatError, NaNError,
+                     NoConvergence, OrderError, ParamError, MemoryError)
 
 # Base configuration; per-subcommand overlays below, user file on top.
 DEFAULTS = {
@@ -48,7 +48,6 @@ DEFAULTS = {
         "params": "1.0",
     },
     "data": {
-        "family": "bump",
         "center": 2.0,
         "width": 0.8,
         "velocity": "profile",
@@ -106,32 +105,19 @@ SUBCOMMAND_DEFAULTS = {
 }
 
 
-def _coerce(section, key, raw, default):
-    try:
-        if isinstance(default, bool):
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        return raw
-    except ValueError:
-        raise ConfigError("bad value for [%s] %s: %r" % (section, key, raw))
-
-
 def load_config(path, subcommand):
-    """Merge defaults, subcommand overlay, and the user's INI file."""
+    """Merge defaults, subcommand overlay, and the user's INI file.
+
+    Each value is read, uninterpolated, by the configparser getter of
+    its DEFAULTS entry's type: getboolean, getint, getfloat or get.
+    """
     cfg = copy.deepcopy(DEFAULTS)
     for section, entries in SUBCOMMAND_DEFAULTS.get(subcommand, {}).items():
         cfg[section].update(entries)
     if path is None:
         return cfg
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -139,6 +125,8 @@ def load_config(path, subcommand):
         raise ConfigError("cannot read config: %s" % e)
     except configparser.Error as e:
         raise ConfigError("cannot parse config: %s" % e)
+    get = {bool: parser.getboolean, int: parser.getint,
+           float: parser.getfloat, str: parser.get}
     for section in parser.sections():
         if section not in cfg:
             raise ConfigError("unknown config section [%s]" % section)
@@ -146,8 +134,12 @@ def load_config(path, subcommand):
             if key not in cfg[section]:
                 raise ConfigError("unknown key %r in section [%s]"
                                   % (key, section))
-            cfg[section][key] = _coerce(section, key, raw,
-                                        DEFAULTS[section][key])
+            try:
+                cfg[section][key] = get[type(DEFAULTS[section][key])](
+                    section, key)
+            except ValueError:
+                raise ConfigError("bad value for [%s] %s: %r"
+                                  % (section, key, raw))
     return cfg
 
 
@@ -161,6 +153,13 @@ def _floats(text, what):
     return vals
 
 
+def _pair(text, what):
+    vals = _floats(text, what)
+    if len(vals) != 2 or not vals[0] < vals[1]:
+        raise ConfigError("%s needs two increasing values" % what)
+    return tuple(vals)
+
+
 class ExperimentConfig:
     """Resolved experiment: grid, data family, null form, run window.
 
@@ -172,11 +171,17 @@ class ExperimentConfig:
     def __init__(self, cfg, seed, _threads=None):
         self.raw = cfg
         self.seed = int(seed)
+        data = cfg["data"]
         try:
             self.grid = self._build_grid(cfg)
             self.spec = self._build_spec(cfg["nullform"])
-            self.family = self._build_family(cfg["data"])
-        except (ParamError, OrderError) as e:
+            (self.eps,) = picard.check_amplitudes([data["eps"]])
+            self.scan_eps = picard.check_amplitudes(
+                _floats(cfg["scan"]["eps"], "scan eps"))
+            self.family = picard.bump_data_family(
+                self.grid, center=data["center"], width=data["width"],
+                velocity=data["velocity"])
+        except (ParamError, OrderError, MemoryError) as e:
             raise ConfigError(str(e))
         # written so that NaN fails each check
         for section, key in (("run", "t_end"), ("run", "tol"),
@@ -209,28 +214,17 @@ class ExperimentConfig:
         # list-valued keys are parsed here, before any command runs, so
         # that a bad one exits 2 with nothing written
         fit = cfg["fit"]
-        window = _floats(fit["window"], "fit window")
-        if len(window) != 2 or not window[0] < window[1]:
-            raise ConfigError("fit window needs two increasing values")
+        self.fit_window = _pair(fit["window"], "[fit] window")
         if fit["model"] not in ("exponential", "power"):
             raise ConfigError("unknown fit model %r" % fit["model"])
         self.fit_model = fit["model"]
-        self.fit_window = tuple(window)
         self.local_radius = float(fit["local_radius"])
         rep = cfg["report"]
-        sup_window = _floats(rep["sup_window"], "sup window")
-        if len(sup_window) != 2 or not sup_window[0] < sup_window[1]:
-            raise ConfigError("sup_window needs two increasing values")
-        self.sup_window = tuple(sup_window)
+        self.sup_window = _pair(rep["sup_window"], "[report] sup_window")
         self.deltas = _floats(rep["deltas"], "delta")
         if not all(0 <= d < np.inf for d in self.deltas):
             raise ConfigError("deltas must be >= 0 and finite")
         self.time_stride = int(rep["time_stride"])
-        self.scan_eps = _floats(cfg["scan"]["eps"], "scan eps")
-        if not all(0 <= eps < np.inf for eps in self.scan_eps):
-            raise ConfigError("scan eps must be >= 0 and finite")
-        if any(b <= a for a, b in zip(self.scan_eps, self.scan_eps[1:])):
-            raise ConfigError("scan eps must be ascending")
 
     @staticmethod
     def _build_grid(cfg):
@@ -242,15 +236,9 @@ class ExperimentConfig:
                 sponge_strength=g["sponge_strength"])
         if g["mode"] == "cartesian":
             o = cfg["obstacle"]
-            params = _floats(o["params"], "obstacle params")
-            count = {"sphere": 1, "ellipsoid": 3}.get(o["kind"], len(params))
-            if len(params) != count:
-                raise ConfigError("[obstacle] params of a %s take %d values"
-                                  % (o["kind"], count))
-            # Obstacle refuses an unknown kind and non-finite parameters
             return build_masked_grid(
-                Obstacle(o["kind"], params), g["extent"], g["n"],
-                sponge_cells=g["sponge_cells"],
+                Obstacle(o["kind"], _floats(o["params"], "obstacle params")),
+                g["extent"], g["n"], sponge_cells=g["sponge_cells"],
                 sponge_strength=g["sponge_strength"])
         raise ConfigError("unknown grid mode %r" % g["mode"])
 
@@ -277,16 +265,6 @@ class ExperimentConfig:
                     raise ConfigError("bad custom term: %r" % line)
             return NullFormSpec(int(nf["components"]), terms)
         raise ConfigError("unknown nullform kind %r" % nf["kind"])
-
-    def _build_family(self, d):
-        if d["family"] != "bump":
-            raise ConfigError("unknown data family %r" % d["family"])
-        self.eps = float(d["eps"])
-        if not 0 <= self.eps < np.inf:
-            raise ConfigError("eps must be >= 0 and finite")
-        return picard.bump_data_family(self.grid, center=d["center"],
-                                       width=d["width"],
-                                       velocity=d["velocity"])
 
     def data(self, eps=None):
         return self.family(self.eps if eps is None else eps)
@@ -552,8 +530,11 @@ def _check_for_subcommand(subcommand, ec):
             raise ConfigError("[report] time_stride = %d samples fewer "
                               "than 3 of the run's %d snapshots"
                               % (ec.time_stride, n + 1))
-        i0, i1 = norms.window_rows(dt * np.arange(n + 1),
-                                   norms.LOCAL_LINEAR_WINDOW)
+        # the window starts at the first snapshot and holds 3 if it reaches
+        # the third, so only the first three times are built
+        first = dt * np.arange(min(n, 2) + 1)
+        i0, i1 = norms.window_rows(
+            first, (0.0, min(first[-1], norms.LOCAL_LINEAR_WINDOW[1])))
         if i1 - i0 < 3:
             raise ConfigError("the local-linear window [0, 1] holds %d "
                               "snapshots at step %g, fewer than 3"

@@ -48,19 +48,19 @@ SPONGE = 3
 
 
 class Obstacle:
-    """Strictly convex obstacle centered at the origin."""
+    """Strictly convex obstacle centered at the origin: a "sphere" of
+    params (radius,) or an "ellipsoid" of params (a, b, c), each in
+    (0, inf).  Any other kind, count or value is a ParamError."""
 
     def __init__(self, kind, params):
-        if kind == "sphere":
-            (r0,) = params
-            if not 0 < r0 < np.inf:
-                raise ParamError("sphere radius must be in (0, inf)")
-        elif kind == "ellipsoid":
-            a, b, c = params
-            if not all(0 < p < np.inf for p in (a, b, c)):
-                raise ParamError("ellipsoid semi-axes must be in (0, inf)")
-        else:
+        count = {"sphere": 1, "ellipsoid": 3}.get(kind)
+        if count is None:
             raise ParamError("unknown obstacle kind %r" % (kind,))
+        if len(params) != count:
+            raise ParamError("a %s takes %d parameters, not %d"
+                             % (kind, count, len(params)))
+        if not all(0 < p < np.inf for p in params):  # NaN fails too
+            raise ParamError("%s parameters must be in (0, inf)" % kind)
         self.kind = kind
         self.params = tuple(float(p) for p in params)
 

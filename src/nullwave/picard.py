@@ -202,7 +202,8 @@ class _Sweep:
         at = rows[hit] // stride
         s["u"][at] = u[hit]
         s["u_t"][at] = u_t[hit]
-        (s["u_r"][at],) = grid.native_gradient(native[hit])
+        # evaluate_nullform_series left the rows' native gradient here
+        s["u_r"][at] = self.work[0, :k][hit]
         s["Q"][at] = q[hit, 0]
         for a, b in self.q.put(lo, q[:, 0]):
             block = np.arange(a, b)
@@ -259,7 +260,10 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
                          % (dnorm, threshold))
 
     # one forcing array per run: each sweep writes over what it applies
-    forcing = np.empty((n,) + data.f.shape)
+    try:
+        forcing = np.empty((n,) + data.f.shape)
+    except (MemoryError, ValueError):  # ValueError: past 2**63 bytes
+        raise ParamError("cannot allocate the forcing of %d snapshots" % n)
     applied = None
     residuals = []
     while True:
@@ -279,23 +283,29 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
         IterationReport(residuals)
 
 
-def smallness_scan(data_family, spec: NullFormSpec, eps_list, t_end,
-                   dt=None, tol=1e-8, max_iter=12, time_stride=None):
-    """Run picard_solve per epsilon; yield the convergence table rows.
-
-    data_family maps epsilon to InitialData.  The eps values are checked
-    here, at call time; the returned generator solves one entry per row
-    it yields, one at a time, in epsilon order.  Failures are recorded,
-    not raised.  A row's "solution" is freed once the caller drops the
-    row, so a caller that keeps no row keeps one entry's run alive at a
-    time.  time_stride goes to picard_solve (norms.estimate_ratio_report
-    reads the rows it keeps).
-    """
+def check_amplitudes(eps_list):
+    """eps_list as a list; ParamError unless finite, >= 0 and ascending."""
     eps_list = list(eps_list)
     if not all(0 <= e < np.inf for e in eps_list):
         raise ParamError("epsilon values must be finite and nonnegative")
     if any(b <= a for a, b in zip(eps_list, eps_list[1:])):
         raise ParamError("epsilon values must be ascending")
+    return eps_list
+
+
+def smallness_scan(data_family, spec: NullFormSpec, eps_list, t_end,
+                   dt=None, tol=1e-8, max_iter=12, time_stride=None):
+    """Run picard_solve per epsilon; yield the convergence table rows.
+
+    data_family maps epsilon to InitialData.  check_amplitudes refuses
+    bad eps values at call time; the returned generator solves one entry
+    per row it yields, one at a time, in epsilon order.  Failures are
+    recorded, not raised.  A row's "solution" is freed once the caller
+    drops the row, so a caller that keeps no row keeps one entry's run
+    alive at a time.  time_stride goes to picard_solve
+    (norms.estimate_ratio_report reads the rows it keeps).
+    """
+    eps_list = check_amplitudes(eps_list)
 
     def entry(eps):
         try:

@@ -373,12 +373,16 @@ BAD_CONFIGS = [
     ("bad_obstacle", "[grid]\nmode = cartesian\nn = 16\nextent = 6.0\n"
                      "[obstacle]\nkind = cube\n"),
     ("bad_nullform", "[nullform]\nkind = cubic\n"),
+    # the family is always the bump family: the key is unknown
     ("bad_data_family", "[data]\nfamily = plane\n"),
     ("zero_time_stride", "[report]\ntime_stride = 0\n"),
     ("negative_time_stride", "[report]\ntime_stride = -1\n"),
     ("zero_geometry_samples", "[geometry]\nsamples = 0\n"),
     ("decreasing_fit_window", "[fit]\nwindow = 3 1\n"),
     ("bad_fit_model", "[fit]\nmodel = cubic\n"),
+    # a % is text, not an interpolation
+    ("percent_fit_model", "[fit]\nmodel = 50%\n"),
+    ("interpolated_scan_eps", "[scan]\neps = 1e-4 %(x)s\n"),
     ("one_value_sup_window", "[report]\nsup_window = 5\n"),
     ("empty_deltas", "[report]\ndeltas =\n"),
     ("bad_scan_eps", "[scan]\neps = 1e-4 abc\n"),
@@ -396,6 +400,8 @@ BAD_CONFIGS = [
     ("huge_r_max", "[grid]\nr_max = 1e200\n"),
     # a finite spacing on which the bump data norm overflows
     ("large_r_max", "[grid]\nr_max = 1e100\n"),
+    # a radial grid of 8 PiB, which cannot be allocated
+    ("unallocatable_n", "[grid]\nn = 1000000000000000\n"),
 ] + [
     ("%s_extent" % label,
      "[grid]\nmode = cartesian\nn = 16\nsponge_cells = 8\nextent = %s\n"
@@ -449,6 +455,40 @@ def test_list_keys_exit_2_before_the_out_directory(tmp_path, subcommand,
     out = tmp_path / "never"
     assert run([subcommand, "--config", ini], out) == 2
     assert not out.exists()
+
+
+def test_boolean_spellings(tmp_path):
+    for value, expected in (("yes", True), ("On", True), ("1", True),
+                            ("TRUE", True), ("no", False), ("OFF", False),
+                            ("0", False), ("false", False)):
+        ini = write_ini(tmp_path, "[output]\nsnapshots = %s\n" % value)
+        assert cli.load_config(ini, "run-linear")["output"]["snapshots"] \
+            is expected
+    ini = write_ini(tmp_path, "[output]\nsnapshots = maybe\n")
+    out = tmp_path / "never"
+    assert run(["run-linear", "--config", ini], out) == 2
+    assert not out.exists()
+
+
+# runs too large to allocate: numpy refuses a forcing of t_end = 1e15, or
+# of 6e13 steps of dt = 1e-12, on any host (past 2**63 bytes), and 10**17
+# geometry samples (710 PiB) lie past even a 57-bit address space;
+# run-linear allocates nothing per snapshot, so it would simply run and
+# is left out
+@pytest.mark.parametrize("subcommand,text", [
+    ("run-nonlinear", "[run]\nt_end = 1e15\n"),
+    ("scan-smallness", "[run]\nt_end = 1e15\n"),
+    ("estimate-report", "[run]\nt_end = 1e15\n"),
+    ("estimate-report", "[run]\ndt = 1e-12\n"),
+    ("verify-geometry", "[geometry]\nsamples = %d\n" % 10**17)],
+    ids=["run-nonlinear", "scan-smallness", "estimate-report",
+         "estimate-report-tiny-dt", "verify-geometry"])
+def test_unallocatable_run_exit_3(tmp_path, subcommand, text):
+    ini = write_ini(tmp_path, text)
+    out = tmp_path / "out"
+    assert run([subcommand, "--config", ini], out) == 3
+    assert listing(out) == ["error.json"]
+    load(out, "error.json")
 
 
 def test_missing_config_file_exit_2(tmp_path):

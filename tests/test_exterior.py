@@ -55,6 +55,9 @@ def test_obstacle_rejects_bad_params():
         Obstacle.ellipsoid(1.0, -0.5, 1.0)
     with pytest.raises(ParamError):
         Obstacle("cube", (1.0,))
+    for kind, params in (("sphere", (1.0, 2.0)), ("ellipsoid", (1.0, 2.0))):
+        with pytest.raises(ParamError):
+            Obstacle(kind, params)
     # NaN passes a "<= 0" test: each slot must be refused
     for bad in (np.nan, np.inf):
         with pytest.raises(ParamError):
