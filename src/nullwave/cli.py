@@ -160,6 +160,13 @@ def _pair(text, what):
     return tuple(vals)
 
 
+def _amplitudes(eps_list, key):
+    try:
+        return picard.check_amplitudes(eps_list)
+    except ParamError as e:
+        raise ConfigError("%s: %s" % (key, e))
+
+
 class ExperimentConfig:
     """Resolved experiment: grid, data family, null form, run window.
 
@@ -175,9 +182,9 @@ class ExperimentConfig:
         try:
             self.grid = self._build_grid(cfg)
             self.spec = self._build_spec(cfg["nullform"])
-            (self.eps,) = picard.check_amplitudes([data["eps"]])
-            self.scan_eps = picard.check_amplitudes(
-                _floats(cfg["scan"]["eps"], "scan eps"))
+            (self.eps,) = _amplitudes([data["eps"]], "[data] eps")
+            self.scan_eps = _amplitudes(
+                _floats(cfg["scan"]["eps"], "scan eps"), "[scan] eps")
             self.family = picard.bump_data_family(
                 self.grid, center=data["center"], width=data["width"],
                 velocity=data["velocity"])
@@ -357,7 +364,7 @@ def cmd_run_linear(ec, out, quiet):
     traj = solver.solve_linear(
         ec.data(), None, ec.t_end, dt=ec.dt, stride=ec.stride,
         observe=lambda i, u, v: energies.append(energy_at(u, v)))
-    # the stored run's snapshot times, dt * stride * arange
+    # the snapshot times, dt * stride * arange, one per energy
     times = traj.dt * ec.stride * np.arange(len(energies))
     energies = np.array(energies)
     fit = solver.fit_decay((times, energies), ec.fit_model,

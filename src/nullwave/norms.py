@@ -15,7 +15,7 @@ weight) pulls back the solution and the forcing as fields
 the frame's weighted energy sup read a frame with one such field.  The
 frame reads the rows a Picard sweep recorded while it ran (the samples
 of a NonlinearSolution), and the local-linear norm reads the Q rows of
-its window; no stored run is walked again.
+its window; a run keeps no u stack (see nullwave.solver).
 
 Every time derivative is taken at the solver step, never across the
 sampling stride.  A slab norm is formed from the per-row slab_sums of

@@ -6,8 +6,8 @@ one back in as forcing for a linear solve.  Convergence is monitored
 through the space-time norm of the forcing update, which is the
 practical surrogate for the contraction distance.
 
-Every sweep is an observed solve_linear run, so no sweep stores its u
-stack.  Its observer (_Sweep) keeps the last few rows of u, a block of
+Every sweep is a solve_linear run, which keeps only its first and last
+state.  Its observer (_Sweep) keeps the last few rows of u, a block of
 about fd.BLOCK_VALUES values and the rows its time stencil reaches past
 it, and works a block behind the solver: it takes the block's Q with
 the time derivative of the whole run (fd.d1_rows: centred inside, fd.d1
@@ -68,7 +68,7 @@ class NonlinearSolution:
         self.trajectory = trajectory
         self.spec = spec
         self.data = data
-        # the stored run's snapshot times, dt * stride * arange
+        # the snapshot times of the stride-1 run, dt * arange
         self.sup_times = trajectory.dt * np.arange(sweep.n)
         self.sup_values = sweep.sup
         self.samples = sweep.samples
@@ -246,6 +246,10 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
         if len(range(0, n, time_stride)) < 3:
             raise ParamError("need at least 3 sampled snapshots")
 
+    components = data.f.size // grid.zeros().size
+    if components != spec.n_components:
+        raise ParamError("data component count %d differs from the null "
+                         "form's %d" % (components, spec.n_components))
     comp = check_compatibility(data, spec, 1)
     scale = max(np.max(np.abs(data.f)), np.max(np.abs(data.g)), 1e-30)
     if max(comp) > 1e-9 * scale:

@@ -11,19 +11,18 @@ acceleration, so the kernel keeps laplace(u) from the end of each step and
 evaluates the spatial operator once per step.  It updates u and v in place
 through two field-sized buffers and allocates nothing per step.
 
-solve_linear is the one entry point, and a run is either stored or
-observed.  A stored run keeps u at each of the n_steps // stride + 1
-snapshots and no v.  An observed run, given observe(i, u, v), calls it
-at each snapshot i with the live (u, v) buffers, as read-only views that
-the next step overwrites: an observer keeps what it needs by reducing
-the state (local_energy_fn gives one such reduction) or by copying it.
-The returned trajectory then holds only the first and the last (u, v),
-with times [0, t_final] and stride n_steps, so memory does not grow with
-t_end.  Step k reads rows k and k + 1 of a recorded forcing only, so an
-observer may overwrite the rows below i * stride at observe(i, u, v),
-and every row at the last one.  run-linear observes its local energies,
-and every Picard sweep is observed too (see nullwave.picard); step_count
-gives the number of steps, and so of snapshots, before the run.
+solve_linear is the one entry point.  A run takes step_count steps and
+has a snapshot every stride steps, n_steps // stride + 1 in all, and it
+keeps only the first and the last (u, v): the returned trajectory has
+times [0, t_final] and stride n_steps, so memory does not grow with
+t_end.  Given observe(i, u, v), the run calls it at each snapshot i with
+the live (u, v) buffers, as read-only views that the next step
+overwrites: an observer keeps what it needs by reducing the state
+(local_energy_fn gives one such reduction) or by copying it.  Step k
+reads rows k and k + 1 of a recorded forcing only, so an observer may
+overwrite the rows below i * stride at observe(i, u, v), and every row
+at the last one.  run-linear observes its local energies, and every
+Picard sweep is observed too (see nullwave.picard).
 
 Fields are stored in each grid's native representation (see
 nullwave.exterior); the grid supplies the spatial operator, the Dirichlet
@@ -85,9 +84,10 @@ def _advance(grid, u, v, lap, tmp, dt, f_mid, damp):
 
 
 class Trajectory:
-    """Snapshots of a run at a uniform stride of the step size.
+    """Rows of a run, stride steps of size dt apart, at the given times.
 
-    v is None for a stored run (see solve_linear).
+    solve_linear returns the first and the last (u, v) of its run, with
+    times [0, t_final] and stride n_steps.
     """
 
     def __init__(self, grid, times, u, v=None, dt=None, stride=1):
@@ -108,10 +108,12 @@ def step_count(t_end, dt, stride=1):
     """The number of steps solve_linear takes to reach t_end at step dt.
 
     At least one, rounded up to a multiple of stride; a stride above
-    the unrounded count is refused.
+    the unrounded count is refused, and so is a t_end or dt that is not
+    finite and positive.
     """
-    if dt <= 0:
-        raise ParamError("dt must be positive")
+    if not (0 < t_end < np.inf and 0 < dt < np.inf):  # NaN fails too
+        raise ParamError("t_end %g and dt %g must be positive and finite"
+                         % (t_end, dt))
     n_steps = max(int(np.ceil(t_end / dt - 1e-12)), 1)
     if stride > n_steps:
         raise ParamError("stride %d exceeds the %d steps of the run"
@@ -129,10 +131,9 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
     as adjacent averages.  The run takes step_count(t_end, dt, stride)
     steps.
 
-    Without observe the trajectory stores u at every snapshot and no v.
-    With observe, every snapshot i goes to observe(i, u, v) as read-only
-    views of the live buffers, and the trajectory keeps only the first
-    and the last (u, v) (see the module docstring).
+    Returns the Trajectory of the first and the last (u, v).  With
+    observe, every stride-th step's snapshot i goes to observe(i, u, v)
+    as read-only views of the live buffers (see the module docstring).
     """
     grid = data.grid
     limit = cfl_limit(grid)
@@ -161,17 +162,13 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
     if recorded is not None:
         f_buf = np.empty(recorded.shape[1:])
 
-    n_snap = n_steps // stride + 1
-    us = np.empty((n_snap if observe is None else 2,) + u.shape)
-    us[0] = u
+    # the first and the last (u, v) are kept
+    us, vs = np.empty((2, 2) + u.shape)
+    us[0], vs[0] = u, v
+    # views of the live buffers that the observer cannot write through
+    u_seen, v_seen = u.view(), v.view()
+    u_seen.flags.writeable = v_seen.flags.writeable = False
     if observe is not None:
-        vs = np.empty_like(us)
-        vs[0] = v
-        # views of the live buffers that the observer cannot write through
-        u_seen = u.view()
-        v_seen = v.view()
-        u_seen.flags.writeable = False
-        v_seen.flags.writeable = False
         observe(0, u_seen, v_seen)
 
     t = 0.0
@@ -187,22 +184,14 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
         t = (k + 1) * dt
         if (k + 1) % NAN_CHECK_INTERVAL == 0 and not np.all(np.isfinite(u)):
             raise NaNError("non-finite field at t=%g" % t)
-        if (k + 1) % stride == 0:
-            i = (k + 1) // stride
-            if observe is not None:
-                observe(i, u_seen, v_seen)
-            else:
-                us[i] = u
+        if observe is not None and (k + 1) % stride == 0:
+            observe((k + 1) // stride, u_seen, v_seen)
     if not np.all(np.isfinite(u)):
         raise NaNError("non-finite field at final time %g" % t)
 
-    if observe is None:
-        times = dt * stride * np.arange(n_snap)
-        return Trajectory(grid, times, us, dt=dt, stride=stride)
-    us[1] = u
-    vs[1] = v
-    # the stored run's last time, (dt * stride) * (n_snap - 1), to the bit
-    times = np.array([0.0, dt * stride * (n_snap - 1)])
+    us[1], vs[1] = u, v
+    # the last snapshot's time as dt * stride * arange gives it, to the bit
+    times = np.array([0.0, dt * stride * (n_steps // stride)])
     return Trajectory(grid, times, us, vs, dt=dt, stride=n_steps)
 
 

@@ -625,6 +625,23 @@ def test_subcommand_config_exit_2_before_the_run(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand,text,key", [
+    ("check-compat", "[data]\neps = nan\n", "[data] eps"),
+    ("check-compat", "[data]\neps = -1e-3\n", "[data] eps"),
+    ("scan-smallness", "[scan]\neps = 2e-4 1e-4\n", "[scan] eps"),
+    ("scan-smallness", "[scan]\neps = 1e-4 inf\n", "[scan] eps")],
+    ids=["nan-data-eps", "negative-data-eps", "descending-scan-eps",
+         "inf-scan-eps"])
+def test_amplitude_errors_name_their_key(tmp_path, capsys, subcommand, text,
+                                         key):
+    ini = write_ini(tmp_path, text)
+    out = tmp_path / "never"
+    assert run([subcommand, "--config", ini], out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: %s: epsilon values must be" % key)
+    assert not out.exists()
+
+
 def test_time_stride_needs_three_samples(tmp_path, capsys):
     # the largest time_stride that samples 3 snapshots runs; one more
     # samples 2 and is refused before the output directory is made

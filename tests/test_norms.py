@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from conftest import observed_rows
 from nullwave import exterior, fd, norms, penrose, picard, solver
 from nullwave.errors import DomainError, OrderError, ParamError
 from nullwave.exterior import InitialData, build_radial_grid
@@ -339,16 +340,17 @@ def test_delta_sweep_monotone(nonlinear_run):
 def test_sampled_time_derivatives_take_the_solver_step():
     # u_t and Q_t at the sampled rows are the derivatives of the whole
     # stride-1 series, not differences across the sampling stride; a
-    # one-sweep run (tol above the first residual) is the stored linear
-    # run, which gives the whole series
+    # one-sweep run (tol above the first residual) is the linear run,
+    # whose rows give the whole series
     grid = build_radial_grid(1.0, 12.0, 400, sponge_cells=100)
     data = picard.bump_data_family(grid, center=2.0, width=0.8)(1e-3)
     spec = NullFormSpec.scalar_q0()
     sol, rep = picard.picard_solve(data, spec, 12.0, tol=1.0,
                                    time_stride=10)
     assert rep.iterations == 1
-    traj = solver.solve_linear(data, None, 12.0)
-    dt = traj.dt
+    dt = solver.cfl_limit(grid)
+    _, us, _ = observed_rows(data, None, 12.0)
+    traj = Trajectory(grid, dt * np.arange(len(us)), us, dt=dt)
     idx = np.arange(0, len(traj.times), 10)
     samples = sol.samples
     assert samples["t"].tobytes() == traj.times[idx].tobytes()

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import observed_rows
 from nullwave import exterior, fd, norms, picard, solver
 from nullwave.errors import NoConvergence, ParamError
 from nullwave.exterior import InitialData, build_radial_grid
@@ -42,13 +43,15 @@ def test_zero_data_fixed_point_is_zero(grid):
 def test_linear_spec_reproduces_linear_solver(family, grid):
     data = family(1e-3)
     sol, rep = picard_solve(data, NullFormSpec.linear(1), 8.0, tol=1e-10)
-    ref = solver.solve_linear(data, None, 8.0, stride=1)
+    ref, us, vs = observed_rows(data, None, 8.0)
     assert rep.iterations == 1
-    # the observed sweep keeps the first and last state of the stored run
-    assert np.array_equal(sol.trajectory.u, ref.u[[0, -1]])
-    assert sol.sup_times.tobytes() == ref.times.tobytes()
+    # the sweep keeps the first and last state of the linear run
+    assert np.array_equal(sol.trajectory.u, us[[0, -1]])
+    assert np.array_equal(sol.trajectory.v, vs[[0, -1]])
+    assert sol.sup_times.tobytes() == (ref.dt * np.arange(len(us))).tobytes()
+    assert sol.sup_times[-1] == ref.times[-1]
     assert sol.sup_values.tobytes() == np.max(
-        np.abs(grid.to_physical(ref.u)), axis=1).tobytes()
+        np.abs(grid.to_physical(us)), axis=1).tobytes()
 
 
 def test_first_residual_scales_quadratically(family):
@@ -106,6 +109,25 @@ def test_compatibility_guard(grid):
         picard_solve(data, SPEC, 4.0)
 
 
+@pytest.mark.parametrize("data_count, spec_count", [(1, 2), (2, 1)])
+def test_component_count_must_match_the_spec(monkeypatch, grid, family,
+                                             data_count, spec_count):
+    data = family(1e-3)
+    if data_count == 2:
+        data = InitialData(grid, np.stack([data.f, data.f]),
+                           np.stack([data.g, data.g]))
+    spec = SPEC if spec_count == 1 else NullFormSpec.linear(spec_count)
+
+    def unreached(*args):
+        raise AssertionError("the compatibility check ran")
+
+    # refused before the compatibility and smallness checks
+    monkeypatch.setattr(picard, "check_compatibility", unreached)
+    with pytest.raises(ParamError, match="count %d differs from the null "
+                       "form's %d" % (data_count, spec_count)):
+        picard_solve(data, spec, 4.0)
+
+
 def test_picard_param_guards(family):
     data = family(1e-3)
     with pytest.raises(ParamError):
@@ -160,45 +182,47 @@ def _block_case(name):
     return stacked, spec, 8.0
 
 
-def _stored_sweep(data, spec, forcing, t_end, dt=None):
-    """The reference of one sweep: a stored run, d1 over its whole stack.
+def _reference_sweep(data, spec, forcing, t_end, dt=None):
+    """The reference of one sweep: every row of its run, d1 over the
+    whole stack.
 
-    Returns the stored trajectory and, over all its snapshots, physical
-    u and u_t and Q (rows with a component axis) and the native forcing.
+    Returns the run's step and snapshot times and, over all its
+    snapshots, native u, physical u and u_t and Q (rows with a component
+    axis) and the native forcing.
     """
     grid = data.grid
-    traj = solver.solve_linear(data, forcing, t_end, dt=dt)
-    n = len(traj.times)
-    u = traj.u.reshape((n, spec.n_components) + grid.zeros().shape)
+    traj, us, _ = observed_rows(data, forcing, t_end, dt=dt)
+    n = len(us)
+    u = us.reshape((n, spec.n_components) + grid.zeros().shape)
     up = grid.to_physical(u)
     ut = fd.d1(up, traj.dt, axis=0)
     q = norms.evaluate_nullform_series(grid, spec, u, ut)
-    F = grid.from_physical(q).reshape(traj.u.shape)
-    return traj, up, ut, q, F
+    F = grid.from_physical(q).reshape(us.shape)
+    return traj.dt, traj.dt * np.arange(n), us, up, ut, q, F
 
 
-def _check_sweep(sweep, forcing, ref, time_stride):
+def _check_sweep(sweep, grid, forcing, ref, time_stride):
     """The observed sweep's rows, and the forcing it made, against the
-    stored reference."""
-    traj, up, ut, q, F = ref
-    grid, n, dt = traj.grid, len(traj.times), traj.dt
+    whole-stack reference."""
+    dt, times, us, up, ut, q, F = ref
+    n = len(times)
     assert sweep.n == n and sweep.dt == dt
     assert forcing.tobytes() == F.tobytes()
     assert sweep.sup.tobytes() == np.max(np.abs(up).reshape(n, -1),
                                          axis=1).tobytes()
-    assert sweep.boundary == np.max(np.abs(traj.u[..., ~grid.updated()]),
+    assert sweep.boundary == np.max(np.abs(us[..., ~grid.updated()]),
                                     initial=0.0)
     if time_stride is None:
         assert sweep.samples is None and sweep.window is None
         return
     idx = np.arange(0, n, time_stride)
     Q = q[:, 0, :]
-    want = {"t": traj.times[idx], "u": up[idx, 0], "u_t": ut[idx, 0],
-            "u_r": grid.native_gradient(traj.u[idx])[0], "Q": Q[idx],
+    want = {"t": times[idx], "u": up[idx, 0], "u_t": ut[idx, 0],
+            "u_r": grid.native_gradient(us[idx])[0], "Q": Q[idx],
             "Q_t": fd.d1(Q, dt, axis=0)[idx]}
     for name, ref_rows in want.items():
         assert sweep.samples[name].tobytes() == ref_rows.tobytes(), name
-    i0, i1 = norms.window_rows(traj.times, norms.LOCAL_LINEAR_WINDOW)
+    i0, i1 = norms.window_rows(times, norms.LOCAL_LINEAR_WINDOW)
     assert sweep.window.tobytes() == q[i0:i1].tobytes()
 
 
@@ -206,7 +230,7 @@ def _check_sweep(sweep, forcing, ref, time_stride):
                                   "ellipsoid"])
 def test_results_do_not_depend_on_the_block_size(monkeypatch, name):
     # each observed sweep, whatever the block its rows are taken in,
-    # equals a stored run with the same forcing and d1 over its stack
+    # equals the rows of a run with the same forcing and d1 over them
     data, spec, t_end = _block_case(name)
     grid = data.grid
     time_stride = 7 if name == "radial-sponge" else None
@@ -235,9 +259,9 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, name):
         for (forcing, sweep, made), residual in zip(sweeps, residuals):
             assert (forcing is None) == (applied is None)
             assert applied is None or forcing.tobytes() == applied.tobytes()
-            ref = _stored_sweep(data, spec, forcing, t_end)
-            _check_sweep(sweep, made, ref, time_stride)
-            F, dt = ref[4], sweep.dt
+            ref = _reference_sweep(data, spec, forcing, t_end)
+            _check_sweep(sweep, grid, made, ref, time_stride)
+            F, dt = ref[-1], sweep.dt
             res = grid.to_physical(F if applied is None else F - applied)
             assert residual == norms.slab_norm(norms.slab_sums(
                 grid, res, fd.d1(res, dt, axis=0)), dt)
@@ -258,15 +282,15 @@ def test_observed_sweep_edge_cases(monkeypatch, t_end, time_stride):
     grid = build_radial_grid(1.0, 10.6, 16, sponge_cells=2)
     data = bump_data_family(grid, center=4.0, width=2.0)(1e-3)
     dt = 0.5
-    ref = _stored_sweep(data, SPEC, None, t_end, dt=dt)
-    n = len(ref[0].times)
+    ref = _reference_sweep(data, SPEC, None, t_end, dt=dt)
+    n = len(ref[1])
     assert n == (3 if t_end == 1.0 else 17)
     for block in (1, 3 * grid.n_nodes, 2**40):
         monkeypatch.setattr(fd, "BLOCK_VALUES", block)
         sweep = picard._Sweep(data, SPEC, n, dt, time_stride,
                               np.empty((n,) + data.f.shape), False)
         solver.solve_linear(data, None, t_end, dt=dt, observe=sweep)
-        _check_sweep(sweep, sweep.forcing, ref, time_stride)
+        _check_sweep(sweep, grid, sweep.forcing, ref, time_stride)
 
 
 @pytest.mark.parametrize("sweeps", [1, 3])
@@ -277,7 +301,9 @@ def test_picard_holds_no_space_time_temporaries(monkeypatch, sweeps):
     data = bump_data_family(build_radial_grid(1.0, 12.0, 400,
                                               sponge_cells=100))(1e-3)
     t_end = 40.0
-    stack = solver.solve_linear(data, None, t_end).u.nbytes
+    # the run's (snapshots x nodes) u stack
+    stack = (solver.step_count(t_end, solver.cfl_limit(data.grid)) + 1) \
+        * data.f.nbytes
     assert stack >= 20 * block
 
     def run():
@@ -421,7 +447,10 @@ def test_streamed_scan_holds_one_entry(monkeypatch):
     family = bump_data_family(build_radial_grid(1.0, 12.0, 400,
                                                 sponge_cells=100))
     t_end, time_stride = 20.0, 40
-    stack = solver.solve_linear(family(1e-3), None, t_end).u.nbytes
+    data = family(1e-3)
+    # the run's (snapshots x nodes) u stack
+    stack = (solver.step_count(t_end, solver.cfl_limit(data.grid)) + 1) \
+        * data.f.nbytes
 
     def peak(eps_list):
         def run():

@@ -1,11 +1,15 @@
 """Stepping scheme, conservation, propagation, and decay fitting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nullwave import exterior, fd, solver
+from conftest import observed_rows
+from nullwave import exterior, fd, picard, solver
 from nullwave.errors import CFLError, FitError, NaNError, ParamError
 from nullwave.exterior import InitialData, Obstacle, build_masked_grid, build_radial_grid
+from nullwave.nullforms import NullFormSpec
 from nullwave.solver import (
     Trajectory,
     cfl_limit,
@@ -20,18 +24,6 @@ def _bump(r, center, half_width):
     s = np.clip(((r - center) / half_width) ** 2, 0.0, 1.0 - 1e-14)
     out = np.exp(-1.0 / (1.0 - s))
     return np.where(np.abs(r - center) >= half_width, 0.0, out)
-
-
-def _observed_rows(data, forcing, t_end, stride=1):
-    """An observed run and copies of the (u, v) it showed at each snapshot."""
-    us, vs = [], []
-
-    def observe(i, u, v):
-        us.append(u.copy())
-        vs.append(v.copy())
-
-    traj = solve_linear(data, forcing, t_end, stride=stride, observe=observe)
-    return traj, np.array(us), np.array(vs)
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +181,9 @@ def test_superposition_of_data_and_forcing():
     def force(t):
         return np.cos(t) * _bump(grid.r, 2.5, 0.8)
 
-    _, full_u, full_v = _observed_rows(data, force, 4.0)
-    _, hom_u, hom_v = _observed_rows(data, None, 4.0)
-    _, inhom_u, inhom_v = _observed_rows(zero, force, 4.0)
+    _, full_u, full_v = observed_rows(data, force, 4.0)
+    _, hom_u, hom_v = observed_rows(data, None, 4.0)
+    _, inhom_u, inhom_v = observed_rows(zero, force, 4.0)
     assert np.max(np.abs(full_u - hom_u - inhom_u)) < 1e-12
     assert np.max(np.abs(full_v - hom_v - inhom_v)) < 1e-12
 
@@ -210,9 +202,11 @@ def test_recorded_forcing_matches_callable():
     dt = cfl_limit(grid)
     n_steps = max(int(np.ceil(t_end / dt - 1e-12)), 1)
     rec = np.array([f_call(k * dt) for k in range(n_steps + 1)])
-    tr1 = solve_linear(data, f_call, t_end, stride=1)
-    tr2 = solve_linear(data, rec, t_end, stride=1)
-    assert np.max(np.abs(tr1.u - tr2.u)) < 1e-13
+    _, us1, vs1 = observed_rows(data, f_call, t_end)
+    _, us2, vs2 = observed_rows(data, rec, t_end)
+    assert len(us1) == n_steps + 1
+    assert np.max(np.abs(us1 - us2)) < 1e-13
+    assert np.max(np.abs(vs1 - vs2)) < 1e-12
 
     with pytest.raises(ParamError):
         solve_linear(data, rec[:3], t_end, stride=1)
@@ -312,14 +306,13 @@ KERNEL_CASES = ["radial-l0", "radial-l1-sponge", "callable", "recorded",
 @pytest.mark.parametrize("name", KERNEL_CASES)
 def test_kernel_matches_two_laplacian_reference(name):
     data, forcing, t_end = _kernel_case(name)
-    # a stored run keeps u and no v; the observer sees both
-    traj = solve_linear(data, forcing, t_end, stride=1)
-    us, vs = _reference_solve(data, forcing, len(traj.times) - 1, traj.dt)
-    assert traj.u.tobytes() == us.tobytes()
-    assert traj.v is None
-    _, seen_u, seen_v = _observed_rows(data, forcing, t_end)
+    traj, seen_u, seen_v = observed_rows(data, forcing, t_end)
+    us, vs = _reference_solve(data, forcing, traj.stride, traj.dt)
     assert seen_u.tobytes() == us.tobytes()
     assert seen_v.tobytes() == vs.tobytes()
+    # the run keeps the first and the last state
+    assert traj.u.tobytes() == us[[0, -1]].tobytes()
+    assert traj.v.tobytes() == vs[[0, -1]].tobytes()
 
 
 def test_one_laplacian_per_step():
@@ -333,9 +326,9 @@ def test_one_laplacian_per_step():
         return laplace(*args, **kwargs)
 
     grid.laplace = counting
-    traj = solve_linear(InitialData(grid, amp, amp), None, 2.0, stride=1)
+    solve_linear(InitialData(grid, amp, amp), None, 2.0, stride=1)
     # one evaluation before the first step, then one per step
-    assert len(calls) == len(traj.times)
+    assert len(calls) == step_count(2.0, cfl_limit(grid)) + 1
 
 
 def test_step_leaves_its_input_untouched():
@@ -346,7 +339,7 @@ def test_step_leaves_its_input_untouched():
     before = (u.tobytes(), v.tobytes(), force.tobytes())
     data = InitialData(grid, u, v)
     dt = cfl_limit(grid)
-    traj, us, vs = _observed_rows(data, lambda t: force, dt)
+    traj, us, vs = observed_rows(data, lambda t: force, dt)
     assert (u.tobytes(), v.tobytes(), force.tobytes()) == before
     assert data.f is u and data.g is v
     assert traj.stride == 1 and traj.times[-1] == dt
@@ -376,7 +369,6 @@ def test_solve_linear_leaves_data_and_forcing_untouched():
 @pytest.mark.parametrize("name", ["radial-l1-sponge", "ellipsoid"])
 def test_observer_sees_the_stored_rows(name):
     data, forcing, t_end = _kernel_case(name)
-    stored = solve_linear(data, forcing, t_end, stride=3)
     seen = []
 
     def observe(i, u, v):
@@ -384,20 +376,23 @@ def test_observer_sees_the_stored_rows(name):
         seen.append((i, u.tobytes(), v.tobytes()))
 
     observed = solve_linear(data, forcing, t_end, stride=3, observe=observe)
-    us, vs = _reference_solve(data, forcing, observed.stride, stored.dt)
-    assert [row[0] for row in seen] == list(range(len(stored.times)))
+    dt = cfl_limit(data.grid)
+    n_steps = step_count(t_end, dt, 3)
+    us, vs = _reference_solve(data, forcing, n_steps, dt)
+    assert [row[0] for row in seen] == list(range(n_steps // 3 + 1))
     for i, ub, vb in seen:
-        assert ub == stored.u[i].tobytes() == us[3 * i].tobytes()
+        assert ub == us[3 * i].tobytes()
         assert vb == vs[3 * i].tobytes()
 
-    # the first and last rows only, with times and stride that still
-    # give the run's step count
+    # the first and last rows only, with the snapshot times' ends and a
+    # stride that still give the run's step count
     ends = [0, -1]
-    assert observed.times.tobytes() == stored.times[ends].tobytes()
-    assert observed.stride == (len(stored.times) - 1) * stored.stride
-    assert observed.dt == stored.dt
-    assert observed.u.tobytes() == stored.u[ends].tobytes()
-    assert observed.v.tobytes() == vs[ends].tobytes()
+    times = dt * 3 * np.arange(len(seen))
+    assert observed.times.tobytes() == times[ends].tobytes()
+    assert observed.stride == n_steps
+    assert observed.dt == dt
+    assert observed.u.tobytes() == us[::3][ends].tobytes()
+    assert observed.v.tobytes() == vs[::3][ends].tobytes()
 
 
 @pytest.mark.parametrize("name", ["recorded", "ellipsoid"])
@@ -409,7 +404,7 @@ def test_observer_may_overwrite_the_recorded_rows_read(name):
         n_steps = step_count(t_end, cfl_limit(data.grid))
         rng = np.random.default_rng(5)
         rec = rng.standard_normal((n_steps + 1,) + data.f.shape)
-    _, us, vs = _observed_rows(data, rec, t_end)
+    _, us, vs = observed_rows(data, rec, t_end)
     spoiled = rec.copy()
     seen = []
 
@@ -520,10 +515,13 @@ def test_blowup_raises_nan_error():
 def test_trajectory_validation_and_series():
     grid = build_radial_grid(1.0, 6.0, 100)
     amp = _bump(grid.r, 3.0, 1.0)
-    traj = solve_linear(InitialData(grid, amp, np.zeros_like(amp)),
-                        None, 1.0, stride=5)
-    assert np.isclose(traj.times[1] - traj.times[0], 5 * traj.dt)
-    assert traj.u.shape == (len(traj.times), grid.n_nodes)
+    traj, us, vs = observed_rows(InitialData(grid, amp, np.zeros_like(amp)),
+                                 None, 1.0, stride=5)
+    # a snapshot every 5 steps; the run keeps the first and the last
+    assert traj.stride == 5 * (len(us) - 1)
+    assert np.isclose(traj.times[1] - traj.times[0], traj.stride * traj.dt)
+    assert traj.u.shape == traj.v.shape == (2, grid.n_nodes)
+    assert traj.u.tobytes() == us[[0, -1]].tobytes()
 
     with pytest.raises(ParamError):
         Trajectory(grid, np.array([]), None)
@@ -540,6 +538,40 @@ def test_stride_pads_step_count():
     assert traj.times[-1] >= 1.0
     with pytest.raises(ParamError):
         solve_linear(data, None, 1.0, stride=n_steps + 1)
+
+
+@pytest.mark.parametrize("t_end, dt", [
+    (np.nan, None), (np.inf, None), (-5.0, None), (0.0, None),
+    (1.0, np.nan), (1.0, 0.0), (1.0, -1.0), (1.0, np.inf)],
+    ids=["nan-t_end", "inf-t_end", "negative-t_end", "zero-t_end",
+         "nan-dt", "zero-dt", "negative-dt", "inf-dt"])
+def test_step_count_refuses_a_nonpositive_or_nonfinite_run(t_end, dt):
+    grid = build_radial_grid(1.0, 8.0, 200)
+    data = picard.bump_data_family(grid)(1e-3)
+    with pytest.raises(ParamError):
+        step_count(t_end, cfl_limit(grid) if dt is None else dt)
+    # solve_linear refuses a step above the CFL limit first
+    with pytest.raises(CFLError if dt == np.inf else ParamError):
+        solve_linear(data, None, t_end, dt=dt)
+    if dt is None:
+        with pytest.raises(ParamError):
+            picard.picard_solve(data, NullFormSpec.scalar_q0(), t_end)
+
+
+def test_a_run_holds_no_snapshot_rows():
+    # the run-linear grid and data; a (snapshots x nodes) stack would
+    # take about 61 MB at t_end 60 and twice that at twice the length
+    grid = build_radial_grid(1.0, 36.0, 2000, angular_mode=1, sponge_cells=0)
+    data = picard.bump_data_family(grid, center=2.2, velocity="zero")(1.0)
+    for t_end in (60.0, 120.0):
+        tracemalloc.start()
+        try:
+            solve_linear(data, None, t_end)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # u, v, the Laplacian and scratch, and the two kept states
+        assert peak < 12 * data.f.nbytes, (t_end, peak)
 
 
 # ---------------------------------------------------------------------------
