@@ -14,20 +14,29 @@ the time derivative of the whole run (fd.d1_rows: centred inside, fd.d1
 of the first or last three rows at the ends), and reduces on the way
 what the callers read: the sup series, the boundary max, the residual's
 slab_sums, and with a time_stride the sample-frame rows and the Q rows
-of the local-linear window.  A run holds one forcing array: the solver
-has read a block's rows of it (see nullwave.solver), so the observer
-takes their residual in them and writes its Q over them for the next
-sweep.  Each sweep owns a workspace of block rows, for u_t, Q and the
-gradient rows and products (work) of the null form and then of the
-residual's slab_sums: on a Cartesian grid the observer allocates no row
-per block, on a radial one only the w <-> u conversions do.
+of the local-linear window.  A run holds one forcing array, in float32:
+the solver has read a block's rows of it (see nullwave.solver), so the
+observer takes their residual against them and writes its Q over them
+for the next sweep.  Q, the residual and its sums stay float64; only the
+write to the forcing rounds.  Each sweep owns a workspace of block rows,
+for u_t, Q, the residual and the gradient rows and products (work) of
+the null form and then of the residual's slab_sums: on a Cartesian grid
+the observer allocates no row per block, on a radial one only the
+w <-> u conversions do.
+
+The rounding puts a floor under the residual: a fixed point of the
+rounded iteration still differs from its own forcing by the rounding
+error.  From the second sweep on, a run stops at the larger of tol and
+that floor, FORCING_ROUNDING * ||Q_0|| * (1 + 1/dt + ndim/h), which
+bounds the slab norm of the rounding error of a forcing of the first
+sweep's space-time L2 norm ||Q_0||, with a margin of 2.
 """
 
 import numpy as np
 
 from . import fd, norms
 from .norms import LOCAL_LINEAR_WINDOW, evaluate_nullform_series, slab_norm
-from .errors import NoConvergence, ParamError
+from .errors import NaNError, NoConvergence, ParamError
 from .exterior import InitialData, check_compatibility
 from .nullforms import NullFormSpec
 from .solver import cfl_limit, fit_decay, solve_linear, step_count
@@ -36,9 +45,14 @@ from .solver import cfl_limit, fit_decay, solve_linear, step_count
 # picard_solve refuses louder data unless the caller overrides.
 DEFAULT_SMALLNESS = 0.02
 
+# twice float32's unit roundoff: the forcing's relative resolution with
+# a margin of 2 (see the module docstring)
+FORCING_ROUNDING = 2.0**-23
+
 
 class IterationReport:
-    """Residuals of a converged Picard run, all but the last above tol > 0."""
+    """Residuals of a converged Picard run, all but the last above the
+    stop level (tol > 0, or the forcing's floor; see picard_solve)."""
 
     def __init__(self, residuals):
         res = self.residuals = list(residuals)
@@ -189,8 +203,16 @@ class _Sweep:
         new = grid.from_physical(q).reshape(native.shape)
         rows_f = self.forcing[lo:hi]
         done = self.res.put(lo, grid.to_physical(
-            np.subtract(new, rows_f, out=rows_f) if self.applied else new))
-        rows_f[...] = new
+            np.subtract(new, rows_f, out=self.work[-1, :k])
+            if self.applied else new))
+        try:
+            with np.errstate(over="raise"):
+                rows_f[...] = new
+        except FloatingPointError:
+            big = ~(np.abs(new).reshape(k, -1).max(axis=1)
+                    <= np.finfo(rows_f.dtype).max)
+            raise NaNError("the null form at t=%g exceeds the range of the "
+                           "float32 forcing" % (dt * (lo + np.argmax(big))))
         if self.stride is None:
             return done
         s, stride, i0 = self.samples, self.stride, self.i0
@@ -221,11 +243,14 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
     The first iterate is the linear solution.  Returns
     (NonlinearSolution, IterationReport).  The residual is the slab norm
     of the forcing update between consecutive iterates; the run stops
-    once it drops below tol.  Raises NoConvergence when max_iter
-    residuals were not enough.  time_stride (radial grids and scalar
-    systems only) makes the solution keep the sample-frame rows of every
-    time_stride-th snapshot and the local-linear window, which
-    norms.estimate_ratio_report reads.
+    once it drops to tol.  The forcing is stored in float32, so from the
+    second sweep on a tol below its resolution is met at the floor that
+    rounding puts under the residual (see the module docstring).
+    Raises NoConvergence when max_iter residuals were not enough.
+    time_stride (radial grids and scalar systems only) makes the
+    solution keep the sample-frame rows of every time_stride-th snapshot
+    and the local-linear window, which norms.estimate_ratio_report
+    reads.
     """
     if tol <= 0:
         raise ParamError("tol must be positive")
@@ -265,21 +290,26 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
 
     # one forcing array per run: each sweep writes over what it applies
     try:
-        forcing = np.empty((n,) + data.f.shape)
+        forcing = np.empty((n,) + data.f.shape, dtype=np.float32)
     except (MemoryError, ValueError):  # ValueError: past 2**63 bytes
         raise ParamError("cannot allocate the forcing of %d snapshots" % n)
     applied = None
     residuals = []
+    floor = 0.0
     while True:
         sweep = _Sweep(data, spec, n, dt, time_stride, forcing,
                        applied is not None)
         traj = solve_linear(data, applied, t_end, dt=dt, stride=1,
                             observe=sweep)
         residuals.append(slab_norm(sweep.sq, dt))
-        if residuals[-1] <= tol:
+        if residuals[-1] <= max(tol, floor):
             break
         if len(residuals) == max_iter:
             raise NoConvergence(max_iter, residuals)
+        if applied is None:
+            # sq[0] holds the first sweep's Q rows, so this is ||Q_0||
+            floor = FORCING_ROUNDING * slab_norm(sweep.sq[:1], dt) * (
+                1.0 + 1.0 / dt + grid.ndim / grid.h)
         # this sweep's other rows are freed before the next sweep runs
         applied, sweep, traj = forcing, None, None
 
@@ -320,7 +350,7 @@ def smallness_scan(data_family, spec: NullFormSpec, eps_list, t_end,
             res = rep.residuals
         except NoConvergence as exc:
             sol, res = None, exc.residuals
-        # as in IterationReport: res[-2] > tol > 0
+        # as in IterationReport: res[-2] > tol > 0 (or the floor)
         return {"eps": eps, "converged": sol is not None,
                 "iterations": len(res), "final_residual": res[-1],
                 "final_ratio": res[-1] / res[-2] if len(res) > 1 else None,

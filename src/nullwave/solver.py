@@ -21,8 +21,10 @@ overwrites: an observer keeps what it needs by reducing the state
 (local_energy_fn gives one such reduction) or by copying it.  Step k
 reads rows k and k + 1 of a recorded forcing only, so an observer may
 overwrite the rows below i * stride at observe(i, u, v), and every row
-at the last one.  run-linear observes its local energies, and every
-Picard sweep is observed too (see nullwave.picard).
+at the last one.  A recorded forcing may be float32 (Picard stores its
+forcing so); the step averages its rows in float64.  run-linear
+observes its local energies, and every Picard sweep is observed too
+(see nullwave.picard).
 
 Fields are stored in each grid's native representation (see
 nullwave.exterior); the grid supplies the spatial operator, the Dirichlet
@@ -174,7 +176,10 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
     t = 0.0
     for k in range(n_steps):
         if recorded is not None:
-            f_mid = np.add(recorded[k], recorded[k + 1], out=f_buf)
+            # in float64 whatever the forcing's dtype: a float32 sum
+            # would round before the cast
+            f_mid = np.add(recorded[k], recorded[k + 1], out=f_buf,
+                           dtype=np.float64)
             f_mid *= 0.5
         elif callable(forcing):
             f_mid = forcing(t + 0.5 * dt)

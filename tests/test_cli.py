@@ -555,6 +555,19 @@ def test_smallness_guard_exit_3(tmp_path):
     assert "smallness" in err["message"]
 
 
+def test_forcing_past_float32_exit_3(tmp_path):
+    # the scan admits any amplitude; at eps 1e22 the null form passes
+    # float32's range, which is a numerical failure, not a warning
+    ini = write_ini(tmp_path, SCAN_INI.replace("eps = 5e-4 1e-3",
+                                               "eps = 1e22"))
+    out = tmp_path / "out"
+    assert run(["scan-smallness", "--config", ini], out) == 3
+    assert listing(out) == ["error.json"]
+    err = load(out, "error.json")["error"]
+    assert err["type"] == "NaNError"
+    assert "t=" in err["message"] and "float32" in err["message"]
+
+
 # a grid so coarse that the solver step exceeds half a time unit
 COARSE_INI = """\
 [grid]

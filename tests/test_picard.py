@@ -7,7 +7,7 @@ import pytest
 
 from conftest import observed_rows
 from nullwave import exterior, fd, norms, picard, solver
-from nullwave.errors import NoConvergence, ParamError
+from nullwave.errors import NaNError, NoConvergence, ParamError
 from nullwave.exterior import InitialData, build_radial_grid
 from nullwave.nullforms import NullFormSpec
 from nullwave.picard import (
@@ -147,6 +147,8 @@ def test_no_convergence_carries_history(family):
 
 def test_no_convergence_solves_only_before_another_sweep(family,
                                                          monkeypatch):
+    # no floor, so that tol=1e-30 is not met by the third sweep
+    monkeypatch.setattr(picard, "FORCING_ROUNDING", 0.0)
     data = family(1e-3)
     with pytest.raises(NoConvergence) as longer:
         picard_solve(data, SPEC, 8.0, tol=1e-30, max_iter=3)
@@ -162,6 +164,48 @@ def test_no_convergence_solves_only_before_another_sweep(family,
     # the linear solve and one re-solve; none after the last residual
     assert len(solves) == 2
     assert exc_info.value.residuals == longer.value.residuals[:2]
+
+
+def test_a_null_form_past_float32_raises_at_the_write(family, grid):
+    # Q ~ eps^2, and on this grid a bump of norm 1 has native |Q| rows
+    # of 4e-6 to 9e-6: at eps 7e21 some rows, not the first, pass
+    # float32's 3.4e38.  The cast must not warn (an error under this
+    # suite's settings), and the error names the first row that does
+    # not fit
+    eps = 7e21
+    dt = solver.cfl_limit(grid)
+    n = solver.step_count(8.0, dt) + 1
+    data = family(eps)
+    sweep = picard._Sweep(data, SPEC, n, dt, None,
+                          np.empty((n,) + data.f.shape), False)
+    solver.solve_linear(data, None, 8.0, dt=dt, observe=sweep)
+    big = np.abs(sweep.forcing).max(axis=1) > np.finfo(np.float32).max
+    assert np.argmax(big) > 0 and np.isfinite(sweep.forcing).all()
+    with pytest.raises(NaNError, match="t=%g " % (dt * np.argmax(big))):
+        picard_solve(data, SPEC, 8.0, smallness_threshold=np.inf)
+
+
+def test_stop_level_is_the_forcing_resolution(monkeypatch):
+    # at eps 300 the first residual is ~10 and the sweeps contract ~0.1
+    # each: a float32 forcing cannot bring the residual to tol = 1e-8,
+    # and the run stops at the floor rounding puts under it
+    grid = build_radial_grid(1.0, 8.0, 200)
+    data = bump_data_family(grid, 2.0, 0.8)(300.0)
+    t_end = 8.0
+    _, rep = picard_solve(data, SPEC, t_end, tol=1e-8, max_iter=12,
+                          smallness_threshold=np.inf)
+    res = rep.residuals
+    assert res[0] > 0.1
+    # ||Q_0||: the space-time L2 norm of the linear run's null form
+    dt, _, _, _, _, q, _ = _reference_sweep(data, SPEC, None, t_end)
+    q0 = np.sqrt(np.sum(fd.trapezoid(dt, len(q))
+                        * np.sum(q[:, 0] ** 2 * grid.weights(), axis=1)))
+    floor = picard.FORCING_ROUNDING * q0 * (1 + 1 / dt + grid.ndim / grid.h)
+    assert 1e-8 < res[-1] <= floor < min(res[:-1])
+    monkeypatch.setattr(picard, "FORCING_ROUNDING", 0.0)
+    with pytest.raises(NoConvergence):
+        picard_solve(data, SPEC, t_end, tol=1e-8, max_iter=12,
+                     smallness_threshold=np.inf)
 
 
 def _block_case(name):
@@ -202,12 +246,12 @@ def _reference_sweep(data, spec, forcing, t_end, dt=None):
 
 
 def _check_sweep(sweep, grid, forcing, ref, time_stride):
-    """The observed sweep's rows, and the forcing it made, against the
-    whole-stack reference."""
+    """The observed sweep's rows, and the forcing it made (rounded to the
+    forcing's dtype), against the whole-stack reference."""
     dt, times, us, up, ut, q, F = ref
     n = len(times)
     assert sweep.n == n and sweep.dt == dt
-    assert forcing.tobytes() == F.tobytes()
+    assert forcing.tobytes() == F.astype(forcing.dtype).tobytes()
     assert sweep.sup.tobytes() == np.max(np.abs(up).reshape(n, -1),
                                          axis=1).tobytes()
     assert sweep.boundary == np.max(np.abs(us[..., ~grid.updated()]),
@@ -230,7 +274,9 @@ def _check_sweep(sweep, grid, forcing, ref, time_stride):
                                   "ellipsoid"])
 def test_results_do_not_depend_on_the_block_size(monkeypatch, name):
     # each observed sweep, whatever the block its rows are taken in,
-    # equals the rows of a run with the same forcing and d1 over them
+    # equals the rows of a run with the same forcing and d1 over them;
+    # no floor, so that tol=1e-30 is not met by the third sweep
+    monkeypatch.setattr(picard, "FORCING_ROUNDING", 0.0)
     data, spec, t_end = _block_case(name)
     grid = data.grid
     time_stride = 7 if name == "radial-sponge" else None
@@ -295,8 +341,10 @@ def test_observed_sweep_edge_cases(monkeypatch, t_end, time_stride):
 
 @pytest.mark.parametrize("sweeps", [1, 3])
 def test_picard_holds_no_space_time_temporaries(monkeypatch, sweeps):
-    # blocks far below the run, so that one whole-run temporary shows
+    # blocks far below the run, so that one whole-run temporary shows;
+    # no floor, so that tol=1e-30 is not met before the last sweep
     monkeypatch.setattr(fd, "BLOCK_VALUES", 2**12)
+    monkeypatch.setattr(picard, "FORCING_ROUNDING", 0.0)
     block = 8 * fd.BLOCK_VALUES
     data = bump_data_family(build_radial_grid(1.0, 12.0, 400,
                                               sponge_cells=100))(1e-3)
@@ -320,9 +368,10 @@ def test_picard_holds_no_space_time_temporaries(monkeypatch, sweeps):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # no u stack, and one forcing array: each sweep writes the forcing
-    # it makes over the rows of the applied one that the solver has read
-    assert peak < stack + 32 * block
+    # no u stack, and one float32 forcing array, half a u stack: each
+    # sweep writes the forcing it makes over the rows of the applied one
+    # that the solver has read
+    assert peak < stack // 2 + 32 * block
 
 
 def test_cartesian_picard_holds_a_fixed_number_of_rows(monkeypatch):
@@ -384,9 +433,11 @@ def test_scan_rows_ordered_and_reported(family):
         assert row["final_residual"] <= 1e-8
 
 
-def test_scan_rows_match_picard_solve(family):
+def test_scan_rows_match_picard_solve(family, monkeypatch):
     # one row builder: a failed and a converged entry carry what
-    # picard_solve raises or returns for the same data, to the bit
+    # picard_solve raises or returns for the same data, to the bit;
+    # no floor, so that tol=1e-30 is not met by the third sweep
+    monkeypatch.setattr(picard, "FORCING_ROUNDING", 0.0)
     with pytest.raises(NoConvergence) as exc:
         picard_solve(family(1e-3), SPEC, 8.0, tol=1e-30, max_iter=3)
     res = exc.value.residuals

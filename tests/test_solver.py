@@ -362,6 +362,20 @@ def test_solve_linear_leaves_data_and_forcing_untouched():
     assert field.tobytes() == kept
 
 
+def test_float32_forcing_is_averaged_in_float64():
+    # Picard stores its forcing in float32: a run with it equals a run with
+    # its float64 copy.  Rows 1 and 1 + 2**-23 average to 1 + 2**-24 in
+    # float64, which a float32 sum rounds to 1
+    data, rec, t_end = _kernel_case("recorded")
+    rec32 = rec.astype(np.float32)
+    rec32[0], rec32[1] = 1.0, 1.0 + 2.0**-23
+    assert np.float32(0.5) * (rec32[0] + rec32[1])[0, 1] == 1.0
+    _, us32, vs32 = observed_rows(data, rec32, t_end)
+    _, us64, vs64 = observed_rows(data, rec32.astype(np.float64), t_end)
+    assert us32.tobytes() == us64.tobytes()
+    assert vs32.tobytes() == vs64.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # observed runs
 
