@@ -6,28 +6,24 @@ embeds a convex obstacle into a cube with a staircase Dirichlet boundary
 and an absorbing sponge band at the outer faces.
 
 Both grids provide one interface, so the solver, the norms and the
-Picard iteration each have a single code path.  Fields come in the
-grid's native representation ("native") or as physical values u:
+Picard iteration each have a single code path.  Every field holds the
+physical values u at the nodes:
 
-    kind, ndim, h, n_nodes, sponge_cells   identification and sizes
-    zeros(), sponge_sigma()                native field shape, damping
+    kind, ndim, h, n, n_nodes              identification and sizes
+    sponge_cells, sponge_strength          the absorbing band
+    zeros(), sponge_sigma()                field shape, damping
     coords(), radii()                      sample points and |x| per node
     updated()                              nodes the stepper evolves (*)
-    laplace(native, out=None, tmp=None)    native spatial operator
+    laplace(u, out=None, tmp=None)         spatial operator
     pin(a)                                 zero the Dirichlet nodes in place
     on_boundary(a)                         values on obstacle-boundary nodes
     weights()                              volume quadrature per node (*)
-    gradient(u, out), native_gradient(native, out)   physical gradient tuple
-    to_physical(native), from_physical(u)  representation changes
+    gradient(u, out=None)                  spatial gradient tuple
+    hessian_sq(u, grad)                    squared Hessian norm per node
     sample(u)                              initial-data field, zero in solids
-    energy_fn(inside)                      energy of a native state (u, v)
-    physical_laplacian(u), hessian_sq(u, grad)   second derivatives of u
+    energy_fn(inside=None)                 energy of a state (u, v)
 
 (*) one read-only array, made with the grid.
-
-The radial native representation w = r * u, which turns the radial wave
-operator into d_tt - d_rr plus a centrifugal term l(l+1)/r^2, is private
-to RadialGrid; the Cartesian native representation is u itself.
 """
 
 import numpy as np
@@ -107,15 +103,17 @@ def _check_sponge_strength(strength):
 
 
 def _check_spacing(h, power):
-    # fd.d2 divides by h**2 and a cube's volume element is h**3: a spacing
-    # whose power overflows ends in a traceback or in NaN output
+    # the stencils divide by h**2 (the radial laplace's coefficients are
+    # made with the grid) and a cube's volume element is h**3: a spacing
+    # whose power or its reciprocal overflows ends in a traceback, or in
+    # NaN output
     try:
-        finite = np.isfinite(h**power)
-    except OverflowError:
+        finite = np.isfinite(h**power) and np.isfinite(h**-power)
+    except (OverflowError, ZeroDivisionError):
         finite = False
     if not finite:
-        raise ParamError("grid spacing %g is too large: h**%d overflows"
-                         % (h, power))
+        raise ParamError("grid spacing %g is out of range: h**%d or its "
+                         "reciprocal overflows" % (h, power))
 
 
 def _sponge_ramp(s, strength):
@@ -124,12 +122,12 @@ def _sponge_ramp(s, strength):
 
 
 class RadialGrid:
-    """Uniform grid on [r0, r_max]; native fields hold w = r * u.
+    """Uniform grid on [r0, r_max] of fields u(r).
 
     angular_mode is the spherical-harmonic degree l of the reduction; the
-    wave operator on w is d_tt - d_rr + l(l+1)/r^2.  Both end nodes carry
-    Dirichlet conditions; an optional sponge band of sponge_cells cells
-    damps outgoing waves before the outer end.
+    wave operator is d_tt - d_rr - (2/r) d_r + l(l+1)/r^2.  Both end nodes
+    carry Dirichlet conditions; an optional sponge band of sponge_cells
+    cells damps outgoing waves before the outer end.
     """
 
     kind = "radial"
@@ -160,6 +158,21 @@ class RadialGrid:
         self._live[[0, -1]] = False
         self._vol = 4.0 * np.pi * self._r2 * fd.trapezoid(self.h, self.n + 1)
         self._live.flags.writeable = self._vol.flags.writeable = False
+        # laplace's coefficients.  Inside, those of d2 + (2/r) d1 -
+        # l(l+1)/r^2 with centred d2 and d1, which is d2(r u) / r.  At each
+        # end, those of the same sum with fd.d2's and fd.d1's one-sided
+        # formulas, on the four nodes from that end inward
+        h, l = np.float64(self.h), self.angular_mode
+        d2, q = 1.0 / h**2, 1.0 / (h * self.r)
+        mode = l * (l + 1) / self._r2 if l else np.zeros_like(self.r)
+        self._inner = (d2 - q[1:-1], -2.0 * d2 - mode[1:-1], d2 + q[1:-1])
+        rows = np.array([[2.0, -5.0, 4.0, -1.0],    # h^2 fd.d2
+                         [-3.0, 4.0, -1.0, 0.0],    # 2 h fd.d1, at r0
+                         [1.0, 0.0, 0.0, 0.0]])     # the end node
+        self._ends = [(nodes, tuple(np.array([d2, side * q[nodes[0]],
+                                              -mode[nodes[0]]]) @ rows))
+                      for side, nodes in ((1.0, (0, 1, 2, 3)),
+                                          (-1.0, (-1, -2, -3, -4)))]
 
     @property
     def n_nodes(self):
@@ -187,19 +200,28 @@ class RadialGrid:
         """Nodes the stepper evolves (all but the two Dirichlet ends)."""
         return self._live
 
-    def laplace(self, w, out=None, tmp=None):
-        """Native spatial operator d_rr - l(l+1)/r^2 on w.
+    def laplace(self, u, out=None, tmp=None):
+        """The operator d_rr + (2/r) d_r - l(l+1)/r^2 on u.
 
-        Written into out if given; tmp is scratch of w's shape for the
-        mode term (allocated when needed and not given).
+        Inside, the 3-point stencil c u[i-1] + b u[i] + a u[i+1]; at the
+        two ends, the one-sided formulas.  Written into out if given; tmp
+        is scratch of u's shape (allocated when not given).
         """
-        acc = fd.d2(w, self.h, axis=-1, out=out)
-        l = self.angular_mode
-        if l:
-            tmp = np.multiply(l * (l + 1), w, out=tmp)
-            np.divide(tmp, self._r2, out=tmp)
-            acc -= tmp
-        return acc
+        if out is None:
+            out = np.empty(u.shape)
+        if tmp is None:
+            tmp = np.empty_like(out)
+        c, b, a = self._inner
+        mid, t = out[..., 1:-1], tmp[..., 1:-1]
+        np.multiply(c, u[..., :-2], out=mid)
+        mid += np.multiply(b, u[..., 1:-1], out=t)
+        mid += np.multiply(a, u[..., 2:], out=t)
+        # node i of every row, a scalar when u is one row (as in fd)
+        lead = (slice(None),) * (u.ndim - 1)
+        for nodes, (e0, e1, e2, e3) in self._ends:
+            f0, f1, f2, f3 = (u[lead + (i,)] for i in nodes)
+            out[lead + (nodes[0],)] = e0 * f0 + e1 * f1 + e2 * f2 + e3 * f3
+        return out
 
     def pin(self, a):
         """Zero the two Dirichlet end nodes in place."""
@@ -215,56 +237,31 @@ class RadialGrid:
         return self._vol
 
     def gradient(self, u, out=None):
-        """Physical spatial gradient (d u / d r,) of a physical field."""
+        """Spatial gradient (d u / d r,) of a field."""
         return (fd.d1(u, self.h, axis=-1, out=out and out[0]),)
 
-    def native_gradient(self, field, out=None):
-        """Physical spatial gradient (d u / d r,) of a native field w.
-
-        d u / d r = (w' - w/r) / r.
-        """
-        w = np.asarray(field, dtype=float)
-        (d,) = self.gradient(w, out)
-        return (np.divide(np.subtract(d, w / self.r, out=d), self.r, out=d),)
-
-    def to_physical(self, field):
-        """w -> u = w / r."""
-        return np.asarray(field, dtype=float) / self.r
-
-    def from_physical(self, u):
-        """u -> w = r * u."""
-        return np.asarray(u, dtype=float) * self.r
-
-    # initial data needs no masking: every radial node is outside r0
-    sample = from_physical
+    def sample(self, u):
+        """Initial-data field of node values u; every radial node is
+        outside r0, so none is masked."""
+        return np.array(u, dtype=float)
 
     def energy_fn(self, inside=None):
-        """Energy of native states (w, w_t) over nodes where inside holds.
+        """Energy of states (u, v) over nodes where inside holds.
 
-        The density is kept in w form, r^2 (|du|^2 + |u|^2) in terms of w,
-        summed with trapezoid weights in r, made here, and 4 pi after.
+        The density r^2 (v^2 + |du|^2 + u^2) + l(l+1) u^2 is summed with
+        trapezoid weights in r, made here, and 4 pi after.
         """
-        r, l = self.r, self.angular_mode
+        r2, l = self._r2, self.angular_mode
         wts = fd.trapezoid(self.h, self.n_nodes)
         if inside is not None:
             wts = np.where(inside, wts, 0.0)
 
-        def at(w, vw):
-            wr = fd.d1(w, self.h, axis=-1)
-            uphys = w / r
-            dens = vw**2 + (wr - uphys)**2 + w**2
+        def at(u, v):
+            dens = (v**2 + fd.d1(u, self.h, axis=-1)**2 + u**2) * r2
             if l:
-                dens = dens + (l * (l + 1)) * uphys**2
+                dens = dens + (l * (l + 1)) * u**2
             return float(4.0 * np.pi * np.sum(dens * wts))
         return at
-
-    def physical_laplacian(self, u):
-        """Laplacian of a physical field, including the mode term."""
-        l = self.angular_mode
-        lap = fd.d2(u, self.h) + 2.0 * fd.d1(u, self.h) / self.r
-        if l:
-            lap = lap - l * (l + 1) * u / self.r**2
-        return lap
 
     def hessian_sq(self, u, grad):
         """Squared Hessian Frobenius norm f''^2 + 2 (f'/r)^2 per node."""
@@ -334,7 +331,7 @@ class CartesianGrid:
         return self._live
 
     def laplace(self, u, out=None, tmp=None):
-        """Native spatial operator: the 7-point Laplacian.
+        """The 7-point Laplacian of u.
 
         Written into out if given; tmp is scratch of u's shape that the
         second and third axis terms pass through (allocated if not given).
@@ -345,8 +342,6 @@ class CartesianGrid:
         for axis in (-2, -1):
             acc += fd.d2(u, self.h, axis=axis, out=tmp)
         return acc
-
-    physical_laplacian = laplace
 
     def pin(self, a):
         """Zero every node the stepper does not evolve, in place.
@@ -370,14 +365,6 @@ class CartesianGrid:
         """Spatial gradient (d_1 u, d_2 u, d_3 u) of a field."""
         return tuple(fd.d1(u, self.h, axis=ax, out=o)
                      for ax, o in zip((-3, -2, -1), out or (None,) * 3))
-
-    native_gradient = gradient
-
-    def to_physical(self, field):
-        return np.asarray(field, dtype=float)
-
-    def from_physical(self, u):
-        return np.asarray(u, dtype=float)
 
     def sample(self, u):
         """Initial-data field of physical node values u, zero in solids."""
@@ -475,11 +462,10 @@ def build_masked_grid(obstacle, L, n, sponge_cells=8, sponge_strength=4.0):
 
 
 class InitialData:
-    """Cauchy data (f, g) as native grid fields.
+    """Cauchy data (f, g) as grid fields.
 
-    On radial grids the stored arrays are w-representation (r * u); use
-    from_physical to sample ordinary functions of r.  Boundary vanishing is
-    not enforced here; solvers check it where their contracts require it.
+    Boundary vanishing is not enforced here; solvers check it where their
+    contracts require it.
     """
 
     def __init__(self, grid, f, g):
@@ -518,8 +504,8 @@ def compatibility_functions(data: InitialData, spec: NullFormSpec, k):
 
     psi_0 = f, psi_1 = g, and each following order comes from substituting
     the Taylor expansion in t into d_tt u = Lap u + Q(du, du) and matching
-    powers of t.  Returned fields are physical (u-space), as a list of
-    arrays of shape (n_components,) + grid shape.
+    powers of t.  Returned fields are a list of arrays of shape
+    (n_components,) + grid shape.
 
     Spatial derivatives are centered differences, so each extra order
     costs accuracy; orders above 4 are refused.
@@ -533,10 +519,8 @@ def compatibility_functions(data: InitialData, spec: NullFormSpec, k):
     shape = grid.zeros().shape
     fshape = (N,) + shape
 
-    f = grid.to_physical(data.f)
-    g = grid.to_physical(data.g)
-    f = np.broadcast_to(f, fshape).copy()
-    g = np.broadcast_to(g, fshape).copy()
+    f = np.broadcast_to(data.f, fshape).copy()
+    g = np.broadcast_to(data.g, fshape).copy()
 
     if not spec.is_linear():
         if grid.kind == "radial" and not spec.radial_compatible():
@@ -549,7 +533,7 @@ def compatibility_functions(data: InitialData, spec: NullFormSpec, k):
     for p in range(k - 1):
         nxt = np.empty(fshape)
         for i in range(N):
-            nxt[i] = grid.physical_laplacian(a[p][i])
+            grid.laplace(a[p][i], out=nxt[i])
         if not spec.is_linear():
             nxt += _q_taylor_coefficient(grid, spec, a, p)
         a.append(nxt / ((p + 1) * (p + 2)))

@@ -59,11 +59,8 @@ def weighted_sobolev_norm(field, m, j, grid):
 
 def data_smallness_norm(data):
     """The combined data size the small-data theory is phrased in."""
-    grid = data.grid
-    f = grid.to_physical(data.f)
-    g = grid.to_physical(data.g)
-    return weighted_sobolev_norm(f, 2, 1, grid) \
-        + weighted_sobolev_norm(g, 1, 2, grid)
+    return weighted_sobolev_norm(data.f, 2, 1, data.grid) \
+        + weighted_sobolev_norm(data.g, 1, 2, data.grid)
 
 
 def scale_to_data_norm(data, target):
@@ -112,9 +109,9 @@ def sphere_sobolev_norm(grid, field, order):
 
 def evaluate_nullform_series(grid, spec: NullFormSpec, u, u_t, out=None,
                              work=None):
-    """Physical Q(du, du) of snapshot rows.
+    """Q(du, du) of snapshot rows.
 
-    u holds native rows and u_t their physical time derivatives, both of
+    u holds the rows and u_t their time derivatives, both of
     shape (rows, n_components) + grid shape, and so does the result
     (into out if given).  The gradient rows and two products go into the
     grid.ndim + 2 C-contiguous arrays of u's size of work, or new ones.
@@ -125,7 +122,7 @@ def evaluate_nullform_series(grid, spec: NullFormSpec, u, u_t, out=None,
         raise ParamError("trajectory component count does not match spec")
     *grads, s, p = np.empty((grid.ndim + 2,) + u.shape) if work is None \
         else [a.reshape(u.shape) for a in work]
-    du = (u_t,) + grid.native_gradient(u, grads)
+    du = (u_t,) + grid.gradient(u, grads)
     per_comp = [[d[:, j] for d in du] for j in range(spec.n_components)]
     out = np.empty(du[0].shape) if out is None else out
     out.fill(0.0)
@@ -315,10 +312,8 @@ def _ratio_report(row, sup_window, deltas):
     sol = row["solution"]
     if sol is None:
         return None
-    traj, data = sol.trajectory, sol.data
+    traj, f, g = sol.trajectory, sol.data.f, sol.data.g
     grid = traj.grid
-    f = grid.to_physical(data.f)
-    g = grid.to_physical(data.g)
     if np.max(np.abs(f)) == 0 and np.max(np.abs(g)) == 0:
         return None
     samples = sol.samples

@@ -20,9 +20,8 @@ observer takes their residual against them and writes its Q over them
 for the next sweep.  Q, the residual and its sums stay float64; only the
 write to the forcing rounds.  Each sweep owns a workspace of block rows,
 for u_t, Q, the residual and the gradient rows and products (work) of
-the null form and then of the residual's slab_sums: on a Cartesian grid
-the observer allocates no row per block, on a radial one only the
-w <-> u conversions do.
+the null form and then of the residual's slab_sums, so the observer
+allocates no row per block.
 
 The rounding puts a floor under the residual: a fixed point of the
 rounded iteration still differs from its own forcing by the rounding
@@ -71,10 +70,10 @@ class NonlinearSolution:
     """The converged sweep of a Picard run, as its observer reduced it.
 
     trajectory is the observed run: its first and last (u, v).
-    sup_times and sup_values are the physical sup series.  samples (the
-    sample-frame rows: snapshot times "t" and physical "u", "u_t",
-    "u_r", "Q", "Q_t" at every time_stride-th snapshot) and window (the
-    physical Q rows of LOCAL_LINEAR_WINDOW) are None unless the run was
+    sup_times and sup_values are the sup series.  samples (the
+    sample-frame rows: snapshot times "t" and "u", "u_t", "u_r", "Q",
+    "Q_t" at every time_stride-th snapshot) and window (the Q rows of
+    LOCAL_LINEAR_WINDOW) are None unless the run was
     solved with a time_stride.
     """
 
@@ -188,23 +187,20 @@ class _Sweep:
     def _take(self, lo, hi):
         """Q, forcing and recorded rows lo:hi; returns the residual's put."""
         grid, n, dt, k = self.grid, self.n, self.dt, hi - lo
-        u, u_t = fd.d1_rows(lambda a, b: grid.to_physical(self.u.read(a, b)),
-                            lo, hi, n, dt, self.ut[:k])
-        native = self.u.read(lo, hi)
+        u, u_t = fd.d1_rows(self.u.read, lo, hi, n, dt, self.ut[:k])
         self.sup[lo:hi] = np.abs(u, out=self.work[0, :k]).reshape(
             k, -1).max(axis=1)
-        pinned = native.reshape(k, -1)[:, self.fixed]
+        pinned = u.reshape(k, -1)[:, self.fixed]
         self.boundary = max(self.boundary,
                             float(np.abs(pinned).max(initial=0.0)))
         lead = (k,) + self.comp
         q = evaluate_nullform_series(
-            grid, self.spec, native.reshape(lead), u_t.reshape(lead),
+            grid, self.spec, u.reshape(lead), u_t.reshape(lead),
             self.q_out[:k].reshape(lead), self.work[:, :k])
-        new = grid.from_physical(q).reshape(native.shape)
+        new = q.reshape(u.shape)
         rows_f = self.forcing[lo:hi]
-        done = self.res.put(lo, grid.to_physical(
-            np.subtract(new, rows_f, out=self.work[-1, :k])
-            if self.applied else new))
+        done = self.res.put(lo, np.subtract(
+            new, rows_f, out=self.work[-1, :k]) if self.applied else new)
         try:
             with np.errstate(over="raise"):
                 rows_f[...] = new
@@ -224,7 +220,7 @@ class _Sweep:
         at = rows[hit] // stride
         s["u"][at] = u[hit]
         s["u_t"][at] = u_t[hit]
-        # evaluate_nullform_series left the rows' native gradient here
+        # evaluate_nullform_series left the rows' gradient here
         s["u_r"][at] = self.work[0, :k][hit]
         s["Q"][at] = q[hit, 0]
         for a, b in self.q.put(lo, q[:, 0]):

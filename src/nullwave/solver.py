@@ -26,10 +26,9 @@ forcing so); the step averages its rows in float64.  run-linear
 observes its local energies, and every Picard sweep is observed too
 (see nullwave.picard).
 
-Fields are stored in each grid's native representation (see
-nullwave.exterior); the grid supplies the spatial operator, the Dirichlet
-pinning and the energy.  Leading axes are allowed, so a stack of
-components evolves in one call.
+The grid (see nullwave.exterior) supplies the spatial operator, the
+Dirichlet pinning and the energy.  Leading axes are allowed, so a stack
+of components evolves in one call.
 """
 
 import numpy as np
@@ -127,7 +126,7 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
                  observe=None):
     """March the linear wave equation to at least t_end.
 
-    forcing may be None, a callable t -> native field (evaluated at step
+    forcing may be None, a callable t -> field (evaluated at step
     midpoints), or an array of per-step fields of shape
     (n_steps + 1,) + field shape, in which case midpoint values are taken
     as adjacent averages.  The run takes step_count(t_end, dt, stride)
@@ -204,7 +203,7 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
 # energy functionals
 
 def local_energy_fn(grid, A):
-    """The local energy on grid as a function of native (u, v).
+    """The local energy on grid as a function of (u, v).
 
     The energy is the sum of |du|^2 + |u|^2 over evolved nodes,
     restricted to |x| < A; A = None means no restriction.  All terms are

@@ -220,6 +220,57 @@ def test_run_linear_energies_match_a_stored_run(tmp_path):
     assert fields["v"].tobytes() == vs[-1].tobytes()
 
 
+# l = 0 and a run too short for the pulse to reach r0 = 1: r u is
+# d'Alembert's (w0(r - t) + w0(r + t)) / 2 with w0 = r u0
+PULSE_INI = """\
+[grid]
+r_max = 12.0
+n = 1200
+angular_mode = 0
+
+[run]
+t_end = 0.3
+stride = 1
+
+[fit]
+window = 0.05 0.25
+"""
+
+
+def test_run_linear_snapshot_holds_the_physical_state(tmp_path):
+    ini = write_ini(tmp_path, PULSE_INI)
+    out = tmp_path / "out"
+    assert run(["run-linear", "--config", ini], out) == 0
+    ec = cli.ExperimentConfig(cli.load_config(ini, "run-linear"), 0)
+    grid, data = ec.grid, ec.data()
+    center, width = ec.raw["data"]["center"], ec.raw["data"]["width"]
+
+    def bump(rho):
+        # the bump profile p and its derivative dp of bump_data_family
+        s = (rho - center) / width
+        inside = np.abs(s) < 1.0
+        p = np.zeros_like(s)
+        p[inside] = np.e * np.exp(-1.0 / (1.0 - s[inside] ** 2))
+        dp = np.zeros_like(s)
+        dp[inside] = -2.0 * s[inside] / (1.0 - s[inside] ** 2) ** 2
+        return p, p * dp / width
+
+    # the amplitude, from the data at the bump's peak
+    k = int(np.argmax(data.f))
+    amp = data.f[k] / bump(grid.r[k:k + 1])[0][0]
+
+    def w0(rho):
+        p, dp = bump(rho)
+        return amp * rho * p, amp * (p + rho * dp)
+
+    _, t, fields = gridio.read_snapshot(str(out / "linear_final.nwb"))
+    r = grid.r
+    (wm, dwm), (wp, dwp) = w0(r - t), w0(r + t)
+    u, v = (wm + wp) / (2.0 * r), (dwp - dwm) / (2.0 * r)
+    assert np.max(np.abs(fields["u"] - u)) < 1e-3 * np.max(np.abs(u))
+    assert np.max(np.abs(fields["v"] - v)) < 2e-2 * np.max(np.abs(v))
+
+
 def test_run_linear_memory_does_not_grow_with_t_end(tmp_path):
     # storing every u and v snapshot would take about 30 MB on the
     # defaults and twice that at twice the length
@@ -398,6 +449,7 @@ BAD_CONFIGS = [
     # grid sizes whose spacing, or its square or cube, is not finite
     ("inf_r_max", "[grid]\nr_max = inf\n"),
     ("huge_r_max", "[grid]\nr_max = 1e200\n"),
+    ("tiny_r_range", "[grid]\nr0 = 1e-200\nr_max = 2e-200\n"),
     # a finite spacing on which the bump data norm overflows
     ("large_r_max", "[grid]\nr_max = 1e100\n"),
     # a radial grid of 8 PiB, which cannot be allocated
@@ -532,6 +584,19 @@ def test_no_convergence_writes_diagnostic(tmp_path):
     assert len(err["residuals"]) == 1
     assert err["residuals"][0] > 1e-14
     assert "convergence" in err["message"]
+
+
+def test_estimate_report_without_a_converged_entry_exit_3(tmp_path):
+    # one sweep per entry cannot bring a residual to 1e-30: no scan row
+    # converges, so there is no report to write
+    ini = write_ini(tmp_path, SCAN_INI.replace("max_iter = 8", "max_iter = 1")
+                    .replace("tol = 1e-9", "tol = 1e-30"))
+    out = tmp_path / "out"
+    assert run(["estimate-report", "--config", ini], out) == 3
+    assert listing(out) == ["error.json"]
+    err = load(out, "error.json")["error"]
+    assert err["type"] == "FitError"
+    assert "no converged scan entries" in err["message"]
 
 
 def test_cartesian_mode_without_n_exit_2(tmp_path, capsys):
@@ -695,6 +760,28 @@ def test_vanishing_null_form_spreads_are_null(tmp_path, nullform):
     assert spreads["ratio_null_cylinder"] is None
     assert spreads["ratio_weighted_energy"] > 0
     assert spreads["ratio_sup_decay"] > 0
+
+
+def test_custom_terms_skip_blank_lines(tmp_path):
+    # an indented INI continuation: the value starts with an empty line
+    # and holds a blank one between its two terms
+    ini = write_ini(tmp_path, "[nullform]\nkind = custom\nterms =\n"
+                    "    0 0 0 1.0 q0\n\n    0 0 0 0.5 q0\n")
+    ec = cli.ExperimentConfig(cli.load_config(ini, "check-compat"), 0)
+    assert ec.spec.terms == ((0, 0, 0, 1.0, "q0"), (0, 0, 0, 0.5, "q0"))
+    assert run(["check-compat", "--config", ini], tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("terms", [
+    "0 0 0 1.0", "0 0 x 1.0 q0", "0 0 0 big q0",
+], ids=["four-tokens", "non-numeric-index", "non-numeric-coefficient"])
+def test_bad_custom_terms_exit_2(tmp_path, capsys, terms):
+    ini = write_ini(tmp_path, "[nullform]\nkind = custom\nterms = %s\n"
+                    % terms)
+    out = tmp_path / "never"
+    assert run(["check-compat", "--config", ini], out) == 2
+    assert "custom term" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("subcommand", sorted(cli.COMMANDS))

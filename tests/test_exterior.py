@@ -1,5 +1,8 @@
 """Grids, obstacle masks, initial data, and the compatibility recursion."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,10 @@ from nullwave.exterior import (
     FLUID,
     OBSTACLE,
     SPONGE,
+    CartesianGrid,
     InitialData,
     Obstacle,
+    RadialGrid,
     build_masked_grid,
     build_radial_grid,
 )
@@ -96,20 +101,55 @@ def test_radial_grid_rejects_bad_params():
         build_radial_grid(1.0, 6.0, 100, sponge_cells=60)
 
 
-def test_radial_physical_round_trip():
-    grid = build_radial_grid(1.0, 6.0, 50)
-    u = np.sin(grid.r)
-    w = grid.from_physical(u)
-    assert np.allclose(w, grid.r * u)
-    assert np.allclose(grid.to_physical(w), u)
-
-
 def test_radial_physical_derivative():
     grid = build_radial_grid(1.0, 6.0, 400)
     u = np.exp(-((grid.r - 3.0) ** 2))
-    (du,) = grid.native_gradient(grid.from_physical(u))
+    (du,) = grid.gradient(u)
     exact = -2.0 * (grid.r - 3.0) * u
     assert np.max(np.abs(du - exact)) < 2e-4
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_radial_laplace_is_d2_of_r_u_over_r(l):
+    # the centred d2(r u) / r inside; d2 u + (2/r) d1 u with one-sided
+    # differences at the ends; and the mode term
+    grid = build_radial_grid(1.0, 6.0, 400, angular_mode=l)
+    r = grid.r
+    u = np.stack([np.exp(-((r - 3.0) ** 2)), np.sin(r) / r])
+    lap = grid.laplace(u)
+    mode = l * (l + 1) * u / r**2
+    inner = fd.d2(r * u, grid.h) / r - mode
+    ends = fd.d2(u, grid.h) + 2.0 * fd.d1(u, grid.h) / r - mode
+    scale = np.max(np.abs(lap))
+    assert np.max(np.abs(lap - inner)[:, 1:-1]) < 1e-11 * scale
+    assert np.max(np.abs(lap - ends)[:, [0, -1]]) < 1e-11 * scale
+    # rows of a stack are the rows alone, and out and tmp take the result
+    # and the scratch
+    out, tmp = np.full((2, 2, grid.n_nodes), np.nan)
+    assert grid.laplace(u, out=out, tmp=tmp) is out
+    for row, want in zip(u, lap):
+        assert grid.laplace(row).tobytes() == want.tobytes()
+    assert out.tobytes() == lap.tobytes()
+
+
+def test_radial_laplace_near_the_origin_is_finite():
+    # r0^2 underflows to 0, and l = 0 has no mode term to divide by it
+    grid = build_radial_grid(1e-200, 1.0, 16)
+    assert grid.r[0] ** 2 == 0.0
+    assert np.all(np.isfinite(grid.laplace(np.cos(grid.r))))
+
+
+def test_radial_laplace_allocates_no_field():
+    grid = build_radial_grid(1.0, 36.0, 8000, angular_mode=1)
+    u = np.sin(grid.r)
+    out, tmp = np.empty((2, grid.n_nodes))
+    tracemalloc.start()
+    try:
+        grid.laplace(u, out=out, tmp=tmp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < u.nbytes / 10
 
 
 def test_radial_sponge_profile():
@@ -254,6 +294,32 @@ CONTRACT_GRIDS = {
 }
 
 
+def _public(obj):
+    return {name for name in dir(obj) if not name.startswith("_")}
+
+
+def _member_table():
+    """The names in the member table of nullwave.exterior's docstring:
+    its indented lines, names before the first run of two spaces."""
+    names = set()
+    for line in exterior.__doc__.splitlines():
+        if line.startswith("    "):
+            column = re.split(r"\s{2,}", line.strip())[0]
+            names |= {n.strip() for n in
+                      re.sub(r"\([^)]*\)", "", column).split(",")}
+    return names
+
+
+def test_grid_interface_is_the_docstring_table():
+    # both grid classes define the same public members, and the table
+    # lists exactly the members both grids' instances have
+    radial, cart = CONTRACT_GRIDS["radial"](), CONTRACT_GRIDS["ellipsoid"]()
+    assert _public(RadialGrid) == _public(CartesianGrid)
+    shared = _public(radial) & _public(cart)
+    assert _public(RadialGrid) <= shared
+    assert _member_table() == shared
+
+
 @pytest.mark.parametrize("name", sorted(CONTRACT_GRIDS))
 def test_grid_contract_pin_zeroes_exactly_the_fixed_nodes(name):
     grid = CONTRACT_GRIDS[name]()
@@ -302,11 +368,10 @@ def test_grid_contract_gradient_of_linear_field_is_exact(name):
     x = grid.coords()
     u = (x[..., None] if grid.ndim == 1 else x) @ slope + 1.0
     live = grid.updated()
-    native = grid.from_physical(u)
-    for grad in (grid.gradient(u), grid.native_gradient(native)):
-        assert len(grad) == grid.ndim
-        for comp, c in zip(grad, slope):
-            assert np.max(np.abs(comp[live] - c)) < 1e-11
+    grad = grid.gradient(u)
+    assert len(grad) == grid.ndim
+    for comp, c in zip(grad, slope):
+        assert np.max(np.abs(comp[live] - c)) < 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +382,7 @@ def test_initial_data_radial_representation():
     grid = build_radial_grid(1.0, 6.0, 50)
     data = InitialData.from_physical(grid, lambda r: (r - 1.0) ** 2,
                                      lambda r: np.zeros_like(r))
-    assert np.allclose(data.f, grid.r * (grid.r - 1.0) ** 2)
+    assert data.f.tobytes() == ((grid.r - 1.0) ** 2).tobytes()
     assert np.allclose(data.g, 0.0)
     assert grid.on_boundary(data.f) == 0.0
     assert grid.on_boundary(data.g) == 0.0
@@ -399,8 +464,8 @@ def test_compatibility_orders_zero_one_are_the_data():
     grid, data, _, _ = _radial_case(100)
     psis = exterior.compatibility_functions(data, NullFormSpec.scalar_q0(), 1)
     assert len(psis) == 2
-    assert np.allclose(psis[0][0], grid.to_physical(data.f), atol=1e-13)
-    assert np.allclose(psis[1][0], grid.to_physical(data.g), atol=1e-13)
+    assert np.allclose(psis[0][0], data.f, atol=1e-13)
+    assert np.allclose(psis[1][0], data.g, atol=1e-13)
 
 
 def test_compatibility_linear_polynomial_exact():

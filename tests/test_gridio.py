@@ -55,6 +55,19 @@ def test_cartesian_grid_round_trip(tmp_path):
     assert back.sponge_cells == grid.sponge_cells
 
 
+def test_sphere_masked_grid_round_trip(tmp_path):
+    grid = build_masked_grid(Obstacle.sphere(1.5), 12.0, 24, sponge_cells=8,
+                             sponge_strength=2.5)
+    back = _grid_back(tmp_path / "grid.nwb", grid)
+    assert back.kind == "cartesian"
+    assert back.obstacle.kind == "sphere"
+    assert back.obstacle.params == (1.5,)
+    assert back.L == grid.L and back.n == grid.n
+    assert np.array_equal(back.mask, grid.mask)
+    assert back.sponge_cells == grid.sponge_cells
+    assert back.sponge_strength == grid.sponge_strength
+
+
 def test_snapshot_round_trip(tmp_path):
     path = tmp_path / "s.nwb"
     grid = build_radial_grid(1.0, 6.0, 100)

@@ -173,18 +173,17 @@ def test_slab_norm_homogeneity():
 
 
 def _separable_trajectory(grid, n_snap=41, dt_snap=0.02):
-    # w = r * cos(1.3 t) * exp(-(r-3)^2): physical derivatives in closed form
+    # u = cos(1.3 t) * exp(-(r-3)^2): derivatives in closed form
     times = dt_snap * np.arange(n_snap)
     prof = np.exp(-((grid.r - 3.0) ** 2))
-    u = np.cos(1.3 * times)[:, None] * (grid.r * prof)[None, :]
+    u = np.cos(1.3 * times)[:, None] * prof[None, :]
     return Trajectory(grid, times, u, dt=dt_snap, stride=1), prof
 
 
 def _series_rows(traj):
-    """(native u, physical u_t) of a scalar trajectory, with the
-    component axis evaluate_nullform_series reads."""
-    grid = traj.grid
-    u_t = fd.d1(grid.to_physical(traj.u), traj.dt, axis=0)
+    """(u, u_t) of a scalar trajectory, with the component axis
+    evaluate_nullform_series reads."""
+    u_t = fd.d1(traj.u, traj.dt, axis=0)
     return traj.u[:, None], u_t[:, None]
 
 
@@ -356,9 +355,9 @@ def test_sampled_time_derivatives_take_the_solver_step():
     assert samples["t"].tobytes() == traj.times[idx].tobytes()
     assert samples["t"][1] - samples["t"][0] > 9 * dt
 
-    u = grid.to_physical(traj.u)
+    u = traj.u
     ut = fd.d1(u, dt, axis=0)
-    (ur,) = grid.native_gradient(traj.u[idx])
+    (ur,) = grid.gradient(u[idx])
     for name, ref in (("u", u[idx]), ("u_t", ut[idx]), ("u_r", ur)):
         assert samples[name].tobytes() == ref.tobytes(), name
     frame = _frame(sol)
@@ -367,7 +366,7 @@ def test_sampled_time_derivatives_take_the_solver_step():
         assert have.tobytes() == ref.tobytes()
 
     # Q = q0(du, du) of the whole stack, with the whole stack's u_t
-    (ur_all,) = grid.native_gradient(traj.u)
+    (ur_all,) = grid.gradient(u)
     Q = ut * ut - ur_all * ur_all
     assert evaluate_nullform_series(grid, spec, *_series_rows(traj))[:, 0] \
         .tobytes() == Q.tobytes()

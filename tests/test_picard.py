@@ -50,8 +50,7 @@ def test_linear_spec_reproduces_linear_solver(family, grid):
     assert np.array_equal(sol.trajectory.v, vs[[0, -1]])
     assert sol.sup_times.tobytes() == (ref.dt * np.arange(len(us))).tobytes()
     assert sol.sup_times[-1] == ref.times[-1]
-    assert sol.sup_values.tobytes() == np.max(
-        np.abs(grid.to_physical(us)), axis=1).tobytes()
+    assert sol.sup_values.tobytes() == np.max(np.abs(us), axis=1).tobytes()
 
 
 def test_first_residual_scales_quadratically(family):
@@ -167,11 +166,11 @@ def test_no_convergence_solves_only_before_another_sweep(family,
 
 
 def test_a_null_form_past_float32_raises_at_the_write(family, grid):
-    # Q ~ eps^2, and on this grid a bump of norm 1 has native |Q| rows
-    # of 4e-6 to 9e-6: at eps 7e21 some rows, not the first, pass
-    # float32's 3.4e38.  The cast must not warn (an error under this
-    # suite's settings), and the error names the first row that does
-    # not fit
+    # Q ~ eps^2, and on this grid a bump of norm 1 has |Q| rows of 5e-9
+    # to 9e-6, 1.6e-6 in the first: at eps 7e21 some rows, not the
+    # first, pass float32's 3.4e38.  The cast must not warn (an error
+    # under this suite's settings), and the error names the first row
+    # that does not fit
     eps = 7e21
     dt = solver.cfl_limit(grid)
     n = solver.step_count(8.0, dt) + 1
@@ -231,17 +230,16 @@ def _reference_sweep(data, spec, forcing, t_end, dt=None):
     whole stack.
 
     Returns the run's step and snapshot times and, over all its
-    snapshots, native u, physical u and u_t and Q (rows with a component
-    axis) and the native forcing.
+    snapshots, u, then u, u_t and Q as rows with a component axis, and
+    the forcing.
     """
     grid = data.grid
     traj, us, _ = observed_rows(data, forcing, t_end, dt=dt)
     n = len(us)
-    u = us.reshape((n, spec.n_components) + grid.zeros().shape)
-    up = grid.to_physical(u)
+    up = us.reshape((n, spec.n_components) + grid.zeros().shape)
     ut = fd.d1(up, traj.dt, axis=0)
-    q = norms.evaluate_nullform_series(grid, spec, u, ut)
-    F = grid.from_physical(q).reshape(us.shape)
+    q = norms.evaluate_nullform_series(grid, spec, up, ut)
+    F = q.reshape(us.shape)
     return traj.dt, traj.dt * np.arange(n), us, up, ut, q, F
 
 
@@ -262,7 +260,7 @@ def _check_sweep(sweep, grid, forcing, ref, time_stride):
     idx = np.arange(0, n, time_stride)
     Q = q[:, 0, :]
     want = {"t": times[idx], "u": up[idx, 0], "u_t": ut[idx, 0],
-            "u_r": grid.native_gradient(us[idx])[0], "Q": Q[idx],
+            "u_r": grid.gradient(us[idx])[0], "Q": Q[idx],
             "Q_t": fd.d1(Q, dt, axis=0)[idx]}
     for name, ref_rows in want.items():
         assert sweep.samples[name].tobytes() == ref_rows.tobytes(), name
@@ -308,7 +306,7 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, name):
             ref = _reference_sweep(data, spec, forcing, t_end)
             _check_sweep(sweep, grid, made, ref, time_stride)
             F, dt = ref[-1], sweep.dt
-            res = grid.to_physical(F if applied is None else F - applied)
+            res = F if applied is None else F - applied
             assert residual == norms.slab_norm(norms.slab_sums(
                 grid, res, fd.d1(res, dt, axis=0)), dt)
             applied = made
@@ -533,7 +531,7 @@ def test_bump_family_norm_calibration(grid, family):
         assert np.isclose(norms.data_smallness_norm(data), eps, rtol=1e-12)
     # compact support away from both ends
     data = family(1e-2)
-    u0 = grid.to_physical(data.f)
+    u0 = data.f
     assert u0[0] == 0.0 and u0[-1] == 0.0
     assert np.max(np.abs(u0)) > 0
 

@@ -31,8 +31,8 @@ def _bump(r, center, half_width):
 
 
 def test_radial_manufactured_solution_second_order():
-    # w = sin(a (r - 1)) cos(b t) solves w_tt = w_rr + (a^2 - b^2) w with
-    # both ends pinned to zero
+    # w = r u = sin(a (r - 1)) cos(b t) solves w_tt = w_rr + (a^2 - b^2) w
+    # with both ends pinned to zero; the error is measured in r u
     L = 8.0
     a = 3.0 * 2.0 * np.pi / L
     b = 1.3
@@ -40,15 +40,16 @@ def test_radial_manufactured_solution_second_order():
     for n in (200, 400, 800):
         grid = build_radial_grid(1.0, 1.0 + L, n)
         w0 = np.sin(a * (grid.r - 1.0))
-        data = InitialData(grid, w0, np.zeros_like(w0))
+        data = InitialData(grid, w0 / grid.r, np.zeros_like(w0))
 
         def force(t, _grid=grid):
-            return (a**2 - b**2) * np.cos(b * t) * np.sin(a * (_grid.r - 1.0))
+            return ((a**2 - b**2) * np.cos(b * t)
+                    * np.sin(a * (_grid.r - 1.0)) / _grid.r)
 
         traj = solve_linear(data, force, 2.0, stride=1)
         t_fin = traj.times[-1]
         exact = np.sin(a * (grid.r - 1.0)) * np.cos(b * t_fin)
-        errs.append(np.max(np.abs(traj.u[-1] - exact)))
+        errs.append(np.max(np.abs(grid.r * traj.u[-1] - exact)))
     assert errs[0] < 7e-4
     assert errs[-1] < 5e-5
     for coarse, fine in zip(errs, errs[1:]):
@@ -98,7 +99,7 @@ def test_energy_drift_is_flat():
     # roundoff level over four hundred time units
     grid = build_radial_grid(1.0, 9.0, 128)
     w0 = np.sin(2.0 * np.pi * (grid.r - 1.0))
-    data = InitialData(grid, w0, np.zeros_like(w0))
+    data = InitialData(grid, w0 / grid.r, np.zeros_like(w0))
     energy = local_energy_fn(grid, None)
     evals = []
     traj = solve_linear(data, None, 400.0, stride=4,
@@ -121,7 +122,7 @@ def test_finite_propagation_exact_regime():
     assert h == 0.25
     amp = _bump(grid.r, 3.0, 1.5)          # support [1.5, 4.5]
     a = 4.5
-    data = InitialData(grid, amp, np.zeros_like(amp))
+    data = InitialData(grid, amp / grid.r, np.zeros_like(amp))
     dt = cfl_limit(grid)
     traj = solve_linear(data, None, 19 * dt, stride=19)
     t, u = traj.times[-1], traj.u[-1]
@@ -139,7 +140,7 @@ def test_finite_propagation_numerical_cone():
     h = grid.h
     amp = _bump(grid.r, 3.0, 1.5)
     a = 4.5
-    data = InitialData(grid, amp, np.zeros_like(amp))
+    data = InitialData(grid, amp / grid.r, np.zeros_like(amp))
     dt = cfl_limit(grid)
     traj = solve_linear(data, None, 119 * dt, stride=119)
     t, u = traj.times[-1], traj.u[-1]
@@ -148,14 +149,14 @@ def test_finite_propagation_numerical_cone():
     assert cone.sum() > 10
     assert np.max(np.abs(u[cone])) == 0.0
     phys = grid.r > a + t + 2.0 * h
-    tail = np.max(np.abs(u[phys]))
+    tail = np.max(np.abs(grid.r * u)[phys])
     assert 0.0 < tail < 1e-3
 
 
 def test_sponge_absorbs_outgoing_pulse():
     def final_local_energy(sponge_cells):
         grid = build_radial_grid(1.0, 21.0, 800, sponge_cells=sponge_cells)
-        amp = _bump(grid.r, 3.0, 1.0)
+        amp = _bump(grid.r, 3.0, 1.0) / grid.r
         energy = local_energy_fn(grid, 10.0)
         evals = []
         solve_linear(InitialData(grid, amp, np.zeros_like(amp)),
@@ -219,10 +220,14 @@ def test_recorded_forcing_matches_callable():
 def _reference_laplace(grid, u):
     # the allocating operators the kernel replaced
     if grid.kind == "radial":
-        acc = fd.d2(u, grid.h, axis=-1)
-        l = grid.angular_mode
-        if l:
-            acc -= (l * (l + 1)) * u / grid.r**2
+        # d2(r u) / r as a 3-point stencil inside; at the (pinned) ends,
+        # d2 u + (2/r) d1 u - l(l+1) u / r^2 with one-sided differences
+        r, h, l = grid.r, grid.h, grid.angular_mode
+        acc = fd.d2(u, h) + 2.0 * fd.d1(u, h) / r - l * (l + 1) * u / r**2
+        d2, q, ri = 1.0 / h**2, 1.0 / (h * r[1:-1]), r[1:-1]
+        acc[..., 1:-1] = ((d2 - q) * u[..., :-2]
+                          + (-2.0 * d2 - l * (l + 1) / ri**2) * u[..., 1:-1]
+                          + (d2 + q) * u[..., 2:])
         return acc
     acc = fd.d2(u, grid.h, axis=-3)
     acc += fd.d2(u, grid.h, axis=-2)
@@ -524,6 +529,30 @@ def test_blowup_raises_nan_error():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NaNError):
             solve_linear(data, force, 20.0)
+
+
+def test_blowup_after_the_last_check_names_the_final_time():
+    # five steps never reach a NAN_CHECK_INTERVAL check: the check after
+    # the last step catches the field
+    grid = build_radial_grid(1.0, 6.0, 100)
+    data = InitialData(grid, grid.zeros(), grid.zeros())
+    dt = cfl_limit(grid)
+    assert 5 < solver.NAN_CHECK_INTERVAL
+
+    def force(t):
+        return np.full(grid.n_nodes, np.inf)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NaNError, match="final time %g$" % (5 * dt)):
+            solve_linear(data, force, 5 * dt)
+
+
+def test_stride_must_be_positive():
+    grid = build_radial_grid(1.0, 6.0, 100)
+    data = InitialData(grid, grid.zeros(), grid.zeros())
+    for stride in (0, -1):
+        with pytest.raises(ParamError, match="stride"):
+            solve_linear(data, None, 1.0, stride=stride)
 
 
 def test_trajectory_validation_and_series():
