@@ -27,9 +27,11 @@ spec = NullFormSpec.scalar_q0()
 
 eps_list = [1e-4, 2e-4, 4e-4, 8e-4, 1.6e-3]
 deltas = [3.6, 3.2, 2.8, 2.0, 1.0, 0.3, 0.0]
-# each solution keeps its cylinder samples at every 20th snapshot
-rows = picard.smallness_scan(family, spec, eps_list, 60.0, time_stride=20)
-reports = norms.estimate_ratio_report(rows, deltas=deltas)
+# each solution keeps the cylinder norms of every 20th snapshot, with the
+# tip-weighted forcing norm at each delta
+rows = picard.smallness_scan(family, spec, eps_list, 60.0, time_stride=20,
+                             deltas=deltas)
+reports = norms.estimate_ratio_report(rows)
 
 print("LHS/RHS ratios per amplitude:")
 header = "   eps      " + "".join("%-16s" % name.replace("ratio_", "")

@@ -20,9 +20,8 @@ from .penrose import (EinsteinPoint, MinkowskiPoint, conformal_factor_tr,
                       forward_tr, from_einstein, tip_distance_tr, to_einstein)
 from .picard import (IterationReport, NonlinearSolution, bump_data_family,
                      measure_sup_decay, picard_solve, smallness_scan)
-from .norms import (NormReport, data_smallness_norm, delta_sweep,
-                    estimate_ratio_report, l8_norm, sphere_sobolev_norm,
-                    weighted_sobolev_norm)
+from .norms import (NormReport, data_smallness_norm, estimate_ratio_report,
+                    sphere_sobolev_norm, weighted_sobolev_norm)
 from .solver import (DecayFit, Trajectory, cfl_limit, fit_decay,
                      local_energy_fn, solve_linear)
 
@@ -39,9 +38,8 @@ __all__ = [
     "from_einstein", "tip_distance_tr", "to_einstein",
     "IterationReport", "NonlinearSolution", "bump_data_family",
     "measure_sup_decay", "picard_solve", "smallness_scan",
-    "NormReport", "data_smallness_norm", "delta_sweep",
-    "estimate_ratio_report", "l8_norm", "sphere_sobolev_norm",
-    "weighted_sobolev_norm",
+    "NormReport", "data_smallness_norm", "estimate_ratio_report",
+    "sphere_sobolev_norm", "weighted_sobolev_norm",
     "DecayFit", "Trajectory", "cfl_limit", "fit_decay", "local_energy_fn",
     "solve_linear",
     "__version__",

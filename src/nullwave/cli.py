@@ -21,9 +21,9 @@ from . import gridio, norms, penrose, picard, solver
 from .errors import (CFLError, ConfigError, DomainError, FitError,
                      FormatError, NaNError, NoConvergence, OrderError,
                      ParamError)
-from .exterior import (MAX_COMPAT_ORDER, InitialData, Obstacle,
-                       build_masked_grid, build_radial_grid,
-                       check_compatibility)
+from .exterior import (MAX_COMPAT_ORDER, Obstacle, build_masked_grid,
+                       build_radial_grid, check_compatibility,
+                       radially_reducible)
 from .nullforms import NullFormSpec
 
 SCHEMA_VERSION = 1
@@ -412,10 +412,10 @@ def cmd_run_nonlinear(ec, out, quiet):
     return summary
 
 
-def _run_scan(ec, time_stride=None):
+def _run_scan(ec, time_stride=None, deltas=()):
     return picard.smallness_scan(
         ec.family, ec.spec, ec.scan_eps, ec.t_end, dt=ec.dt, tol=ec.tol,
-        max_iter=ec.max_iter, time_stride=time_stride)
+        max_iter=ec.max_iter, time_stride=time_stride, deltas=deltas)
 
 
 def _table_row(row, quiet):
@@ -442,8 +442,7 @@ def cmd_scan_smallness(ec, out, quiet):
 
 def cmd_estimate_report(ec, out, quiet):
     reports = norms.estimate_ratio_report(
-        _run_scan(ec, ec.time_stride), sup_window=ec.sup_window,
-        deltas=ec.deltas)
+        _run_scan(ec, ec.time_stride, ec.deltas), sup_window=ec.sup_window)
     if not reports:
         raise FitError("no converged scan entries to report on")
 
@@ -524,19 +523,23 @@ def _check_for_subcommand(subcommand, ec):
     if subcommand in ("run-nonlinear", "scan-smallness", "estimate-report") \
             and ec.spec.n_components != 1:
         raise ConfigError("[nullform] components must be 1 for bump data")
+    # the others run the compatibility recursion
+    if subcommand not in ("verify-geometry", "run-linear") \
+            and not radially_reducible(ec.grid, ec.spec):
+        raise ConfigError("a nonlinear [nullform] on a radial grid needs q0 "
+                          "terms and [grid] angular_mode = 0")
     if subcommand == "estimate-report":
-        if ec.grid.kind != "radial":
-            raise ConfigError("estimate-report samples the cylinder on "
-                              "radial grids only ([grid] mode = radial)")
         if ec.t_end < norms.LOCAL_LINEAR_WINDOW[1]:
             raise ConfigError("estimate-report needs [run] t_end >= %g"
                               % norms.LOCAL_LINEAR_WINDOW[1])
         dt = ec.dt or solver.cfl_limit(ec.grid)
         n = solver.step_count(ec.t_end, dt)
-        if n // ec.time_stride + 1 < 3:
-            raise ConfigError("[report] time_stride = %d samples fewer "
-                              "than 3 of the run's %d snapshots"
-                              % (ec.time_stride, n + 1))
+        try:
+            norms.CylinderNorms(ec.grid, n + 1, dt, ec.time_stride, ec.deltas)
+        except ParamError as e:
+            raise ConfigError("estimate-report cannot sample the cylinder "
+                              "([grid] mode = %s, [report] time_stride = %d)"
+                              ": %s" % (ec.grid.kind, ec.time_stride, e))
         # the window starts at the first snapshot and holds 3 if it reaches
         # the third, so only the first three times are built
         first = dt * np.arange(min(n, 2) + 1)

@@ -499,6 +499,12 @@ def _boundary_max(grid, a):
 MAX_COMPAT_ORDER = 4
 
 
+def radially_reducible(grid, spec: NullFormSpec):
+    """Whether compatibility_functions can run spec on grid."""
+    return spec.is_linear() or grid.kind != "radial" or (
+        spec.radial_compatible() and grid.angular_mode == 0)
+
+
 def compatibility_functions(data: InitialData, spec: NullFormSpec, k):
     """Formal time-derivative traces psi_0..psi_k of the solution at t = 0.
 
@@ -522,11 +528,9 @@ def compatibility_functions(data: InitialData, spec: NullFormSpec, k):
     f = np.broadcast_to(data.f, fshape).copy()
     g = np.broadcast_to(data.g, fshape).copy()
 
-    if not spec.is_linear():
-        if grid.kind == "radial" and not spec.radial_compatible():
-            raise ParamError("only q0 terms are radially reducible")
-        if grid.kind == "radial" and grid.angular_mode != 0:
-            raise ParamError("nonlinear recursion needs angular_mode = 0")
+    if not radially_reducible(grid, spec):
+        raise ParamError("the nonlinear recursion on a radial grid needs "
+                         "q0 terms and angular_mode = 0")
 
     # Taylor coefficients a_j = psi_j / j!
     a = [f, g]

@@ -7,15 +7,13 @@ quadrature is pushed forward through the compactification, with the
 volume element picking up a factor of the fourth power of the conformal
 factor.
 
-Each run is pulled back once, and the sample frame is the only way
-onto the cylinder: one frame (the sample times, their image and tip
-distance, the conformal factor and its gradient, the quadrature
-weight) pulls back the solution and the forcing as fields
-(val, g0, gb), and delta_sweep (the tip-weighted norm), l8_norm and
-the frame's weighted energy sup read a frame with one such field.  The
-frame reads the rows a Picard sweep recorded while it ran (the samples
-of a NonlinearSolution), and the local-linear norm reads the Q rows of
-its window; a run keeps no u stack (see nullwave.solver).
+Every cylinder quantity is a sum or a max over the sampled rows of a
+run, so no sampled row is kept: a Picard sweep hands each one to
+CylinderNorms as it takes it, and the row's frame (its time, image and
+tip distance, conformal factor and gradient, quadrature weight) pulls
+back the solution and then the forcing as fields (val, g0, gb).  The
+local-linear norm reads the Q rows of its window; a run keeps no u
+stack (see nullwave.solver).
 
 Every time derivative is taken at the solver step, never across the
 sampling stride.  A slab norm is formed from the per-row slab_sums of
@@ -172,26 +170,15 @@ def window_rows(times, window):
 
 
 # ---------------------------------------------------------------------------
-# the cylinder sample frame and tip-weighted norms
+# the cylinder frame of a sampled row and the tip-weighted norms
 
-class _SampleFrame:
-    """The compactified sample frame of a radial run, built once.
+class _RowFrame:
+    """One sampled row of a radial run on the cylinder: its time t, image
+    (T, R) and tip distance, the conformal factor and its gradient, and
+    the pulled-back quadrature weight (wt is its weight in time)."""
 
-    The sample times t, their image (T, R) and tip distance, the
-    conformal factor and its gradient, and the pulled-back quadrature
-    weight; every cylinder quantity reads them.  Arrays have shape
-    (sampled snapshots, radial nodes).  The frame holds no field:
-    solution and forcing pull back the rows a Picard sweep recorded at
-    these times (NonlinearSolution.samples).
-    """
-
-    def __init__(self, grid, t):
-        if grid.kind != "radial":
-            raise ParamError("cylinder sampling supports radial grids")
-        if len(t) < 3:
-            raise ParamError("need at least 3 sampled snapshots")
-        self.grid = grid
-        t = self.t = np.asarray(t, dtype=float)[:, None]
+    def __init__(self, grid, t, wt):
+        self.grid, self.t = grid, t
         self.T, self.R = penrose.forward_tr(t, grid.r)
         if np.any(self.R + np.abs(self.T) >= np.pi):
             raise DomainError("samples outside the compactified diamond")
@@ -199,8 +186,7 @@ class _SampleFrame:
         self.dist = np.sqrt(self.dist2)
         self.conf = penrose.conformal_factor_tr(t, grid.r)
         self.dconf_dt, self.dconf_dr = penrose.conformal_gradient_tr(t, grid.r)
-        wt = fd.trapezoid(t[1, 0] - t[0, 0], len(t))[:, None]
-        self.weight = self.conf**4 * grid.weights()[None, :] * wt
+        self.weight = self.conf**4 * grid.weights() * wt
 
     def pull(self, q, q_t, q_r, power):
         """Cylinder field val = conf**power * q of a radial q, with (g0, gb).
@@ -219,47 +205,70 @@ class _SampleFrame:
               + r * r * val_r)
         return scale * q, g0, gb
 
-    def solution(self, samples):
-        """(val, g0, gb) of the cylinder field conf * u of recorded rows."""
-        return self.pull(samples["u"], samples["u_t"], samples["u_r"], 1)
 
-    def forcing(self, samples):
-        """(val, g0, gb) of the cylinder field conf^-3 * Q of recorded rows."""
-        Q = samples["Q"]
-        return self.pull(Q, samples["Q_t"], fd.d1(Q, self.grid.h, axis=-1),
-                         -3)
+class CylinderNorms:
+    """The cylinder norms of a radial run, summed a sampled row at a time.
 
-    def energy_sup(self, val, g0, gb):
-        """Sup over sampled times of the tip-weighted slice norm of val."""
-        dens = val * val + self.dist2**2 * (g0 * g0 + gb * gb)
-        # slice measure: conf^3 dx on each sampled instant
-        slice_sq = np.sum(dens * self.conf**3 * self.grid.weights(), axis=1)
-        return float(np.sqrt(np.max(slice_sq)))
-
-
-def l8_norm(frame, val):
-    """Eighth power norm of the value val of a field pulled back by frame."""
-    val = np.abs(val)
-    m = np.max(val, initial=0.0)
-    if m == 0.0:
-        return 0.0
-    # normalize before the eighth power to keep the sum in range
-    return float(m * np.sum((val / m) ** 8 * frame.weight) ** 0.125)
-
-
-def delta_sweep(frame, field, deltas):
-    """Tip-weighted norms of a pulled-back field (val, g0, gb) of frame.
-
-    The quadratic sum of the field and its first derivatives along the
-    canonical cylinder fields, the derivative block carrying the weight
-    dist^4 (squared dist^2), over the samples with dist > delta, for
-    each delta; one density serves them all.
+    Rows 0, time_stride, 2 time_stride, ... of a run of n snapshots dt
+    apart are sampled.  solution(i, u, u_t, u_r) frames row i and adds
+    its field conf * u to the eighth power norm (a running max, and a
+    sum rescaled to it) and the weighted energy sup (a max of slice
+    sums); forcing(i, Q, Q_t) adds the row's field conf^-3 * Q to the
+    tip-weighted sums at delta 0 and at each of deltas, and drops the
+    frame.
     """
-    if any(d < 0 for d in deltas):
-        raise ParamError("delta must be nonnegative")
-    val, g0, gb = field
-    dens = (val * val + frame.dist**4 * (g0**2 + gb**2)) * frame.weight
-    return [float(np.sqrt(np.sum(dens[frame.dist > d]))) for d in deltas]
+
+    def __init__(self, grid, n, dt, time_stride, deltas):
+        if grid.kind != "radial":
+            raise ParamError("cylinder sampling supports radial grids")
+        if time_stride < 1:
+            raise ParamError("time_stride must be >= 1")
+        self.last = (n - 1) // time_stride * time_stride
+        if self.last < 2 * time_stride:
+            raise ParamError("need at least 3 sampled snapshots")
+        if any(d < 0 for d in deltas):
+            raise ParamError("delta must be nonnegative")
+        self.grid, self.dt, self.stride = grid, dt, time_stride
+        self.deltas = [0.0] + list(deltas)
+        self.tip_sq = np.zeros(len(self.deltas))
+        self.l8_max = self.l8_sum = self.energy_sq = 0.0
+        self.frames = {}
+
+    def solution(self, i, u, u_t, u_r):
+        """Frame sampled row i and add its solution row u."""
+        wt = self.dt * self.stride * (0.5 if i in (0, self.last) else 1.0)
+        frame = self.frames[i] = _RowFrame(self.grid, self.dt * i, wt)
+        val, g0, gb = frame.pull(u, u_t, u_r, 1)
+        dens = val * val + frame.dist2**2 * (g0 * g0 + gb * gb)
+        # slice measure: conf^3 dx on each sampled instant
+        self.energy_sq = max(self.energy_sq, float(np.sum(
+            dens * frame.conf**3 * self.grid.weights())))
+        val = np.abs(val)
+        m = float(np.max(val))
+        if m > self.l8_max:
+            # normalize before the eighth power to keep the sum in range
+            self.l8_sum *= (self.l8_max / m) ** 8
+            self.l8_max = m
+        if self.l8_max > 0.0:
+            self.l8_sum += float(np.sum((val / self.l8_max) ** 8
+                                        * frame.weight))
+
+    def forcing(self, i, Q, Q_t):
+        """Add the forcing row Q of sampled row i, whose solution is in:
+        the quadratic sum of the field and its derivatives along the
+        canonical cylinder fields, the derivative block weighted by
+        dist^4, over the nodes with dist > delta, for each delta."""
+        frame = self.frames.pop(i)
+        val, g0, gb = frame.pull(Q, Q_t, fd.d1(Q, self.grid.h), -3)
+        dens = (val * val + frame.dist**4 * (g0**2 + gb**2)) * frame.weight
+        self.tip_sq += [np.sum(dens[frame.dist > d]) for d in self.deltas]
+
+    def values(self):
+        """(the tip-weighted forcing norms at delta 0 and at each delta,
+        the eighth power norm of the solution, its weighted energy sup)."""
+        return ([float(s) for s in np.sqrt(self.tip_sq)],
+                self.l8_max * self.l8_sum ** 0.125,
+                float(np.sqrt(self.energy_sq)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,25 +298,24 @@ RATIO_NAMES = ("ratio_local_linear", "ratio_null_cylinder",
 LOCAL_LINEAR_WINDOW = (0.0, 1.0)
 
 
-def estimate_ratio_report(rows, sup_window=(5.0, 40.0), deltas=()):
+def estimate_ratio_report(rows, sup_window=(5.0, 40.0)):
     """LHS/RHS surrogate ratios for the four estimates, one report per run.
 
     rows are smallness_scan rows (dicts carrying "solution" and "eps")
     of a scan run with a time_stride, so that each solution carries its
-    sample rows and its local-linear window.  They are read one at a
+    cylinder norms and its local-linear window.  They are read one at a
     time and no row is held once its report is made, so each solution of
     a streamed scan is freed after its report, before the next entry is
     solved.  Rows without a converged solution, and zero-data rows, are
     skipped.  Each report's metadata carries eps, sup_window, t_end and,
-    under "delta_sweep", the delta_sweep values of its pulled-back
-    forcing at deltas; no report keeps its frame.
+    under "delta_sweep", the tip-weighted forcing norms at the scan's
+    deltas.
     """
-    return [rep for rep in map(
-        lambda row: _ratio_report(row, sup_window, deltas), rows)
-        if rep is not None]
+    return [rep for rep in map(lambda row: _ratio_report(row, sup_window),
+                               rows) if rep is not None]
 
 
-def _ratio_report(row, sup_window, deltas):
+def _ratio_report(row, sup_window):
     """The NormReport of one scan row, or None when it has nothing to show."""
     sol = row["solution"]
     if sol is None:
@@ -316,32 +324,22 @@ def _ratio_report(row, sup_window, deltas):
     grid = traj.grid
     if np.max(np.abs(f)) == 0 and np.max(np.abs(g)) == 0:
         return None
-    samples = sol.samples
-    if samples is None:
-        raise ParamError("the solution keeps no sample rows; solve it "
+    window = sol.window
+    if window is None:
+        raise ParamError("the solution keeps no cylinder norms; solve it "
                          "with a time_stride")
 
-    window = sol.window
     nf01 = slab_norm(slab_sums(grid, window, fd.d1(window, traj.dt, axis=0)),
                      traj.dt)
     h2 = weighted_sobolev_norm(f, 2, 0, grid)
     h1 = weighted_sobolev_norm(g, 1, 0, grid)
     h21 = weighted_sobolev_norm(f, 2, 1, grid)
     h12 = weighted_sobolev_norm(g, 1, 2, grid)
-
-    # one sample frame serves the forcing and solution norms and the
-    # truncation sweep
-    frame = _SampleFrame(grid, samples["t"])
-    tip_f, *sweep = delta_sweep(frame, frame.forcing(samples),
-                                [0.0] + list(deltas))
-    pull = frame.solution(samples)
-    pecher = l8_norm(frame, pull[0])
+    tip_f, *sweep = sol.tip_norms
 
     conf0 = 2.0 / (1.0 + grid.r**2)
     sph2 = sphere_sobolev_norm(grid, conf0 * f, 2)
     sph1 = sphere_sobolev_norm(grid, conf0**2 * g, 1)
-
-    wsup = frame.energy_sup(*pull)
 
     tt, ss = sol.sup_times, sol.sup_values
     keep = (tt >= sup_window[0]) & (tt <= sup_window[1])
@@ -354,11 +352,11 @@ def _ratio_report(row, sup_window, deltas):
         "rhs_local_linear": (h2 + h1 + nf01) ** 2,
         "lhs_null_cylinder": tip_f,
         "rhs_null_cylinder": (sph2 + sph1 + tip_f) ** 2,
-        "lhs_weighted_energy": wsup,
+        "lhs_weighted_energy": sol.energy_sup,
         "rhs_weighted_energy": sph2 + sph1 + tip_f,
         "lhs_sup_decay": sup_t,
         "rhs_sup_decay": h21 + h12 + tip_f,
-        "pecher_l8": pecher,
+        "pecher_l8": sol.l8_norm,
     }
     for name in RATIO_NAMES:
         tag = name[len("ratio_"):]

@@ -13,7 +13,7 @@ it, and works a block behind the solver: it takes the block's Q with
 the time derivative of the whole run (fd.d1_rows: centred inside, fd.d1
 of the first or last three rows at the ends), and reduces on the way
 what the callers read: the sup series, the boundary max, the residual's
-slab_sums, and with a time_stride the sample-frame rows and the Q rows
+slab_sums, and with a time_stride the cylinder norms and the Q rows
 of the local-linear window.  A run holds one forcing array, in float32:
 the solver has read a block's rows of it (see nullwave.solver), so the
 observer takes their residual against them and writes its Q over them
@@ -70,11 +70,10 @@ class NonlinearSolution:
     """The converged sweep of a Picard run, as its observer reduced it.
 
     trajectory is the observed run: its first and last (u, v).
-    sup_times and sup_values are the sup series.  samples (the
-    sample-frame rows: snapshot times "t" and "u", "u_t", "u_r", "Q",
-    "Q_t" at every time_stride-th snapshot) and window (the Q rows of
-    LOCAL_LINEAR_WINDOW) are None unless the run was
-    solved with a time_stride.
+    sup_times and sup_values are the sup series.  The cylinder norms
+    (norms.CylinderNorms: tip_norms at delta 0 and at each of the run's
+    deltas, l8_norm, energy_sup) and window (the Q rows of
+    LOCAL_LINEAR_WINDOW) are None unless it was solved with a time_stride.
     """
 
     def __init__(self, trajectory, spec, data, sweep):
@@ -84,8 +83,9 @@ class NonlinearSolution:
         # the snapshot times of the stride-1 run, dt * arange
         self.sup_times = trajectory.dt * np.arange(sweep.n)
         self.sup_values = sweep.sup
-        self.samples = sweep.samples
         self.window = sweep.window
+        self.tip_norms, self.l8_norm, self.energy_sup = \
+            sweep.cylinder.values() if sweep.cylinder else (None,) * 3
         self._boundary_max = sweep.boundary
 
     def boundary_max(self):
@@ -140,10 +140,12 @@ class _Sweep:
     (if applied), go into a second _Rows, whose blocks add their
     slab_sums to sq; then Q goes over the block's rows of forcing.  The
     sup series and the boundary max are reduced a block at a time too.
-    With time_stride, a third _Rows of Q rows gives Q_t at the samples.
+    With time_stride, the cylinder norms take a sampled row's solution
+    with its block, and its forcing once a third _Rows gives its Q_t.
     """
 
-    def __init__(self, data, spec, n, dt, time_stride, forcing, applied):
+    def __init__(self, data, spec, n, dt, time_stride, deltas, forcing,
+                 applied):
         grid = self.grid = data.grid
         self.spec, self.n, self.dt = spec, n, dt
         shape = data.f.shape
@@ -161,15 +163,15 @@ class _Sweep:
         self.fixed = np.flatnonzero(np.broadcast_to(~grid.updated(), shape))
         self.boundary = 0.0
         self.stride = time_stride
-        self.samples = self.window = None
+        self.cylinder = self.window = None
         if time_stride is None:
             return
-        t = dt * np.arange(n)
-        self.samples = {"t": t[::time_stride]}
-        for name in ("u", "u_t", "u_r", "Q", "Q_t"):
-            self.samples[name] = np.empty((len(self.samples["t"]),) + shape)
+        if spec.n_components != 1:
+            raise ParamError("forcing samples support scalar systems only")
+        self.cylinder = norms.CylinderNorms(grid, n, dt, time_stride, deltas)
         self.q = _Rows(n, block, grid.zeros().shape)
-        self.i0, i1 = norms.window_rows(t, LOCAL_LINEAR_WINDOW)
+        self.i0, i1 = norms.window_rows(dt * np.arange(n),
+                                        LOCAL_LINEAR_WINDOW)
         if i1 - self.i0 < 3:
             raise ParamError("the local-linear window holds fewer than 3 "
                              "snapshots")
@@ -211,29 +213,30 @@ class _Sweep:
                            "float32 forcing" % (dt * (lo + np.argmax(big))))
         if self.stride is None:
             return done
-        s, stride, i0 = self.samples, self.stride, self.i0
+        i0 = self.i0
         w0, w1 = max(lo, i0), min(hi, i0 + len(self.window))
         if w0 < w1:
             self.window[w0 - i0:w1 - i0] = q[w0 - lo:w1 - lo]
-        rows = np.arange(lo, hi)
-        hit = rows % stride == 0
-        at = rows[hit] // stride
-        s["u"][at] = u[hit]
-        s["u_t"][at] = u_t[hit]
-        # evaluate_nullform_series left the rows' gradient here
-        s["u_r"][at] = self.work[0, :k][hit]
-        s["Q"][at] = q[hit, 0]
+        cyl, stride = self.cylinder, self.stride
+        # evaluate_nullform_series left the rows' gradient in work[0]
+        u_r = self.work[0]
+        # a sampled row's forcing follows its solution at once if its Q_t
+        # is in, so at most two frames wait for their Q_t at a time
         for a, b in self.q.put(lo, q[:, 0]):
-            block = np.arange(a, b)
-            hit = block % stride == 0
-            s["Q_t"][block[hit] // stride] = fd.d1_rows(
-                self.q.read, a, b, n, dt)[1][hit]
+            for i in range(a + -a % stride, b, stride):
+                if i >= lo:
+                    cyl.solution(i, u[i - lo], u_t[i - lo], u_r[i - lo])
+                Q, Q_t = fd.d1_rows(self.q.read, i, i + 1, n, dt)
+                cyl.forcing(i, Q[0], Q_t[0])
+        a = max(lo, self.q.done)
+        for i in range(a + -a % stride, hi, stride):
+            cyl.solution(i, u[i - lo], u_t[i - lo], u_r[i - lo])
         return done
 
 
 def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
                  tol=1e-8, max_iter=12, smallness_threshold=None,
-                 time_stride=None):
+                 time_stride=None, deltas=()):
     """Iterate linear solves with fed-back null-form forcing.
 
     The first iterate is the linear solution.  Returns
@@ -244,9 +247,9 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
     rounding puts under the residual (see the module docstring).
     Raises NoConvergence when max_iter residuals were not enough.
     time_stride (radial grids and scalar systems only) makes the
-    solution keep the sample-frame rows of every time_stride-th snapshot
-    and the local-linear window, which norms.estimate_ratio_report
-    reads.
+    solution keep the cylinder norms of every time_stride-th snapshot,
+    with the tip-weighted forcing norm at each of deltas, and the
+    local-linear window, which norms.estimate_ratio_report reads.
     """
     if tol <= 0:
         raise ParamError("tol must be positive")
@@ -257,16 +260,6 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
     n = step_count(t_end, dt) + 1
     if n < 3:
         raise ParamError("the time stencil needs at least 3 snapshots")
-    if time_stride is not None:
-        if grid.kind != "radial":
-            raise ParamError("cylinder sampling supports radial grids")
-        if spec.n_components != 1:
-            raise ParamError("forcing samples support scalar systems only")
-        if time_stride < 1:
-            raise ParamError("time_stride must be >= 1")
-        if len(range(0, n, time_stride)) < 3:
-            raise ParamError("need at least 3 sampled snapshots")
-
     components = data.f.size // grid.zeros().size
     if components != spec.n_components:
         raise ParamError("data component count %d differs from the null "
@@ -293,7 +286,7 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
     residuals = []
     floor = 0.0
     while True:
-        sweep = _Sweep(data, spec, n, dt, time_stride, forcing,
+        sweep = _Sweep(data, spec, n, dt, time_stride, deltas, forcing,
                        applied is not None)
         traj = solve_linear(data, applied, t_end, dt=dt, stride=1,
                             observe=sweep)
@@ -324,7 +317,8 @@ def check_amplitudes(eps_list):
 
 
 def smallness_scan(data_family, spec: NullFormSpec, eps_list, t_end,
-                   dt=None, tol=1e-8, max_iter=12, time_stride=None):
+                   dt=None, tol=1e-8, max_iter=12, time_stride=None,
+                   deltas=()):
     """Run picard_solve per epsilon; yield the convergence table rows.
 
     data_family maps epsilon to InitialData.  check_amplitudes refuses
@@ -332,8 +326,8 @@ def smallness_scan(data_family, spec: NullFormSpec, eps_list, t_end,
     per row it yields, one at a time, in epsilon order.  Failures are
     recorded, not raised.  A row's "solution" is freed once the caller
     drops the row, so a caller that keeps no row keeps one entry's run
-    alive at a time.  time_stride goes to picard_solve
-    (norms.estimate_ratio_report reads the rows it keeps).
+    alive at a time.  time_stride and deltas go to picard_solve
+    (norms.estimate_ratio_report reads the norms they keep).
     """
     eps_list = check_amplitudes(eps_list)
 
@@ -342,7 +336,7 @@ def smallness_scan(data_family, spec: NullFormSpec, eps_list, t_end,
             sol, rep = picard_solve(data_family(eps), spec, t_end, dt=dt,
                                     tol=tol, max_iter=max_iter,
                                     smallness_threshold=np.inf,
-                                    time_stride=time_stride)
+                                    time_stride=time_stride, deltas=deltas)
             res = rep.residuals
         except NoConvergence as exc:
             sol, res = None, exc.residuals

@@ -57,9 +57,9 @@ def ratio_scan(acceptance_grid):
     spec = NullFormSpec.scalar_q0()
     rows = picard.smallness_scan(family, spec,
                                  [1e-4, 2e-4, 4e-4, 8e-4, 1.6e-3], 60.0,
-                                 time_stride=20)
-    reports = norms.estimate_ratio_report(
-        rows, deltas=[3.6, 3.2, 2.8, 2.0, 1.0, 0.3, 0.0])
+                                 time_stride=20,
+                                 deltas=[3.6, 3.2, 2.8, 2.0, 1.0, 0.3, 0.0])
+    reports = norms.estimate_ratio_report(rows)
     # the largest amplitude's truncation sweep, as the CLI writes it
     sweep = reports[-1].metadata["delta_sweep"]
     return reports, sweep

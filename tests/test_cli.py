@@ -509,6 +509,27 @@ def test_list_keys_exit_2_before_the_out_directory(tmp_path, subcommand,
     assert not out.exists()
 
 
+# the compatibility recursion runs a nonlinear form on a radial grid only
+# for q0 terms at angular mode 0: every subcommand that runs it refuses
+# the rest as a configuration error
+RECURSION_CONFIGS = [
+    ("angular_mode_1", "[grid]\nangular_mode = 1\n"),
+    ("custom_q12", "[nullform]\nkind = custom\nterms = 0 0 0 1.0 q12\n"),
+]
+
+
+@pytest.mark.parametrize("label,text", RECURSION_CONFIGS,
+                         ids=[c[0] for c in RECURSION_CONFIGS])
+@pytest.mark.parametrize("subcommand", ["check-compat", "run-nonlinear",
+                                        "scan-smallness", "estimate-report"])
+def test_radially_irreducible_forms_exit_2(tmp_path, subcommand, label,
+                                           text):
+    ini = write_ini(tmp_path, text)
+    out = tmp_path / "never"
+    assert run([subcommand, "--config", ini], out) == 2
+    assert not out.exists()
+
+
 def test_boolean_spellings(tmp_path):
     for value, expected in (("yes", True), ("On", True), ("1", True),
                             ("TRUE", True), ("no", False), ("OFF", False),

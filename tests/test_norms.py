@@ -1,10 +1,10 @@
-"""Weighted norms, the cylinder sample frame, and estimate-ratio diagnostics."""
+"""Weighted norms, streamed cylinder norms and estimate-ratio diagnostics."""
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import observed_rows
+from conftest import cylinder_reference, observed_rows
 from nullwave import exterior, fd, norms, penrose, picard, solver
 from nullwave.errors import DomainError, OrderError, ParamError
 from nullwave.exterior import InitialData, build_radial_grid
@@ -12,10 +12,8 @@ from nullwave.norms import (
     NormReport,
     RATIO_NAMES,
     data_smallness_norm,
-    delta_sweep,
     estimate_ratio_report,
     evaluate_nullform_series,
-    l8_norm,
     ratio_spreads,
     scale_to_data_norm,
     slab_norm,
@@ -232,7 +230,9 @@ def test_window_rows_select_the_window_snapshots():
 
 
 # ---------------------------------------------------------------------------
-# the cylinder sample frame and tip-weighted norms
+# the cylinder frame of a sampled row and the streamed cylinder norms
+
+DELTAS = [2.5, 2.0, 1.5, 1.0, 0.5, 0.0]
 
 
 @pytest.fixture(scope="module")
@@ -240,30 +240,64 @@ def nonlinear_run():
     grid = build_radial_grid(1.0, 12.0, 400, sponge_cells=100)
     family = picard.bump_data_family(grid, center=2.0, width=0.8)
     sol, rep = picard.picard_solve(family(1e-3), NullFormSpec.scalar_q0(),
-                                   12.0, tol=1e-10, time_stride=10)
+                                   12.0, tol=1e-10, time_stride=10,
+                                   deltas=DELTAS)
     assert rep.converged
     return sol
 
 
-def _frame(sol):
-    return norms._SampleFrame(sol.trajectory.grid, sol.samples["t"])
+@pytest.fixture(scope="module")
+def linear_run():
+    """A one-sweep run (tol above the first residual), which is the linear
+    run, with the whole (snapshots x nodes) u, u_t and Q of that run."""
+    grid = build_radial_grid(1.0, 12.0, 400, sponge_cells=100)
+    data = picard.bump_data_family(grid, center=2.0, width=0.8)(1e-3)
+    sol, rep = picard.picard_solve(data, NullFormSpec.scalar_q0(), 12.0,
+                                   tol=1.0, time_stride=10, deltas=DELTAS)
+    assert rep.iterations == 1
+    dt = solver.cfl_limit(grid)
+    _, u, _ = observed_rows(data, None, 12.0)
+    u_t = fd.d1(u, dt, axis=0)
+    (u_r,) = grid.gradient(u)
+    return sol, dt, u, u_t, u_t * u_t - u_r * u_r
 
 
-def test_cylinder_samples_shapes_and_weights(nonlinear_run):
-    frame = _frame(nonlinear_run)
-    n = nonlinear_run.trajectory.grid.n_nodes
-    shape = (len(nonlinear_run.samples["t"]), n)
-    # every frame array and pulled-back field is snapshot-major
-    for a in (frame.T, frame.R, frame.dist, frame.conf, frame.weight):
-        assert a.shape == shape
-    for a in frame.solution(nonlinear_run.samples):
-        assert a.shape == shape
-    assert np.all(frame.weight >= 0)
-    assert np.all(frame.dist > 0)
-    assert np.all(frame.conf > 0)
-    assert frame.dist.tobytes() == np.sqrt(frame.dist2).tobytes()
+def _fed(grid, dt, stride, u, u_t, Q=None, deltas=()):
+    """CylinderNorms fed every stride-th row of the stacks, as a sweep
+    feeds them (the forcing too if Q is given)."""
+    cyl = norms.CylinderNorms(grid, len(u), dt, stride, deltas)
+    (u_r,) = grid.gradient(u)
+    Q_t = None if Q is None else fd.d1(Q, dt, axis=0)
+    for i in range(0, len(u), stride):
+        cyl.solution(i, u[i], u_t[i], u_r[i])
+        if Q is not None:
+            cyl.forcing(i, Q[i], Q_t[i])
+    return cyl
+
+
+def test_cylinder_samples_shapes_and_weights(linear_run):
+    sol, dt, u, u_t, _ = linear_run
+    grid = sol.trajectory.grid
+    cyl = _fed(grid, dt, 10, u, u_t)
+    last = (len(u) - 1) // 10 * 10
+    assert sorted(cyl.frames) == list(range(0, last + 1, 10))
+    for i, frame in cyl.frames.items():
+        # every frame array is one row over the radial nodes
+        for a in (frame.T, frame.R, frame.dist, frame.conf, frame.weight):
+            assert a.shape == (grid.n_nodes,)
+        for a in frame.pull(u[i], u_t[i], u_t[i], 1):
+            assert a.shape == (grid.n_nodes,)
+        assert np.all(frame.weight > 0)
+        assert np.all(frame.dist > 0)
+        assert np.all(frame.conf > 0)
+        assert frame.dist.tobytes() == np.sqrt(frame.dist2).tobytes()
+        # the first and last samples get half the trapezoid weight
+        wt = 10 * dt * (0.5 if i in (0, last) else 1.0)
+        assert frame.t == dt * i
+        assert frame.weight.tobytes() == norms._RowFrame(
+            grid, dt * i, wt).weight.tobytes()
     # tip distance shrinks as time grows at fixed radius
-    assert frame.dist[-1, 0] < frame.dist[0, 0]
+    assert cyl.frames[last].dist[0] < cyl.frames[0].dist[0]
 
 
 def test_cylinder_samples_constructor_guards():
@@ -271,7 +305,12 @@ def test_cylinder_samples_constructor_guards():
     # the open diamond R + |T| < pi
     grid = build_radial_grid(1.0, 6.0, 100)
     with pytest.raises(DomainError):
-        norms._SampleFrame(grid, 1e17 + 64.0 * np.arange(4))
+        norms._RowFrame(grid, 1e17, 1.0)
+    cyl = norms.CylinderNorms(grid, 4, 1e17, 1, [])
+    zero = grid.zeros()
+    cyl.solution(0, zero, zero, zero)
+    with pytest.raises(DomainError):
+        cyl.solution(1, zero, zero, zero)
 
 
 def test_cylinder_sampling_guards(nonlinear_run):
@@ -279,11 +318,16 @@ def test_cylinder_sampling_guards(nonlinear_run):
     cart = exterior.build_masked_grid(exterior.Obstacle.sphere(1.0), 12.0,
                                       24, sponge_cells=0)
     with pytest.raises(ParamError):
-        norms._SampleFrame(cart, np.arange(5.0))
+        norms.CylinderNorms(cart, 5, 1.0, 1, [])
     with pytest.raises(ParamError):
         # fewer than 3 samples
-        norms._SampleFrame(grid, np.arange(2.0))
-    # picard_solve refuses, before it solves, a time_stride the frame
+        norms.CylinderNorms(grid, 2, 1.0, 1, [])
+    with pytest.raises(ParamError):
+        norms.CylinderNorms(grid, 5, 1.0, 3, [])
+    with pytest.raises(ParamError):
+        norms.CylinderNorms(grid, 5, 1.0, 0, [])
+    norms.CylinderNorms(grid, 5, 1.0, 2, [])
+    # picard_solve refuses, before it solves, a time_stride the norms
     # cannot read
     data = nonlinear_run.data
     spec = nonlinear_run.spec
@@ -310,72 +354,52 @@ def test_cylinder_sampling_guards(nonlinear_run):
         picard.picard_solve(coarse_data, spec, 8.0, time_stride=1)
 
 
-def test_tip_weighted_norm_schemes(nonlinear_run):
-    frame = _frame(nonlinear_run)
-    forcing = frame.forcing(nonlinear_run.samples)
-    l2 = delta_sweep(frame, forcing, [0.0])[0]
-    l8 = l8_norm(frame, forcing[0])
-    assert l2 > 0 and l8 > 0
-    # the eighth power norm, normalised or not, of the same quadrature
-    assert np.isclose(l8, np.sum(forcing[0] ** 8 * frame.weight) ** 0.125,
-                      rtol=1e-12)
-    assert l8_norm(frame, np.zeros_like(forcing[0])) == 0.0
+def test_tip_weighted_norm_schemes(linear_run):
+    sol, dt, u, u_t, Q = linear_run
+    grid = sol.trajectory.grid
+    assert sol.tip_norms[0] > 0 and sol.l8_norm > 0
+    # the running max rescales the eighth power sum: rows of scales far
+    # apart, a zero row first, against the plain sum of the whole frame
+    scale = np.array([0.0, 1e-3, 1.0, 1e3, 1e-2] * 10)[:, None]
+    u, u_t = scale * u[:50], scale * u_t[:50]
+    _, l8, _ = cylinder_reference(grid, dt, 1, u, u_t, Q[:50])
+    have = _fed(grid, dt, 1, u, u_t).values()[1]
+    assert np.isclose(have, l8, rtol=1e-12, atol=0.0)
+    assert _fed(grid, dt, 10, 0.0 * u, 0.0 * u_t).values()[1] == 0.0
     with pytest.raises(ParamError):
-        delta_sweep(frame, forcing, [-0.1])
+        norms.CylinderNorms(grid, len(u), dt, 10, [-0.1])
+    with pytest.raises(ParamError):
+        picard.picard_solve(sol.data, sol.spec, 12.0, time_stride=10,
+                            deltas=[1.0, -0.1])
 
 
 def test_delta_sweep_monotone(nonlinear_run):
-    frame = _frame(nonlinear_run)
-    forcing = frame.forcing(nonlinear_run.samples)
-    deltas = [2.5, 2.0, 1.5, 1.0, 0.5, 0.0]
-    vals = delta_sweep(frame, forcing, deltas)
+    tip, *vals = nonlinear_run.tip_norms
+    assert len(vals) == len(DELTAS)
     # truncating closer to the tip keeps more samples: nondecreasing
     assert all(b >= a for a, b in zip(vals, vals[1:]))
-    assert vals[-1] == delta_sweep(frame, forcing, [0.0])[0]
-    with pytest.raises(ParamError):
-        delta_sweep(frame, forcing, [1.0, -0.1])
+    assert vals[-1] == tip
 
 
-def test_sampled_time_derivatives_take_the_solver_step():
+def test_sampled_time_derivatives_take_the_solver_step(linear_run):
     # u_t and Q_t at the sampled rows are the derivatives of the whole
-    # stride-1 series, not differences across the sampling stride; a
-    # one-sweep run (tol above the first residual) is the linear run,
-    # whose rows give the whole series
-    grid = build_radial_grid(1.0, 12.0, 400, sponge_cells=100)
-    data = picard.bump_data_family(grid, center=2.0, width=0.8)(1e-3)
-    spec = NullFormSpec.scalar_q0()
-    sol, rep = picard.picard_solve(data, spec, 12.0, tol=1.0,
-                                   time_stride=10)
-    assert rep.iterations == 1
-    dt = solver.cfl_limit(grid)
-    _, us, _ = observed_rows(data, None, 12.0)
-    traj = Trajectory(grid, dt * np.arange(len(us)), us, dt=dt)
-    idx = np.arange(0, len(traj.times), 10)
-    samples = sol.samples
-    assert samples["t"].tobytes() == traj.times[idx].tobytes()
-    assert samples["t"][1] - samples["t"][0] > 9 * dt
-
-    u = traj.u
-    ut = fd.d1(u, dt, axis=0)
-    (ur,) = grid.gradient(u[idx])
-    for name, ref in (("u", u[idx]), ("u_t", ut[idx]), ("u_r", ur)):
-        assert samples[name].tobytes() == ref.tobytes(), name
-    frame = _frame(sol)
-    want = frame.pull(u[idx], ut[idx], ur, 1)
-    for have, ref in zip(frame.solution(samples), want):
-        assert have.tobytes() == ref.tobytes()
-
+    # stride-1 series, not differences across the sampling stride: the
+    # streamed norms are those of a frame of the whole run's rows
+    sol, dt, u, u_t, Q = linear_run
+    grid = sol.trajectory.grid
+    traj = Trajectory(grid, dt * np.arange(len(u)), u, dt=dt)
     # Q = q0(du, du) of the whole stack, with the whole stack's u_t
-    (ur_all,) = grid.gradient(u)
-    Q = ut * ut - ur_all * ur_all
-    assert evaluate_nullform_series(grid, spec, *_series_rows(traj))[:, 0] \
+    assert evaluate_nullform_series(grid, NullFormSpec.scalar_q0(),
+                                    *_series_rows(traj))[:, 0] \
         .tobytes() == Q.tobytes()
-    Qt = fd.d1(Q, dt, axis=0)
-    assert samples["Q"].tobytes() == Q[idx].tobytes()
-    assert samples["Q_t"].tobytes() == Qt[idx].tobytes()
-    want = frame.pull(Q[idx], Qt[idx], fd.d1(Q[idx], grid.h, axis=-1), -3)
-    for have, ref in zip(frame.forcing(samples), want):
-        assert have.tobytes() == ref.tobytes()
+    tips, l8, energy = cylinder_reference(grid, dt, 10, u, u_t, Q, DELTAS)
+    assert np.allclose(sol.tip_norms, tips, rtol=1e-12, atol=0.0)
+    assert np.isclose(sol.l8_norm, l8, rtol=1e-12, atol=0.0)
+    assert np.isclose(sol.energy_sup, energy, rtol=1e-12, atol=0.0)
+    # across the sampling stride the norms would be off by far more
+    coarse = cylinder_reference(grid, 10 * dt, 1, u[::10],
+                                fd.d1(u[::10], 10 * dt, axis=0), Q[::10])
+    assert not np.isclose(sol.tip_norms[0], coarse[0][0], rtol=1e-6)
 
 
 def test_row_stencil_is_the_whole_series_derivative():
@@ -407,8 +431,7 @@ def test_pull_is_the_cylinder_derivative_of_the_field(power):
     # g0 must be its d/dT and gb its d/dR (the boost magnitude of a
     # zonal field), both by central differences through the inverse map
     grid = build_radial_grid(1.0, 6.0, 100)
-    frame = norms._SampleFrame(grid, 0.1 * np.arange(31))
-    t, r = frame.t, grid.r
+    r = grid.r
 
     def q_parts(t, r):
         prof = np.exp(-((r - 3.0) ** 2))
@@ -419,23 +442,27 @@ def test_pull_is_the_cylinder_derivative_of_the_field(power):
         p = penrose.from_einstein(penrose.EinsteinPoint(T, R))
         return penrose.conformal_factor(p) ** power * q_parts(p.t, p.r)[0]
 
-    val, g0, gb = frame.pull(*q_parts(t, r), power)
-    T, R = frame.T, frame.R
+    # the largest |g0|, |gb| and their errors over the rows
+    top = np.zeros(4)
     h = 1e-5
-    fd_T = (field(T + h, R) - field(T - h, R)) / (2 * h)
-    fd_R = (field(T, R + h) - field(T, R - h)) / (2 * h)
-    assert np.allclose(val, field(T, R), rtol=1e-12, atol=0.0)
-    assert np.max(np.abs(g0 - fd_T)) < 1e-7 * np.max(np.abs(g0))
-    assert np.max(np.abs(gb - fd_R)) < 1e-7 * np.max(np.abs(gb))
+    for t in 0.1 * np.arange(31):
+        frame = norms._RowFrame(grid, t, 1.0)
+        val, g0, gb = frame.pull(*q_parts(t, r), power)
+        T, R = frame.T, frame.R
+        fd_T = (field(T + h, R) - field(T - h, R)) / (2 * h)
+        fd_R = (field(T, R + h) - field(T, R - h)) / (2 * h)
+        assert np.allclose(val, field(T, R), rtol=1e-12, atol=0.0)
+        top = np.maximum(top, [np.max(np.abs(a)) for a in (
+            g0, g0 - fd_T, gb, gb - fd_R)])
+    assert top[1] < 1e-7 * top[0] and top[3] < 1e-7 * top[2]
 
 
-def test_weighted_energy_sup_homogeneous(nonlinear_run):
-    frame = _frame(nonlinear_run)
-    samples = nonlinear_run.samples
-    a = frame.energy_sup(*frame.solution(samples))
-    doubled = {name: 2.0 * samples[name] for name in ("u", "u_t", "u_r")}
-    b = frame.energy_sup(*frame.solution(doubled))
-    assert a > 0
+def test_weighted_energy_sup_homogeneous(linear_run):
+    sol, dt, u, u_t, _ = linear_run
+    grid = sol.trajectory.grid
+    a = _fed(grid, dt, 10, u, u_t).values()[2]
+    b = _fed(grid, dt, 10, 2.0 * u, 2.0 * u_t).values()[2]
+    assert a > 0 and a == sol.energy_sup
     assert np.isclose(b, 2.0 * a, rtol=1e-12)
 
 
@@ -469,49 +496,33 @@ def test_ratio_spreads_synthetic():
     assert all(spreads[name] is None for name in RATIO_NAMES)
 
 
-def test_estimate_ratio_report_mechanics(nonlinear_run, monkeypatch):
+def test_estimate_ratio_report_mechanics(nonlinear_run):
     rows = [
         {"eps": 1e-3, "converged": True, "solution": nonlinear_run},
         {"eps": 2e-3, "converged": False, "solution": None},
     ]
-    frames = []
-    frame_class = norms._SampleFrame
-
-    def counting(*args):
-        frames.append(args)
-        return frame_class(*args)
-
-    monkeypatch.setattr(norms, "_SampleFrame", counting)
-    deltas = [2.0, 1.0, 0.0]
-    reports = estimate_ratio_report(rows, sup_window=(2.0, 10.0),
-                                    deltas=deltas)
-    # one sample frame per row serves all of its cylinder norms
-    assert len(frames) == 1
+    reports = estimate_ratio_report(rows, sup_window=(2.0, 10.0))
     assert len(reports) == 1
     rep = reports[0]
     assert rep.metadata["eps"] == 1e-3
     for name in RATIO_NAMES:
         tag = name[len("ratio_"):]
         assert rep[name] == rep["lhs_" + tag] / rep["rhs_" + tag]
-    assert rep["pecher_l8"] > 0
-    frame = _frame(nonlinear_run)
-    pull = frame.solution(nonlinear_run.samples)
-    assert rep["pecher_l8"] == l8_norm(frame, pull[0])
-    assert rep["lhs_weighted_energy"] == frame.energy_sup(*pull)
-    # the report keeps the truncation sweep of the forcing its
-    # null-cylinder norm read, not the frame
-    forcing = frame.forcing(nonlinear_run.samples)
-    assert rep["lhs_null_cylinder"] == delta_sweep(frame, forcing, [0.0])[0]
-    assert rep.metadata["delta_sweep"] == delta_sweep(frame, forcing, deltas)
+    # the report reads the norms the solution's sweep summed
+    assert rep["pecher_l8"] == nonlinear_run.l8_norm > 0
+    assert rep["lhs_weighted_energy"] == nonlinear_run.energy_sup
+    assert rep["lhs_null_cylinder"] == nonlinear_run.tip_norms[0]
+    assert rep.metadata["delta_sweep"] == nonlinear_run.tip_norms[1:]
     assert rep.metadata["delta_sweep"][-1] == rep["lhs_null_cylinder"]
     assert "forcing_samples" not in rep.metadata
     assert rep["lhs_local_linear"] == _slab(
-        frame.grid, nonlinear_run.window, nonlinear_run.trajectory.dt)
+        nonlinear_run.trajectory.grid, nonlinear_run.window,
+        nonlinear_run.trajectory.dt)
     with pytest.raises(ParamError):
         estimate_ratio_report([rows[0]], sup_window=(100.0, 200.0))
-    # a solution solved without a time_stride keeps no sample rows
+    # a solution solved without a time_stride keeps no cylinder norms
     plain, _ = picard.picard_solve(nonlinear_run.data, nonlinear_run.spec,
                                    12.0, tol=1e-10)
-    assert plain.samples is None and plain.window is None
+    assert plain.tip_norms is None and plain.window is None
     with pytest.raises(ParamError):
         estimate_ratio_report([{"eps": 1e-3, "solution": plain}])

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import observed_rows
+from conftest import cylinder_reference, observed_rows
 from nullwave import exterior, fd, norms, picard, solver
 from nullwave.errors import NaNError, NoConvergence, ParamError
 from nullwave.exterior import InitialData, build_radial_grid
@@ -29,6 +29,7 @@ def family(grid):
 
 
 SPEC = NullFormSpec.scalar_q0()
+DELTAS = [1.0, 0.5, 0.0]
 
 
 def test_zero_data_fixed_point_is_zero(grid):
@@ -175,7 +176,7 @@ def test_a_null_form_past_float32_raises_at_the_write(family, grid):
     dt = solver.cfl_limit(grid)
     n = solver.step_count(8.0, dt) + 1
     data = family(eps)
-    sweep = picard._Sweep(data, SPEC, n, dt, None,
+    sweep = picard._Sweep(data, SPEC, n, dt, None, (),
                           np.empty((n,) + data.f.shape), False)
     solver.solve_linear(data, None, 8.0, dt=dt, observe=sweep)
     big = np.abs(sweep.forcing).max(axis=1) > np.finfo(np.float32).max
@@ -255,15 +256,16 @@ def _check_sweep(sweep, grid, forcing, ref, time_stride):
     assert sweep.boundary == np.max(np.abs(us[..., ~grid.updated()]),
                                     initial=0.0)
     if time_stride is None:
-        assert sweep.samples is None and sweep.window is None
+        assert sweep.cylinder is None and sweep.window is None
         return
-    idx = np.arange(0, n, time_stride)
-    Q = q[:, 0, :]
-    want = {"t": times[idx], "u": up[idx, 0], "u_t": ut[idx, 0],
-            "u_r": grid.gradient(us[idx])[0], "Q": Q[idx],
-            "Q_t": fd.d1(Q, dt, axis=0)[idx]}
-    for name, ref_rows in want.items():
-        assert sweep.samples[name].tobytes() == ref_rows.tobytes(), name
+    # every sampled row had its solution and then its forcing summed
+    assert sweep.cylinder.frames == {}
+    tips, l8, energy = sweep.cylinder.values()
+    want = cylinder_reference(grid, dt, time_stride, up[:, 0], ut[:, 0],
+                              q[:, 0], DELTAS)
+    assert np.allclose(tips, want[0], rtol=1e-12, atol=0.0)
+    assert np.isclose(l8, want[1], rtol=1e-12, atol=0.0)
+    assert np.isclose(energy, want[2], rtol=1e-12, atol=0.0)
     i0, i1 = norms.window_rows(times, norms.LOCAL_LINEAR_WINDOW)
     assert sweep.window.tobytes() == q[i0:i1].tobytes()
 
@@ -296,7 +298,7 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, name):
         with pytest.raises(NoConvergence) as exc_info:
             picard_solve(data, spec, t_end, tol=1e-30, max_iter=3,
                          smallness_threshold=np.inf,
-                         time_stride=time_stride)
+                         time_stride=time_stride, deltas=DELTAS)
         residuals = exc_info.value.residuals
         assert len(sweeps) == 3
         applied = None
@@ -310,7 +312,10 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, name):
             assert residual == norms.slab_norm(norms.slab_sums(
                 grid, res, fd.d1(res, dt, axis=0)), dt)
             applied = made
-        seen.append(residuals)
+        # the cylinder norms add their rows in row order in every block
+        seen.append((residuals, [None if sweep.cylinder is None
+                                 else sweep.cylinder.values()
+                                 for _, sweep, _ in sweeps]))
     assert seen[0] == seen[1] == seen[2]
 
 
@@ -331,7 +336,7 @@ def test_observed_sweep_edge_cases(monkeypatch, t_end, time_stride):
     assert n == (3 if t_end == 1.0 else 17)
     for block in (1, 3 * grid.n_nodes, 2**40):
         monkeypatch.setattr(fd, "BLOCK_VALUES", block)
-        sweep = picard._Sweep(data, SPEC, n, dt, time_stride,
+        sweep = picard._Sweep(data, SPEC, n, dt, time_stride, DELTAS,
                               np.empty((n,) + data.f.shape), False)
         solver.solve_linear(data, None, t_end, dt=dt, observe=sweep)
         _check_sweep(sweep, grid, sweep.forcing, ref, time_stride)
@@ -505,8 +510,8 @@ def test_streamed_scan_holds_one_entry(monkeypatch):
         def run():
             reports = norms.estimate_ratio_report(
                 smallness_scan(family, SPEC, eps_list, t_end,
-                               time_stride=time_stride),
-                sup_window=(2.0, 10.0), deltas=[1.0, 0.0])
+                               time_stride=time_stride, deltas=[1.0, 0.0]),
+                sup_window=(2.0, 10.0))
             assert len(reports) == len(eps_list)
             assert all(len(r.metadata["delta_sweep"]) == 2 and
                        "forcing_samples" not in r.metadata for r in reports)
@@ -523,6 +528,35 @@ def test_streamed_scan_holds_one_entry(monkeypatch):
     four = peak([1e-3, 2e-3, 4e-3, 8e-3])
     # one entry is in flight at a time, and no report keeps its frame
     assert four < one + stack / 2
+
+
+def test_cylinder_norms_hold_no_sampled_rows():
+    # the cylinder norms are summed a sampled row at a time, so sampling
+    # four times as many rows does not raise the peak of a run and its
+    # report (a stack of the sampled rows would add 5 rows per sample)
+    data = bump_data_family(build_radial_grid(1.0, 12.0, 400,
+                                              sponge_cells=100))(1e-3)
+
+    def peak(time_stride):
+        def run():
+            sol, _ = picard_solve(data, SPEC, 20.0, time_stride=time_stride,
+                                  deltas=[1.0, 0.0])
+            (rep,) = norms.estimate_ratio_report(
+                [{"eps": 1e-3, "solution": sol}], sup_window=(2.0, 10.0))
+            assert len(rep.metadata["delta_sweep"]) == 2
+
+        run()  # one-time lazy imports are not the run's
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # whether a sampled row waits for its Q_t at the peak depends on the
+    # stride: allow the two frames of 8 rows each that can wait
+    twenty = peak(20)
+    assert peak(5) < twenty + 16 * data.f.nbytes
 
 
 def test_bump_family_norm_calibration(grid, family):
