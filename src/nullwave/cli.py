@@ -529,26 +529,20 @@ def _check_for_subcommand(subcommand, ec):
         raise ConfigError("a nonlinear [nullform] on a radial grid needs q0 "
                           "terms and [grid] angular_mode = 0")
     if subcommand == "estimate-report":
-        if ec.t_end < norms.LOCAL_LINEAR_WINDOW[1]:
-            raise ConfigError("estimate-report needs [run] t_end >= %g"
-                              % norms.LOCAL_LINEAR_WINDOW[1])
         dt = ec.dt or solver.cfl_limit(ec.grid)
-        n = solver.step_count(ec.t_end, dt)
+        n = solver.step_count(ec.t_end, dt) + 1
         try:
-            norms.CylinderNorms(ec.grid, n + 1, dt, ec.time_stride, ec.deltas)
+            norms.local_linear_rows(n, dt)
+        except ParamError as e:
+            raise ConfigError("estimate-report cannot take the local-linear "
+                              "norm ([run] t_end = %g, step %g): %s"
+                              % (ec.t_end, dt, e))
+        try:
+            norms.CylinderNorms(ec.grid, n, dt, ec.time_stride, ec.deltas)
         except ParamError as e:
             raise ConfigError("estimate-report cannot sample the cylinder "
                               "([grid] mode = %s, [report] time_stride = %d)"
                               ": %s" % (ec.grid.kind, ec.time_stride, e))
-        # the window starts at the first snapshot and holds 3 if it reaches
-        # the third, so only the first three times are built
-        first = dt * np.arange(min(n, 2) + 1)
-        i0, i1 = norms.window_rows(
-            first, (0.0, min(first[-1], norms.LOCAL_LINEAR_WINDOW[1])))
-        if i1 - i0 < 3:
-            raise ConfigError("the local-linear window [0, 1] holds %d "
-                              "snapshots at step %g, fewer than 3"
-                              % (i1 - i0, dt))
         window, name = ec.sup_window, "[report] sup_window"
     elif subcommand in ("run-linear", "run-nonlinear"):
         window, name = ec.fit_window, "[fit] window"

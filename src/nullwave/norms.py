@@ -11,14 +11,15 @@ Every cylinder quantity is a sum or a max over the sampled rows of a
 run, so no sampled row is kept: a Picard sweep hands each one to
 CylinderNorms as it takes it, and the row's frame (its time, image and
 tip distance, conformal factor and gradient, quadrature weight) pulls
-back the solution and then the forcing as fields (val, g0, gb).  The
-local-linear norm reads the Q rows of its window; a run keeps no u
-stack (see nullwave.solver).
+back the solution and then the forcing as fields (val, g0, gb); a run
+keeps no u stack (see nullwave.solver).
 
-Every time derivative is taken at the solver step, never across the
-sampling stride.  A slab norm is formed from the per-row slab_sums of
-its whole series: a Picard sweep adds them a block of rows at a time,
-and the local-linear norm takes them of its window in one call.
+The solution's u_t is the solver's v.  Q_t is d1 of the whole Q series
+at the solver step, never across the sampling stride, and the cylinder
+norms and the local-linear norm read the same one.  A slab norm is
+formed from the per-row slab_sums of its series: a Picard sweep adds
+them a block of rows at a time, for its residual over the whole run and
+for Q over the local_linear_rows of LOCAL_LINEAR_WINDOW.
 """
 
 import numpy as np
@@ -154,21 +155,6 @@ def slab_sums(grid, val, val_t, work=None):
     return sq
 
 
-def window_rows(times, window):
-    """(i0, i1) such that times[i0:i1] are the snapshot times in window.
-
-    window must be increasing and lie inside [times[0], times[-1]].
-    """
-    t0, t1 = float(window[0]), float(window[1])
-    if t0 >= t1:
-        raise ParamError("window must be increasing")
-    if t0 < times[0] - 1e-12 or t1 > times[-1] + 1e-12:
-        raise ParamError("window outside trajectory times")
-    i0 = int(np.searchsorted(times, t0 - 1e-12))
-    i1 = int(np.searchsorted(times, t1 + 1e-12, side="right"))
-    return i0, i1
-
-
 # ---------------------------------------------------------------------------
 # the cylinder frame of a sampled row and the tip-weighted norms
 
@@ -298,12 +284,29 @@ RATIO_NAMES = ("ratio_local_linear", "ratio_null_cylinder",
 LOCAL_LINEAR_WINDOW = (0.0, 1.0)
 
 
+def local_linear_rows(n, dt):
+    """How many snapshots dt * arange(n) of a run lie in LOCAL_LINEAR_WINDOW
+    (from the first to within 1e-12 of its end), made without an array;
+    ParamError unless the run reaches that end and the window holds 3."""
+    t1 = LOCAL_LINEAR_WINDOW[1]
+    if t1 > dt * (n - 1) + 1e-12:
+        raise ParamError("the local-linear window [0, %g] ends after the "
+                         "run's last snapshot at %g" % (t1, dt * (n - 1)))
+    # dt * k <= t1 + 1e-12 exactly, and dt * (k + 1) may round onto it
+    k = int((t1 + 1e-12) // dt)
+    rows = min(n, k + 1 + (dt * (k + 1) <= t1 + 1e-12))
+    if rows < 3:
+        raise ParamError("the local-linear window [0, %g] holds %d snapshots "
+                         "at step %g, fewer than 3" % (t1, rows, dt))
+    return rows
+
+
 def estimate_ratio_report(rows, sup_window=(5.0, 40.0)):
     """LHS/RHS surrogate ratios for the four estimates, one report per run.
 
     rows are smallness_scan rows (dicts carrying "solution" and "eps")
     of a scan run with a time_stride, so that each solution carries its
-    cylinder norms and its local-linear window.  They are read one at a
+    cylinder norms and its local-linear norm.  They are read one at a
     time and no row is held once its report is made, so each solution of
     a streamed scan is freed after its report, before the next entry is
     solved.  Rows without a converged solution, and zero-data rows, are
@@ -324,13 +327,11 @@ def _ratio_report(row, sup_window):
     grid = traj.grid
     if np.max(np.abs(f)) == 0 and np.max(np.abs(g)) == 0:
         return None
-    window = sol.window
-    if window is None:
+    nf01 = sol.local_linear
+    if nf01 is None:
         raise ParamError("the solution keeps no cylinder norms; solve it "
                          "with a time_stride")
 
-    nf01 = slab_norm(slab_sums(grid, window, fd.d1(window, traj.dt, axis=0)),
-                     traj.dt)
     h2 = weighted_sobolev_norm(f, 2, 0, grid)
     h1 = weighted_sobolev_norm(g, 1, 0, grid)
     h21 = weighted_sobolev_norm(f, 2, 1, grid)

@@ -7,21 +7,21 @@ through the space-time norm of the forcing update, which is the
 practical surrogate for the contraction distance.
 
 Every sweep is a solve_linear run, which keeps only its first and last
-state.  Its observer (_Sweep) keeps the last few rows of u, a block of
-about fd.BLOCK_VALUES values and the rows its time stencil reaches past
-it, and works a block behind the solver: it takes the block's Q with
-the time derivative of the whole run (fd.d1_rows: centred inside, fd.d1
-of the first or last three rows at the ends), and reduces on the way
-what the callers read: the sup series, the boundary max, the residual's
-slab_sums, and with a time_stride the cylinder norms and the Q rows
-of the local-linear window.  A run holds one forcing array, in float32:
-the solver has read a block's rows of it (see nullwave.solver), so the
+state.  Its observer (_Sweep) copies the rows of u and of the solver's
+v, which is u_t, into a block of about fd.BLOCK_VALUES values, and takes
+a full block when the next row comes, the last at the last row: the
+block's Q, and on the way what the callers read: the sup series, the
+boundary max, the residual's slab_sums, and with a time_stride the
+cylinder norms and the slab_sums of the local-linear window.  The
+residual and Q have time derivatives over the whole run (fd.d1_rows:
+centred inside, fd.d1 of the first or last three rows at the ends), each
+over its own series.  A run holds one forcing array, in float32: the
+solver has read a block's rows of it (see nullwave.solver), so the
 observer takes their residual against them and writes its Q over them
 for the next sweep.  Q, the residual and its sums stay float64; only the
 write to the forcing rounds.  Each sweep owns a workspace of block rows,
-for u_t, Q, the residual and the gradient rows and products (work) of
-the null form and then of the residual's slab_sums, so the observer
-allocates no row per block.
+for u, v, Q and the gradient rows and products (work) of the null form
+and then of the slab_sums, so the observer allocates no row per block.
 
 The rounding puts a floor under the residual: a fixed point of the
 rounded iteration still differs from its own forcing by the rounding
@@ -34,7 +34,7 @@ sweep's space-time L2 norm ||Q_0||, with a margin of 2.
 import numpy as np
 
 from . import fd, norms
-from .norms import LOCAL_LINEAR_WINDOW, evaluate_nullform_series, slab_norm
+from .norms import evaluate_nullform_series, slab_norm
 from .errors import NaNError, NoConvergence, ParamError
 from .exterior import InitialData, check_compatibility
 from .nullforms import NullFormSpec
@@ -72,8 +72,9 @@ class NonlinearSolution:
     trajectory is the observed run: its first and last (u, v).
     sup_times and sup_values are the sup series.  The cylinder norms
     (norms.CylinderNorms: tip_norms at delta 0 and at each of the run's
-    deltas, l8_norm, energy_sup) and window (the Q rows of
-    LOCAL_LINEAR_WINDOW) are None unless it was solved with a time_stride.
+    deltas, l8_norm, energy_sup) and local_linear (the slab norm of Q
+    over norms.LOCAL_LINEAR_WINDOW) are None unless it was solved with a
+    time_stride.
     """
 
     def __init__(self, trajectory, spec, data, sweep):
@@ -83,7 +84,8 @@ class NonlinearSolution:
         # the snapshot times of the stride-1 run, dt * arange
         self.sup_times = trajectory.dt * np.arange(sweep.n)
         self.sup_values = sweep.sup
-        self.window = sweep.window
+        self.local_linear = None if sweep.local_sq is None \
+            else slab_norm(sweep.local_sq, trajectory.dt)
         self.tip_norms, self.l8_norm, self.energy_sup = \
             sweep.cylinder.values() if sweep.cylinder else (None,) * 3
         self._boundary_max = sweep.boundary
@@ -96,15 +98,15 @@ class NonlinearSolution:
 class _Rows:
     """The last rows of an n-row series, in order, for fd.d1_rows.
 
-    put(lo, rows) stores rows lo, lo + 1, ...; once least rows (or the
-    last rows) have their whole stencil stored, it returns them as
-    ranges (a, b) of at most block rows, and read(a, b) gives rows a to
-    b - 1 as a slice.
-    A full buffer slides the rows still to be read into a fresh one.
+    put(lo, rows) stores rows lo, lo + 1, ... and returns, as ranges
+    (a, b) of at most block rows, the rows whose whole stencil it now
+    holds (through n once the last row is in); read(a, b) gives rows a
+    to b - 1 as a slice.  A full buffer slides the rows still to be read
+    into a fresh one.
     """
 
-    def __init__(self, n, block, shape, least=1):
-        self.n, self.block, self.least = n, block, least
+    def __init__(self, n, block, shape):
+        self.n, self.block = n, block
         # row base + i of the series is in buf[i]
         self.buf = np.empty((block + 3,) + shape)
         self.base = self.done = 0
@@ -121,8 +123,6 @@ class _Rows:
         buf[lo - self.base:m + 1 - self.base] = rows
         # the rows whose stencil rows 0, ..., m hold
         end = n if m == n - 1 else m if m >= 2 else 0
-        if end - self.done < self.least and end < n:
-            return []
         first, self.done = self.done, end
         return [(a, min(a + self.block, end))
                 for a in range(first, end, self.block)]
@@ -134,14 +134,15 @@ class _Rows:
 class _Sweep:
     """Observer of one Picard sweep: solve_linear's observe(i, u, v).
 
-    n and dt are the run's snapshot count and step.  Rows of u go into a
-    _Rows buffer, and a block with its whole stencil there gets u_t
-    (fd.d1_rows) and Q.  The residual rows, Q less the forcing applied
-    (if applied), go into a second _Rows, whose blocks add their
-    slab_sums to sq; then Q goes over the block's rows of forcing.  The
-    sup series and the boundary max are reduced a block at a time too.
-    With time_stride, the cylinder norms take a sampled row's solution
-    with its block, and its forcing once a third _Rows gives its Q_t.
+    n and dt are the run's snapshot count and step.  Rows of u and of v
+    (which is u_t) fill a block, taken when the next row comes, as the
+    solver has read its forcing rows by then, or at the last row: its Q,
+    sup series and boundary max.  The residual rows, Q less the forcing
+    applied (if applied), go into a _Rows, whose ranges add their
+    slab_sums to sq; then Q goes over the block's rows of forcing.  With
+    time_stride, the cylinder norms take a sampled row's solution with
+    its block and its forcing once a second _Rows, of Q, gives its Q_t;
+    that _Rows adds the local-linear window's slab_sums to local_sq.
     """
 
     def __init__(self, data, spec, n, dt, time_stride, deltas, forcing,
@@ -152,44 +153,40 @@ class _Sweep:
         # a row as evaluate_nullform_series reads it, less the row axis
         self.comp = (spec.n_components,) + grid.zeros().shape
         block = min(n, max(1, fd.BLOCK_VALUES // data.f.size))
-        self.u = _Rows(n, block, shape, block)
         self.res = _Rows(n, block, shape)
-        self.ut, self.q_out = np.empty((2, block) + shape)
+        # the block's rows of u and v, from row lo on, and its Q
+        self.u, self.v, self.q_out = np.empty((3, block) + shape)
         self.work = np.empty((grid.ndim + 2, block) + shape)
         self.sq = np.empty((2 + grid.ndim, n))
         self.forcing, self.applied = forcing, applied
         self.sup = np.empty(n)
         # flat indices of the Dirichlet nodes in a row
         self.fixed = np.flatnonzero(np.broadcast_to(~grid.updated(), shape))
-        self.boundary = 0.0
+        self.lo, self.boundary = 0, 0.0
         self.stride = time_stride
-        self.cylinder = self.window = None
+        self.cylinder = self.local_sq = None
         if time_stride is None:
             return
         if spec.n_components != 1:
             raise ParamError("forcing samples support scalar systems only")
         self.cylinder = norms.CylinderNorms(grid, n, dt, time_stride, deltas)
         self.q = _Rows(n, block, grid.zeros().shape)
-        self.i0, i1 = norms.window_rows(dt * np.arange(n),
-                                        LOCAL_LINEAR_WINDOW)
-        if i1 - self.i0 < 3:
-            raise ParamError("the local-linear window holds fewer than 3 "
-                             "snapshots")
-        self.window = np.empty((i1 - self.i0,) + self.comp)
+        self.local_sq = np.empty((len(self.sq),
+                                  norms.local_linear_rows(n, dt)))
 
     def __call__(self, m, u, v):
-        for lo, hi in self.u.put(m, u[None]):
-            # the residual rows, once the block's other rows are freed
-            for a, b in self._take(lo, hi):
-                k = b - a
-                self.sq[:, a:b] = norms.slab_sums(self.grid, *fd.d1_rows(
-                    self.res.read, a, b, self.n, self.dt, self.ut[:k]),
-                    self.work[:, :k])
+        k = m - self.lo
+        if k == len(self.u):
+            self._sums(self.res, self.sq, self._take(k))
+            self.lo, k = m, 0
+        self.u[k], self.v[k] = u, v
+        if m == self.n - 1:
+            self._sums(self.res, self.sq, self._take(k + 1))
 
-    def _take(self, lo, hi):
-        """Q, forcing and recorded rows lo:hi; returns the residual's put."""
-        grid, n, dt, k = self.grid, self.n, self.dt, hi - lo
-        u, u_t = fd.d1_rows(self.u.read, lo, hi, n, dt, self.ut[:k])
+    def _take(self, k):
+        """Q, forcing and recorded rows of the block; the residual's put."""
+        grid, n, dt, lo, hi = self.grid, self.n, self.dt, self.lo, self.lo + k
+        u, u_t = self.u[:k], self.v[:k]
         self.sup[lo:hi] = np.abs(u, out=self.work[0, :k]).reshape(
             k, -1).max(axis=1)
         pinned = u.reshape(k, -1)[:, self.fixed]
@@ -213,16 +210,13 @@ class _Sweep:
                            "float32 forcing" % (dt * (lo + np.argmax(big))))
         if self.stride is None:
             return done
-        i0 = self.i0
-        w0, w1 = max(lo, i0), min(hi, i0 + len(self.window))
-        if w0 < w1:
-            self.window[w0 - i0:w1 - i0] = q[w0 - lo:w1 - lo]
         cyl, stride = self.cylinder, self.stride
         # evaluate_nullform_series left the rows' gradient in work[0]
         u_r = self.work[0]
+        ready = self.q.put(lo, q[:, 0])
         # a sampled row's forcing follows its solution at once if its Q_t
         # is in, so at most two frames wait for their Q_t at a time
-        for a, b in self.q.put(lo, q[:, 0]):
+        for a, b in ready:
             for i in range(a + -a % stride, b, stride):
                 if i >= lo:
                     cyl.solution(i, u[i - lo], u_t[i - lo], u_r[i - lo])
@@ -231,7 +225,18 @@ class _Sweep:
         a = max(lo, self.q.done)
         for i in range(a + -a % stride, hi, stride):
             cyl.solution(i, u[i - lo], u_t[i - lo], u_r[i - lo])
+        self._sums(self.q, self.local_sq, ready)
         return done
+
+    def _sums(self, rows, out, ranges):
+        """The slab_sums of the ranges (a, b) of a _Rows series, as far as
+        out reaches, into out; d1_rows writes into q_out, done with Q."""
+        for a, b in ranges:
+            b = min(b, out.shape[1])
+            if a < b:
+                out[:, a:b] = norms.slab_sums(self.grid, *fd.d1_rows(
+                    rows.read, a, b, self.n, self.dt, self.q_out[:b - a]),
+                    self.work[:, :b - a])
 
 
 def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
@@ -249,7 +254,7 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
     time_stride (radial grids and scalar systems only) makes the
     solution keep the cylinder norms of every time_stride-th snapshot,
     with the tip-weighted forcing norm at each of deltas, and the
-    local-linear window, which norms.estimate_ratio_report reads.
+    local-linear norm, which norms.estimate_ratio_report reads.
     """
     if tol <= 0:
         raise ParamError("tol must be positive")

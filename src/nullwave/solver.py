@@ -17,11 +17,11 @@ keeps only the first and the last (u, v): the returned trajectory has
 times [0, t_final] and stride n_steps, so memory does not grow with
 t_end.  Given observe(i, u, v), the run calls it at each snapshot i with
 the live (u, v) buffers, as read-only views that the next step
-overwrites: an observer keeps what it needs by reducing the state
-(local_energy_fn gives one such reduction) or by copying it.  Step k
-reads rows k and k + 1 of a recorded forcing only, so an observer may
-overwrite the rows below i * stride at observe(i, u, v), and every row
-at the last one.  A recorded forcing may be float32 (Picard stores its
+overwrites; v is the u_t that every observer reads.  An observer keeps
+what it needs by reducing the state (local_energy_fn gives one such
+reduction) or by copying it.  Step k reads rows k and k + 1 of a
+recorded forcing only, so an observer may overwrite the rows below
+i * stride at observe(i, u, v), and every row at the last one.  A recorded forcing may be float32 (Picard stores its
 forcing so); the step averages its rows in float64.  run-linear
 observes its local energies, and every Picard sweep is observed too
 (see nullwave.picard).

@@ -14,13 +14,13 @@ from nullwave.norms import (
     data_smallness_norm,
     estimate_ratio_report,
     evaluate_nullform_series,
+    local_linear_rows,
     ratio_spreads,
     scale_to_data_norm,
     slab_norm,
     slab_sums,
     sphere_sobolev_norm,
     weighted_sobolev_norm,
-    window_rows,
 )
 from nullwave.nullforms import NullFormSpec
 from nullwave.solver import Trajectory
@@ -175,14 +175,14 @@ def _separable_trajectory(grid, n_snap=41, dt_snap=0.02):
     times = dt_snap * np.arange(n_snap)
     prof = np.exp(-((grid.r - 3.0) ** 2))
     u = np.cos(1.3 * times)[:, None] * prof[None, :]
-    return Trajectory(grid, times, u, dt=dt_snap, stride=1), prof
+    v = -1.3 * np.sin(1.3 * times)[:, None] * prof[None, :]
+    return Trajectory(grid, times, u, v, dt=dt_snap, stride=1), prof
 
 
 def _series_rows(traj):
-    """(u, u_t) of a scalar trajectory, with the component axis
-    evaluate_nullform_series reads."""
-    u_t = fd.d1(traj.u, traj.dt, axis=0)
-    return traj.u[:, None], u_t[:, None]
+    """(u, u_t) of a scalar trajectory, u_t being its v, with the
+    component axis evaluate_nullform_series reads."""
+    return traj.u[:, None], traj.v[:, None]
 
 
 def test_nullform_series_separable_oracle():
@@ -215,18 +215,28 @@ def test_nullform_series_guards():
         picard.picard_solve(data, spec, 0.5 * solver.cfl_limit(grid))
 
 
-def test_window_rows_select_the_window_snapshots():
-    times = 0.02 * np.arange(41)
-    i0, i1 = window_rows(times, (times[0], times[-1]))
-    assert (i0, i1) == (0, 41)
-    # the ends are kept within a rounding of the snapshot times
-    i0, i1 = window_rows(times, (0.2, 0.6))
-    assert (i0, i1) == (10, 31)
-    assert times[i0] == 0.2 and np.isclose(times[i1 - 1], 0.6)
-    with pytest.raises(ParamError):
-        window_rows(times, (0.6, 0.2))
-    with pytest.raises(ParamError):
-        window_rows(times, (0.0, 99.0))
+def test_local_linear_rows_count_the_window_snapshots():
+    # the snapshots dt * arange(n) in [0, 1], within a rounding of their
+    # times, whether or not the run goes on past the window
+    t1 = norms.LOCAL_LINEAR_WINDOW[1]
+    for dt in (0.02, 0.1, 1 / 3, 1 / 7, 0.0315, 0.25, 0.5):
+        last = int(np.ceil(t1 / dt - 1e-12))
+        for n in (last + 1, last + 5):
+            times = dt * np.arange(n)
+            want = int(np.searchsorted(times, t1 + 1e-12, side="right"))
+            assert local_linear_rows(n, dt) == want >= 3
+        # the run must reach the window's end
+        with pytest.raises(ParamError, match="ends after"):
+            local_linear_rows(last, dt)
+
+
+def test_local_linear_rows_guards():
+    # a step of 0.54 puts 2 snapshots in the local-linear window [0, 1]
+    with pytest.raises(ParamError, match="holds 2 snapshots"):
+        local_linear_rows(17, 0.54)
+    assert local_linear_rows(17, 0.5) == 3
+    # no array of the run's times: a run of 10**15 snapshots is counted
+    assert local_linear_rows(10**15, 1e-9) == 10**9 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +266,7 @@ def linear_run():
                                    tol=1.0, time_stride=10, deltas=DELTAS)
     assert rep.iterations == 1
     dt = solver.cfl_limit(grid)
-    _, u, _ = observed_rows(data, None, 12.0)
-    u_t = fd.d1(u, dt, axis=0)
+    _, u, u_t = observed_rows(data, None, 12.0)
     (u_r,) = grid.gradient(u)
     return sol, dt, u, u_t, u_t * u_t - u_r * u_r
 
@@ -382,13 +391,14 @@ def test_delta_sweep_monotone(nonlinear_run):
 
 
 def test_sampled_time_derivatives_take_the_solver_step(linear_run):
-    # u_t and Q_t at the sampled rows are the derivatives of the whole
-    # stride-1 series, not differences across the sampling stride: the
-    # streamed norms are those of a frame of the whole run's rows
+    # u_t at the sampled rows is the solver's v, and Q_t the derivative
+    # of the whole stride-1 Q series, not a difference across the
+    # sampling stride: the streamed norms are those of a frame of the
+    # whole run's rows
     sol, dt, u, u_t, Q = linear_run
     grid = sol.trajectory.grid
-    traj = Trajectory(grid, dt * np.arange(len(u)), u, dt=dt)
-    # Q = q0(du, du) of the whole stack, with the whole stack's u_t
+    traj = Trajectory(grid, dt * np.arange(len(u)), u, u_t, dt=dt)
+    # Q = q0(du, du) of the whole stack, with the observed v as u_t
     assert evaluate_nullform_series(grid, NullFormSpec.scalar_q0(),
                                     *_series_rows(traj))[:, 0] \
         .tobytes() == Q.tobytes()
@@ -457,6 +467,18 @@ def test_pull_is_the_cylinder_derivative_of_the_field(power):
     assert top[1] < 1e-7 * top[0] and top[3] < 1e-7 * top[2]
 
 
+def test_local_linear_norm_reads_the_run_q_series(linear_run):
+    # the slab norm of Q over the window's rows, with Q_t of the whole
+    # run, as the cylinder norms read it: centred at the window's end
+    sol, dt, u, u_t, Q = linear_run
+    grid = sol.trajectory.grid
+    i1 = local_linear_rows(len(Q), dt)
+    assert 3 <= i1 < len(Q)
+    Q_t = fd.d1(Q, dt, axis=0)[:i1]
+    assert sol.local_linear == slab_norm(slab_sums(grid, Q[:i1], Q_t), dt)
+    assert sol.local_linear != _slab(grid, Q[:i1], dt)
+
+
 def test_weighted_energy_sup_homogeneous(linear_run):
     sol, dt, u, u_t, _ = linear_run
     grid = sol.trajectory.grid
@@ -515,14 +537,12 @@ def test_estimate_ratio_report_mechanics(nonlinear_run):
     assert rep.metadata["delta_sweep"] == nonlinear_run.tip_norms[1:]
     assert rep.metadata["delta_sweep"][-1] == rep["lhs_null_cylinder"]
     assert "forcing_samples" not in rep.metadata
-    assert rep["lhs_local_linear"] == _slab(
-        nonlinear_run.trajectory.grid, nonlinear_run.window,
-        nonlinear_run.trajectory.dt)
+    assert rep["lhs_local_linear"] == nonlinear_run.local_linear > 0
     with pytest.raises(ParamError):
         estimate_ratio_report([rows[0]], sup_window=(100.0, 200.0))
     # a solution solved without a time_stride keeps no cylinder norms
     plain, _ = picard.picard_solve(nonlinear_run.data, nonlinear_run.spec,
                                    12.0, tol=1e-10)
-    assert plain.tip_norms is None and plain.window is None
+    assert plain.tip_norms is None and plain.local_linear is None
     with pytest.raises(ParamError):
         estimate_ratio_report([{"eps": 1e-3, "solution": plain}])

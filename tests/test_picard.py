@@ -185,6 +185,44 @@ def test_a_null_form_past_float32_raises_at_the_write(family, grid):
         picard_solve(data, SPEC, 8.0, smallness_threshold=np.inf)
 
 
+def test_first_forcing_row_is_the_null_form_of_the_data(family, grid):
+    # u_t at t = 0 is the data g, not a one-sided difference of u
+    data = family(1e-3)
+    dt = solver.cfl_limit(grid)
+    n = solver.step_count(8.0, dt) + 1
+    sweep = picard._Sweep(data, SPEC, n, dt, None, (),
+                          np.empty((n,) + data.f.shape, np.float32), False)
+    solver.solve_linear(data, None, 8.0, dt=dt, observe=sweep)
+    q0 = norms.evaluate_nullform_series(grid, SPEC, data.f[None, None],
+                                        data.g[None, None])[0, 0]
+    assert np.max(np.abs(q0)) > 0
+    assert sweep.forcing[0].tobytes() == q0.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 17])
+@pytest.mark.parametrize("block", [1, 3, 40])
+def test_rows_hand_back_each_row_once_in_order(n, block):
+    # rows are put a block at a time, as a sweep puts them; each comes
+    # back once, in ranges of at most block rows, whose reads (the rows
+    # and their stencil) are right across the slides of the buffer
+    F = np.random.default_rng(7).standard_normal((n, 2))
+    whole = fd.d1(F, 0.3, axis=0)
+    rows = picard._Rows(n, block, (2,))
+    back = []
+    for lo in range(0, n, block):
+        ranges = rows.put(lo, F[lo:lo + block])
+        for a, b in ranges:
+            assert 0 < b - a <= block
+            assert rows.read(a, b).tobytes() == F[a:b].tobytes()
+            val, d = fd.d1_rows(rows.read, a, b, n, 0.3)
+            assert val.tobytes() == F[a:b].tobytes()
+            assert d.tobytes() == whole[a:b].tobytes()
+            back.extend(range(a, b))
+    # the last put returns the rows through n
+    assert ranges and ranges[-1][1] == n
+    assert back == list(range(n))
+
+
 def test_stop_level_is_the_forcing_resolution(monkeypatch):
     # at eps 300 the first residual is ~10 and the sweeps contract ~0.1
     # each: a float32 forcing cannot bring the residual to tol = 1e-8,
@@ -227,18 +265,18 @@ def _block_case(name):
 
 
 def _reference_sweep(data, spec, forcing, t_end, dt=None):
-    """The reference of one sweep: every row of its run, d1 over the
-    whole stack.
+    """The reference of one sweep: every row of its run, with the
+    observed v as u_t.
 
     Returns the run's step and snapshot times and, over all its
     snapshots, u, then u, u_t and Q as rows with a component axis, and
     the forcing.
     """
     grid = data.grid
-    traj, us, _ = observed_rows(data, forcing, t_end, dt=dt)
+    traj, us, vs = observed_rows(data, forcing, t_end, dt=dt)
     n = len(us)
-    up = us.reshape((n, spec.n_components) + grid.zeros().shape)
-    ut = fd.d1(up, traj.dt, axis=0)
+    lead = (n, spec.n_components) + grid.zeros().shape
+    up, ut = us.reshape(lead), vs.reshape(lead)
     q = norms.evaluate_nullform_series(grid, spec, up, ut)
     F = q.reshape(us.shape)
     return traj.dt, traj.dt * np.arange(n), us, up, ut, q, F
@@ -256,7 +294,7 @@ def _check_sweep(sweep, grid, forcing, ref, time_stride):
     assert sweep.boundary == np.max(np.abs(us[..., ~grid.updated()]),
                                     initial=0.0)
     if time_stride is None:
-        assert sweep.cylinder is None and sweep.window is None
+        assert sweep.cylinder is None and sweep.local_sq is None
         return
     # every sampled row had its solution and then its forcing summed
     assert sweep.cylinder.frames == {}
@@ -266,15 +304,18 @@ def _check_sweep(sweep, grid, forcing, ref, time_stride):
     assert np.allclose(tips, want[0], rtol=1e-12, atol=0.0)
     assert np.isclose(l8, want[1], rtol=1e-12, atol=0.0)
     assert np.isclose(energy, want[2], rtol=1e-12, atol=0.0)
-    i0, i1 = norms.window_rows(times, norms.LOCAL_LINEAR_WINDOW)
-    assert sweep.window.tobytes() == q[i0:i1].tobytes()
+    # the local-linear window's rows of Q, with Q_t of the whole run
+    i1 = norms.local_linear_rows(n, dt)
+    Q = q[:, 0]
+    want = norms.slab_sums(grid, Q[:i1], fd.d1(Q, dt, axis=0)[:i1])
+    assert sweep.local_sq.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", ["radial-sponge", "radial-system",
                                   "ellipsoid"])
 def test_results_do_not_depend_on_the_block_size(monkeypatch, name):
     # each observed sweep, whatever the block its rows are taken in,
-    # equals the rows of a run with the same forcing and d1 over them;
+    # equals the rows of a run with the same forcing, its v as u_t;
     # no floor, so that tol=1e-30 is not met by the third sweep
     monkeypatch.setattr(picard, "FORCING_ROUNDING", 0.0)
     data, spec, t_end = _block_case(name)
@@ -379,7 +420,7 @@ def test_picard_holds_no_space_time_temporaries(monkeypatch, sweeps):
 
 def test_cartesian_picard_holds_a_fixed_number_of_rows(monkeypatch):
     # blocks of one row: the solver's state, the observer's workspace and
-    # its row windows are a fixed number of rows, and the null form and
+    # its row window are a fixed number of rows, and the null form and
     # the slab sums write into the workspace, allocating no row
     monkeypatch.setattr(fd, "BLOCK_VALUES", 2**12)
     data, spec, t_end = _block_case("ellipsoid")
@@ -421,8 +462,9 @@ def test_cartesian_picard_holds_a_fixed_number_of_rows(monkeypatch):
     assert max(grown) < row / 4
     # one forcing array; u, v, the Laplacian, scratch, the forcing
     # midpoint, the damping and the first and last (u, v) of the solver;
-    # then the u and residual windows of 4 rows, a window's fresh buffer
-    # at a slide, u_t, Q and the 5 workspace rows
+    # then the residual window of 4 rows, its fresh buffer at a slide,
+    # the block's u, v and Q, the 5 workspace rows and the 3 rows of
+    # d1_rows's end stencil
     solver_rows = 10
     assert max(peaks) < n * row + (solver_rows + 24) * row
 

@@ -437,6 +437,32 @@ def test_observer_may_overwrite_the_recorded_rows_read(name):
         assert ub == u.tobytes() and vb == v.tobytes()
 
 
+@pytest.mark.parametrize("name", ["radial-l0", "radial-l1", "ellipsoid"])
+def test_observed_v_is_the_centred_difference_of_u(name):
+    # Verlet's v is (u[m+1] - u[m-1]) / (2 dt) when nothing but u moves
+    # it: no forcing and no sponge.  The Picard sweep reads this v as u_t
+    if name == "ellipsoid":
+        grid = build_masked_grid(Obstacle.ellipsoid(1.4, 1.0, 0.8), 12.0, 24,
+                                 sponge_cells=0)
+
+        def bump(p):
+            return _bump(np.sqrt(np.sum(p * p, axis=-1)), 3.0, 1.5)
+
+        data, t_end = InitialData.from_physical(grid, bump, bump), 3.0
+    else:
+        grid = build_radial_grid(1.0, 11.0, 200, angular_mode=int(name[-1]))
+        amp = _bump(grid.r, 3.0, 1.0)
+        data, t_end = InitialData(grid, amp, 0.5 * amp), 6.0
+    assert grid.sponge_cells == 0
+    traj, us, vs = observed_rows(data, None, t_end)
+    assert len(us) > 10
+    centred = (us[2:] - us[:-2]) / (2.0 * traj.dt)
+    rows = len(centred)
+    err = np.abs(centred - vs[1:-1]).reshape(rows, -1).max(axis=1)
+    scale = np.abs(vs[1:-1]).reshape(rows, -1).max(axis=1)
+    assert np.all(err <= 1e-13 * scale)
+
+
 def test_local_energy_series_keeps_its_values():
     # energies taken on the observer's read-only views equal those of
     # copied states
