@@ -14,7 +14,8 @@ physical values u at the nodes:
     zeros(), sponge_sigma()                field shape, damping
     coords(), radii()                      sample points and |x| per node
     updated()                              nodes the stepper evolves (*)
-    laplace(u, out=None, tmp=None)         spatial operator
+    operator(u, out, tmp, scale=1.0)       apply() writing scale Lap u to out
+    laplace(u, out=None, tmp=None)         operator(u, out, tmp)()
     pin(a)                                 zero the Dirichlet nodes in place
     on_boundary(a)                         values on obstacle-boundary nodes
     weights()                              volume quadrature per node (*)
@@ -24,6 +25,12 @@ physical values u at the nodes:
     energy_fn(inside=None)                 energy of a state (u, v)
 
 (*) one read-only array, made with the grid.
+
+operator binds the stencil's views, and its coefficients times scale, to
+u, out and tmp (scratch of u's shape) once; each apply() then reads u
+as it is and writes scale times its Laplacian into out, allocating no
+field.  The solver binds it once per run with scale dt/2, the size of a
+half kick; at scale 1 it gives laplace's bytes.
 """
 
 import numpy as np
@@ -121,6 +128,17 @@ def _sponge_ramp(s, strength):
     return strength * np.clip(s, 0.0, 1.0) ** 3
 
 
+def _laplace(grid, u, out=None, tmp=None):
+    """The spatial operator on u, written into out if given; tmp is
+    scratch of u's shape (each allocated when not given)."""
+    u = np.ascontiguousarray(u, dtype=float)
+    if out is None:
+        out = np.empty(u.shape)
+    if tmp is None:
+        tmp = np.empty_like(out)
+    return grid.operator(u, out, tmp)()
+
+
 class RadialGrid:
     """Uniform grid on [r0, r_max] of fields u(r).
 
@@ -200,28 +218,33 @@ class RadialGrid:
         """Nodes the stepper evolves (all but the two Dirichlet ends)."""
         return self._live
 
-    def laplace(self, u, out=None, tmp=None):
-        """The operator d_rr + (2/r) d_r - l(l+1)/r^2 on u.
+    def operator(self, u, out, tmp, scale=1.0):
+        """apply() writing scale (d_rr + (2/r) d_r - l(l+1)/r^2) u to out.
 
         Inside, the 3-point stencil c u[i-1] + b u[i] + a u[i+1]; at the
-        two ends, the one-sided formulas.  Written into out if given; tmp
-        is scratch of u's shape (allocated when not given).
+        two ends, the one-sided formulas; every coefficient times scale.
         """
-        if out is None:
-            out = np.empty(u.shape)
-        if tmp is None:
-            tmp = np.empty_like(out)
-        c, b, a = self._inner
+        # the grid's own arrays at scale 1, so laplace allocates no field
+        c, b, a = (self._inner if scale == 1.0
+                   else [scale * k for k in self._inner])
+        lo, cen, hi = u[..., :-2], u[..., 1:-1], u[..., 2:]
         mid, t = out[..., 1:-1], tmp[..., 1:-1]
-        np.multiply(c, u[..., :-2], out=mid)
-        mid += np.multiply(b, u[..., 1:-1], out=t)
-        mid += np.multiply(a, u[..., 2:], out=t)
-        # node i of every row, a scalar when u is one row (as in fd)
+        # node i of every row, a scalar when u is one row (as in fd),
+        # read when apply() is called
         lead = (slice(None),) * (u.ndim - 1)
-        for nodes, (e0, e1, e2, e3) in self._ends:
-            f0, f1, f2, f3 = (u[lead + (i,)] for i in nodes)
-            out[lead + (nodes[0],)] = e0 * f0 + e1 * f1 + e2 * f2 + e3 * f3
-        return out
+        ends = [(lead + (nodes[0],), [lead + (i,) for i in nodes],
+                 [scale * e for e in coeffs]) for nodes, coeffs in self._ends]
+
+        def apply():
+            np.multiply(c, lo, out=mid)
+            np.add(mid, np.multiply(b, cen, out=t), out=mid)
+            np.add(mid, np.multiply(a, hi, out=t), out=mid)
+            for at, (i0, i1, i2, i3), (e0, e1, e2, e3) in ends:
+                out[at] = e0 * u[i0] + e1 * u[i1] + e2 * u[i2] + e3 * u[i3]
+            return out
+        return apply
+
+    laplace = _laplace
 
     def pin(self, a):
         """Zero the two Dirichlet end nodes in place."""
@@ -249,18 +272,38 @@ class RadialGrid:
         """Energy of states (u, v) over nodes where inside holds.
 
         The density r^2 (v^2 + |du|^2 + u^2) + l(l+1) u^2 is summed with
-        trapezoid weights in r, made here, and 4 pi after.
+        trapezoid weights in r, made here, and 4 pi after.  Only the nodes
+        up to one past the last one inside are read, so each of those keeps
+        its centred du; the products go into a zero-padded full-length
+        array, so the sum is that of every node's product, weight zero
+        outside, byte for byte, and it is nondecreasing in the set inside.
         """
-        r2, l = self._r2, self.angular_mode
-        wts = fd.trapezoid(self.h, self.n_nodes)
+        r2, l, n = self._r2, self.angular_mode, self.n_nodes
+        wts = fd.trapezoid(self.h, n)
         if inside is not None:
             wts = np.where(inside, wts, 0.0)
+        held = np.flatnonzero(wts)
+        k = min(max(held[-1] + 2, 3), n) if len(held) else 0
+        r2, wts = r2[:k], wts[:k]
+        bufs = {}   # (product, scratch, scratch) per stack shape
 
         def at(u, v):
-            dens = (v**2 + fd.d1(u, self.h, axis=-1)**2 + u**2) * r2
-            if l:
-                dens = dens + (l * (l + 1)) * u**2
-            return float(4.0 * np.pi * np.sum(dens * wts))
+            if u.shape not in bufs:
+                lead = u.shape[:-1]
+                bufs[u.shape] = (np.zeros(u.shape), np.empty(lead + (k,)),
+                                 np.empty(lead + (k,)))
+            prod, dens, sq = bufs[u.shape]
+            if k:
+                u, v = u[..., :k], v[..., :k]
+                np.square(fd.d1(u, self.h, axis=-1, out=sq), out=sq)
+                np.add(np.square(v, out=dens), sq, out=dens)
+                dens += np.square(u, out=sq)
+                dens *= r2
+                if l:
+                    sq *= l * (l + 1)
+                    dens += sq
+                np.multiply(dens, wts, out=prod[..., :k])
+            return float(4.0 * np.pi * np.sum(prod))
         return at
 
     def hessian_sq(self, u, grad):
@@ -330,18 +373,23 @@ class CartesianGrid:
         """Nodes the stepper evolves (fluid plus sponge)."""
         return self._live
 
-    def laplace(self, u, out=None, tmp=None):
-        """The 7-point Laplacian of u.
+    def operator(self, u, out, tmp, scale=1.0):
+        """apply() writing scale times the 7-point Laplacian of u to out.
 
-        Written into out if given; tmp is scratch of u's shape that the
-        second and third axis terms pass through (allocated if not given).
+        u, out and tmp must be C-contiguous; the second and third axis
+        terms pass through tmp.
         """
-        acc = fd.d2(u, self.h, axis=-3, out=out)
-        if tmp is None:
-            tmp = np.empty_like(acc)
-        for axis in (-2, -1):
-            acc += fd.d2(u, self.h, axis=axis, out=tmp)
-        return acc
+        first, *rest = (fd.d2_operator(u, self.h, axis, o, scale)
+                        for axis, o in ((-3, out), (-2, tmp), (-1, tmp)))
+
+        def apply():
+            acc = first()
+            for term in rest:
+                acc += term()
+            return acc
+        return apply
+
+    laplace = _laplace
 
     def pin(self, a):
         """Zero every node the stepper does not evolve, in place.

@@ -82,16 +82,36 @@ def d2(y, h, axis=-1, out=None):
 
     out must have y's shape and must not overlap y; it is returned.
     """
+    return d2_operator(np.ascontiguousarray(y, dtype=float), h, axis, out)()
+
+
+def d2_operator(y, h, axis=-1, out=None, scale=1.0):
+    """apply() that writes scale * d2(y, h, axis) into out and returns it.
+
+    y, a C-contiguous float array, and out are bound here, so that
+    apply() reads y as it is when called.  The scale is folded into the
+    divisor h^2 / scale: scale 1 gives d2's bytes, and no scale costs a
+    pass over out.
+    """
+    if not (y.flags.c_contiguous and y.dtype == float):
+        raise ParamError("a bound stencil reads C-contiguous float arrays")
     y, out, lead, (lo, c, hi, mid) = _stencil(y, out, axis, 4)
-    # (a - 2 b + c) / h^2 evaluated in place, operation by operation
-    np.multiply(2.0, c, out=mid)
-    np.subtract(hi, mid, out=mid)
-    np.add(mid, lo, out=mid)
-    np.divide(mid, h**2, out=mid)
-    g3, g2, g1, g0, f0, f1, f2, f3 = (y[lead + (i,)] for i in range(-4, 4))
-    out[lead + (0,)] = (2.0 * f0 - 5.0 * f1 + 4.0 * f2 - f3) / h**2
-    out[lead + (-1,)] = (2.0 * g0 - 5.0 * g1 + 4.0 * g2 - g3) / h**2
-    return out
+    div = h**2 / scale
+    # views, not values, of the end nodes: a 0-d view when y is one row
+    g3, g2, g1, g0, f0, f1, f2, f3 = (y[lead + (i, ...)]
+                                      for i in range(-4, 4))
+    first, last = out[lead + (0, ...)], out[lead + (-1, ...)]
+
+    def apply():
+        # (a - 2 b + c) / h^2 evaluated in place, operation by operation
+        np.multiply(2.0, c, out=mid)
+        np.subtract(hi, mid, out=mid)
+        np.add(mid, lo, out=mid)
+        np.divide(mid, div, out=mid)
+        first[...] = (2.0 * f0 - 5.0 * f1 + 4.0 * f2 - f3) / div
+        last[...] = (2.0 * g0 - 5.0 * g1 + 4.0 * g2 - g3) / div
+        return out
+    return apply
 
 
 def trapezoid(h, n):

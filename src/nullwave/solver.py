@@ -7,9 +7,12 @@ velocity explicitly, which makes energy evaluation and sponge damping
 plain pointwise operations.
 
 The second kick of a step and the first kick of the next one use the same
-acceleration, so the kernel keeps laplace(u) from the end of each step and
-evaluates the spatial operator once per step.  It updates u and v in place
-through two field-sized buffers and allocates nothing per step.
+acceleration, so the kernel keeps (dt/2) L(u) from the end of each step
+and evaluates the spatial operator once per step.  The grid's operator
+is bound once per run with scale dt/2, so each half kick is one add,
+v += lap, and a forcing's one more, v += (dt/2) f.  The kernel updates u
+and v in place through two field-sized buffers and allocates nothing per
+step.
 
 solve_linear is the one entry point.  A run takes step_count steps and
 has a snapshot every stride steps, n_steps // stride + 1 in all, and it
@@ -52,33 +55,30 @@ def _damping(grid, dt):
     return None
 
 
-def _advance(grid, u, v, lap, tmp, dt, f_mid, damp):
+def _advance(grid, kick, u, v, lap, tmp, dt, f_half, damp):
     """One velocity-Verlet step of (u, v), in place.
 
-    lap holds grid.laplace(u) on entry and the Laplacian of the new u on
-    return; tmp is scratch of u's shape.  Every operation keeps the operand
-    order of a = L(u) + f, vh = v + (dt/2) a, un = u + dt vh,
-    vn = (vh + (dt/2) (L(un) + f)) * damp, so the bytes do not depend on
-    whether L(u) was carried over or evaluated afresh.
+    kick() is grid.operator(u, lap, tmp, 0.5 * dt): lap holds (dt/2) L(u)
+    on entry and (dt/2) L of the new u on return, and tmp is its scratch
+    and the drift's.  f_half is (dt/2) f or None.  Every operation keeps
+    the operand order of vh = (v + (dt/2) L(u)) + (dt/2) f,
+    un = u + dt vh, vn = ((vh + (dt/2) L(un)) + (dt/2) f) * damp, with
+    (dt/2) L made from pre-scaled coefficients, so the bytes do not depend
+    on whether (dt/2) L(u) was carried over or evaluated afresh.
     """
-    half = 0.5 * dt
-    if f_mid is not None:
-        lap += f_mid
-    lap *= half
     v += lap
+    if f_half is not None:
+        v += f_half
     np.multiply(v, dt, out=tmp)
     u += tmp
     # pinned nodes are zeroed after each update, whatever the spatial
     # operator left there; pin before the second kick so near-boundary
     # stencils read the pinned values, not the drifted ones
     grid.pin(u)
-    grid.laplace(u, out=lap, tmp=tmp)
-    if f_mid is not None:
-        np.add(lap, f_mid, out=tmp)
-        tmp *= half
-    else:
-        np.multiply(lap, half, out=tmp)
-    v += tmp
+    kick()
+    v += lap
+    if f_half is not None:
+        v += f_half
     if damp is not None:
         v *= damp
     grid.pin(v)
@@ -158,14 +158,13 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
     grid.pin(v)
 
     damp = _damping(grid, dt)
-    lap = grid.laplace(u)
-    tmp = np.empty_like(u)
-    if recorded is not None:
-        f_buf = np.empty(recorded.shape[1:])
+    half = 0.5 * dt
+    lap, tmp = np.empty((2,) + u.shape)
+    kick = grid.operator(u, lap, tmp, half)
+    kick()
+    if forcing is not None:
+        f_buf = np.empty(u.shape)
 
-    # the first and the last (u, v) are kept
-    us, vs = np.empty((2, 2) + u.shape)
-    us[0], vs[0] = u, v
     # views of the live buffers that the observer cannot write through
     u_seen, v_seen = u.view(), v.view()
     u_seen.flags.writeable = v_seen.flags.writeable = False
@@ -177,14 +176,14 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
         if recorded is not None:
             # in float64 whatever the forcing's dtype: a float32 sum
             # would round before the cast
-            f_mid = np.add(recorded[k], recorded[k + 1], out=f_buf,
-                           dtype=np.float64)
-            f_mid *= 0.5
+            f_half = np.add(recorded[k], recorded[k + 1], out=f_buf,
+                            dtype=np.float64)
+            f_half *= 0.25 * dt
         elif callable(forcing):
-            f_mid = forcing(t + 0.5 * dt)
+            f_half = np.multiply(forcing(t + half), half, out=f_buf)
         else:
-            f_mid = None
-        _advance(grid, u, v, lap, tmp, dt, f_mid, damp)
+            f_half = None
+        _advance(grid, kick, u, v, lap, tmp, dt, f_half, damp)
         t = (k + 1) * dt
         if (k + 1) % NAN_CHECK_INTERVAL == 0 and not np.all(np.isfinite(u)):
             raise NaNError("non-finite field at t=%g" % t)
@@ -193,6 +192,12 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
     if not np.all(np.isfinite(u)):
         raise NaNError("non-finite field at final time %g" % t)
 
+    # the first (u, v), as the run started from it, and the last
+    del kick, lap, tmp
+    us, vs = np.empty((2, 2) + u.shape)
+    us[0], vs[0] = data.f, data.g
+    grid.pin(us[0])
+    grid.pin(vs[0])
     us[1], vs[1] = u, v
     # the last snapshot's time as dt * stride * arange gives it, to the bit
     times = np.array([0.0, dt * stride * (n_steps // stride)])

@@ -220,6 +220,19 @@ def test_run_linear_energies_match_a_stored_run(tmp_path):
     assert fields["v"].tobytes() == vs[-1].tobytes()
 
 
+def test_run_linear_ball_without_a_node_exits_3(tmp_path):
+    # a local radius below r0 = 1 holds no node: every energy is zero,
+    # and the fit refuses them with a message, not a traceback
+    ini = write_ini(tmp_path, LINEAR_INI.replace("local_radius = 3.0",
+                                                 "local_radius = 0.5"))
+    out = tmp_path / "out"
+    assert run(["run-linear", "--config", ini], out) == 3
+    assert listing(out) == ["error.json"]
+    err = load(out, "error.json")["error"]
+    assert err["type"] == "FitError"
+    assert "decay fit requires positive values" in err["message"]
+
+
 # l = 0 and a run too short for the pulse to reach r0 = 1: r u is
 # d'Alembert's (w0(r - t) + w0(r + t)) / 2 with w0 = r u0
 PULSE_INI = """\

@@ -139,17 +139,35 @@ def test_radial_laplace_near_the_origin_is_finite():
     assert np.all(np.isfinite(grid.laplace(np.cos(grid.r))))
 
 
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_radial_laplace_allocates_no_field():
     grid = build_radial_grid(1.0, 36.0, 8000, angular_mode=1)
     u = np.sin(grid.r)
     out, tmp = np.empty((2, grid.n_nodes))
-    tracemalloc.start()
-    try:
-        grid.laplace(u, out=out, tmp=tmp)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < u.nbytes / 10
+    assert _peak_bytes(lambda: grid.laplace(u, out=out, tmp=tmp)) \
+        < u.nbytes / 10
+    # nor does a bound operator's apply(), on either grid, at scale 1
+    # (laplace's bytes) and at a half step; the Cartesian one allocates
+    # face-sized arrays at the axis ends only
+    cart = build_masked_grid(Obstacle.ellipsoid(1.4, 1.0, 0.8), 12.0, 64,
+                             sponge_cells=8)
+    for g in (grid, cart):
+        u = np.sin(g.radii())
+        out, tmp = np.empty((2,) + u.shape)
+        for scale in (1.0, 0.45 * g.h):
+            apply = g.operator(u, out, tmp, scale)
+            assert _peak_bytes(apply) < u.nbytes / 10
+            assert apply() is out
+            if scale == 1.0:
+                assert out.tobytes() == g.laplace(u).tobytes()
 
 
 def test_radial_sponge_profile():

@@ -217,26 +217,52 @@ def test_recorded_forcing_matches_callable():
 # the in-place kernel against the two-Laplacian, allocating form
 
 
-def _reference_laplace(grid, u):
-    # the allocating operators the kernel replaced
+def _reference_laplace(grid, u, scale=1.0):
+    # the allocating operator, scale times the Laplacian: the radial
+    # stencil's coefficients, or the Cartesian divisor h^2, taken times
+    # scale first, as the grid's bound operator takes them.  Inside only:
+    # the two radial ends and the cube's faces are pinned, so the values
+    # there never reach a state
+    acc = np.zeros(u.shape)
     if grid.kind == "radial":
-        # d2(r u) / r as a 3-point stencil inside; at the (pinned) ends,
-        # d2 u + (2/r) d1 u - l(l+1) u / r^2 with one-sided differences
+        # d2(r u) / r as a 3-point stencil
         r, h, l = grid.r, grid.h, grid.angular_mode
-        acc = fd.d2(u, h) + 2.0 * fd.d1(u, h) / r - l * (l + 1) * u / r**2
         d2, q, ri = 1.0 / h**2, 1.0 / (h * r[1:-1]), r[1:-1]
-        acc[..., 1:-1] = ((d2 - q) * u[..., :-2]
-                          + (-2.0 * d2 - l * (l + 1) / ri**2) * u[..., 1:-1]
-                          + (d2 + q) * u[..., 2:])
+        acc[..., 1:-1] = ((scale * (d2 - q)) * u[..., :-2]
+                          + (scale * (-2.0 * d2 - l * (l + 1) / ri**2))
+                          * u[..., 1:-1]
+                          + (scale * (d2 + q)) * u[..., 2:])
         return acc
-    acc = fd.d2(u, grid.h, axis=-3)
-    acc += fd.d2(u, grid.h, axis=-2)
-    acc += fd.d2(u, grid.h, axis=-1)
+    div = grid.h**2 / scale
+    for axis in (-3, -2, -1):
+        y = np.moveaxis(u, axis, -1)
+        np.moveaxis(acc, axis, -1)[..., 1:-1] += (
+            ((y[..., 2:] - 2.0 * y[..., 1:-1]) + y[..., :-2]) / div)
     return acc
 
 
 def _reference_step(grid, u, v, dt, f_mid, damp):
-    # velocity Verlet with the operator evaluated afresh for both kicks
+    # velocity Verlet with (dt/2) L evaluated afresh for both kicks, and
+    # the forcing's (dt/2) f added after it
+    half = 0.5 * dt
+    f_half = None if f_mid is None else half * f_mid
+    vh = v + _reference_laplace(grid, u, half)
+    if f_half is not None:
+        vh = vh + f_half
+    un = u + dt * vh
+    grid.pin(un)
+    vn = vh + _reference_laplace(grid, un, half)
+    if f_half is not None:
+        vn = vn + f_half
+    if damp is not None:
+        vn = vn * damp
+    grid.pin(vn)
+    return un, vn
+
+
+def _unscaled_step(grid, u, v, dt, f_mid, damp):
+    # the operand order of the kernel before (dt/2) went into the
+    # operator: vh = v + (dt/2) (L(u) + f), and the same for the second kick
     a = _reference_laplace(grid, u)
     if f_mid is not None:
         a = a + f_mid
@@ -253,7 +279,7 @@ def _reference_step(grid, u, v, dt, f_mid, damp):
     return un, vn
 
 
-def _reference_solve(data, forcing, n_steps, dt):
+def _reference_solve(data, forcing, n_steps, dt, step=_reference_step):
     grid = data.grid
     u = data.f.copy()
     v = data.g.copy()
@@ -270,7 +296,7 @@ def _reference_solve(data, forcing, n_steps, dt):
             f_mid = forcing(k * dt + 0.5 * dt)
         else:
             f_mid = None
-        u, v = _reference_step(grid, u, v, dt, f_mid, damp)
+        u, v = step(grid, u, v, dt, f_mid, damp)
         us.append(u)
         vs.append(v)
     return np.array(us), np.array(vs)
@@ -320,20 +346,40 @@ def test_kernel_matches_two_laplacian_reference(name):
     assert traj.v.tobytes() == vs[[0, -1]].tobytes()
 
 
+@pytest.mark.parametrize("name", KERNEL_CASES)
+def test_kernel_stays_near_the_unscaled_kick_order(name):
+    # folding dt/2 into the operator changes the rounding order only
+    data, forcing, t_end = _kernel_case(name)
+    traj, us, vs = observed_rows(data, forcing, t_end)
+    ref_u, ref_v = _reference_solve(data, forcing, traj.stride, traj.dt,
+                                    step=_unscaled_step)
+    for got, want in ((us, ref_u), (vs, ref_v)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_one_laplacian_per_step():
-    grid = build_radial_grid(1.0, 11.0, 200, angular_mode=1)
-    amp = _bump(grid.r, 3.0, 1.0)
-    calls = []
-    laplace = grid.laplace
+    for name in ("radial-l1-sponge", "ellipsoid"):
+        data, forcing, t_end = _kernel_case(name)
+        grid = data.grid
+        binds, applied = [], []
+        operator = grid.operator
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return laplace(*args, **kwargs)
+        def counting(*args):
+            binds.append(args)
+            apply = operator(*args)
 
-    grid.laplace = counting
-    solve_linear(InitialData(grid, amp, amp), None, 2.0, stride=1)
-    # one evaluation before the first step, then one per step
-    assert len(calls) == step_count(2.0, cfl_limit(grid)) + 1
+            def counted():
+                applied.append(1)
+                return apply()
+            return counted
+
+        grid.operator = counting
+        solve_linear(data, forcing, t_end)
+        # the operator is bound once, at a half step, and applied before
+        # the first step, then once per step
+        dt = cfl_limit(grid)
+        assert len(binds) == 1 and binds[0][3] == 0.5 * dt
+        assert len(applied) == step_count(t_end, dt) + 1
 
 
 def test_step_leaves_its_input_untouched():
@@ -500,6 +546,40 @@ def test_local_energy_monotone_in_radius():
     assert vals[-1] == grid.energy_fn()(amp, 0.5 * amp)
 
 
+def _full_length_energy(grid, inside, u, v):
+    # the density at every node, weighted by zero outside the ball
+    l = grid.angular_mode
+    wts = fd.trapezoid(grid.h, grid.n_nodes)
+    if inside is not None:
+        wts = np.where(inside, wts, 0.0)
+    dens = (v**2 + fd.d1(u, grid.h, axis=-1)**2 + u**2) * grid.r**2
+    if l:
+        dens = dens + (l * (l + 1)) * u**2
+    return float(4.0 * np.pi * np.sum(dens * wts))
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_local_energy_reads_only_its_ball(l):
+    # the energy over the nodes up to one past the ball is the full-length
+    # formula's, byte for byte: for one row and for a stack, for balls
+    # with no node, with one or two, and reaching to r_max or beyond it
+    grid = build_radial_grid(1.0, 10.0, 200, angular_mode=l)
+    amp = _bump(grid.r, 4.0, 2.0) + 0.1 * np.cos(grid.r)
+    states = [(amp, 0.5 * amp), (np.stack([amp, -2.0 * amp]),
+                                 np.stack([amp, np.sin(grid.r)]))]
+    r = grid.r
+    for A in (0.5, 1.0, r[0] + 0.5 * grid.h, r[1] + 0.5 * grid.h, 4.0,
+              r[-2] + 0.5 * grid.h, 20.0, None):
+        inside = None if A is None else r < A
+        at = local_energy_fn(grid, A)
+        for u, v in states + states:
+            assert at(u, v) == _full_length_energy(grid, inside, u, v)
+        if A is not None and A <= 1.0:
+            assert at(amp, amp) == 0.0
+    assert (local_energy_fn(grid, 20.0)(amp, amp)
+            == grid.energy_fn()(amp, amp))
+
+
 def test_angular_mode_energy_includes_centrifugal_term():
     grid0 = build_radial_grid(1.0, 10.0, 100, angular_mode=0)
     grid1 = build_radial_grid(1.0, 10.0, 100, angular_mode=1)
@@ -639,8 +719,9 @@ def test_a_run_holds_no_snapshot_rows():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # u, v, the Laplacian and scratch, and the two kept states
-        assert peak < 12 * data.f.nbytes, (t_end, peak)
+        # u, v, the operator's output, its scratch and its three scaled
+        # coefficients while stepping; u, v and the two kept states after
+        assert peak < 8 * data.f.nbytes, (t_end, peak)
 
 
 # ---------------------------------------------------------------------------
