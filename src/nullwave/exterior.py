@@ -285,19 +285,22 @@ class RadialGrid:
         held = np.flatnonzero(wts)
         k = min(max(held[-1] + 2, 3), n) if len(held) else 0
         r2, wts = r2[:k], wts[:k]
-        bufs = {}   # (product, scratch, scratch) per stack shape
+        # per stack shape: the product, two scratch arrays, and the copy of
+        # u's first k nodes with its d1 bound to it, written to a scratch
+        bufs = {}
 
         def at(u, v):
             if u.shape not in bufs:
-                lead = u.shape[:-1]
-                bufs[u.shape] = (np.zeros(u.shape), np.empty(lead + (k,)),
-                                 np.empty(lead + (k,)))
-            prod, dens, sq = bufs[u.shape]
+                prod = np.zeros(u.shape)
+                dens, sq, held_u = np.empty((3,) + u.shape[:-1] + (k,))
+                du = fd.d1_operator(held_u, self.h, -1, sq) if k else None
+                bufs[u.shape] = prod, dens, sq, held_u, du
+            prod, dens, sq, held_u, du = bufs[u.shape]
             if k:
-                u, v = u[..., :k], v[..., :k]
-                np.square(fd.d1(u, self.h, axis=-1, out=sq), out=sq)
-                np.add(np.square(v, out=dens), sq, out=dens)
-                dens += np.square(u, out=sq)
+                np.copyto(held_u, u[..., :k])
+                np.square(du(), out=sq)
+                np.add(np.square(v[..., :k], out=dens), sq, out=dens)
+                dens += np.square(held_u, out=sq)
                 dens *= r2
                 if l:
                     sq *= l * (l + 1)

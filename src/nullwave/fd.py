@@ -4,8 +4,10 @@ Second-order accurate throughout: centered stencils inside, one-sided
 three/four point formulas at array ends, trapezoid weights.
 
 d1 and d2 write into out if given, which must then be C-contiguous;
-y is read as a C-contiguous array.  Their interior is one difference of
-the flattened arrays, shifted by the axis stride s: (f[2s:] - f[:-2s]) /
+y is read as a C-contiguous array.  Each is its bound form, d1_operator
+or d2_operator, applied once, so a caller that differentiates one buffer
+many times binds it once.  Their interior is one difference of the
+flattened arrays, shifted by the axis stride s: (f[2s:] - f[:-2s]) /
 (2h) for d1.  What it takes across the axis ends falls on edge
 positions, which the one-sided formulas then overwrite, so d1 is
 np.gradient(y, h, axis, edge_order=2) byte for byte.
@@ -46,13 +48,31 @@ def _stencil(y, out, axis, least):
 
 def d1(y, h, axis=-1, out=None):
     """First derivative, centered interior, second-order one-sided ends."""
+    return d1_operator(np.ascontiguousarray(y, dtype=float), h, axis, out)()
+
+
+def d1_operator(y, h, axis=-1, out=None):
+    """apply() that writes d1(y, h, axis) into out and returns it.
+
+    y, a C-contiguous float array, and out are bound here, as in
+    d2_operator, so that apply() reads y as it is when called and pays
+    for no stencil set-up.
+    """
+    if not (y.flags.c_contiguous and y.dtype == float):
+        raise ParamError("a bound stencil reads C-contiguous float arrays")
     y, out, lead, (lo, _, hi, mid) = _stencil(y, out, axis, 3)
-    np.divide(np.subtract(hi, lo, out=mid), 2.0 * h, out=mid)
-    f0, f1, f2, g2, g1, g0 = (y[lead + (i,)] for i in (0, 1, 2, -3, -2, -1))
-    # np.gradient's edge_order=2 ends: its constants, its operation order
-    out[lead + (0,)] = (-1.5 / h) * f0 + (2.0 / h) * f1 + (-0.5 / h) * f2
-    out[lead + (-1,)] = (0.5 / h) * g2 + (-2.0 / h) * g1 + (1.5 / h) * g0
-    return out
+    # the end nodes, read when apply() is called: scalars when y is one row
+    ends = [lead + (i,) for i in (0, 1, 2, -3, -2, -1)]
+    first, last = ends[0], ends[-1]
+
+    def apply():
+        np.divide(np.subtract(hi, lo, out=mid), 2.0 * h, out=mid)
+        f0, f1, f2, g2, g1, g0 = (y[i] for i in ends)
+        # np.gradient's edge_order=2 ends: its constants, its operation order
+        out[first] = (-1.5 / h) * f0 + (2.0 / h) * f1 + (-0.5 / h) * f2
+        out[last] = (0.5 / h) * g2 + (-2.0 / h) * g1 + (1.5 / h) * g0
+        return out
+    return apply
 
 
 def d1_rows(read, lo, hi, n, h, out=None):

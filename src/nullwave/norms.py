@@ -9,22 +9,41 @@ factor.
 
 Every cylinder quantity is a sum or a max over the sampled rows of a
 run, so no sampled row is kept: a Picard sweep hands each one to
-CylinderNorms as it takes it, and the row's frame (its time, image and
-tip distance, conformal factor and gradient, quadrature weight) pulls
-back the solution and then the forcing as fields (val, g0, gb); a run
-keeps no u stack (see nullwave.solver).
+CylinderNorms as it takes it, and the row's frame pulls back the
+solution and then the forcing; a run keeps no u stack (see
+nullwave.solver).  The frame is written in the null coordinates
+p = t + r and m = t - r, with up = 1 + p^2 and um = 1 + m^2: the
+conformal factor is conf = 2 / sqrt(up um), (d_t + d_r) log conf is
+-2p / up and (d_t - d_r) log conf is -2m / um, so the field
+val = conf**power * q of a radial q has
+
+    g0 + gb = (up / 2) (d_t + d_r) val
+            = conf**power ((up / 2) (q_t + q_r) - power p q),
+    g0 - gb = (um / 2) (d_t - d_r) val
+            = conf**power ((um / 2) (q_t - q_r) - power m q),
+
+where g0 is its time-rotation derivative and gb the shared magnitude of
+its boost derivatives (rotational derivatives vanish), and
+g0^2 + gb^2 is half the sum of the squares of the two.  The image
+T = arctan p + arctan m, R = arctan p - arctan m enters only through
+the fourth power dist4 = ((pi - T)^2 + R^2)^2 of the tip distance, so
+the truncation dist > delta is dist4 > delta^4, and through the diamond
+check R + |T| = max(2 arctan p, -2 arctan m) < pi, taken at the
+outermost node, where it is largest.
 
 The solution's u_t is the solver's v.  Q_t is d1 of the whole Q series
 at the solver step, never across the sampling stride, and the cylinder
 norms and the local-linear norm read the same one.  A slab norm is
 formed from the per-row slab_sums of its series: a Picard sweep adds
 them a block of rows at a time, for its residual over the whole run and
-for Q over the local_linear_rows of LOCAL_LINEAR_WINDOW.
+for Q over the local_linear_rows of LOCAL_LINEAR_WINDOW.  Each row's
+sum is one einsum pass over its components and nodes, summed the same
+whatever block the row is in.
 """
 
 import numpy as np
 
-from . import fd, penrose
+from . import fd
 from .errors import DomainError, OrderError, ParamError
 from .nullforms import NullFormSpec, accumulate_system
 
@@ -124,7 +143,6 @@ def evaluate_nullform_series(grid, spec: NullFormSpec, u, u_t, out=None,
     du = (u_t,) + grid.gradient(u, grads)
     per_comp = [[d[:, j] for d in du] for j in range(spec.n_components)]
     out = np.empty(du[0].shape) if out is None else out
-    out.fill(0.0)
     accumulate_system(spec, per_comp, per_comp, out.swapaxes(0, 1),
                       (s[:, 0], p[:, 0]))
     return out
@@ -141,55 +159,86 @@ def slab_norm(sq, dt_snap):
 
 
 def slab_sums(grid, val, val_t, work=None):
-    """slab_norm's spatial sums of rows val, of d/dt val_t and of grad val;
-    work as in evaluate_nullform_series (one product is used)."""
-    vol = grid.weights()
-    space = tuple(range(-grid.ndim, 0))
-    *grads, t, _ = np.empty((grid.ndim + 2,) + val.shape) if work is None \
-        else [a.reshape(val.shape) for a in work]
-    sq = np.empty((2 + grid.ndim, len(val)))
+    """slab_norm's spatial sums of rows val, of d/dt val_t and of grad val,
+    each row's in one pass; the gradient rows go into work as in
+    evaluate_nullform_series."""
+    rows, vol = len(val), grid.weights().ravel()
+    grads = [a.reshape(val.shape) for a in (
+        np.empty((grid.ndim,) + val.shape) if work is None
+        else work[:grid.ndim])]
+    sq = np.empty((2 + grid.ndim, rows))
     for k, d in enumerate((val, val_t) + grid.gradient(val, grads)):
-        t = np.multiply(d, d, out=t)
-        t *= vol
-        sq[k] = np.sum(t, axis=space).reshape(len(val), -1).sum(axis=1)
+        d = d.reshape(rows, -1, vol.size)
+        # not a matrix product: BLAS sums a row in an order that depends
+        # on the block's shape, and einsum sums it the same in any block
+        np.einsum("ijk,ijk,k->i", d, d, vol, out=sq[k])
     return sq
 
 
 # ---------------------------------------------------------------------------
 # the cylinder frame of a sampled row and the tip-weighted norms
 
+def _power(x, k):
+    """x**k for a nonzero integer k by squarings and products, not pow:
+    x itself when k is 1, else a new array."""
+    base, k, acc = (np.reciprocal(x) if k < 0 else x), abs(k), None
+    while k:
+        if k & 1:
+            acc = base if acc is None else acc * base
+        k >>= 1
+        if k:
+            base = base * base
+    return acc
+
+
 class _RowFrame:
-    """One sampled row of a radial run on the cylinder: its time t, image
-    (T, R) and tip distance, the conformal factor and its gradient, and
-    the pulled-back quadrature weight (wt is its weight in time)."""
+    """One sampled row of a radial run on the cylinder (see the module
+    docstring): its time t, the null coordinates p and m with the halves
+    hup and hum of up and um, the conformal factor conf, the fourth power
+    dist4 of the tip distance and the pulled-back quadrature weight
+    conf^4 dx wt (wt is its weight in time)."""
 
     def __init__(self, grid, t, wt):
-        self.grid, self.t = grid, t
-        self.T, self.R = penrose.forward_tr(t, grid.r)
-        if np.any(self.R + np.abs(self.T) >= np.pi):
+        self.t = t
+        p, m = self.p, self.m = t + grid.r, t - grid.r
+        ap, am = np.arctan(p), np.arctan(m)
+        # R + |T| = max(2 arctan p, -2 arctan m) grows with r
+        if max(2.0 * ap[-1], -2.0 * am[-1]) >= np.pi:
             raise DomainError("samples outside the compactified diamond")
-        self.dist2 = (np.pi - self.T) ** 2 + self.R * self.R
-        self.dist = np.sqrt(self.dist2)
-        self.conf = penrose.conformal_factor_tr(t, grid.r)
-        self.dconf_dt, self.dconf_dr = penrose.conformal_gradient_tr(t, grid.r)
-        self.weight = self.conf**4 * grid.weights() * wt
+        up, um = np.square(p), np.square(m)
+        up += 1.0
+        um += 1.0
+        self.conf = np.divide(2.0, np.sqrt(up * um))
+        up *= 0.5
+        um *= 0.5
+        self.hup, self.hum = up, um
+        # (pi - T)^2 + R^2 with T = ap + am and R = ap - am, squared
+        dist4 = np.square(np.subtract(np.pi, ap + am))
+        dist4 += np.square(np.subtract(ap, am, out=ap), out=ap)
+        self.dist4 = np.square(dist4, out=dist4)
+        self.weight = _power(self.conf, 4) * grid.weights()
+        self.weight *= wt
 
     def pull(self, q, q_t, q_r, power):
-        """Cylinder field val = conf**power * q of a radial q, with (g0, gb).
+        """(val, g0 + gb, g0 - gb) of the cylinder field val = conf**power
+        * q of a radial q, from q, q_t and q_r (see the module docstring)."""
+        scale = _power(self.conf, power)
+        pq = np.multiply(power, q)
+        gp, gm = np.add(q_t, q_r), np.subtract(q_t, q_r)
+        for g, half, x in ((gp, self.hup, self.p), (gm, self.hum, self.m)):
+            g *= half
+            g -= pq * x
+            g *= scale
+        return np.multiply(scale, q), gp, gm
 
-        g0 is the time-rotation derivative of val; the three boost
-        derivatives point along the radial direction with the shared
-        magnitude gb, and rotational derivatives vanish.
-        """
-        t, r = self.t, self.grid.r
-        scale = self.conf**power
-        dscale = power * self.conf**(power - 1)
-        val_t = dscale * self.dconf_dt * q + scale * q_t
-        val_r = dscale * self.dconf_dr * q + scale * q_r
-        g0 = 0.5 * (1.0 + t * t + r * r) * val_t + t * r * val_r
-        gb = (0.5 * (1.0 + t * t - r * r) * val_r + t * r * val_t
-              + r * r * val_r)
-        return scale * q, g0, gb
+    def density(self, val, gp, gm):
+        """val^2 + dist4 (g0^2 + gb^2) of a pulled field, over gp and gm."""
+        dens = np.square(gp, out=gp)
+        dens += np.square(gm, out=gm)
+        dens *= self.dist4
+        dens *= 0.5
+        dens += np.square(val, out=gm)
+        return dens
 
 
 class CylinderNorms:
@@ -216,6 +265,9 @@ class CylinderNorms:
             raise ParamError("delta must be nonnegative")
         self.grid, self.dt, self.stride = grid, dt, time_stride
         self.deltas = [0.0] + list(deltas)
+        # dist > delta is dist4 > delta^4: a (deltas x nodes) 0/1 mask
+        self.delta4 = np.square(np.square(self.deltas))[:, None]
+        self.mask = np.empty((len(self.deltas), grid.n_nodes))
         self.tip_sq = np.zeros(len(self.deltas))
         self.l8_max = self.l8_sum = self.energy_sq = 0.0
         self.frames = {}
@@ -224,20 +276,22 @@ class CylinderNorms:
         """Frame sampled row i and add its solution row u."""
         wt = self.dt * self.stride * (0.5 if i in (0, self.last) else 1.0)
         frame = self.frames[i] = _RowFrame(self.grid, self.dt * i, wt)
-        val, g0, gb = frame.pull(u, u_t, u_r, 1)
-        dens = val * val + frame.dist2**2 * (g0 * g0 + gb * gb)
+        val, gp, gm = frame.pull(u, u_t, u_r, 1)
         # slice measure: conf^3 dx on each sampled instant
-        self.energy_sq = max(self.energy_sq, float(np.sum(
-            dens * frame.conf**3 * self.grid.weights())))
-        val = np.abs(val)
+        slice_wt = _power(frame.conf, 3)
+        slice_wt *= self.grid.weights()
+        self.energy_sq = max(self.energy_sq, float(np.einsum(
+            "i,i->", frame.density(val, gp, gm), slice_wt)))
+        val = np.abs(val, out=val)
         m = float(np.max(val))
         if m > self.l8_max:
             # normalize before the eighth power to keep the sum in range
             self.l8_sum *= (self.l8_max / m) ** 8
             self.l8_max = m
         if self.l8_max > 0.0:
-            self.l8_sum += float(np.sum((val / self.l8_max) ** 8
-                                        * frame.weight))
+            val /= self.l8_max
+            self.l8_sum += float(np.einsum("i,i->", _power(val, 8),
+                                           frame.weight))
 
     def forcing(self, i, Q, Q_t):
         """Add the forcing row Q of sampled row i, whose solution is in:
@@ -245,9 +299,10 @@ class CylinderNorms:
         canonical cylinder fields, the derivative block weighted by
         dist^4, over the nodes with dist > delta, for each delta."""
         frame = self.frames.pop(i)
-        val, g0, gb = frame.pull(Q, Q_t, fd.d1(Q, self.grid.h), -3)
-        dens = (val * val + frame.dist**4 * (g0**2 + gb**2)) * frame.weight
-        self.tip_sq += [np.sum(dens[frame.dist > d]) for d in self.deltas]
+        dens = frame.density(*frame.pull(Q, Q_t, fd.d1(Q, self.grid.h), -3))
+        dens *= frame.weight
+        np.greater(frame.dist4, self.delta4, out=self.mask)
+        self.tip_sq += np.einsum("ij,j->i", self.mask, dens)
 
     def values(self):
         """(the tip-weighted forcing norms at delta 0 and at each delta,

@@ -25,11 +25,17 @@ def eval_components(form, du, dv, work=(None, None)):
     """One named form on gradient component sequences (d_t, d_1, ...).
 
     q0 takes any number of spatial components, so the radial pair
-    (d_t, d_r) works as well as the full four.  work, if given, is a pair
-    of arrays that take the products, the result in the first.
+    (d_t, d_r) works as well as the full four; when du is dv it is made
+    from squares.  work, if given, is a pair of arrays that take the
+    products, the result in the first.
     """
     o, p = work
     if form == "q0":
+        if du is dv:
+            s = np.square(du[1], out=o)
+            for a in du[2:]:
+                s += np.square(a, out=p)
+            return np.subtract(np.square(du[0], out=p), s, out=o)
         s = np.multiply(du[1], dv[1], out=o)
         for a, b in zip(du[2:], dv[2:]):
             s += np.multiply(a, b, out=p)
@@ -88,17 +94,30 @@ class NullFormSpec:
 
 
 def accumulate_system(spec: NullFormSpec, du, dv, out, work=(None, None)):
-    """Add the system Q(du, dv) into out; returns out.
+    """Write the system Q(du, dv) into out; returns out.
 
     du[j] and dv[k] are the gradient component sequences (d_t, d_1, ...)
     of solution components j and k; out[i] receives output component i.
     With fewer than four gradient components, as in the radial pair
     (d_t, d_r), only q0 terms are evaluated: the rotational forms vanish
-    identically on spherically symmetric fields.  work: eval_components.
+    identically on spherically symmetric fields.  A component's first
+    term is evaluated into out[i], the others are added to it, and a
+    component without a term is zeroed; a coefficient of 1 is not
+    multiplied.  work: eval_components.
     """
+    empty = [True] * spec.n_components
     for (i, j, k, a, form) in spec.terms:
         if form != "q0" and len(du[j]) < 4:
             continue
-        out[i] += np.multiply(a, eval_components(form, du[j], dv[k], work),
-                              out=work[0])
+        dest = out[i, ...]
+        if empty[i]:
+            empty[i] = False
+            eval_components(form, du[j], dv[k], (dest, work[1]))
+            if a != 1.0:
+                dest *= a
+            continue
+        q = eval_components(form, du[j], dv[k], work)
+        dest += q if a == 1.0 else np.multiply(a, q, out=work[0])
+    for i in np.flatnonzero(empty):
+        out[i, ...] = 0.0
     return out

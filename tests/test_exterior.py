@@ -277,6 +277,23 @@ def test_d1_matches_np_gradient():
         fd.d1(np.ones((5, 2)), 0.3, axis=-1)
 
 
+def test_bound_d1_reads_its_buffer_when_applied():
+    # d1 is its bound form applied once; a bound one reads y as it is at
+    # each call and gives np.gradient's bytes every time
+    rng = np.random.default_rng(11)
+    y, out = np.empty((2, 3, 7, 5))
+    apply = fd.d1_operator(y, 0.3, axis=1, out=out)
+    for _ in range(3):
+        y[...] = rng.standard_normal(y.shape)
+        assert apply() is out
+        assert out.tobytes() == np.gradient(y, 0.3, axis=1,
+                                            edge_order=2).tobytes()
+    with pytest.raises(ParamError):
+        fd.d1_operator(y.T, 0.3)
+    with pytest.raises(ParamError):
+        fd.d1_operator(y.astype(np.float32), 0.3)
+
+
 def test_d2_matches_moveaxis_reference():
     # the flat stencil does the moveaxis form's arithmetic, bit for bit,
     # whether it allocates its result or writes into out

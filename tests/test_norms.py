@@ -1,11 +1,13 @@
 """Weighted norms, streamed cylinder norms and estimate-ratio diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
 
 from conftest import cylinder_reference, observed_rows
-from nullwave import exterior, fd, norms, penrose, picard, solver
+from nullwave import cli, exterior, fd, norms, penrose, picard, solver
 from nullwave.errors import DomainError, OrderError, ParamError
 from nullwave.exterior import InitialData, build_radial_grid
 from nullwave.norms import (
@@ -292,21 +294,26 @@ def test_cylinder_samples_shapes_and_weights(linear_run):
     assert sorted(cyl.frames) == list(range(0, last + 1, 10))
     for i, frame in cyl.frames.items():
         # every frame array is one row over the radial nodes
-        for a in (frame.T, frame.R, frame.dist, frame.conf, frame.weight):
+        for a in (frame.p, frame.m, frame.dist4, frame.conf, frame.weight):
             assert a.shape == (grid.n_nodes,)
         for a in frame.pull(u[i], u_t[i], u_t[i], 1):
             assert a.shape == (grid.n_nodes,)
         assert np.all(frame.weight > 0)
-        assert np.all(frame.dist > 0)
+        assert np.all(frame.dist4 > 0)
         assert np.all(frame.conf > 0)
-        assert frame.dist.tobytes() == np.sqrt(frame.dist2).tobytes()
+        # the null-coordinate frame is the map's: its conformal factor to
+        # the byte, its tip distance to rounding
+        assert frame.conf.tobytes() == penrose.conformal_factor_tr(
+            dt * i, grid.r).tobytes()
+        assert np.allclose(frame.dist4, penrose.tip_distance_tr(
+            dt * i, grid.r) ** 4, rtol=1e-13, atol=0.0)
         # the first and last samples get half the trapezoid weight
         wt = 10 * dt * (0.5 if i in (0, last) else 1.0)
         assert frame.t == dt * i
         assert frame.weight.tobytes() == norms._RowFrame(
             grid, dt * i, wt).weight.tobytes()
     # tip distance shrinks as time grows at fixed radius
-    assert cyl.frames[last].dist[0] < cyl.frames[0].dist[0]
+    assert cyl.frames[last].dist4[0] < cyl.frames[0].dist4[0]
 
 
 def test_cylinder_samples_constructor_guards():
@@ -382,6 +389,33 @@ def test_tip_weighted_norm_schemes(linear_run):
                             deltas=[1.0, -0.1])
 
 
+def test_delta_sums_are_the_gathers_of_the_tip_distance(nonlinear_run,
+                                                         monkeypatch):
+    # each tip-weighted sum, at delta 0 and at the estimate-report deltas,
+    # is the sum of the density over the nodes with dist > delta, gathered
+    # on the (T, R) frame of the converged sweep's rows
+    sol = nonlinear_run
+    grid = sol.trajectory.grid
+    deltas = [float(d) for d in cli.DEFAULTS["report"]["deltas"].split()]
+    handed = []
+
+    def spy(data, forcing, t_end, **kwargs):
+        handed.append(None if forcing is None else forcing.copy())
+        return solver.solve_linear(data, forcing, t_end, **kwargs)
+
+    monkeypatch.setattr(picard, "solve_linear", spy)
+    again, rep = picard.picard_solve(sol.data, sol.spec, 12.0, tol=1e-10,
+                                     time_stride=10, deltas=deltas)
+    assert rep.iterations > 1 and again.tip_norms[0] == sol.tip_norms[0]
+    traj, u, u_t = observed_rows(sol.data, handed[-1], 12.0)
+    (u_r,) = grid.gradient(u)
+    tips = cylinder_reference(grid, traj.dt, 10, u, u_t,
+                              u_t * u_t - u_r * u_r, deltas)[0]
+    assert len(tips) == len(deltas) + 1
+    assert np.allclose(np.square(again.tip_norms), np.square(tips),
+                       rtol=1e-13, atol=0.0)
+
+
 def test_delta_sweep_monotone(nonlinear_run):
     tip, *vals = nonlinear_run.tip_norms
     assert len(vals) == len(DELTAS)
@@ -439,7 +473,8 @@ def test_row_stencil_is_the_whole_series_derivative():
 def test_pull_is_the_cylinder_derivative_of_the_field(power):
     # val = conf**power * q for the radial q = cos(1.3 t) exp(-(r-3)^2);
     # g0 must be its d/dT and gb its d/dR (the boost magnitude of a
-    # zonal field), both by central differences through the inverse map
+    # zonal field), both by central differences through the inverse map;
+    # pull gives g0 + gb and g0 - gb
     grid = build_radial_grid(1.0, 6.0, 100)
     r = grid.r
 
@@ -457,8 +492,9 @@ def test_pull_is_the_cylinder_derivative_of_the_field(power):
     h = 1e-5
     for t in 0.1 * np.arange(31):
         frame = norms._RowFrame(grid, t, 1.0)
-        val, g0, gb = frame.pull(*q_parts(t, r), power)
-        T, R = frame.T, frame.R
+        val, gp, gm = frame.pull(*q_parts(t, r), power)
+        g0, gb = 0.5 * (gp + gm), 0.5 * (gp - gm)
+        T, R = penrose.forward_tr(t, r)
         fd_T = (field(T + h, R) - field(T - h, R)) / (2 * h)
         fd_R = (field(T, R + h) - field(T, R - h)) / (2 * h)
         assert np.allclose(val, field(T, R), rtol=1e-12, atol=0.0)
@@ -477,6 +513,54 @@ def test_local_linear_norm_reads_the_run_q_series(linear_run):
     Q_t = fd.d1(Q, dt, axis=0)[:i1]
     assert sol.local_linear == slab_norm(slab_sums(grid, Q[:i1], Q_t), dt)
     assert sol.local_linear != _slab(grid, Q[:i1], dt)
+
+
+def _peak(fn):
+    """The traced peak of fn(), past what was held when it was called."""
+    fn()  # one-time lazy set-up is not the call's
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["radial", "cartesian"])
+def test_slab_sums_allocate_no_field_given_work(kind):
+    # each sum is taken in one pass over its rows, so with a workspace
+    # for the gradient rows nothing of a field's size is allocated
+    grid = build_radial_grid(1.0, 48.0, 2000) if kind == "radial" else \
+        exterior.build_masked_grid(exterior.Obstacle.sphere(1.0), 12.0, 32,
+                                   sponge_cells=0)
+    rows = 4
+    shape = (rows,) + grid.zeros().shape
+    val, val_t = np.random.default_rng(3).standard_normal((2,) + shape)
+    work = np.empty((grid.ndim + 2,) + shape)
+    want = slab_sums(grid, val, val_t)
+    assert slab_sums(grid, val, val_t, work).tobytes() == want.tobytes()
+    assert _peak(lambda: slab_sums(grid, val, val_t, work)) \
+        < grid.zeros().nbytes
+
+
+def test_a_sampled_row_holds_a_few_rows(linear_run):
+    # a sampled row's frame, the pulls of its solution and forcing, and
+    # their densities: 16.6 rows at the estimate-report grid and deltas
+    grid = build_radial_grid(1.0, 48.0, 2000, sponge_cells=170)
+    deltas = [float(d) for d in cli.DEFAULTS["report"]["deltas"].split()]
+    u, u_t, u_r, Q, Q_t = np.random.default_rng(4).standard_normal(
+        (5, grid.n_nodes))
+    cyl = norms.CylinderNorms(grid, 10**4, solver.cfl_limit(grid), 20,
+                              deltas)
+    rows = iter(range(0, 10**4, 20))
+
+    def sampled_row():
+        i = next(rows)
+        cyl.solution(i, u, u_t, u_r)
+        cyl.forcing(i, Q, Q_t)
+
+    assert _peak(sampled_row) < 18 * u.nbytes
+    assert cyl.frames == {}
 
 
 def test_weighted_energy_sup_homogeneous(linear_run):

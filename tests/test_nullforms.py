@@ -126,6 +126,37 @@ def test_accumulate_system_coupled():
     assert np.all(out[1] == 0.0)
 
 
+def test_q0_of_one_gradient_is_made_from_squares():
+    # du is dv: the squares give the products' bytes, with a workspace or
+    # without one
+    du = np.random.default_rng(29).normal(size=(4, 40))
+    want = eval_components("q0", du, du.copy())
+    assert eval_components("q0", du, du).tobytes() == want.tobytes()
+    assert eval_components("q0", du, du, work=(None, None)).tobytes() \
+        == want.tobytes()
+    o, p = np.empty((2, 40))
+    assert eval_components("q0", du, du, (o, p)) is o
+    assert o.tobytes() == want.tobytes()
+
+
+def test_accumulate_system_writes_its_output():
+    # the system's value, whatever out held: first terms are written,
+    # later ones added, a coefficient of 1 is not multiplied, and a
+    # component without a term is zeroed
+    du = np.random.default_rng(31).normal(size=(2, 4, 40))
+    spec = NullFormSpec(3, [(0, 0, 0, 1.0, "q0"), (0, 0, 1, -2.0, "q12"),
+                            (2, 1, 1, 0.5, "q0")])
+    want = accumulate_system(spec, du, du, np.zeros((3, 40)))
+    out = accumulate_system(spec, du, du, np.full((3, 40), np.nan))
+    assert out.tobytes() == want.tobytes()
+    assert np.all(out[1] == 0.0)
+    assert out[0].tobytes() == (eval_components("q0", du[0], du[0])
+                                + -2.0 * eval_components(
+                                    "q12", du[0], du[1])).tobytes()
+    assert out[2].tobytes() == (
+        0.5 * eval_components("q0", du[1], du[1])).tobytes()
+
+
 def test_scalar_q0_coefficient():
     du = np.array([1.0, 2.0, 0.0, 0.0])
     spec = NullFormSpec.scalar_q0(coeff=-3.0)

@@ -572,6 +572,22 @@ def test_streamed_scan_holds_one_entry(monkeypatch):
     assert four < one + stack / 2
 
 
+def test_one_component_on_a_leading_axis_keeps_its_cylinder_norms(family):
+    # scalar data stacked as one component give the plain data's norms,
+    # in the first sweep, whose Q rows are the residual's, and in the
+    # later ones, which keep their own
+    data = family(1e-3)
+    runs = [picard_solve(d, SPEC, 8.0, tol=1e-13, time_stride=5,
+                         deltas=[1.0, 0.0])
+            for d in (data, InitialData(data.grid, data.f[None],
+                                        data.g[None]))]
+    (plain, rep), (stacked, rep1) = runs
+    assert rep.iterations > 1 and rep1.residuals == rep.residuals
+    assert stacked.tip_norms == plain.tip_norms
+    assert (stacked.l8_norm, stacked.energy_sup, stacked.local_linear) == \
+        (plain.l8_norm, plain.energy_sup, plain.local_linear)
+
+
 def test_cylinder_norms_hold_no_sampled_rows():
     # the cylinder norms are summed a sampled row at a time, so sampling
     # four times as many rows does not raise the peak of a run and its
