@@ -23,14 +23,6 @@ write to the forcing rounds.  Each sweep owns a workspace of block rows,
 for u, v, Q and the gradient rows and products (work) of the null form
 and then of the slab_sums, so the observer allocates no row per block.
 
-A sweep with no forcing applied, the first, keeps one set of rows: its
-residual rows are its Q rows, so the cylinder norms read Q and Q_t from
-the residual's _Rows, and the slab_sums of the local-linear window are
-the residual's first local_linear_rows columns, copied when the sweep
-ends.  Both sums are per row and d1_rows does not depend on the block,
-so these are the bytes a second series of Q rows would give; a later
-sweep keeps that second series.
-
 The rounding puts a floor under the residual: a fixed point of the
 rounded iteration still differs from its own forcing by the rounding
 error.  From the second sweep on, a run stops at the larger of tol and
@@ -149,11 +141,8 @@ class _Sweep:
     applied (if applied), go into a _Rows, whose ranges add their
     slab_sums to sq; then Q goes over the block's rows of forcing.  With
     time_stride, the cylinder norms take a sampled row's solution with
-    its block and its forcing once the _Rows of Q gives its Q_t, and
-    local_sq holds the local-linear window's slab_sums.  The _Rows of Q
-    is the residual's when no forcing is applied, and local_sq is then
-    the first columns of sq; else it is a second _Rows, which adds its
-    slab_sums to local_sq.
+    its block and its forcing once a second _Rows, of Q, gives its Q_t;
+    that _Rows adds the local-linear window's slab_sums to local_sq.
     """
 
     def __init__(self, data, spec, n, dt, time_stride, deltas, forcing,
@@ -175,18 +164,15 @@ class _Sweep:
         self.fixed = np.flatnonzero(np.broadcast_to(~grid.updated(), shape))
         self.lo, self.boundary = 0, 0.0
         self.stride = time_stride
-        self.cylinder = self.local_sq = self.q = None
+        self.cylinder = self.local_sq = None
         if time_stride is None:
             return
         if spec.n_components != 1:
             raise ParamError("forcing samples support scalar systems only")
         self.cylinder = norms.CylinderNorms(grid, n, dt, time_stride, deltas)
-        self.local_rows = norms.local_linear_rows(n, dt)
-        # with no forcing applied the residual rows are the Q rows, and
-        # local_sq is the first local_rows columns of sq
-        self.q = _Rows(n, block, shape) if applied else self.res
-        if applied:
-            self.local_sq = np.empty((len(self.sq), self.local_rows))
+        self.q = _Rows(n, block, shape)
+        self.local_sq = np.empty((len(self.sq),
+                                  norms.local_linear_rows(n, dt)))
 
     def __call__(self, m, u, v):
         k = m - self.lo
@@ -196,8 +182,6 @@ class _Sweep:
         self.u[k], self.v[k] = u, v
         if m == self.n - 1:
             self._sums(self.res, self.sq, self._take(k + 1))
-            if self.q is self.res:
-                self.local_sq = self.sq[:, :self.local_rows].copy()
 
     def _take(self, k):
         """Q, forcing and recorded rows of the block; the residual's put."""
@@ -229,8 +213,7 @@ class _Sweep:
         cyl, stride, row = self.cylinder, self.stride, self.comp[1:]
         # evaluate_nullform_series left the rows' gradient in work[0]
         sampled = (u, u_t, self.work[0])
-        shared = self.q is self.res
-        ready = done if shared else self.q.put(lo, new)
+        ready = self.q.put(lo, new)
         # a sampled row's forcing follows its solution at once if its Q_t
         # is in, so at most two frames wait for their Q_t at a time
         for a, b in ready:
@@ -243,8 +226,7 @@ class _Sweep:
         a = max(lo, self.q.done)
         for i in range(a + -a % stride, hi, stride):
             cyl.solution(i, *(x[i - lo].reshape(row) for x in sampled))
-        if not shared:
-            self._sums(self.q, self.local_sq, ready)
+        self._sums(self.q, self.local_sq, ready)
         return done
 
     def _sums(self, rows, out, ranges):

@@ -573,9 +573,9 @@ def test_streamed_scan_holds_one_entry(monkeypatch):
 
 
 def test_one_component_on_a_leading_axis_keeps_its_cylinder_norms(family):
-    # scalar data stacked as one component give the plain data's norms,
-    # in the first sweep, whose Q rows are the residual's, and in the
-    # later ones, which keep their own
+    # scalar data stacked as one component give the plain data's norms
+    # once a forcing is applied, as the later sweeps' Q rows take the
+    # data's shape and the cylinder takes rows of the grid's
     data = family(1e-3)
     runs = [picard_solve(d, SPEC, 8.0, tol=1e-13, time_stride=5,
                          deltas=[1.0, 0.0])
