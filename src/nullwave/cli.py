@@ -444,7 +444,8 @@ def cmd_estimate_report(ec, out, quiet):
     reports = norms.estimate_ratio_report(
         _run_scan(ec, ec.time_stride, ec.deltas), sup_window=ec.sup_window)
     if not reports:
-        raise FitError("no converged scan entries to report on")
+        raise FitError("no converged scan entries with nonzero data to "
+                       "report on")
 
     columns = ["eps"] + list(reports[0].values)
     csv_rows = [[r.metadata["eps"]] + [r[k] for k in r.values]
@@ -520,17 +521,26 @@ def _check_for_subcommand(subcommand, ec):
     Each problem here would otherwise surface only after the whole run,
     as a numerical failure; found here, it exits 2 with nothing written.
     """
-    if subcommand in ("run-nonlinear", "scan-smallness", "estimate-report") \
-            and ec.spec.n_components != 1:
+    picard_run = subcommand in ("run-nonlinear", "scan-smallness",
+                                "estimate-report")
+    if picard_run and ec.spec.n_components != 1:
         raise ConfigError("[nullform] components must be 1 for bump data")
     # the others run the compatibility recursion
     if subcommand not in ("verify-geometry", "run-linear") \
             and not radially_reducible(ec.grid, ec.spec):
         raise ConfigError("a nonlinear [nullform] on a radial grid needs q0 "
                           "terms and [grid] angular_mode = 0")
-    if subcommand == "estimate-report":
+    if picard_run:
         dt = ec.dt or solver.cfl_limit(ec.grid)
-        n = solver.step_count(ec.t_end, dt) + 1
+        try:
+            n = picard.snapshot_count(ec.t_end, dt)
+        except ParamError as e:
+            raise ConfigError("[run] t_end = %g is too short at step %g: %s"
+                              % (ec.t_end, dt, e))
+    if subcommand == "estimate-report":
+        if not any(ec.scan_eps):
+            raise ConfigError("[scan] eps has no nonzero entry, and zero "
+                              "data have no ratios to report")
         try:
             norms.local_linear_rows(n, dt)
         except ParamError as e:

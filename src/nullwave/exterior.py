@@ -7,24 +7,36 @@ and an absorbing sponge band at the outer faces.
 
 Both grids provide one interface, so the solver, the norms and the
 Picard iteration each have a single code path.  Every field holds the
-physical values u at the nodes:
+physical values u at the nodes.  Each grid defines what it is built
+from:
 
-    kind, ndim, h, n, n_nodes              identification and sizes
+    kind, ndim, h, n                       identification and sizes
     sponge_cells, sponge_strength          the absorbing band
-    zeros(), sponge_sigma()                field shape, damping
+    mask                                   node codes: FLUID, BOUNDARY, ...
     coords(), radii()                      sample points and |x| per node
-    updated()                              nodes the stepper evolves (*)
     operator(u, out, tmp, scale=1.0)       apply() writing scale Lap u to out
-    laplace(u, out=None, tmp=None)         operator(u, out, tmp)()
     pin(a)                                 zero the Dirichlet nodes in place
-    on_boundary(a)                         values on obstacle-boundary nodes
+    hessian_sq(u, grad)                    squared Hessian norm per node
+
+and one definition, shared by both, makes the rest:
+
+    n_nodes, shape                         node count, field shape
+    zeros(), sponge_sigma()                a zero field, damping
+    updated()                              nodes the stepper evolves (*)
+    laplace(u, out=None, tmp=None)         operator(u, out, tmp)()
+    on_boundary(a)                         values on BOUNDARY nodes
     weights()                              volume quadrature per node (*)
     gradient(u, out=None)                  spatial gradient tuple
-    hessian_sq(u, grad)                    squared Hessian norm per node
     sample(u)                              initial-data field, zero in solids
     energy_fn(inside=None)                 energy of a state (u, v)
 
 (*) one read-only array, made with the grid.
+
+These read two inputs that each grid computes when called: each node's
+cells to the outer edge, for the sponge ramp, and the terms of the
+energy c sum w (rho (v^2 + |du|^2 + u^2) + k u^2), the weights being
+c rho w: 4 pi, r^2, l(l+1) and trapezoid w on the radial grid, h^3, 1,
+0 and w = 1 on evolved nodes on the masked one.
 
 operator binds the stencil's views, and its coefficients times scale, to
 u, out and tmp (scratch of u's shape) once; each apply() then reads u
@@ -123,29 +135,127 @@ def _check_spacing(h, power):
                          "reciprocal overflows" % (h, power))
 
 
-def _sponge_ramp(s, strength):
-    # cubic ramp keeps the damping smooth at the band entrance
-    return strength * np.clip(s, 0.0, 1.0) ** 3
+class _Grid:
+    """The members both grids share (see the module docstring).
+
+    A grid sets h, n, sponge_cells and sponge_strength, then calls
+    _Grid.__init__ with its mask and the nodes the stepper evolves; it
+    defines _cells_to_edge() and _energy_terms(), which gives (c, rho,
+    k, w).
+    """
+
+    def __init__(self, mask, live):
+        self.mask, self.shape, self.n_nodes = mask, mask.shape, mask.size
+        self._live = live
+        c, rho, _, w = self._energy_terms()
+        self._vol = c * rho * w
+        self._live.flags.writeable = self._vol.flags.writeable = False
+
+    def zeros(self):
+        return np.zeros(self.shape)
+
+    def updated(self):
+        """Nodes the stepper evolves."""
+        return self._live
+
+    def weights(self):
+        """Volume quadrature per node, zero on the Dirichlet nodes."""
+        return self._vol
+
+    def laplace(self, u, out=None, tmp=None):
+        """The spatial operator on u, written into out if given; tmp is
+        scratch of u's shape (each allocated when not given)."""
+        u = np.ascontiguousarray(u, dtype=float)
+        if out is None:
+            out = np.empty(u.shape)
+        if tmp is None:
+            tmp = np.empty_like(out)
+        return self.operator(u, out, tmp)()
+
+    def gradient(self, u, out=None):
+        """Spatial gradient (d_1 u, ..., d_ndim u) of a field, into the
+        arrays of out if given."""
+        axes = range(-self.ndim, 0)
+        return tuple(fd.d1(u, self.h, axis=ax, out=o)
+                     for ax, o in zip(axes, out or (None,) * self.ndim))
+
+    def sample(self, u):
+        """Initial-data field of physical node values u, zero in solids."""
+        return np.where(self.mask == OBSTACLE, 0.0, u)
+
+    def on_boundary(self, a):
+        """Values of a on the BOUNDARY nodes, in C order."""
+        return a[..., self.mask == BOUNDARY]
+
+    def sponge_sigma(self):
+        """Damping per node: a cubic ramp, smooth at the band entrance,
+        up to sponge_strength at the outer edge, zero on OBSTACLE and
+        BOUNDARY nodes and everywhere without a band."""
+        if not self.sponge_cells:
+            return self.zeros()
+        s = (self.sponge_cells - self._cells_to_edge()) / self.sponge_cells
+        sig = self.sponge_strength * np.clip(s, 0.0, 1.0) ** 3
+        sig[(self.mask == OBSTACLE) | (self.mask == BOUNDARY)] = 0.0
+        return sig
+
+    def energy_fn(self, inside=None):
+        """Energy of states (u, v) over nodes where inside holds.
+
+        c sum w (rho (v^2 + |du|^2 + u^2) + k u^2), of the terms (c, rho,
+        k, w) of _energy_terms(), with w zero outside inside.  Only the
+        box of nodes with weight, padded by one node and at least 3 per
+        axis, is read, so each of those keeps its centred du; the products
+        go into a zero-padded full-size array, so the sum is that of every
+        node's product, weight zero outside, byte for byte, and it is
+        nondecreasing in the set inside.
+        """
+        c, rho, k, w = self._energy_terms()
+        if inside is not None:
+            w = np.where(inside, w, 0.0)
+        if not w.any():
+            return lambda u, v: 0.0
+        box = tuple(slice(max(min(i.min() - 1, m - 3), 0),
+                          max(min(i.max() + 2, m), 3))
+                    for i, m in zip(np.nonzero(w), self.shape))
+        at_box, size = (...,) + box, tuple(b.stop - b.start for b in box)
+        rho, w = np.broadcast_to(rho, self.shape)[box], w[box]
+        # per stack shape: the product, two scratch arrays, and the copy of
+        # u's box with its d1 per axis bound to it, written to a scratch
+        bufs = {}
+
+        def at(u, v):
+            if u.shape not in bufs:
+                prod = np.zeros(u.shape)
+                dens, sq, held_u = np.empty(
+                    (3,) + u.shape[:u.ndim - self.ndim] + size)
+                du = [fd.d1_operator(held_u, self.h, axis, sq)
+                      for axis in range(-self.ndim, 0)]
+                bufs[u.shape] = prod, dens, sq, held_u, du
+            prod, dens, sq, held_u, du = bufs[u.shape]
+            np.copyto(held_u, u[at_box])
+            np.square(v[at_box], out=dens)
+            for d in du:
+                dens += np.square(d(), out=sq)
+            dens += np.square(held_u, out=sq)
+            dens *= rho
+            if k:
+                sq *= k
+                dens += sq
+            np.multiply(dens, w, out=prod[at_box])
+            return float(c * np.sum(prod))
+        return at
 
 
-def _laplace(grid, u, out=None, tmp=None):
-    """The spatial operator on u, written into out if given; tmp is
-    scratch of u's shape (each allocated when not given)."""
-    u = np.ascontiguousarray(u, dtype=float)
-    if out is None:
-        out = np.empty(u.shape)
-    if tmp is None:
-        tmp = np.empty_like(out)
-    return grid.operator(u, out, tmp)()
-
-
-class RadialGrid:
+class RadialGrid(_Grid):
     """Uniform grid on [r0, r_max] of fields u(r).
 
     angular_mode is the spherical-harmonic degree l of the reduction; the
     wave operator is d_tt - d_rr - (2/r) d_r + l(l+1)/r^2.  Both end nodes
     carry Dirichlet conditions; an optional sponge band of sponge_cells
-    cells damps outgoing waves before the outer end.
+    cells damps outgoing waves before the outer end.  The mask is
+    BOUNDARY at r0 and FLUID elsewhere: the outer end is pinned, but it
+    is no obstacle boundary, so on_boundary skips it and the sponge ramp
+    reaches it.
     """
 
     kind = "radial"
@@ -172,10 +282,11 @@ class RadialGrid:
         _check_spacing(self.h, 2)
         self.r = self.r0 + self.h * np.arange(self.n + 1)
         self._r2 = self.r**2
-        self._live = np.ones(self.n + 1, dtype=bool)
-        self._live[[0, -1]] = False
-        self._vol = 4.0 * np.pi * self._r2 * fd.trapezoid(self.h, self.n + 1)
-        self._live.flags.writeable = self._vol.flags.writeable = False
+        mask = np.full(self.n + 1, FLUID, dtype=np.uint8)
+        mask[0] = BOUNDARY
+        live = np.ones(self.n + 1, dtype=bool)
+        live[[0, -1]] = False
+        super().__init__(mask, live)
         # laplace's coefficients.  Inside, those of d2 + (2/r) d1 -
         # l(l+1)/r^2 with centred d2 and d1, which is d2(r u) / r.  At each
         # end, those of the same sum with fd.d2's and fd.d1's one-sided
@@ -192,31 +303,21 @@ class RadialGrid:
                       for side, nodes in ((1.0, (0, 1, 2, 3)),
                                           (-1.0, (-1, -2, -3, -4)))]
 
-    @property
-    def n_nodes(self):
-        return self.n + 1
+    def _cells_to_edge(self):
+        return self.n - np.arange(self.n + 1)
 
-    def zeros(self):
-        return np.zeros(self.n_nodes)
-
-    def sponge_sigma(self):
-        """Damping coefficient per node (zero outside the band)."""
-        sig = np.zeros(self.n_nodes)
-        if self.sponge_cells > 0:
-            start = self.n - self.sponge_cells
-            s = (np.arange(self.n + 1) - start) / self.sponge_cells
-            sig = _sponge_ramp(s, self.sponge_strength)
-        return sig
+    def _energy_terms(self):
+        # c, rho, k, w of the energy: 4 pi r^2 dr with trapezoid weights,
+        # and the centrifugal term l(l+1) u^2
+        l = self.angular_mode
+        w = fd.trapezoid(self.h, self.n + 1)
+        return 4.0 * np.pi, self._r2, l * (l + 1), w
 
     def radii(self):
         """Node radii, also the points physical callables are sampled at."""
         return self.r
 
     coords = radii
-
-    def updated(self):
-        """Nodes the stepper evolves (all but the two Dirichlet ends)."""
-        return self._live
 
     def operator(self, u, out, tmp, scale=1.0):
         """apply() writing scale (d_rr + (2/r) d_r - l(l+1)/r^2) u to out.
@@ -244,70 +345,10 @@ class RadialGrid:
             return out
         return apply
 
-    laplace = _laplace
-
     def pin(self, a):
         """Zero the two Dirichlet end nodes in place."""
         a[..., 0] = 0.0
         a[..., -1] = 0.0
-
-    def on_boundary(self, a):
-        """Values of a on the obstacle boundary node r0."""
-        return a[..., :1]
-
-    def weights(self):
-        """Trapezoid weights of the volume element 4 pi r^2 dr."""
-        return self._vol
-
-    def gradient(self, u, out=None):
-        """Spatial gradient (d u / d r,) of a field."""
-        return (fd.d1(u, self.h, axis=-1, out=out and out[0]),)
-
-    def sample(self, u):
-        """Initial-data field of node values u; every radial node is
-        outside r0, so none is masked."""
-        return np.array(u, dtype=float)
-
-    def energy_fn(self, inside=None):
-        """Energy of states (u, v) over nodes where inside holds.
-
-        The density r^2 (v^2 + |du|^2 + u^2) + l(l+1) u^2 is summed with
-        trapezoid weights in r, made here, and 4 pi after.  Only the nodes
-        up to one past the last one inside are read, so each of those keeps
-        its centred du; the products go into a zero-padded full-length
-        array, so the sum is that of every node's product, weight zero
-        outside, byte for byte, and it is nondecreasing in the set inside.
-        """
-        r2, l, n = self._r2, self.angular_mode, self.n_nodes
-        wts = fd.trapezoid(self.h, n)
-        if inside is not None:
-            wts = np.where(inside, wts, 0.0)
-        held = np.flatnonzero(wts)
-        k = min(max(held[-1] + 2, 3), n) if len(held) else 0
-        r2, wts = r2[:k], wts[:k]
-        # per stack shape: the product, two scratch arrays, and the copy of
-        # u's first k nodes with its d1 bound to it, written to a scratch
-        bufs = {}
-
-        def at(u, v):
-            if u.shape not in bufs:
-                prod = np.zeros(u.shape)
-                dens, sq, held_u = np.empty((3,) + u.shape[:-1] + (k,))
-                du = fd.d1_operator(held_u, self.h, -1, sq) if k else None
-                bufs[u.shape] = prod, dens, sq, held_u, du
-            prod, dens, sq, held_u, du = bufs[u.shape]
-            if k:
-                np.copyto(held_u, u[..., :k])
-                np.square(du(), out=sq)
-                np.add(np.square(v[..., :k], out=dens), sq, out=dens)
-                dens += np.square(held_u, out=sq)
-                dens *= r2
-                if l:
-                    sq *= l * (l + 1)
-                    dens += sq
-                np.multiply(dens, wts, out=prod[..., :k])
-            return float(4.0 * np.pi * np.sum(prod))
-        return at
 
     def hessian_sq(self, u, grad):
         """Squared Hessian Frobenius norm f''^2 + 2 (f'/r)^2 per node."""
@@ -335,7 +376,7 @@ def _face_cells(m):
     return np.minimum.reduce(np.meshgrid(dist, dist, dist, indexing="ij"))
 
 
-class CartesianGrid:
+class CartesianGrid(_Grid):
     """Cube [-L/2, L/2]^3 with (n+1)^3 nodes and a mask classifying them."""
 
     kind = "cartesian"
@@ -346,23 +387,19 @@ class CartesianGrid:
         self.L = float(L)
         self.n = int(n)
         self.h = self.L / self.n
-        self.mask = mask
         self.sponge_cells = int(sponge_cells)
         self.sponge_strength = float(sponge_strength)
-        self._live = (mask == FLUID) | (mask == SPONGE)
-        self._vol = np.where(self._live, self.h**3, 0.0)
-        self._live.flags.writeable = self._vol.flags.writeable = False
+        super().__init__(mask, (mask == FLUID) | (mask == SPONGE))
         # flat indices of the Dirichlet nodes; an integer index pins an
         # order of magnitude faster than a boolean mask
         self._pinned = np.flatnonzero(~self._live)
 
-    @property
-    def n_nodes(self):
-        return (self.n + 1) ** 3
+    def _cells_to_edge(self):
+        return _face_cells(self.n + 1)
 
-    def zeros(self):
-        m = self.n + 1
-        return np.zeros((m, m, m))
+    def _energy_terms(self):
+        # c, rho, k, w of the energy: h^3 on every evolved node
+        return self.h**3, 1.0, 0, self._live
 
     def coords(self):
         """Node coordinates, shape (m, m, m, 3)."""
@@ -371,10 +408,6 @@ class CartesianGrid:
     def radii(self):
         c = self.coords()
         return np.sqrt(np.sum(c * c, axis=-1))
-
-    def updated(self):
-        """Nodes the stepper evolves (fluid plus sponge)."""
-        return self._live
 
     def operator(self, u, out, tmp, scale=1.0):
         """apply() writing scale times the 7-point Laplacian of u to out.
@@ -392,8 +425,6 @@ class CartesianGrid:
             return acc
         return apply
 
-    laplace = _laplace
-
     def pin(self, a):
         """Zero every node the stepper does not evolve, in place.
 
@@ -403,35 +434,6 @@ class CartesianGrid:
         if not a.flags.c_contiguous:
             raise ParamError("pinning needs a C-contiguous field")
         a.reshape(a.shape[:-3] + (-1,))[..., self._pinned] = 0.0
-
-    def on_boundary(self, a):
-        """Values of a on the Dirichlet boundary nodes."""
-        return a[..., self.mask == BOUNDARY]
-
-    def weights(self):
-        """Volume quadrature: h^3 on evolved nodes, zero elsewhere."""
-        return self._vol
-
-    def gradient(self, u, out=None):
-        """Spatial gradient (d_1 u, d_2 u, d_3 u) of a field."""
-        return tuple(fd.d1(u, self.h, axis=ax, out=o)
-                     for ax, o in zip((-3, -2, -1), out or (None,) * 3))
-
-    def sample(self, u):
-        """Initial-data field of physical node values u, zero in solids."""
-        return np.where(self.mask == OBSTACLE, 0.0, u)
-
-    def energy_fn(self, inside=None):
-        """Sum of |du|^2 + |u|^2 over evolved nodes where inside holds, as
-        a function of (u, v); the nodes are found once, here."""
-        live = self._live if inside is None else self._live & inside
-
-        def at(u, v):
-            dens = v**2 + u**2
-            for g in self.gradient(u):
-                dens = dens + g**2
-            return float(np.sum(dens[..., live]) * self.h**3)
-        return at
 
     def hessian_sq(self, u, grad):
         """Squared Hessian Frobenius norm per node; grad is gradient(u)."""
@@ -443,16 +445,6 @@ class CartesianGrid:
                 dab = fd.d1(grad[a], self.h, axis=b - 3)
                 hess += 2.0 * dab * dab
         return hess
-
-    def sponge_sigma(self):
-        m = self.n + 1
-        sig = np.zeros((m, m, m))
-        if self.sponge_cells > 0:
-            s = (self.sponge_cells - _face_cells(m)) / self.sponge_cells
-            sig = _sponge_ramp(s, self.sponge_strength)
-            sig[self.mask == OBSTACLE] = 0.0
-            sig[self.mask == BOUNDARY] = 0.0
-        return sig
 
     def __repr__(self):
         return ("CartesianGrid(L=%g, n=%d, sponge=%d, obstacle=%r)"
@@ -522,7 +514,7 @@ class InitialData:
     def __init__(self, grid, f, g):
         f = np.asarray(f, dtype=float)
         g = np.asarray(g, dtype=float)
-        gshape = grid.zeros().shape
+        gshape = grid.shape
         # leading axes carry system components
         if f.shape[len(f.shape) - len(gshape):] != gshape or g.shape != f.shape:
             raise ParamError("data shape does not match grid")
@@ -538,10 +530,6 @@ class InitialData:
 
     def scaled(self, factor):
         return InitialData(self.grid, self.f * factor, self.g * factor)
-
-
-def _boundary_max(grid, a):
-    return float(np.max(np.abs(grid.on_boundary(a)), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +561,7 @@ def compatibility_functions(data: InitialData, spec: NullFormSpec, k):
         raise OrderError("compatibility order capped at %d" % MAX_COMPAT_ORDER)
     grid = data.grid
     N = spec.n_components
-    shape = grid.zeros().shape
-    fshape = (N,) + shape
+    fshape = (N,) + grid.shape
 
     f = np.broadcast_to(data.f, fshape).copy()
     g = np.broadcast_to(data.g, fshape).copy()
@@ -620,5 +607,5 @@ def _q_taylor_coefficient(grid, spec, a, p):
 
 def check_compatibility(data: InitialData, spec: NullFormSpec, k):
     """Max-norm of each psi_j on the obstacle boundary nodes."""
-    psis = compatibility_functions(data, spec, k)
-    return [_boundary_max(data.grid, psi) for psi in psis]
+    return [float(np.max(np.abs(data.grid.on_boundary(psi)), initial=0.0))
+            for psi in compatibility_functions(data, spec, k)]

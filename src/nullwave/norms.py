@@ -61,8 +61,7 @@ def weighted_sobolev_norm(field, m, j, grid):
     if m < 0 or m > 2:
         raise OrderError("only orders m <= 2 are supported")
     f = np.asarray(field, dtype=float)
-    gshape = grid.zeros().shape
-    f = f.reshape((-1,) + gshape)
+    f = f.reshape((-1,) + grid.shape)
 
     r = grid.radii()
     W = 1.0 + r * r

@@ -141,21 +141,6 @@ def conformal_factor_cylinder(q: EinsteinPoint):
     return np.cos(q.T) + np.cos(q.R)
 
 
-def conformal_gradient_tr(t, r):
-    """Closed-form (dOmega/dt, dOmega/dr).
-
-    From log Omega = log 2 - (log u+ + log u-)/2 with u± = 1 + (t±r)^2.
-    """
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    up = 1.0 + (t + r) ** 2
-    um = 1.0 + (t - r) ** 2
-    om = 2.0 / np.sqrt(up * um)
-    dt = -om * ((t + r) / up + (t - r) / um)
-    dr = -om * ((t + r) / up - (t - r) / um)
-    return dt, dr
-
-
 # ---------------------------------------------------------------------------
 # tip distance
 

@@ -151,7 +151,7 @@ class _Sweep:
         self.spec, self.n, self.dt = spec, n, dt
         shape = data.f.shape
         # a row as evaluate_nullform_series reads it, less the row axis
-        self.comp = (spec.n_components,) + grid.zeros().shape
+        self.comp = (spec.n_components,) + grid.shape
         block = min(n, max(1, fd.BLOCK_VALUES // data.f.size))
         self.res = _Rows(n, block, shape)
         # the block's rows of u and v, from row lo on, and its Q
@@ -240,6 +240,16 @@ class _Sweep:
                     self.work[:, :b - a])
 
 
+def snapshot_count(t_end, dt):
+    """The snapshots of a Picard run of step dt to t_end, the first and
+    one per step; fewer than the 3 of the time stencil are refused."""
+    n = step_count(t_end, dt) + 1
+    if n < 3:
+        raise ParamError("the time stencil needs at least 3 snapshots, not "
+                         "%d" % n)
+    return n
+
+
 def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
                  tol=1e-8, max_iter=12, smallness_threshold=None,
                  time_stride=None, deltas=()):
@@ -263,10 +273,8 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
         raise ParamError("max_iter must be >= 1")
     grid = data.grid
     dt = cfl_limit(grid) if dt is None else dt
-    n = step_count(t_end, dt) + 1
-    if n < 3:
-        raise ParamError("the time stencil needs at least 3 snapshots")
-    components = data.f.size // grid.zeros().size
+    n = snapshot_count(t_end, dt)
+    components = data.f.size // grid.n_nodes
     if components != spec.n_components:
         raise ParamError("data component count %d differs from the null "
                          "form's %d" % (components, spec.n_components))

@@ -630,7 +630,7 @@ def test_estimate_report_without_a_converged_entry_exit_3(tmp_path):
     assert listing(out) == ["error.json"]
     err = load(out, "error.json")["error"]
     assert err["type"] == "FitError"
-    assert "no converged scan entries" in err["message"]
+    assert "no converged scan entries with nonzero data" in err["message"]
 
 
 def test_cartesian_mode_without_n_exit_2(tmp_path, capsys):
@@ -714,6 +714,15 @@ SUBCOMMAND_CONFIGS = [
      "[report] time_stride"),
     # a step of 0.54 puts 2 snapshots in the local-linear window [0, 1]
     ("estimate-report", COARSE_INI, "local-linear window"),
+    # one step of 0.0315 reaches t_end: 2 snapshots, and the time stencil
+    # of the Picard residual needs 3
+    ("run-nonlinear", NONLINEAR_INI.replace("t_end = 4.0", "t_end = 0.01"),
+     "[run] t_end = 0.01 is too short at step 0.0315"),
+    ("scan-smallness", SCAN_INI.replace("t_end = 4.0", "t_end = 0.01"),
+     "[run] t_end = 0.01 is too short at step 0.0315"),
+    # zero data converge at once, but have no ratios
+    ("estimate-report", SCAN_INI.replace("eps = 5e-4 1e-3", "eps = 0"),
+     "[scan] eps"),
 ]
 
 
@@ -726,7 +735,10 @@ SUBCOMMAND_CONFIGS = [
                               "components-estimate-report",
                               "short-run-estimate-report",
                               "sparse-samples-estimate-report",
-                              "coarse-step-estimate-report"])
+                              "coarse-step-estimate-report",
+                              "short-run-run-nonlinear",
+                              "short-run-scan-smallness",
+                              "zero-eps-estimate-report"])
 def test_subcommand_config_exit_2_before_the_run(tmp_path, capsys,
                                                   subcommand, text, message):
     ini = write_ini(tmp_path, text)

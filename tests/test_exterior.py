@@ -409,6 +409,140 @@ def test_grid_contract_gradient_of_linear_field_is_exact(name):
         assert np.max(np.abs(comp[live] - c)) < 1e-11
 
 
+def _solid(grid):
+    """Nodes strictly inside the obstacle (none on a radial grid)."""
+    if grid.kind == "radial":
+        return grid.radii() < grid.r0
+    return grid.obstacle.contains(grid.coords())
+
+
+def _boundary(grid):
+    """Radial: the node at r0; masked: the nodes outside the obstacle
+    with a solid 6-neighbour, and the outer faces."""
+    if grid.kind == "radial":
+        return grid.radii() <= grid.r0
+    solid = _solid(grid)
+    edge = np.zeros(grid.shape, dtype=bool)
+    for ax in range(3):
+        edge |= np.roll(solid, 1, axis=ax) | np.roll(solid, -1, axis=ax)
+        idx = np.arange(grid.n + 1).reshape(
+            [-1 if a == ax else 1 for a in range(3)])
+        edge |= (idx == 0) | (idx == grid.n)
+    return edge & ~solid
+
+
+def _states(grid):
+    """One (u, v) row and a stack of two, random on every node."""
+    rng = np.random.default_rng(3)
+    return [tuple(rng.standard_normal(lead + grid.shape) for _ in "uv")
+            for lead in ((), (2,))]
+
+
+def _whole_field_energy(grid, inside, u, v):
+    # c sum w (rho (v^2 + |du|^2 + u^2) + k u^2) over every node
+    if grid.kind == "radial":
+        l = grid.angular_mode
+        c, rho, k = 4.0 * np.pi, grid.r**2, l * (l + 1)
+        w = fd.trapezoid(grid.h, grid.n_nodes)
+    else:
+        c, rho, k, w = grid.h**3, 1.0, 0, grid.updated().astype(float)
+    if inside is not None:
+        w = np.where(inside, w, 0.0)
+    dens = v**2 + sum(g**2 for g in grid.gradient(u)) + u**2
+    return float(c * np.sum(w * (rho * dens + k * u**2)))
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_GRIDS))
+def test_grid_contract_energy_is_the_whole_field_formula(name):
+    grid = CONTRACT_GRIDS[name]()
+    for A in (0.5, 2.0, 3.0, 100.0, None):
+        inside = None if A is None else grid.radii() < A
+        at = grid.energy_fn(inside)
+        for u, v in _states(grid) * 2:
+            assert at(u, v) == pytest.approx(
+                _whole_field_energy(grid, inside, u, v), rel=1e-12, abs=0)
+    assert grid.energy_fn(grid.radii() < 0.5)(u, v) == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_GRIDS))
+def test_grid_contract_energy_grows_with_its_ball(name):
+    grid = CONTRACT_GRIDS[name]()
+    for u, v in _states(grid):
+        vals = [grid.energy_fn(grid.radii() < A)(u, v)
+                for A in (1.5, 2.0, 3.0, 4.5, 6.0, 100.0)]
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
+        assert vals[-1] == grid.energy_fn()(u, v)
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_GRIDS))
+def test_grid_contract_energy_reads_only_its_padded_box(name):
+    # the box of the nodes with weight, one node wider on each side: a
+    # change of u and v outside it leaves the energy's bytes as they are
+    grid = CONTRACT_GRIDS[name]()
+    for A in (2.0, 3.0):
+        inside = grid.radii() < A
+        held = np.nonzero(inside & (grid.weights() > 0))
+        box = tuple(slice(max(i.min() - 1, 0), i.max() + 2) for i in held)
+        outside = np.ones(grid.shape, dtype=bool)
+        outside[box] = False
+        assert outside.any()
+        at = grid.energy_fn(inside)
+        for u, v in _states(grid):
+            before = at(u, v)
+            u, v = u.copy(), v.copy()
+            u[..., outside] = 1e6
+            v[..., outside] = -1e6
+            assert at(u, v) == before
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_GRIDS))
+def test_grid_contract_sample_is_zero_exactly_on_solid_nodes(name):
+    grid = CONTRACT_GRIDS[name]()
+    u = 1.0 + np.abs(_states(grid)[0][0])
+    got = grid.sample(u)
+    solid = _solid(grid)
+    assert np.all(got[solid] == 0.0)
+    assert got[~solid].tobytes() == u[~solid].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_GRIDS))
+def test_grid_contract_on_boundary_reads_the_boundary_in_c_order(name):
+    grid = CONTRACT_GRIDS[name]()
+    flat = np.arange(grid.n_nodes, dtype=float).reshape(grid.shape)
+    want = np.flatnonzero(_boundary(grid))
+    got = grid.on_boundary(np.stack([flat, -flat]))
+    assert got.shape == (2, len(want)) and len(want) > 0
+    assert np.array_equal(got, [want, -want])
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_GRIDS))
+def test_grid_contract_sponge_follows_the_cubic_ramp(name):
+    # strength ((cells - cells to the outer edge) / cells)^3 in the band,
+    # zero inside it and on obstacle and boundary nodes; the radial
+    # contract grid has no band, so it is taken with one too
+    grids = [CONTRACT_GRIDS[name]()]
+    if name == "radial":
+        grids.append(build_radial_grid(1.0, 6.0, 200, sponge_cells=40,
+                                       sponge_strength=3.0))
+    for grid in grids:
+        sig = grid.sponge_sigma()
+        assert sig.shape == grid.shape
+        if grid.kind == "radial":
+            depth = (grid.r_max - grid.r) / grid.h
+        else:
+            depth = (grid.L / 2 - np.max(np.abs(grid.coords()), axis=-1)) \
+                / grid.h
+        depth = np.rint(depth)
+        cells = grid.sponge_cells
+        s = (cells - depth) / cells if cells else np.zeros(grid.shape)
+        want = grid.sponge_strength * np.clip(s, 0.0, 1.0) ** 3
+        fixed = _solid(grid) | _boundary(grid)
+        want[fixed] = 0.0
+        assert np.allclose(sig, want, rtol=1e-14, atol=0)
+        assert np.any(sig > 0) == (cells > 0)
+        assert np.all(sig[fixed] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # initial data
 
