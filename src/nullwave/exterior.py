@@ -24,7 +24,7 @@ and one definition, shared by both, makes the rest:
     zeros(), sponge_sigma()                a zero field, damping
     updated()                              nodes the stepper evolves (*)
     laplace(u, out=None, tmp=None)         operator(u, out, tmp)()
-    on_boundary(a)                         values on BOUNDARY nodes
+    on_boundary(a)                         values at the obstacle's wall
     weights()                              volume quadrature per node (*)
     gradient(u, out=None)                  spatial gradient tuple
     sample(u)                              initial-data field, zero in solids
@@ -184,8 +184,12 @@ class _Grid:
         return np.where(self.mask == OBSTACLE, 0.0, u)
 
     def on_boundary(self, a):
-        """Values of a on the BOUNDARY nodes, in C order."""
-        return a[..., self.mask == BOUNDARY]
+        """Values of a on the obstacle's BOUNDARY nodes, in C order.
+
+        The outer edge is pinned but is no obstacle boundary: the cube's
+        faces carry the BOUNDARY code as well, and are skipped.
+        """
+        return a[..., (self.mask == BOUNDARY) & (self._cells_to_edge() > 0)]
 
     def sponge_sigma(self):
         """Damping per node: a cubic ramp, smooth at the band entrance,
@@ -324,10 +328,16 @@ class RadialGrid(_Grid):
 
         Inside, the 3-point stencil c u[i-1] + b u[i] + a u[i+1]; at the
         two ends, the one-sided formulas; every coefficient times scale.
+        The scaled coefficients, the bytes of scale * k, start on a
+        64-byte line (fd.empty_aligned), as the solver's u and the
+        interior of its out and tmp do: the stencil streams all of them
+        each step, and its speed depends on their offsets from a line
+        (see nullwave.solver).
         """
         # the grid's own arrays at scale 1, so laplace allocates no field
-        c, b, a = (self._inner if scale == 1.0
-                   else [scale * k for k in self._inner])
+        c, b, a = (self._inner if scale == 1.0 else
+                   [np.multiply(scale, k, out=fd.empty_aligned(k.shape))
+                    for k in self._inner])
         lo, cen, hi = u[..., :-2], u[..., 1:-1], u[..., 2:]
         mid, t = out[..., 1:-1], tmp[..., 1:-1]
         # node i of every row, a scalar when u is one row (as in fd),
@@ -373,7 +383,9 @@ def _face_cells(m):
     """Cells from each node of an m^3 cube to its nearest outer face."""
     idx = np.arange(m)
     dist = np.minimum(idx, m - 1 - idx)
-    return np.minimum.reduce(np.meshgrid(dist, dist, dist, indexing="ij"))
+    # broadcast, not meshgrid: one cube-sized array instead of four
+    return np.minimum(np.minimum(dist[:, None, None], dist[None, :, None]),
+                      dist)
 
 
 class CartesianGrid(_Grid):

@@ -15,6 +15,10 @@ np.gradient(y, h, axis, edge_order=2) byte for byte.
 A snapshot series has one time derivative, d1_rows: d1 along the
 snapshot axis at a range of rows, read once from the rows its stencil
 uses, so no byte depends on how a series is cut into blocks.
+
+empty_aligned places a buffer at a chosen offset from a 64-byte cache
+line, which numpy's own arrays (malloc's 16-byte alignment) do not
+promise; the solver's run buffers are made with it (see nullwave.solver).
 """
 
 import math
@@ -27,6 +31,25 @@ from .errors import ParamError
 # to 512 KB arrays) ran fastest end to end, 2**18 and 2**20 ran 5-36%
 # slower, and 2**20 also peaked 50-60 MB higher (perfbench, 2-core VM)
 BLOCK_VALUES = 2**16
+
+CACHE_LINE = 64
+
+
+def empty_aligned(shape, offset=0):
+    """An uninitialised C-contiguous float64 array of shape that starts
+    offset bytes past a 64-byte line.
+
+    It is a view of a uint8 buffer 64 + offset bytes longer than the
+    array, which it keeps alive.  offset is a multiple of 8 in [0, 64).
+    """
+    if offset % 8 or not 0 <= offset < CACHE_LINE:
+        raise ParamError("offset %r is not a multiple of 8 in [0, %d)"
+                         % (offset, CACHE_LINE))
+    shape = tuple(shape) if np.iterable(shape) else (shape,)
+    size = 8 * math.prod(shape)
+    buf = np.empty(size + CACHE_LINE + offset, dtype=np.uint8)
+    start = -buf.ctypes.data % CACHE_LINE + offset
+    return buf[start:start + size].view(np.float64).reshape(shape)
 
 
 def _stencil(y, out, axis, least):

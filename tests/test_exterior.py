@@ -132,6 +132,20 @@ def test_radial_laplace_is_d2_of_r_u_over_r(l):
     assert out.tobytes() == lap.tobytes()
 
 
+def test_radial_operator_scales_its_coefficients_onto_a_line():
+    # the three interior coefficients times scale, the bytes of scale * k,
+    # each in its own array on a 64-byte line
+    grid = build_radial_grid(1.0, 6.0, 400, angular_mode=1)
+    u, out, tmp = np.zeros((3,) + grid.shape)
+    apply = grid.operator(u, out, tmp, 0.25)
+    held = [cell.cell_contents for cell in apply.__closure__]
+    coeffs = [a for a in held if isinstance(a, np.ndarray)
+              and not any(np.shares_memory(a, b) for b in (u, out, tmp))]
+    assert sorted(a.tobytes() for a in coeffs) == \
+        sorted((0.25 * k).tobytes() for k in grid._inner)
+    assert all(a.ctypes.data % 64 == 0 for a in coeffs)
+
+
 def test_radial_laplace_near_the_origin_is_finite():
     # r0^2 underflows to 0, and l = 0 has no mode term to divide by it
     grid = build_radial_grid(1e-200, 1.0, 16)
@@ -319,6 +333,20 @@ def test_d2_matches_moveaxis_reference():
         fd.d2(np.ones((3, 5)), 0.3, axis=0)
 
 
+def test_empty_aligned_starts_at_its_offset_from_a_line():
+    for shape in (801, (801,), (2, 201), (3, 5, 7)):
+        for offset in (0, 8, 56):
+            # several arrays, since malloc places each one elsewhere
+            for a in [fd.empty_aligned(shape, offset) for _ in range(4)]:
+                assert a.ctypes.data % 64 == offset
+                assert a.shape == np.empty(shape).shape
+                assert a.dtype == np.float64
+                assert a.flags.c_contiguous and a.flags.writeable
+    for offset in (-8, 4, 64):
+        with pytest.raises(ParamError):
+            fd.empty_aligned(10, offset)
+
+
 # ---------------------------------------------------------------------------
 # the shared grid interface
 
@@ -418,17 +446,23 @@ def _solid(grid):
 
 def _boundary(grid):
     """Radial: the node at r0; masked: the nodes outside the obstacle
-    with a solid 6-neighbour, and the outer faces."""
+    with a solid 6-neighbour."""
     if grid.kind == "radial":
         return grid.radii() <= grid.r0
     solid = _solid(grid)
     edge = np.zeros(grid.shape, dtype=bool)
     for ax in range(3):
         edge |= np.roll(solid, 1, axis=ax) | np.roll(solid, -1, axis=ax)
-        idx = np.arange(grid.n + 1).reshape(
-            [-1 if a == ax else 1 for a in range(3)])
-        edge |= (idx == 0) | (idx == grid.n)
     return edge & ~solid
+
+
+def _faces(grid):
+    """The cube's outer faces; none on a radial grid, whose pinned outer
+    end lies in the sponge ramp."""
+    if grid.kind == "radial":
+        return np.zeros(grid.shape, dtype=bool)
+    end = np.isin(np.arange(grid.n + 1), (0, grid.n))
+    return end[:, None, None] | end[None, :, None] | end[None, None, :]
 
 
 def _states(grid):
@@ -536,7 +570,7 @@ def test_grid_contract_sponge_follows_the_cubic_ramp(name):
         cells = grid.sponge_cells
         s = (cells - depth) / cells if cells else np.zeros(grid.shape)
         want = grid.sponge_strength * np.clip(s, 0.0, 1.0) ** 3
-        fixed = _solid(grid) | _boundary(grid)
+        fixed = _solid(grid) | _boundary(grid) | _faces(grid)
         want[fixed] = 0.0
         assert np.allclose(sig, want, rtol=1e-14, atol=0)
         assert np.any(sig > 0) == (cells > 0)
@@ -659,6 +693,20 @@ def test_compatibility_boundary_traces():
     assert traces[0] == 0.0 and traces[1] == 0.0
     # psi2(r0) = Lap f + g^2 - f'^2 = 2 at r = 1
     assert abs(traces[2] - 2.0) < 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_GRIDS))
+def test_compatibility_skips_the_pinned_outer_edge(name):
+    # the outer edge is pinned but is no obstacle boundary: data nonzero
+    # there alone pass the order-1 check, and the wall is still read
+    grid = CONTRACT_GRIDS[name]()
+    outer = _faces(grid) if grid.kind != "radial" else grid.r >= grid.r_max
+    f = np.where(outer, 1.0, 0.0)
+    spec = NullFormSpec.scalar_q0()
+    check = exterior.check_compatibility
+    assert check(InitialData(grid, f, -f), spec, 1) == [0.0, 0.0]
+    f[_boundary(grid)] = 2.0
+    assert check(InitialData(grid, f, -f), spec, 1) == [2.0, 2.0]
 
 
 def test_compatibility_cartesian_oracle():

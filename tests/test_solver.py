@@ -382,6 +382,30 @@ def test_one_laplacian_per_step():
         assert len(applied) == step_count(t_end, dt) + 1
 
 
+def test_run_buffers_start_on_cache_lines():
+    # u and v on a 64-byte line, and out and tmp one value before one, so
+    # that the interior the radial stencil writes starts on it
+    for name in ("radial-l1-sponge", "ellipsoid"):
+        data, forcing, t_end = _kernel_case(name)
+        grid = data.grid
+        binds, seen = [], []
+        operator = grid.operator
+
+        def recording(*args):
+            binds.append(args)
+            return operator(*args)
+
+        grid.operator = recording
+        solve_linear(data, forcing, t_end,
+                     observe=lambda i, u, v: seen.append((u, v)))
+        ((u, out, tmp, _),) = binds
+        assert u.ctypes.data % 64 == 0
+        assert out[..., 1:].ctypes.data % 64 == 0
+        assert tmp[..., 1:].ctypes.data % 64 == 0
+        assert all(np.shares_memory(a, u) and b.ctypes.data % 64 == 0
+                   for a, b in seen)
+
+
 def test_step_leaves_its_input_untouched():
     grid = build_radial_grid(1.0, 11.0, 200, angular_mode=1, sponge_cells=40)
     u = _bump(grid.r, 3.0, 1.0)
@@ -606,9 +630,19 @@ def test_sponge_factor_never_amplifies():
              build_masked_grid(Obstacle.ellipsoid(1.4, 1.0, 0.8), 12.0, 24,
                                sponge_cells=8)]
     for grid in grids:
-        damp = solver._damping(grid, cfl_limit(grid))
-        assert damp.shape == grid.zeros().shape
+        start, damp = solver._damping(grid, cfl_limit(grid))
+        assert damp.shape == (grid.n_nodes - start,)
         assert np.all(damp <= 1.0)
+        # the band starts at the first damped node: the step skips only
+        # nodes whose factor would be exactly 1
+        sigma = grid.sponge_sigma().ravel()
+        assert start > 0 and sigma[start] > 0 and not sigma[:start].any()
+        # laid out as v's band is
+        assert damp.ctypes.data % 64 == 8 * start % 64
+    for grid in (build_radial_grid(1.0, 11.0, 200),
+                 build_radial_grid(1.0, 11.0, 200, sponge_cells=40,
+                                   sponge_strength=0.0)):
+        assert solver._damping(grid, cfl_limit(grid)) is None
     for strength in (-1.0, np.nan):
         with pytest.raises(ParamError):
             build_radial_grid(1.0, 11.0, 200, sponge_cells=40,
