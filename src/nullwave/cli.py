@@ -300,16 +300,16 @@ def cmd_verify_geometry(ec, out, quiet):
     x *= rng.uniform(0.0, extent, size=(n, 1))
 
     p = penrose.MinkowskiPoint(t, x)
-    back = penrose.from_einstein(penrose.to_einstein(p))
+    q = penrose.to_einstein(p)
+    back = penrose.from_einstein(q)
     scale = 1.0 + np.abs(p.t) + p.r
     round_trip = float(np.max(np.maximum(
         np.abs(back.t - p.t),
         np.max(np.abs(back.x - p.x), axis=-1)) / scale))
 
-    T, R = penrose.forward_tr(t, p.r)
-    om = penrose.conformal_factor_tr(t, p.r)
-    om2 = np.cos(T) + np.cos(R)
-    dual = float(np.max(np.abs(om - om2) / np.abs(om)))
+    om = penrose.conformal_factor(p)
+    dual = float(np.max(np.abs(om - penrose.conformal_factor_cylinder(q))
+                        / np.abs(om)))
 
     residuals = {}
     cases = {
@@ -531,6 +531,13 @@ def _check_for_subcommand(subcommand, ec):
         raise ConfigError("a nonlinear [nullform] on a radial grid needs q0 "
                           "terms and [grid] angular_mode = 0")
     if picard_run:
+        try:
+            picard.check_data(ec.family(1.0), ec.spec)
+        except ParamError as e:
+            raise ConfigError("the [data] center = %g, width = %g bump does "
+                              "not suit the grid of spacing h = %g: %s"
+                              % (ec.raw["data"]["center"],
+                                 ec.raw["data"]["width"], ec.grid.h, e))
         dt = ec.dt or solver.cfl_limit(ec.grid)
         try:
             n = picard.snapshot_count(ec.t_end, dt)

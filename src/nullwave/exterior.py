@@ -388,6 +388,26 @@ def _face_cells(m):
                       dist)
 
 
+def _check_cartesian(obstacle, L, n, sponge_cells, sponge_strength):
+    # every CartesianGrid passes these, built or read; build_masked_grid
+    # runs them before it allocates
+    if not L < np.inf:
+        raise ParamError("the cube extent L must be finite")
+    if obstacle.max_radius >= L / 4.0:
+        raise ParamError("obstacle must fit inside |x| < L/4")
+    if n < 16:
+        raise ParamError("need n >= 16 cells")
+    if n > MAX_CARTESIAN_N:
+        raise ParamError("n = %d exceeds the %d cells per axis a masked "
+                         "grid allows" % (n, MAX_CARTESIAN_N))
+    if sponge_cells < 8 and sponge_cells != 0:
+        raise ParamError("sponge band must be at least 8 cells (or 0)")
+    if sponge_cells > n // 2:
+        raise ParamError("sponge_cells out of range")
+    _check_sponge_strength(sponge_strength)
+    _check_spacing(L / n, 3)
+
+
 class CartesianGrid(_Grid):
     """Cube [-L/2, L/2]^3 with (n+1)^3 nodes and a mask classifying them."""
 
@@ -395,6 +415,11 @@ class CartesianGrid(_Grid):
     ndim = 3
 
     def __init__(self, obstacle, L, n, mask, sponge_cells, sponge_strength):
+        _check_cartesian(obstacle, L, n, sponge_cells, sponge_strength)
+        # the uint8 codes FLUID to SPONGE are 0 to 3
+        if mask.shape != (n + 1,) * 3 or mask.max() > SPONGE:
+            raise ParamError("the mask must be (n + 1)^3 codes FLUID, "
+                             "BOUNDARY, OBSTACLE or SPONGE")
         self.obstacle = obstacle
         self.L = float(L)
         self.n = int(n)
@@ -476,21 +501,7 @@ def build_masked_grid(obstacle, L, n, sponge_cells=8, sponge_strength=4.0):
     6-neighbor form the Dirichlet staircase; the outer faces are Dirichlet
     as well, with the sponge band just inside them.
     """
-    if not L < np.inf:
-        raise ParamError("the cube extent L must be finite")
-    if obstacle.max_radius >= L / 4.0:
-        raise ParamError("obstacle must fit inside |x| < L/4")
-    if n < 16:
-        raise ParamError("need n >= 16 cells")
-    if n > MAX_CARTESIAN_N:
-        raise ParamError("n = %d exceeds the %d cells per axis a masked "
-                         "grid allows" % (n, MAX_CARTESIAN_N))
-    if sponge_cells < 8 and sponge_cells != 0:
-        raise ParamError("sponge band must be at least 8 cells (or 0)")
-    if sponge_cells > n // 2:
-        raise ParamError("sponge_cells out of range")
-    _check_sponge_strength(sponge_strength)
-    _check_spacing(L / n, 3)
+    _check_cartesian(obstacle, L, n, sponge_cells, sponge_strength)
     m = n + 1
     mask = np.full((m, m, m), FLUID, dtype=np.uint8)
     solid = obstacle.contains(_cube_coords(L, n))

@@ -31,7 +31,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ParamError
 from .exterior import CartesianGrid, Obstacle, RadialGrid
 
 MAGIC = b"NWB1"
@@ -145,7 +145,11 @@ def read_snapshot(path):
     if kind != KIND_SNAPSHOT:
         raise FormatError("file holds a grid, not a snapshot")
     (gkind,) = rd.unpack("H")
-    grid = _read_grid_payload(gkind, rd)
+    try:
+        grid = _read_grid_payload(gkind, rd)
+    except ParamError as e:
+        # a record the grid or obstacle constructors refuse is malformed
+        raise FormatError("bad grid record: %s" % e)
     time, count = rd.unpack("dH")
     fields = {}
     for _ in range(count):

@@ -43,7 +43,7 @@ whatever block the row is in.
 
 import numpy as np
 
-from . import fd
+from . import fd, penrose
 from .errors import DomainError, OrderError, ParamError
 from .nullforms import NullFormSpec, accumulate_system
 
@@ -392,7 +392,7 @@ def _ratio_report(row, sup_window):
     h12 = weighted_sobolev_norm(g, 1, 2, grid)
     tip_f, *sweep = sol.tip_norms
 
-    conf0 = 2.0 / (1.0 + grid.r**2)
+    conf0 = penrose.conformal_factor_tr(0.0, grid.r)
     sph2 = sphere_sobolev_norm(grid, conf0 * f, 2)
     sph1 = sphere_sobolev_norm(grid, conf0**2 * g, 1)
 

@@ -211,12 +211,11 @@ def intertwine_residual(phi, phi_wave, t, x, h):
         om, T, X = image(tt, xx)
         return om * phi(T, X)
 
-    f0 = pullback(t, x)
+    om, T, X = image(t, x)
+    f0 = om * phi(T, X)
     box = (pullback(t + h, x) - 2.0 * f0 + pullback(t - h, x)) / h**2
     for j in range(3):
         e = np.zeros(3)
         e[j] = h
         box -= (pullback(t, x + e) - 2.0 * f0 + pullback(t, x - e)) / h**2
-
-    om, T, X = image(t, x)
     return phi_wave(T, X) - box / om**3

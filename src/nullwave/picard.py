@@ -102,7 +102,8 @@ class _Rows:
     (a, b) of at most block rows, the rows whose whole stencil it now
     holds (through n once the last row is in); read(a, b) gives rows a
     to b - 1 as a slice.  A full buffer slides the rows still to be read
-    into a fresh one.
+    (at most three) to its front, in place: buf is one array for the
+    window's whole life.
     """
 
     def __init__(self, n, block, shape):
@@ -114,12 +115,9 @@ class _Rows:
     def put(self, lo, rows):
         buf, m, n = self.buf, lo + len(rows) - 1, self.n
         if m - self.base >= len(buf):
-            # not in place: that faulted 120k pages, not 95k, on perfbench's
-            # radial-scan (ru_minflt), though 37k, not 39k, on ellipsoid
             keep = max(min(self.done - 1, n - 3), 0)
-            old, buf = buf, np.empty_like(buf)
-            buf[:lo - keep] = old[keep - self.base:lo - self.base]
-            self.buf, self.base = buf, keep
+            buf[:lo - keep] = buf[keep - self.base:lo - self.base]
+            self.base = keep
         buf[lo - self.base:m + 1 - self.base] = rows
         # the rows whose stencil rows 0, ..., m hold
         end = n if m == n - 1 else m if m >= 2 else 0
@@ -250,6 +248,21 @@ def snapshot_count(t_end, dt):
     return n
 
 
+def check_data(data: InitialData, spec: NullFormSpec):
+    """ParamError unless data have spec's component count and meet
+    order-1 compatibility, to 1e-9 of their own size: so one nonzero
+    amplitude of a scaled family decides for every amplitude."""
+    components = data.f.size // data.grid.n_nodes
+    if components != spec.n_components:
+        raise ParamError("data component count %d differs from the null "
+                         "form's %d" % (components, spec.n_components))
+    comp = check_compatibility(data, spec, 1)
+    scale = max(np.max(np.abs(data.f)), np.max(np.abs(data.g)), 1e-30)
+    if max(comp) > 1e-9 * scale:
+        raise ParamError("data violates order-1 compatibility: "
+                         "boundary residuals %r" % (comp,))
+
+
 def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
                  tol=1e-8, max_iter=12, smallness_threshold=None,
                  time_stride=None, deltas=()):
@@ -274,15 +287,7 @@ def picard_solve(data: InitialData, spec: NullFormSpec, t_end, dt=None,
     grid = data.grid
     dt = cfl_limit(grid) if dt is None else dt
     n = snapshot_count(t_end, dt)
-    components = data.f.size // grid.n_nodes
-    if components != spec.n_components:
-        raise ParamError("data component count %d differs from the null "
-                         "form's %d" % (components, spec.n_components))
-    comp = check_compatibility(data, spec, 1)
-    scale = max(np.max(np.abs(data.f)), np.max(np.abs(data.g)), 1e-30)
-    if max(comp) > 1e-9 * scale:
-        raise ParamError("data violates order-1 compatibility: "
-                         "boundary residuals %r" % (comp,))
+    check_data(data, spec)
 
     threshold = DEFAULT_SMALLNESS if smallness_threshold is None \
         else smallness_threshold

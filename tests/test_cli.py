@@ -692,6 +692,14 @@ sup_window = 2 6
 # the scalar bump data under a two-component system
 TWO_COMPONENTS = "[nullform]\nkind = linear\ncomponents = 2\n"
 
+# at h = 0.375 the staircase obstacle reaches |x| = 1.375, inside the
+# default bump's support |x| > 1.2: the data miss order-1 compatibility
+# at every amplitude
+COARSE_CARTESIAN_INI = "[grid]\nmode = cartesian\nn = 32\nsponge_cells = 8\n"
+COARSE_MESSAGE = ("the [data] center = 2, width = 0.8 bump does not suit the "
+                  "grid of spacing h = 0.375: data violates order-1 "
+                  "compatibility")
+
 # configs that one subcommand cannot run: each is refused before the
 # output directory is made, not after a full run
 SUBCOMMAND_CONFIGS = [
@@ -723,6 +731,9 @@ SUBCOMMAND_CONFIGS = [
     # zero data converge at once, but have no ratios
     ("estimate-report", SCAN_INI.replace("eps = 5e-4 1e-3", "eps = 0"),
      "[scan] eps"),
+    ("run-nonlinear", COARSE_CARTESIAN_INI, COARSE_MESSAGE),
+    ("scan-smallness", COARSE_CARTESIAN_INI, COARSE_MESSAGE),
+    ("estimate-report", COARSE_CARTESIAN_INI, COARSE_MESSAGE),
 ]
 
 
@@ -738,7 +749,10 @@ SUBCOMMAND_CONFIGS = [
                               "coarse-step-estimate-report",
                               "short-run-run-nonlinear",
                               "short-run-scan-smallness",
-                              "zero-eps-estimate-report"])
+                              "zero-eps-estimate-report",
+                              "coarse-grid-run-nonlinear",
+                              "coarse-grid-scan-smallness",
+                              "coarse-grid-estimate-report"])
 def test_subcommand_config_exit_2_before_the_run(tmp_path, capsys,
                                                   subcommand, text, message):
     ini = write_ini(tmp_path, text)

@@ -175,6 +175,31 @@ def test_unknown_obstacle_code(tmp_path):
         gridio.read_snapshot(path)
 
 
+# a grid record's payload starts after the header (8) and grid kind (2)
+_PAYLOAD = 10
+_CARTESIAN_HEAD = struct.calcsize("<dIIdB3d")
+
+
+@pytest.mark.parametrize("grid,fmt,off,value", [
+    (_cartesian, "<d", struct.calcsize("<dII"), -1.0),
+    (_cartesian, "<d", struct.calcsize("<dII"), float("nan")),
+    (_cartesian, "<I", struct.calcsize("<dI"), 1000),
+    (_cartesian, "<B", _CARTESIAN_HEAD + 5, 9),
+    (_radial, "<d", 0, -1.0)],
+    ids=["negative-sponge-strength", "nan-sponge-strength",
+         "sponge-cells-past-half-n", "mask-code-9", "negative-r0"])
+def test_tampered_grid_record_is_a_format_error(tmp_path, grid, fmt, off,
+                                                value):
+    # the reader refuses every grid record the builders would refuse
+    path = tmp_path / "t.nwb"
+    gridio.write_snapshot(path, grid(), 0.0, {})
+    raw = bytearray(path.read_bytes())
+    struct.pack_into(fmt, raw, _PAYLOAD + off, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="bad grid record"):
+        gridio.read_snapshot(path)
+
+
 # ---------------------------------------------------------------------------
 # text artifacts
 

@@ -199,18 +199,21 @@ def test_first_forcing_row_is_the_null_form_of_the_data(family, grid):
     assert sweep.forcing[0].tobytes() == q0.astype(np.float32).tobytes()
 
 
-@pytest.mark.parametrize("n", [3, 4, 17])
-@pytest.mark.parametrize("block", [1, 3, 40])
+@pytest.mark.parametrize("n", [3, 4, 17, 37])
+@pytest.mark.parametrize("block", [1, 2, 3, 40])
 def test_rows_hand_back_each_row_once_in_order(n, block):
     # rows are put a block at a time, as a sweep puts them; each comes
     # back once, in ranges of at most block rows, whose reads (the rows
-    # and their stencil) are right across the slides of the buffer
+    # and their stencil) are right across the buffer's slides, all within
+    # the one array the window was made with
     F = np.random.default_rng(7).standard_normal((n, 2))
     whole = fd.d1(F, 0.3, axis=0)
     rows = picard._Rows(n, block, (2,))
+    buf = rows.buf
     back = []
     for lo in range(0, n, block):
         ranges = rows.put(lo, F[lo:lo + block])
+        assert rows.buf is buf
         for a, b in ranges:
             assert 0 < b - a <= block
             assert rows.read(a, b).tobytes() == F[a:b].tobytes()
