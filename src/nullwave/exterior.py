@@ -41,8 +41,10 @@ c rho w: 4 pi, r^2, l(l+1) and trapezoid w on the radial grid, h^3, 1,
 operator binds the stencil's views, and its coefficients times scale, to
 u, out and tmp (scratch of u's shape) once; each apply() then reads u
 as it is and writes scale times its Laplacian into out, allocating no
-field.  The solver binds it once per run with scale dt/2, the size of a
-half kick; at scale 1 it gives laplace's bytes.
+field and dividing by nothing: the cube's is one flat 7-point pass
+times scale / h^2, faces written as 0.  The solver binds it with scale
+dt/2, the size of a half kick, once per run; at scale 1 it gives
+laplace's bytes.
 """
 
 import numpy as np
@@ -122,7 +124,7 @@ def _check_sponge_strength(strength):
 
 
 def _check_spacing(h, power):
-    # the stencils divide by h**2 (the radial laplace's coefficients are
+    # the stencils scale by 1 / h**2 (the radial laplace's coefficients are
     # made with the grid) and a cube's volume element is h**3: a spacing
     # whose power or its reciprocal overflows ends in a traceback, or in
     # NaN output
@@ -166,18 +168,16 @@ class _Grid:
         """The spatial operator on u, written into out if given; tmp is
         scratch of u's shape (each allocated when not given)."""
         u = np.ascontiguousarray(u, dtype=float)
-        if out is None:
-            out = np.empty(u.shape)
-        if tmp is None:
-            tmp = np.empty_like(out)
+        out = np.empty(u.shape) if out is None else out
+        tmp = np.empty(u.shape) if tmp is None else tmp
         return self.operator(u, out, tmp)()
 
     def gradient(self, u, out=None):
         """Spatial gradient (d_1 u, ..., d_ndim u) of a field, into the
         arrays of out if given."""
-        axes = range(-self.ndim, 0)
+        outs = (None,) * self.ndim if out is None else out
         return tuple(fd.d1(u, self.h, axis=ax, out=o)
-                     for ax, o in zip(axes, out or (None,) * self.ndim))
+                     for ax, o in zip(range(-self.ndim, 0), outs))
 
     def sample(self, u):
         """Initial-data field of physical node values u, zero in solids."""
@@ -449,17 +449,32 @@ class CartesianGrid(_Grid):
     def operator(self, u, out, tmp, scale=1.0):
         """apply() writing scale times the 7-point Laplacian of u to out.
 
-        u, out and tmp must be C-contiguous; the second and third axis
-        terms pass through tmp.
+        One pass over the last three axes, flattened (m = n + 1 nodes per
+        axis): the neighbours at shifts -m^2, m^2, -m, m, -1, 1 summed in
+        that order, less 6 u (made in tmp), times k = scale / h^2; the
+        faces, where the shifts wrap, are written as 0 (Dirichlet nodes).
+        u, out and tmp must be C-contiguous, so their flat views are views.
         """
-        first, *rest = (fd.d2_operator(u, self.h, axis, o, scale)
-                        for axis, o in ((-3, out), (-2, tmp), (-1, tmp)))
+        if not all(a.flags.c_contiguous for a in (u, out, tmp)):
+            raise ParamError("the 7-point stencil needs C-contiguous arrays")
+        m = self.n + 1
+        N, s = m**3, m * m
+        f, o, t = (a.reshape(a.shape[:-3] + (N,)) for a in (u, out, tmp))
+        mid, cen, six = (a[..., s:N - s] for a in (o, f, t))
+        near = [f[..., s + d:N - s + d] for d in (-s, s, -m, m, -1, 1)]
+        k = scale / self.h**2
+        faces = [(..., i) + (slice(None),) * a
+                 for a in range(3) for i in (0, -1)]
 
         def apply():
-            acc = first()
-            for term in rest:
-                acc += term()
-            return acc
+            np.add(near[0], near[1], out=mid)
+            for y in near[2:]:
+                np.add(mid, y, out=mid)
+            np.subtract(mid, np.multiply(6.0, cen, out=six), out=mid)
+            np.multiply(mid, k, out=mid)
+            for face in faces:
+                out[face] = 0.0
+            return out
         return apply
 
     def pin(self, a):

@@ -4,13 +4,13 @@ Second-order accurate throughout: centered stencils inside, one-sided
 three/four point formulas at array ends, trapezoid weights.
 
 d1 and d2 write into out if given, which must then be C-contiguous;
-y is read as a C-contiguous array.  Each is its bound form, d1_operator
-or d2_operator, applied once, so a caller that differentiates one buffer
-many times binds it once.  Their interior is one difference of the
-flattened arrays, shifted by the axis stride s: (f[2s:] - f[:-2s]) /
-(2h) for d1.  What it takes across the axis ends falls on edge
-positions, which the one-sided formulas then overwrite, so d1 is
-np.gradient(y, h, axis, edge_order=2) byte for byte.
+y is read as a C-contiguous array.  d1 is its bound form, d1_operator,
+applied once, so a caller that differentiates one buffer many times
+binds it once.  Each interior is one difference of the flattened arrays,
+shifted by the axis stride s: (f[2s:] - f[:-2s]) * (0.5 / h) for d1.
+What it takes across the axis ends falls on edge positions, which the
+one-sided formulas then overwrite: d1 is that arithmetic byte for byte,
+and np.gradient(y, h, axis, edge_order=2), which divides, within an ulp.
 
 A snapshot series has one time derivative, d1_rows: d1 along the
 snapshot axis at a range of rows, read once from the rows its stencil
@@ -77,9 +77,8 @@ def d1(y, h, axis=-1, out=None):
 def d1_operator(y, h, axis=-1, out=None):
     """apply() that writes d1(y, h, axis) into out and returns it.
 
-    y, a C-contiguous float array, and out are bound here, as in
-    d2_operator, so that apply() reads y as it is when called and pays
-    for no stencil set-up.
+    y, a C-contiguous float array, and out are bound here, so that
+    apply() reads y as it is when called and pays for no stencil set-up.
     """
     if not (y.flags.c_contiguous and y.dtype == float):
         raise ParamError("a bound stencil reads C-contiguous float arrays")
@@ -87,9 +86,10 @@ def d1_operator(y, h, axis=-1, out=None):
     # the end nodes, read when apply() is called: scalars when y is one row
     ends = [lead + (i,) for i in (0, 1, 2, -3, -2, -1)]
     first, last = ends[0], ends[-1]
+    half_inv = 0.5 / h
 
     def apply():
-        np.divide(np.subtract(hi, lo, out=mid), 2.0 * h, out=mid)
+        np.multiply(np.subtract(hi, lo, out=mid), half_inv, out=mid)
         f0, f1, f2, g2, g1, g0 = (y[i] for i in ends)
         # np.gradient's edge_order=2 ends: its constants, its operation order
         out[first] = (-1.5 / h) * f0 + (2.0 / h) * f1 + (-0.5 / h) * f2
@@ -112,7 +112,7 @@ def d1_rows(read, lo, hi, n, h, out=None):
     out = np.empty((hi - lo,) + vals.shape[1:]) if out is None else out
     i, j = max(lo, 1), min(hi, n - 1)  # the rows with both neighbours
     f, mid = vals[i - 1 - a:j + 1 - a], out[i - lo:j - lo]
-    np.divide(np.subtract(f[2:], f[:-2], out=mid), 2.0 * h, out=mid)
+    np.multiply(np.subtract(f[2:], f[:-2], out=mid), 0.5 / h, out=mid)
     if lo == 0:
         out[0] = d1(vals[:3], h, axis=0)[0]
     if hi == n:
@@ -125,36 +125,17 @@ def d2(y, h, axis=-1, out=None):
 
     out must have y's shape and must not overlap y; it is returned.
     """
-    return d2_operator(np.ascontiguousarray(y, dtype=float), h, axis, out)()
-
-
-def d2_operator(y, h, axis=-1, out=None, scale=1.0):
-    """apply() that writes scale * d2(y, h, axis) into out and returns it.
-
-    y, a C-contiguous float array, and out are bound here, so that
-    apply() reads y as it is when called.  The scale is folded into the
-    divisor h^2 / scale: scale 1 gives d2's bytes, and no scale costs a
-    pass over out.
-    """
-    if not (y.flags.c_contiguous and y.dtype == float):
-        raise ParamError("a bound stencil reads C-contiguous float arrays")
     y, out, lead, (lo, c, hi, mid) = _stencil(y, out, axis, 4)
-    div = h**2 / scale
-    # views, not values, of the end nodes: a 0-d view when y is one row
-    g3, g2, g1, g0, f0, f1, f2, f3 = (y[lead + (i, ...)]
-                                      for i in range(-4, 4))
-    first, last = out[lead + (0, ...)], out[lead + (-1, ...)]
-
-    def apply():
-        # (a - 2 b + c) / h^2 evaluated in place, operation by operation
-        np.multiply(2.0, c, out=mid)
-        np.subtract(hi, mid, out=mid)
-        np.add(mid, lo, out=mid)
-        np.divide(mid, div, out=mid)
-        first[...] = (2.0 * f0 - 5.0 * f1 + 4.0 * f2 - f3) / div
-        last[...] = (2.0 * g0 - 5.0 * g1 + 4.0 * g2 - g3) / div
-        return out
-    return apply
+    div = h**2
+    # (a - 2 b + c) / h^2 evaluated in place, operation by operation
+    np.multiply(2.0, c, out=mid)
+    np.subtract(hi, mid, out=mid)
+    np.add(mid, lo, out=mid)
+    np.divide(mid, div, out=mid)
+    for end, step in ((0, 1), (-1, -1)):
+        f0, f1, f2, f3 = (y[lead + (end + step * i,)] for i in range(4))
+        out[lead + (end,)] = (2.0 * f0 - 5.0 * f1 + 4.0 * f2 - f3) / div
+    return out
 
 
 def trapezoid(h, n):

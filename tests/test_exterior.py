@@ -169,8 +169,7 @@ def test_radial_laplace_allocates_no_field():
     assert _peak_bytes(lambda: grid.laplace(u, out=out, tmp=tmp)) \
         < u.nbytes / 10
     # nor does a bound operator's apply(), on either grid, at scale 1
-    # (laplace's bytes) and at a half step; the Cartesian one allocates
-    # face-sized arrays at the axis ends only
+    # (laplace's bytes) and at a half step: a few Python objects at most
     cart = build_masked_grid(Obstacle.ellipsoid(1.4, 1.0, 0.8), 12.0, 64,
                              sponge_cells=8)
     for g in (grid, cart):
@@ -178,7 +177,7 @@ def test_radial_laplace_allocates_no_field():
         out, tmp = np.empty((2,) + u.shape)
         for scale in (1.0, 0.45 * g.h):
             apply = g.operator(u, out, tmp, scale)
-            assert _peak_bytes(apply) < u.nbytes / 10
+            assert _peak_bytes(apply) < 4096
             assert apply() is out
             if scale == 1.0:
                 assert out.tobytes() == g.laplace(u).tobytes()
@@ -260,6 +259,59 @@ def test_masked_grid_rejects_bad_params():
         build_masked_grid(Obstacle.sphere(1.0), 12.0, 24, sponge_cells=13)
 
 
+def test_cube_laplace_is_second_order():
+    # against the exact Laplacian (4 |x|^2 - 6) exp(-|x|^2) on every node
+    # off the faces
+    errs = []
+    for n in (16, 32, 64):
+        grid = build_masked_grid(Obstacle.sphere(0.5), 8.0, n, sponge_cells=0)
+        r2 = np.sum(grid.coords() ** 2, axis=-1)
+        f = np.exp(-r2)
+        inside = (slice(1, -1),) * 3
+        errs.append(np.max(np.abs(grid.laplace(f) - (4.0 * r2 - 6.0) * f)
+                           [inside]))
+    assert all(coarse > 3.5 * fine for coarse, fine in zip(errs, errs[1:]))
+
+
+def test_cube_operator_stacks_pins_faces_and_refuses_copies():
+    grid = build_masked_grid(Obstacle.ellipsoid(1.4, 1.0, 0.8), 12.0, 24,
+                             sponge_cells=8)
+    rng = np.random.default_rng(2)
+    u = rng.standard_normal((2,) + grid.shape)
+    out, tmp = np.full((2, 2) + grid.shape, np.nan)
+    apply = grid.operator(u, out, tmp)
+    assert apply() is out
+    # each component of a stack is that component's own laplace
+    for row, got in zip(u, out):
+        assert got.tobytes() == grid.laplace(row).tobytes()
+    # the six faces are written as exactly 0
+    for axis in (-3, -2, -1):
+        for end in (0, -1):
+            assert np.all(np.take(out, end, axis=axis) == 0.0)
+    # a strided view would be flattened into a copy, which apply() would
+    # neither read afresh nor write through
+    wide = np.empty((2,) + grid.shape[:-1] + (2 * grid.shape[-1],))
+    views = (u[..., ::-1], wide[..., ::2])
+    for bad in views:
+        for args in ((bad, out, tmp), (u, bad, tmp), (u, out, bad)):
+            with pytest.raises(ParamError):
+                grid.operator(*args)
+
+
+@pytest.mark.parametrize("name", ["radial", "cartesian"])
+def test_gradient_writes_into_a_stacked_out(name):
+    if name == "radial":
+        grid = build_radial_grid(1.0, 6.0, 100)
+    else:
+        grid = build_masked_grid(Obstacle.sphere(1.0), 12.0, 16,
+                                 sponge_cells=0)
+    u = np.sin(grid.radii())
+    out = np.full((grid.ndim,) + u.shape, np.nan)
+    got = grid.gradient(u, out)
+    assert all(np.shares_memory(g, o) for g, o in zip(got, out))
+    assert out.tobytes() == np.array(grid.gradient(u)).tobytes()
+
+
 def _stencil_cases(least):
     """(y, axis, out) over every axis of 1-d, 3-d and 4-d (row-stacked)
     arrays with axis lengths least, 5 and 49: C-contiguous, strided and
@@ -276,32 +328,60 @@ def _stencil_cases(least):
                 yield view, axis, np.full(view.shape[::-1], np.nan).T
 
 
+# a spacing at which np.gradient's quotient x / (2 h) and the bound
+# reciprocal's product x * (0.5 / h) agree on every value tried, and one
+# at which they differ on some
+D1_SPACINGS = (0.3, 0.0235)
+
+
+def _d1_reference(y, h, axis):
+    # the centred difference times the reciprocal 0.5 / h inside, and
+    # np.gradient's second-order ends
+    out = np.gradient(y, h, axis=axis, edge_order=2)
+    y, inner = np.moveaxis(y, axis, -1), np.moveaxis(out, axis, -1)
+    inner[..., 1:-1] = (y[..., 2:] - y[..., :-2]) * (0.5 / h)
+    return out
+
+
+def _within_an_ulp_of_np_gradient(got, y, h, axis):
+    want = np.gradient(y, h, axis=axis, edge_order=2)
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+    return got.tobytes() != want.tobytes()
+
+
 def test_d1_matches_np_gradient():
-    # the flat interior and numpy's ends are np.gradient byte for byte
+    # d1 is its explicit arithmetic byte for byte, and np.gradient, which
+    # divides by 2 h inside, within one ulp
+    differs = dict.fromkeys(D1_SPACINGS, False)
     for y, axis, out in _stencil_cases(3):
-        if out is not None and not out.flags.c_contiguous:
-            with pytest.raises(ParamError):
-                fd.d1(y, 0.3, axis=axis, out=out)
-            continue
-        want = np.gradient(y, 0.3, axis=axis, edge_order=2)
-        got = fd.d1(y, 0.3, axis=axis, out=out)
-        assert out is None or got is out
-        assert got.tobytes() == want.tobytes(), (y.shape, axis)
+        for h in D1_SPACINGS:
+            if out is not None and not out.flags.c_contiguous:
+                with pytest.raises(ParamError):
+                    fd.d1(y, h, axis=axis, out=out)
+                continue
+            got = fd.d1(y, h, axis=axis, out=out)
+            assert out is None or got is out
+            assert got.tobytes() == _d1_reference(y, h, axis).tobytes(), \
+                (y.shape, axis, h)
+            differs[h] |= _within_an_ulp_of_np_gradient(got, y, h, axis)
+    # the second spacing tells the two forms apart
+    assert differs == {0.3: False, 0.0235: True}
     with pytest.raises(ParamError):
         fd.d1(np.ones((5, 2)), 0.3, axis=-1)
 
 
 def test_bound_d1_reads_its_buffer_when_applied():
     # d1 is its bound form applied once; a bound one reads y as it is at
-    # each call and gives np.gradient's bytes every time
+    # each call and gives the same bytes every time
     rng = np.random.default_rng(11)
     y, out = np.empty((2, 3, 7, 5))
-    apply = fd.d1_operator(y, 0.3, axis=1, out=out)
-    for _ in range(3):
-        y[...] = rng.standard_normal(y.shape)
-        assert apply() is out
-        assert out.tobytes() == np.gradient(y, 0.3, axis=1,
-                                            edge_order=2).tobytes()
+    for h in D1_SPACINGS:
+        apply = fd.d1_operator(y, h, axis=1, out=out)
+        for _ in range(3):
+            y[...] = rng.standard_normal(y.shape)
+            assert apply() is out
+            assert out.tobytes() == _d1_reference(y, h, 1).tobytes()
+            _within_an_ulp_of_np_gradient(out, y, h, 1)
     with pytest.raises(ParamError):
         fd.d1_operator(y.T, 0.3)
     with pytest.raises(ParamError):

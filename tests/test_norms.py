@@ -448,25 +448,28 @@ def test_sampled_time_derivatives_take_the_solver_step(linear_run):
 
 def test_row_stencil_is_the_whole_series_derivative():
     # byte for byte d1 along the snapshot axis, at the ends and next to
-    # them as well as inside, from one read of the rows the stencil uses
+    # them as well as inside, from one read of the rows the stencil uses,
+    # at two spacings: at 0.0235, unlike at 0.3, dividing by 2 h and
+    # multiplying by 0.5 / h round some values apart
     rng = np.random.default_rng(5)
     F = rng.standard_normal((9, 2, 5))
-    whole = fd.d1(F, 0.3, axis=0)
     cases = (((0, 1), (0, 3)), ((1, 2), (0, 3)), ((4, 5), (3, 6)),
              ((7, 8), (6, 9)), ((8, 9), (6, 9)), ((0, 2), (0, 3)),
              ((7, 9), (6, 9)), ((2, 6), (1, 7)), ((0, 9), (0, 9)))
-    for (lo, hi), reads in cases:
-        for out in (None, np.full((hi - lo,) + F.shape[1:], np.nan)):
-            seen = []
+    for h in (0.3, 0.0235):
+        whole = fd.d1(F, h, axis=0)
+        for (lo, hi), reads in cases:
+            for out in (None, np.full((hi - lo,) + F.shape[1:], np.nan)):
+                seen = []
 
-            def read(a, b):
-                seen.append((a, b))
-                return F[a:b]
-            val, d = fd.d1_rows(read, lo, hi, len(F), 0.3, out)
-            assert out is None or d is out
-            assert val.tobytes() == F[lo:hi].tobytes()
-            assert d.tobytes() == whole[lo:hi].tobytes()
-            assert seen == [reads]
+                def read(a, b):
+                    seen.append((a, b))
+                    return F[a:b]
+                val, d = fd.d1_rows(read, lo, hi, len(F), h, out)
+                assert out is None or d is out
+                assert val.tobytes() == F[lo:hi].tobytes()
+                assert d.tobytes() == whole[lo:hi].tobytes()
+                assert seen == [reads]
 
 
 @pytest.mark.parametrize("power", [1, -3])
