@@ -188,7 +188,7 @@ class ExperimentConfig:
             self.family = picard.bump_data_family(
                 self.grid, center=data["center"], width=data["width"],
                 velocity=data["velocity"])
-        except (ParamError, OrderError, MemoryError) as e:
+        except (ValueError, MemoryError) as e:  # numpy's size errors too
             raise ConfigError(str(e))
         # written so that NaN fails each check
         for section, key in (("run", "t_end"), ("run", "tol"),
@@ -207,6 +207,14 @@ class ExperimentConfig:
                              ("geometry", "samples")):
             if cfg[section][key] < 1:
                 raise ConfigError("[%s] %s must be >= 1" % (section, key))
+        # numpy can neither count past intp nor draw from a range past the
+        # largest float
+        if cfg["geometry"]["samples"] > np.iinfo(np.intp).max:
+            raise ConfigError("[geometry] samples must be <= %d"
+                              % np.iinfo(np.intp).max)
+        if not 2 * cfg["geometry"]["extent"] < np.inf:
+            raise ConfigError("[geometry] extent must be below half the "
+                              "largest float")
         run = cfg["run"]
         self.t_end = float(run["t_end"])
         self.dt = float(run["dt"]) or None
@@ -542,8 +550,9 @@ def _check_for_subcommand(subcommand, ec):
         try:
             n = picard.snapshot_count(ec.t_end, dt)
         except ParamError as e:
-            raise ConfigError("[run] t_end = %g is too short at step %g: %s"
-                              % (ec.t_end, dt, e))
+            raise ConfigError("[run] t_end = %g is too %s at step %g: %s"
+                              % (ec.t_end, "long" if ec.t_end > dt
+                                 else "short", dt, e))
     if subcommand == "estimate-report":
         if not any(ec.scan_eps):
             raise ConfigError("[scan] eps has no nonzero entry, and zero "

@@ -47,11 +47,13 @@ dt/2, the size of a half kick, once per run; at scale 1 it gives
 laplace's bytes.
 """
 
+import math
+
 import numpy as np
 
 from . import fd
 from .errors import OrderError, ParamError
-from .nullforms import NullFormSpec, eval_components
+from .nullforms import NullFormSpec, accumulate_system
 
 # largest cell count per axis of a masked grid; (n + 1)^3 nodes, and
 # building the mask alone holds several float64 arrays of that size
@@ -587,8 +589,11 @@ def compatibility_functions(data: InitialData, spec: NullFormSpec, k):
 
     psi_0 = f, psi_1 = g, and each following order comes from substituting
     the Taylor expansion in t into d_tt u = Lap u + Q(du, du) and matching
-    powers of t.  Returned fields are a list of arrays of shape
-    (n_components,) + grid shape.
+    powers of t: (p + 1)(p + 2) a_{p+2} = Lap a_p + [t^p] Q for the Taylor
+    coefficients a_j = psi_j / j!, with one grid.laplace of the component
+    stack a_p and [t^p] Q a Cauchy product of the Picard sweep's system
+    evaluator, accumulate_system.  Returned fields are a list of arrays
+    of shape (n_components,) + grid shape.
 
     Spatial derivatives are centered differences, so each extra order
     costs accuracy; orders above 4 are refused.
@@ -598,48 +603,29 @@ def compatibility_functions(data: InitialData, spec: NullFormSpec, k):
     if k > MAX_COMPAT_ORDER:
         raise OrderError("compatibility order capped at %d" % MAX_COMPAT_ORDER)
     grid = data.grid
-    N = spec.n_components
-    fshape = (N,) + grid.shape
-
-    f = np.broadcast_to(data.f, fshape).copy()
-    g = np.broadcast_to(data.g, fshape).copy()
-
+    fshape = (spec.n_components,) + grid.shape
+    a = [np.broadcast_to(x, fshape).copy() for x in (data.f, data.g)]
     if not radially_reducible(grid, spec):
         raise ParamError("the nonlinear recursion on a radial grid needs "
                          "q0 terms and angular_mode = 0")
 
-    # Taylor coefficients a_j = psi_j / j!
-    a = [f, g]
     for p in range(k - 1):
-        nxt = np.empty(fshape)
-        for i in range(N):
-            grid.laplace(a[p][i], out=nxt[i])
+        nxt = grid.laplace(a[p])
         if not spec.is_linear():
             nxt += _q_taylor_coefficient(grid, spec, a, p)
         a.append(nxt / ((p + 1) * (p + 2)))
-
-    fact = 1.0
-    psis = []
-    for j, aj in enumerate(a[:k + 1]):
-        if j >= 2:
-            fact *= j
-        psis.append(aj * (fact if j >= 2 else 1.0))
-    return psis
+    return [aj * math.factorial(j) for j, aj in enumerate(a[:k + 1])]
 
 
 def _q_taylor_coefficient(grid, spec, a, p):
-    """Coefficient of t^p in Q(du, du) given Taylor coefficients a_0..a_{p+1}."""
-    N = spec.n_components
-    shape = a[0].shape[1:]
-    # gradient components (d_t, d_1, ...) of component i at Taylor order m
-    grads = [[((m + 1) * a[m + 1][i],) + grid.gradient(a[m][i])
-              for m in range(p + 1)] for i in range(N)]
-    out = np.zeros((N,) + shape)
-    for (i, j, kk, coeff, form) in spec.terms:
-        acc = np.zeros(shape)
-        for m in range(p + 1):
-            acc += eval_components(form, grads[j][m], grads[kk][p - m])
-        out[i] += coeff * acc
+    """Coefficient of t^p in Q(du, du) given Taylor coefficients a_0..a_{p+1}:
+    the sum over m of Q(Du_m, Du_{p-m})."""
+    # gradient components (d_t, d_1, ...) of each component at Taylor order m
+    du = [[((m + 1) * a[m + 1][i],) + grid.gradient(a[m][i])
+           for i in range(spec.n_components)] for m in range(p + 1)]
+    out, q = np.zeros((2,) + a[0].shape)
+    for m in range(p + 1):
+        out += accumulate_system(spec, du[m], du[p - m], q)
     return out
 
 

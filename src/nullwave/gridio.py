@@ -154,7 +154,12 @@ def read_snapshot(path):
     fields = {}
     for _ in range(count):
         (nlen,) = rd.unpack("H")
-        name = rd.take(nlen).decode("utf-8")
+        try:
+            name = rd.take(nlen).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise FormatError("field name is not utf-8: %s" % e)
+        if name in fields:
+            raise FormatError("field %r recorded twice" % name)
         (ndim,) = rd.unpack("B")
         dims = rd.unpack("%dI" % ndim) if ndim else ()
         size = int(np.prod(dims, dtype=np.int64)) if dims else 1

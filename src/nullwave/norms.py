@@ -388,8 +388,6 @@ def _ratio_report(row, sup_window):
 
     h2 = weighted_sobolev_norm(f, 2, 0, grid)
     h1 = weighted_sobolev_norm(g, 1, 0, grid)
-    h21 = weighted_sobolev_norm(f, 2, 1, grid)
-    h12 = weighted_sobolev_norm(g, 1, 2, grid)
     tip_f, *sweep = sol.tip_norms
 
     conf0 = penrose.conformal_factor_tr(0.0, grid.r)
@@ -410,7 +408,7 @@ def _ratio_report(row, sup_window):
         "lhs_weighted_energy": sol.energy_sup,
         "rhs_weighted_energy": sph2 + sph1 + tip_f,
         "lhs_sup_decay": sup_t,
-        "rhs_sup_decay": h21 + h12 + tip_f,
+        "rhs_sup_decay": data_smallness_norm(sol.data) + tip_f,
         "pecher_l8": sol.l8_norm,
     }
     for name in RATIO_NAMES:

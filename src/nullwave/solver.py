@@ -36,10 +36,10 @@ overwrites; v is the u_t that every observer reads.  An observer keeps
 what it needs by reducing the state (local_energy_fn gives one such
 reduction) or by copying it.  Step k reads rows k and k + 1 of a
 recorded forcing only, so an observer may overwrite the rows below
-i * stride at observe(i, u, v), and every row at the last one.  A recorded forcing may be float32 (Picard stores its
-forcing so); the step averages its rows in float64.  run-linear
-observes its local energies, and every Picard sweep is observed too
-(see nullwave.picard).
+i * stride at observe(i, u, v), and every row at the last one.  A
+recorded forcing may be float32 (Picard stores its forcing so); the
+step averages its rows in float64.  run-linear observes its local
+energies, and every Picard sweep is observed too (see nullwave.picard).
 
 The grid (see nullwave.exterior) supplies the spatial operator, the
 Dirichlet pinning and the energy.  Leading axes are allowed, so a stack
@@ -137,16 +137,28 @@ def step_count(t_end, dt, stride=1):
 
     At least one, rounded up to a multiple of stride; a stride above
     the unrounded count is refused, and so is a t_end or dt that is not
-    finite and positive.
+    finite and positive, or whose quotient is not finite.
     """
     if not (0 < t_end < np.inf and 0 < dt < np.inf):  # NaN fails too
         raise ParamError("t_end %g and dt %g must be positive and finite"
                          % (t_end, dt))
-    n_steps = max(int(np.ceil(t_end / dt - 1e-12)), 1)
+    steps = float(t_end) / float(dt)  # inf, not a warning, on overflow
+    if steps == np.inf:
+        raise ParamError("t_end %g over dt %g is not a finite step count"
+                         % (t_end, dt))
+    n_steps = max(int(np.ceil(steps - 1e-12)), 1)
     if stride > n_steps:
         raise ParamError("stride %d exceeds the %d steps of the run"
                          % (stride, n_steps))
     return n_steps + (-n_steps) % stride
+
+
+def _check_forcing_shape(got, data):
+    """Refuse a forcing field that is neither of the data's shape nor one
+    grid field, which every component gets."""
+    if got not in (data.f.shape, data.grid.shape):
+        raise ParamError("forcing fields of shape %s do not match the data's "
+                         "%s" % (got, data.f.shape))
 
 
 def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
@@ -156,8 +168,9 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
     forcing may be None, a callable t -> field (evaluated at step
     midpoints), or an array of per-step fields of shape
     (n_steps + 1,) + field shape, in which case midpoint values are taken
-    as adjacent averages.  The run takes step_count(t_end, dt, stride)
-    steps.
+    as adjacent averages.  A forcing field has the data's shape, or is
+    one grid field that every component gets; another shape is refused,
+    not broadcast.  The run takes step_count(t_end, dt, stride) steps.
 
     Returns the Trajectory of the first and the last (u, v).  With
     observe, every stride-th step's snapshot i goes to observe(i, u, v)
@@ -178,6 +191,7 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
         recorded = forcing
         if recorded.shape[0] < n_steps + 1:
             raise ParamError("recorded forcing shorter than the run")
+        _check_forcing_shape(recorded.shape[1:], data)
 
     # the buffers' layout is the module docstring's; lap and tmp are two
     # allocations, as a (2,) + shape stack would put tmp at another offset
@@ -215,7 +229,10 @@ def solve_linear(data: InitialData, forcing, t_end, dt=None, stride=1,
                             dtype=np.float64)
             f_half *= 0.25 * dt
         elif callable(forcing):
-            f_half = np.multiply(forcing(t + half), half, out=f_buf)
+            f_now = forcing(t + half)
+            if not k:
+                _check_forcing_shape(np.shape(f_now), data)
+            f_half = np.multiply(f_now, half, out=f_buf)
         else:
             f_half = None
         _advance(grid, kick, u, v, lap, tmp, dt, f_half, band, damp)

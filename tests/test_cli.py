@@ -559,16 +559,19 @@ def test_boolean_spellings(tmp_path):
 # runs too large to allocate: numpy refuses a forcing of t_end = 1e15, or
 # of 6e13 steps of dt = 1e-12, on any host (past 2**63 bytes), and 10**17
 # geometry samples (710 PiB) lie past even a 57-bit address space;
-# run-linear allocates nothing per snapshot, so it would simply run and
-# is left out
+# run-linear allocates nothing per snapshot, so it would simply run, but
+# a step count t_end / dt that overflows it cannot take at all
 @pytest.mark.parametrize("subcommand,text", [
     ("run-nonlinear", "[run]\nt_end = 1e15\n"),
     ("scan-smallness", "[run]\nt_end = 1e15\n"),
     ("estimate-report", "[run]\nt_end = 1e15\n"),
     ("estimate-report", "[run]\ndt = 1e-12\n"),
-    ("verify-geometry", "[geometry]\nsamples = %d\n" % 10**17)],
+    ("verify-geometry", "[geometry]\nsamples = %d\n" % 10**17),
+    ("run-linear", "[run]\nt_end = 1e308\n"),
+    ("run-linear", "[run]\ndt = 1e-308\n")],
     ids=["run-nonlinear", "scan-smallness", "estimate-report",
-         "estimate-report-tiny-dt", "verify-geometry"])
+         "estimate-report-tiny-dt", "verify-geometry",
+         "run-linear-uncountable-t_end", "run-linear-uncountable-dt"])
 def test_unallocatable_run_exit_3(tmp_path, subcommand, text):
     ini = write_ini(tmp_path, text)
     out = tmp_path / "out"
@@ -903,7 +906,10 @@ MUST_EXIT_2 = {("run", "tol", 0), ("run", "tol", -1),
                ("run", "max_iter", 0), ("run", "max_iter", -1),
                ("run", "dt", -1), ("compat", "order", -1),
                ("fit", "local_radius", 0), ("fit", "local_radius", -1),
-               ("grid", "sponge_strength", -1)}
+               ("grid", "sponge_strength", -1),
+               ("grid", "n", 10**20), ("geometry", "samples", 10**20),
+               ("geometry", "extent", 1e308), ("run", "t_end", 1e308),
+               ("run", "dt", 1e-308)}
 NUMERIC_KEYS = [(section, key)
                 for section, entries in cli.DEFAULTS.items()
                 for key, default in entries.items()
@@ -927,9 +933,26 @@ def tiny_ini(section, key, value):
                    for name, entries in sections.items())
 
 
-@pytest.mark.parametrize("value", [0, -1])
-@pytest.mark.parametrize("section,key", NUMERIC_KEYS,
-                         ids=["%s.%s" % k for k in NUMERIC_KEYS])
+def _numeric_cases():
+    """Each numeric key at 0 and -1, and at extremes that fail fast and
+    allocate nothing: 1e308 and 1e-308 for a float, 10**20 for an int.
+
+    An extreme may overflow inside numpy (a grid coefficient, the bump
+    profile, a norm's square), which the command line prints as a
+    RuntimeWarning and goes on; only a traceback fails these.
+    """
+    overflow = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    for section, key in NUMERIC_KEYS:
+        extremes = ([1e308, 1e-308]
+                    if isinstance(cli.DEFAULTS[section][key], float)
+                    else [10**20])
+        for value in [0, -1] + extremes:
+            yield pytest.param(section, key, value,
+                               id="%s.%s-%s" % (section, key, value),
+                               marks=() if value in (0, -1) else overflow)
+
+
+@pytest.mark.parametrize("section,key,value", list(_numeric_cases()))
 def test_numeric_keys_never_end_in_traceback(tmp_path, section, key, value):
     sub = READERS.get((section, key), READERS.get(section, "run-nonlinear"))
     ini = write_ini(tmp_path, tiny_ini(section, key, value))

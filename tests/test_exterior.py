@@ -20,7 +20,7 @@ from nullwave.exterior import (
     build_masked_grid,
     build_radial_grid,
 )
-from nullwave.nullforms import NullFormSpec
+from nullwave.nullforms import NullFormSpec, eval_components
 
 
 # ---------------------------------------------------------------------------
@@ -819,6 +819,89 @@ def test_compatibility_cartesian_oracle():
     assert errs[0] < 0.08
     assert errs[1] < 0.021
     assert 3.2 < errs[0] / errs[1] < 4.4
+
+
+def _reference_compatibility(data, spec, k):
+    """The recursion with an evaluator of its own: a Laplacian per
+    component, a Cauchy product per term of spec and a running factorial."""
+    grid, n = data.grid, spec.n_components
+    fshape = (n,) + grid.shape
+    a = [np.broadcast_to(data.f, fshape).copy(),
+         np.broadcast_to(data.g, fshape).copy()]
+    for p in range(k - 1):
+        nxt = np.empty(fshape)
+        for i in range(n):
+            grid.laplace(a[p][i], out=nxt[i])
+        grads = [[((m + 1) * a[m + 1][i],) + grid.gradient(a[m][i])
+                  for m in range(p + 1)] for i in range(n)]
+        q = np.zeros(fshape)
+        for (i, j, kk, coeff, form) in spec.terms:
+            acc = np.zeros(grid.shape)
+            for m in range(p + 1):
+                acc += eval_components(form, grads[j][m], grads[kk][p - m])
+            q[i] += coeff * acc
+        a.append((nxt + q) / ((p + 1) * (p + 2)))
+    fact, psis = 1.0, []
+    for j, aj in enumerate(a[:k + 1]):
+        fact *= max(j, 1)
+        psis.append(aj * fact)
+    return psis
+
+
+def _two_bumps(grid, n):
+    """Data whose components differ, with g nonzero at the wall."""
+    r = grid.radii()
+    f = [np.exp(-(r - 2.0 - 0.3 * c) ** 2) for c in range(n)]
+    g = [np.sin(r + c) * np.exp(-(r - 2.5) ** 2) for c in range(n)]
+    return InitialData(grid, grid.sample(np.array(f)),
+                       grid.sample(np.array(g)))
+
+
+# a two-component system with coefficients other than 1; the cube's
+# carries rotational forms, which the radial reduction refuses
+_SYSTEMS = {
+    "radial": NullFormSpec(2, [(0, 0, 1, 1.3, "q0"), (1, 1, 1, 0.7, "q0"),
+                               (0, 1, 0, 2.5, "q0")]),
+    "ellipsoid": NullFormSpec(2, [(0, 0, 1, 1.3, "q12"),
+                                  (1, 1, 0, 0.7, "q23"),
+                                  (0, 1, 1, 2.5, "q0"),
+                                  (1, 0, 0, 1.0, "q0")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_GRIDS))
+def test_laplace_of_a_stack_is_each_component_laplace(name):
+    grid = CONTRACT_GRIDS[name]()
+    u = np.random.default_rng(5).standard_normal((2,) + grid.shape)
+    got = grid.laplace(u)
+    for row, lap in zip(u, got):
+        assert lap.tobytes() == grid.laplace(row).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_GRIDS))
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_compatibility_is_the_per_term_recursion_byte_for_byte(name, k):
+    grid = CONTRACT_GRIDS[name]()
+    data, spec = _two_bumps(grid, 1), NullFormSpec.scalar_q0()
+    got = exterior.compatibility_functions(data, spec, k)
+    want = _reference_compatibility(data, spec, k)
+    assert len(got) == k + 1
+    assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_GRIDS))
+@pytest.mark.parametrize("k", [3, 4])
+def test_compatibility_of_a_weighted_system_is_the_per_term_recursion(name,
+                                                                      k):
+    # a coefficient other than 1 multiplies each Cauchy term, not their
+    # sum, so the orders that sum two or more terms may move a last bit
+    grid, spec = CONTRACT_GRIDS[name](), _SYSTEMS[name]
+    data = _two_bumps(grid, 2)
+    got = exterior.compatibility_functions(data, spec, k)
+    want = _reference_compatibility(data, spec, k)
+    assert [p.tobytes() for p in got[:3]] == [p.tobytes() for p in want[:3]]
+    for mine, ref in zip(got[3:], want[3:]):
+        assert np.max(np.abs(mine - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_compatibility_order_cap_and_guards():

@@ -200,6 +200,41 @@ def test_tampered_grid_record_is_a_format_error(tmp_path, grid, fmt, off,
         gridio.read_snapshot(path)
 
 
+def _field_names(tmp_path, names):
+    """The bytes of a radial snapshot with a zero field under each name,
+    and the offset of each name's first byte."""
+    path = tmp_path / "t.nwb"
+    grid = build_radial_grid(1.0, 6.0, 16)
+    gridio.write_snapshot(path, grid, 0.0,
+                          {name: grid.zeros() for name in names})
+    raw = bytearray(path.read_bytes())
+    # each field record: name length (2), name, ndim (1), one dim (4),
+    # then 8 bytes per node
+    off = _PAYLOAD + struct.calcsize("<ddIIId") + struct.calcsize("<dH") + 2
+    offsets = []
+    for name in names:
+        assert raw[off:off + len(name)] == name.encode()
+        offsets.append(off)
+        off += len(name) + 1 + 4 + 8 * grid.n_nodes + 2
+    return path, raw, offsets
+
+
+def test_field_name_that_is_not_utf8_is_a_format_error(tmp_path):
+    path, raw, (off,) = _field_names(tmp_path, ["u"])
+    raw[off] = 0xFF
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="utf-8"):
+        gridio.read_snapshot(path)
+
+
+def test_repeated_field_name_is_a_format_error(tmp_path):
+    path, raw, (_, off) = _field_names(tmp_path, ["u", "v"])
+    raw[off] = ord("u")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="'u' recorded twice"):
+        gridio.read_snapshot(path)
+
+
 # ---------------------------------------------------------------------------
 # text artifacts
 

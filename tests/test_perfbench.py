@@ -3,10 +3,12 @@
 Each workload's setup, run and check handlers from perfbench/child.py
 run in-process on the tiny inputs, so a change to the API the harness
 calls fails here rather than only when the benchmark runs.  A traced
-child run checks that the tracer still finds the entry points it spans.
+child run checks that the tracer still finds the entry points it spans,
+and every name the tracer wraps is checked to exist.
 """
 
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -64,3 +66,31 @@ def test_traced_child_counts_the_spanned_layers(tmp_path, name):
     for key in ("nullforms.calls", "norms.slab_calls", "solver.calls",
                 "picard.sweeps"):
         assert layers[key] > 0, key
+
+
+# names the tracer still wraps though the package deleted them; each
+# reads 0 in its per-layer metric
+GONE = ["Trajectory.local_energy_series", "norms.delta_sweep",
+        "norms.forcing_cylinder_samples", "norms.solution_cylinder_samples",
+        "norms.weighted_energy_sup", "penrose.conformal_gradient_tr"]
+
+
+def test_every_traced_name_exists_but_the_known_gone():
+    # the tracer skips a name it cannot find, so a renamed or deleted
+    # entry point would silently zero a per-layer metric
+    tracer = _load("tracer")
+    wrapped = []
+
+    class Recorder(tracer.Tracer):
+        def wrap(self, owner, attr, name, count=None):
+            wrapped.append((owner, attr))
+
+    Recorder().install()
+    missing = object()
+    found, gone = [], []
+    for owner, attr in wrapped:
+        label = "%s.%s" % (owner.__name__.rpartition(".")[2], attr)
+        exists = inspect.getattr_static(owner, attr, missing) is not missing
+        (found if exists else gone).append(label)
+    assert sorted(gone) == sorted(GONE)
+    assert len(found) == 26

@@ -720,6 +720,32 @@ def test_blowup_after_the_last_check_names_the_final_time():
             solve_linear(data, force, 5 * dt)
 
 
+@pytest.mark.parametrize("width", [1, 7])
+def test_recorded_forcing_of_another_field_shape_is_refused(width):
+    # a (n_steps + 1, 1) record would broadcast as a constant forcing, and
+    # a (n_steps + 1, 7) one would fail inside numpy
+    grid = build_radial_grid(1.0, 6.0, 100)
+    data = InitialData(grid, grid.zeros(), grid.zeros())
+    n_steps = step_count(1.0, cfl_limit(grid))
+    with pytest.raises(ParamError, match="shape"):
+        solve_linear(data, np.ones((n_steps + 1, width)), 1.0)
+
+
+def test_callable_forcing_of_another_field_shape_is_refused():
+    grid = build_radial_grid(1.0, 6.0, 100)
+    data = InitialData(grid, grid.zeros(), grid.zeros())
+    calls = []
+
+    def force(t):
+        calls.append(t)
+        return np.ones(1)
+
+    with pytest.raises(ParamError, match="shape"):
+        solve_linear(data, force, 1.0)
+    # refused at its first value, before the first step
+    assert len(calls) == 1
+
+
 def test_stride_must_be_positive():
     grid = build_radial_grid(1.0, 6.0, 100)
     data = InitialData(grid, grid.zeros(), grid.zeros())
@@ -758,9 +784,11 @@ def test_stride_pads_step_count():
 
 @pytest.mark.parametrize("t_end, dt", [
     (np.nan, None), (np.inf, None), (-5.0, None), (0.0, None),
-    (1.0, np.nan), (1.0, 0.0), (1.0, -1.0), (1.0, np.inf)],
+    (1.0, np.nan), (1.0, 0.0), (1.0, -1.0), (1.0, np.inf),
+    (1e308, None), (60.0, 1e-308)],
     ids=["nan-t_end", "inf-t_end", "negative-t_end", "zero-t_end",
-         "nan-dt", "zero-dt", "negative-dt", "inf-dt"])
+         "nan-dt", "zero-dt", "negative-dt", "inf-dt",
+         "uncountable-t_end", "uncountable-dt"])
 def test_step_count_refuses_a_nonpositive_or_nonfinite_run(t_end, dt):
     grid = build_radial_grid(1.0, 8.0, 200)
     data = picard.bump_data_family(grid)(1e-3)
