@@ -553,22 +553,25 @@ def _check_for_subcommand(subcommand, ec):
             raise ConfigError("[run] t_end = %g is too %s at step %g: %s"
                               % (ec.t_end, "long" if ec.t_end > dt
                                  else "short", dt, e))
+    if subcommand == "run-nonlinear":
+        with np.errstate(over="ignore", invalid="ignore"):
+            dnorm = norms.data_smallness_norm(ec.data())
+        if not dnorm < np.inf:
+            raise ConfigError("[data] eps = %g gives data of norm %g"
+                              % (ec.eps, dnorm))
     if subcommand == "estimate-report":
         if not any(ec.scan_eps):
             raise ConfigError("[scan] eps has no nonzero entry, and zero "
                               "data have no ratios to report")
         try:
             norms.local_linear_rows(n, dt)
-        except ParamError as e:
-            raise ConfigError("estimate-report cannot take the local-linear "
-                              "norm ([run] t_end = %g, step %g): %s"
-                              % (ec.t_end, dt, e))
-        try:
             norms.CylinderNorms(ec.grid, n, dt, ec.time_stride, ec.deltas)
         except ParamError as e:
-            raise ConfigError("estimate-report cannot sample the cylinder "
-                              "([grid] mode = %s, [report] time_stride = %d)"
-                              ": %s" % (ec.grid.kind, ec.time_stride, e))
+            raise ConfigError("estimate-report cannot take the cylinder "
+                              "norms ([grid] mode = %s, [run] t_end = %g at "
+                              "step %g, [report] time_stride = %d): %s"
+                              % (ec.grid.kind, ec.t_end, dt, ec.time_stride,
+                                 e))
         window, name = ec.sup_window, "[report] sup_window"
     elif subcommand in ("run-linear", "run-nonlinear"):
         window, name = ec.fit_window, "[fit] window"

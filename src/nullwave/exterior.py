@@ -298,6 +298,11 @@ class RadialGrid(_Grid):
         # end, those of the same sum with fd.d2's and fd.d1's one-sided
         # formulas, on the four nodes from that end inward
         h, l = np.float64(self.h), self.angular_mode
+        with np.errstate(over="ignore", divide="ignore"):  # largest at r0
+            top = max(1.0 / (h * self.r0), l and l * (l + 1) / self._r2[0])
+        if not top < np.inf:
+            raise ParamError("r0 = %g overflows 1 / (h r0) or l(l+1) / r0^2 "
+                             "at h = %g" % (self.r0, h))
         d2, q = 1.0 / h**2, 1.0 / (h * self.r)
         mode = l * (l + 1) / self._r2 if l else np.zeros_like(self.r)
         self._inner = (d2 - q[1:-1], -2.0 * d2 - mode[1:-1], d2 + q[1:-1])

@@ -12,9 +12,10 @@ What it takes across the axis ends falls on edge positions, which the
 one-sided formulas then overwrite: d1 is that arithmetic byte for byte,
 and np.gradient(y, h, axis, edge_order=2), which divides, within an ulp.
 
-A snapshot series has one time derivative, d1_rows: d1 along the
-snapshot axis at a range of rows, read once from the rows its stencil
-uses, so no byte depends on how a series is cut into blocks.
+A snapshot series has one time derivative, owned by its SeriesWindow:
+d1 along the snapshot axis at a range of rows, from the rows its
+stencil uses, so no byte depends on how a series is cut into blocks.
+The window's block is the rows a Picard sweep takes at once.
 
 empty_aligned places a buffer at a chosen offset from a 64-byte cache
 line, which numpy's own arrays (malloc's 16-byte alignment) do not
@@ -98,26 +99,53 @@ def d1_operator(y, h, axis=-1, out=None):
     return apply
 
 
-def d1_rows(read, lo, hi, n, h, out=None):
-    """(F[lo:hi], dF/dt there) of the n-row series F, read(a, b) = F[a:b].
+class SeriesWindow:
+    """The last rows of an n-row series F of step h, and dF/dt there.
 
-    dF/dt, written into out if given, is d1(F, h, axis=0)[lo:hi] byte for
-    byte, from one read of the rows its stencil uses: the centred
-    difference inside, d1 of the first or last three rows at the ends.
+    put(lo, rows) stores rows lo, lo + 1, ... (at most block, the rows of
+    about BLOCK_VALUES values) and returns, as ranges (a, b) of at most
+    block rows, the rows whose whole stencil it now holds (through n once
+    the last row is in).  rows(a, b, out) gives F[a:b] and dF/dt, into
+    out[:b - a] if given: d1(F, h, axis=0)[a:b] byte for byte.  A full
+    buffer slides the rows still to be read (at most three) to its front
+    in place, so buf is one array for the window's life.
     """
-    if n < 3:
-        raise ParamError("the time stencil needs at least 3 snapshots")
-    a = min(max(lo - 1, 0), n - 3)
-    vals = read(a, max(min(hi + 1, n), 3))
-    out = np.empty((hi - lo,) + vals.shape[1:]) if out is None else out
-    i, j = max(lo, 1), min(hi, n - 1)  # the rows with both neighbours
-    f, mid = vals[i - 1 - a:j + 1 - a], out[i - lo:j - lo]
-    np.multiply(np.subtract(f[2:], f[:-2], out=mid), 0.5 / h, out=mid)
-    if lo == 0:
-        out[0] = d1(vals[:3], h, axis=0)[0]
-    if hi == n:
-        out[-1] = d1(vals[-3:], h, axis=0)[-1]
-    return vals[lo - a:hi - a], out
+
+    def __init__(self, n, h, shape):
+        self.n, self.h = n, h
+        self.block = min(n, max(1, BLOCK_VALUES // math.prod(shape)))
+        # row base + i of the series is in buf[i]
+        self.buf = np.empty((self.block + 3,) + tuple(shape))
+        self.base = self.done = 0
+
+    def put(self, lo, rows):
+        buf, m, n = self.buf, lo + len(rows) - 1, self.n
+        if m - self.base >= len(buf):
+            keep = max(min(self.done - 1, n - 3), 0)
+            buf[:lo - keep] = buf[keep - self.base:lo - self.base]
+            self.base = keep
+        buf[lo - self.base:m + 1 - self.base] = rows
+        # the rows whose stencil rows 0, ..., m hold
+        end = n if m == n - 1 else m if m >= 2 else 0
+        first, self.done = self.done, end
+        return [(a, min(a + self.block, end))
+                for a in range(first, end, self.block)]
+
+    def rows(self, lo, hi, out=None):
+        n, h = self.n, self.h
+        # the rows the stencil uses: all n if n < 3, and d1 refuses those
+        a = max(min(lo - 1, n - 3), 0)
+        vals = self.buf[a - self.base:min(max(hi + 1, 3), n) - self.base]
+        out = np.empty((hi - lo,) + vals.shape[1:]) if out is None \
+            else out[:hi - lo]
+        i, j = max(lo, 1), min(hi, n - 1)  # the rows with both neighbours
+        f, mid = vals[i - 1 - a:j + 1 - a], out[i - lo:j - lo]
+        np.multiply(np.subtract(f[2:], f[:-2], out=mid), 0.5 / h, out=mid)
+        if lo == 0:
+            out[0] = d1(vals[:3], h, axis=0)[0]
+        if hi == n:
+            out[-1] = d1(vals[-3:], h, axis=0)[-1]
+        return vals[lo - a:hi - a], out
 
 
 def d2(y, h, axis=-1, out=None):

@@ -7,15 +7,16 @@ quadrature is pushed forward through the compactification, with the
 volume element picking up a factor of the fourth power of the conformal
 factor.
 
-Every cylinder quantity is a sum or a max over the sampled rows of a
-run, so no sampled row is kept: a Picard sweep hands each one to
-CylinderNorms as it takes it, and the row's frame pulls back the
-solution and then the forcing; a run keeps no u stack (see
-nullwave.solver).  The frame is written in the null coordinates
-p = t + r and m = t - r, with up = 1 + p^2 and um = 1 + m^2: the
-conformal factor is conf = 2 / sqrt(up um), (d_t + d_r) log conf is
--2p / up and (d_t - d_r) log conf is -2m / um, so the field
-val = conf**power * q of a radial q has
+CylinderNorms owns what the estimates read of a Picard sweep: handed
+each block the sweep takes, it picks the sampled rows and keeps the Q
+window and the local-linear window's sums.  Every cylinder quantity is
+a sum or a max over the sampled rows, so no sampled row is kept: the
+row's frame pulls back the solution and then the forcing.  The frame
+is written in the null coordinates p = t + r and m = t - r, with
+up = 1 + p^2 and um = 1 + m^2: the conformal factor is
+conf = 2 / sqrt(up um), (d_t + d_r) log conf is -2p / up and
+(d_t - d_r) log conf is -2m / um, so the field val = conf**power * q
+of a radial q has
 
     g0 + gb = (up / 2) (d_t + d_r) val
             = conf**power ((up / 2) (q_t + q_r) - power p q),
@@ -32,13 +33,12 @@ check R + |T| = max(2 arctan p, -2 arctan m) < pi, taken at the
 outermost node, where it is largest.
 
 The solution's u_t is the solver's v.  Q_t is d1 of the whole Q series
-at the solver step, never across the sampling stride, and the cylinder
-norms and the local-linear norm read the same one.  A slab norm is
-formed from the per-row slab_sums of its series: a Picard sweep adds
-them a block of rows at a time, for its residual over the whole run and
-for Q over the local_linear_rows of LOCAL_LINEAR_WINDOW.  Each row's
-sum is one einsum pass over its components and nodes, summed the same
-whatever block the row is in.
+at the solver step (fd.SeriesWindow), never across the sampling stride,
+and the cylinder norms and the local-linear norm read the same one.  A
+slab norm is formed from the per-row slab_sums of its series, added a
+block of rows at a time: the sweep's residual over the whole run, Q
+over the local_linear_rows of LOCAL_LINEAR_WINDOW.  Each row's sum is
+one einsum pass, the same whatever block the row is in.
 """
 
 import numpy as np
@@ -159,10 +159,10 @@ def slab_norm(sq, dt_snap):
 
 def slab_sums(grid, val, val_t, work=None):
     """slab_norm's spatial sums of rows val, of d/dt val_t and of grad val,
-    each row's in one pass; the gradient rows go into work as in
-    evaluate_nullform_series."""
+    each row's in one pass; the gradient rows go into the first rows of
+    the first grid.ndim C-contiguous arrays of work, or new ones."""
     rows, vol = len(val), grid.weights().ravel()
-    grads = [a.reshape(val.shape) for a in (
+    grads = [a[:rows].reshape(val.shape) for a in (
         np.empty((grid.ndim,) + val.shape) if work is None
         else work[:grid.ndim])]
     sq = np.empty((2 + grid.ndim, rows))
@@ -241,7 +241,7 @@ class _RowFrame:
 
 
 class CylinderNorms:
-    """The cylinder norms of a radial run, summed a sampled row at a time.
+    """The cylinder norms and local-linear norm of a radial run.
 
     Rows 0, time_stride, 2 time_stride, ... of a run of n snapshots dt
     apart are sampled.  solution(i, u, u_t, u_r) frames row i and adds
@@ -249,7 +249,7 @@ class CylinderNorms:
     sum rescaled to it) and the weighted energy sup (a max of slice
     sums); forcing(i, Q, Q_t) adds the row's field conf^-3 * Q to the
     tip-weighted sums at delta 0 and at each of deltas, and drops the
-    frame.
+    frame.  add_block calls both; its first call makes the run's buffers.
     """
 
     def __init__(self, grid, n, dt, time_stride, deltas):
@@ -260,9 +260,9 @@ class CylinderNorms:
         self.last = (n - 1) // time_stride * time_stride
         if self.last < 2 * time_stride:
             raise ParamError("need at least 3 sampled snapshots")
-        if any(d < 0 for d in deltas):
-            raise ParamError("delta must be nonnegative")
-        self.grid, self.dt, self.stride = grid, dt, time_stride
+        if not all(0 <= d < np.inf for d in deltas):
+            raise ParamError("delta must be finite and nonnegative")
+        self.grid, self.n, self.dt, self.stride = grid, n, dt, time_stride
         self.deltas = [0.0] + list(deltas)
         # dist > delta is dist4 > delta^4: a (deltas x nodes) 0/1 mask
         self.delta4 = np.square(np.square(self.deltas))[:, None]
@@ -270,6 +270,34 @@ class CylinderNorms:
         self.tip_sq = np.zeros(len(self.deltas))
         self.l8_max = self.l8_sum = self.energy_sq = 0.0
         self.frames = {}
+        self.q = self.local_sq = None
+
+    def add_block(self, lo, u, u_t, u_r, Q, work, out):
+        """Add rows lo, lo + 1, ... of the run (u, u_t, u_r and Q, each row
+        the grid's nodes); the slab_sums write into the scratch rows of
+        work and out, at least the window's block of each."""
+        row, hi, stride = self.grid.shape, lo + len(u), self.stride
+        if self.q is None:
+            self.q = fd.SeriesWindow(self.n, self.dt, row)
+            self.local_sq = np.empty((2 + self.grid.ndim,
+                                      local_linear_rows(self.n, self.dt)))
+        sampled = [x.reshape((-1,) + row) for x in (u, u_t, u_r)]
+        ready = self.q.put(lo, Q.reshape((-1,) + row))
+        # a sampled row's forcing follows its solution at once if its Q_t
+        # is in, so at most two frames wait for their Q_t at a time
+        for a, b in ready:
+            for i in range(a + -a % stride, b, stride):
+                if i >= lo:
+                    self.solution(i, *(x[i - lo] for x in sampled))
+                self.forcing(i, *(x[0] for x in self.q.rows(i, i + 1)))
+        a = max(lo, self.q.done)
+        for i in range(a + -a % stride, hi, stride):
+            self.solution(i, *(x[i - lo] for x in sampled))
+        for a, b in ready:
+            b = min(b, self.local_sq.shape[1])
+            if a < b:
+                self.local_sq[:, a:b] = slab_sums(self.grid, *self.q.rows(
+                    a, b, out.reshape((-1,) + row)), work)
 
     def solution(self, i, u, u_t, u_r):
         """Frame sampled row i and add its solution row u."""
@@ -305,10 +333,13 @@ class CylinderNorms:
 
     def values(self):
         """(the tip-weighted forcing norms at delta 0 and at each delta,
-        the eighth power norm of the solution, its weighted energy sup)."""
+        the eighth power norm of the solution, its weighted energy sup,
+        the local-linear norm: None before the first block)."""
         return ([float(s) for s in np.sqrt(self.tip_sq)],
                 self.l8_max * self.l8_sum ** 0.125,
-                float(np.sqrt(self.energy_sq)))
+                float(np.sqrt(self.energy_sq)),
+                None if self.local_sq is None
+                else slab_norm(self.local_sq, self.dt))
 
 
 # ---------------------------------------------------------------------------

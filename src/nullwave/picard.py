@@ -8,20 +8,17 @@ practical surrogate for the contraction distance.
 
 Every sweep is a solve_linear run, which keeps only its first and last
 state.  Its observer (_Sweep) copies the rows of u and of the solver's
-v, which is u_t, into a block of about fd.BLOCK_VALUES values, and takes
+v, which is u_t, into a block of fd.SeriesWindow's block rows, and takes
 a full block when the next row comes, the last at the last row: the
-block's Q, and on the way what the callers read: the sup series, the
-boundary max, the residual's slab_sums, and with a time_stride the
-cylinder norms and the slab_sums of the local-linear window.  The
-residual and Q have time derivatives over the whole run (fd.d1_rows:
-centred inside, fd.d1 of the first or last three rows at the ends), each
-over its own series.  A run holds one forcing array, in float32: the
-solver has read a block's rows of it (see nullwave.solver), so the
-observer takes their residual against them and writes its Q over them
-for the next sweep.  Q, the residual and its sums stay float64; only the
-write to the forcing rounds.  Each sweep owns a workspace of block rows,
-for u, v, Q and the gradient rows and products (work) of the null form
-and then of the slab_sums, so the observer allocates no row per block.
+block's Q, the sup series, the boundary max and the residual's
+slab_sums, whose time stencil its fd.SeriesWindow owns.  With a
+time_stride it hands each block to a norms.CylinderNorms, which owns
+the sampled rows and the local-linear window.  A run holds one forcing
+array, in float32: the solver has read a block's rows of it (see
+nullwave.solver), so the observer takes their residual against them and
+writes its Q over them for the next sweep; only that write rounds.  The
+observer's workspace of block rows (u, v, Q and work, the null form's
+gradients and products, then the slab_sums') is lent to the report.
 
 The rounding puts a floor under the residual: a fixed point of the
 rounded iteration still differs from its own forcing by the rounding
@@ -70,11 +67,9 @@ class NonlinearSolution:
     """The converged sweep of a Picard run, as its observer reduced it.
 
     trajectory is the observed run: its first and last (u, v).
-    sup_times and sup_values are the sup series.  The cylinder norms
-    (norms.CylinderNorms: tip_norms at delta 0 and at each of the run's
-    deltas, l8_norm, energy_sup) and local_linear (the slab norm of Q
-    over norms.LOCAL_LINEAR_WINDOW) are None unless it was solved with a
-    time_stride.
+    sup_times and sup_values are the sup series.  tip_norms, l8_norm,
+    energy_sup and local_linear are norms.CylinderNorms.values(), None
+    unless it was solved with a time_stride.
     """
 
     def __init__(self, trajectory, spec, data, sweep):
@@ -84,10 +79,8 @@ class NonlinearSolution:
         # the snapshot times of the stride-1 run, dt * arange
         self.sup_times = trajectory.dt * np.arange(sweep.n)
         self.sup_values = sweep.sup
-        self.local_linear = None if sweep.local_sq is None \
-            else slab_norm(sweep.local_sq, trajectory.dt)
-        self.tip_norms, self.l8_norm, self.energy_sup = \
-            sweep.cylinder.values() if sweep.cylinder else (None,) * 3
+        self.tip_norms, self.l8_norm, self.energy_sup, self.local_linear = \
+            sweep.cylinder.values() if sweep.cylinder else (None,) * 4
         self._boundary_max = sweep.boundary
 
     def boundary_max(self):
@@ -95,52 +88,14 @@ class NonlinearSolution:
         return self._boundary_max
 
 
-class _Rows:
-    """The last rows of an n-row series, in order, for fd.d1_rows.
-
-    put(lo, rows) stores rows lo, lo + 1, ... and returns, as ranges
-    (a, b) of at most block rows, the rows whose whole stencil it now
-    holds (through n once the last row is in); read(a, b) gives rows a
-    to b - 1 as a slice.  A full buffer slides the rows still to be read
-    (at most three) to its front, in place: buf is one array for the
-    window's whole life.
-    """
-
-    def __init__(self, n, block, shape):
-        self.n, self.block = n, block
-        # row base + i of the series is in buf[i]
-        self.buf = np.empty((block + 3,) + shape)
-        self.base = self.done = 0
-
-    def put(self, lo, rows):
-        buf, m, n = self.buf, lo + len(rows) - 1, self.n
-        if m - self.base >= len(buf):
-            keep = max(min(self.done - 1, n - 3), 0)
-            buf[:lo - keep] = buf[keep - self.base:lo - self.base]
-            self.base = keep
-        buf[lo - self.base:m + 1 - self.base] = rows
-        # the rows whose stencil rows 0, ..., m hold
-        end = n if m == n - 1 else m if m >= 2 else 0
-        first, self.done = self.done, end
-        return [(a, min(a + self.block, end))
-                for a in range(first, end, self.block)]
-
-    def read(self, a, b):
-        return self.buf[a - self.base:b - self.base]
-
-
 class _Sweep:
     """Observer of one Picard sweep: solve_linear's observe(i, u, v).
 
-    n and dt are the run's snapshot count and step.  Rows of u and of v
-    (which is u_t) fill a block, taken when the next row comes, as the
-    solver has read its forcing rows by then, or at the last row: its Q,
-    sup series and boundary max.  The residual rows, Q less the forcing
-    applied (if applied), go into a _Rows, whose ranges add their
-    slab_sums to sq; then Q goes over the block's rows of forcing.  With
-    time_stride, the cylinder norms take a sampled row's solution with
-    its block and its forcing once a second _Rows, of Q, gives its Q_t;
-    that _Rows adds the local-linear window's slab_sums to local_sq.
+    n and dt are the run's snapshot count and step.  A block is taken
+    once the next row comes, as the solver has read its forcing rows by
+    then, or at the last row.  The residual rows, Q less the forcing
+    applied (if applied), go into the window res, whose ranges add their
+    slab_sums to sq, and Q goes over the block's rows of forcing.
     """
 
     def __init__(self, data, spec, n, dt, time_stride, deltas, forcing,
@@ -148,53 +103,44 @@ class _Sweep:
         grid = self.grid = data.grid
         self.spec, self.n, self.dt = spec, n, dt
         shape = data.f.shape
-        # a row as evaluate_nullform_series reads it, less the row axis
-        self.comp = (spec.n_components,) + grid.shape
-        block = min(n, max(1, fd.BLOCK_VALUES // data.f.size))
-        self.res = _Rows(n, block, shape)
+        self.res = fd.SeriesWindow(n, dt, shape)
         # the block's rows of u and v, from row lo on, and its Q
-        self.u, self.v, self.q_out = np.empty((3, block) + shape)
-        self.work = np.empty((grid.ndim + 2, block) + shape)
+        self.u, self.v, self.q_out = np.empty((3, self.res.block) + shape)
+        self.work = np.empty((grid.ndim + 2, self.res.block) + shape)
         self.sq = np.empty((2 + grid.ndim, n))
         self.forcing, self.applied = forcing, applied
         self.sup = np.empty(n)
         # flat indices of the Dirichlet nodes in a row
         self.fixed = np.flatnonzero(np.broadcast_to(~grid.updated(), shape))
         self.lo, self.boundary = 0, 0.0
-        self.stride = time_stride
-        self.cylinder = self.local_sq = None
-        if time_stride is None:
-            return
-        if spec.n_components != 1:
+        self.cylinder = None if time_stride is None else \
+            norms.CylinderNorms(grid, n, dt, time_stride, deltas)
+        if self.cylinder and spec.n_components != 1:
             raise ParamError("forcing samples support scalar systems only")
-        self.cylinder = norms.CylinderNorms(grid, n, dt, time_stride, deltas)
-        self.q = _Rows(n, block, shape)
-        self.local_sq = np.empty((len(self.sq),
-                                  norms.local_linear_rows(n, dt)))
 
     def __call__(self, m, u, v):
         k = m - self.lo
         if k == len(self.u):
-            self._sums(self.res, self.sq, self._take(k))
+            self._take(k)
             self.lo, k = m, 0
         self.u[k], self.v[k] = u, v
         if m == self.n - 1:
-            self._sums(self.res, self.sq, self._take(k + 1))
+            self._take(k + 1)
 
     def _take(self, k):
-        """Q, forcing and recorded rows of the block; the residual's put."""
-        grid, n, dt, lo, hi = self.grid, self.n, self.dt, self.lo, self.lo + k
+        """Q, forcing, recorded rows and slab_sums of the block."""
+        grid, dt, lo, hi = self.grid, self.dt, self.lo, self.lo + k
         u, u_t = self.u[:k], self.v[:k]
         self.sup[lo:hi] = np.abs(u, out=self.work[0, :k]).reshape(
             k, -1).max(axis=1)
         pinned = u.reshape(k, -1)[:, self.fixed]
         self.boundary = max(self.boundary,
                             float(np.abs(pinned).max(initial=0.0)))
-        lead = (k,) + self.comp
-        q = evaluate_nullform_series(
+        # rows as evaluate_nullform_series reads them
+        lead = (k, self.spec.n_components) + grid.shape
+        new = evaluate_nullform_series(
             grid, self.spec, u.reshape(lead), u_t.reshape(lead),
-            self.q_out[:k].reshape(lead), self.work[:, :k])
-        new = q.reshape(u.shape)
+            self.q_out[:k].reshape(lead), self.work[:, :k]).reshape(u.shape)
         rows_f = self.forcing[lo:hi]
         done = self.res.put(lo, np.subtract(
             new, rows_f, out=self.work[-1, :k]) if self.applied else new)
@@ -206,36 +152,14 @@ class _Sweep:
                     <= np.finfo(rows_f.dtype).max)
             raise NaNError("the null form at t=%g exceeds the range of the "
                            "float32 forcing" % (dt * (lo + np.argmax(big))))
-        if self.stride is None:
-            return done
-        cyl, stride, row = self.cylinder, self.stride, self.comp[1:]
-        # evaluate_nullform_series left the rows' gradient in work[0]
-        sampled = (u, u_t, self.work[0])
-        ready = self.q.put(lo, new)
-        # a sampled row's forcing follows its solution at once if its Q_t
-        # is in, so at most two frames wait for their Q_t at a time
-        for a, b in ready:
-            for i in range(a + -a % stride, b, stride):
-                if i >= lo:
-                    cyl.solution(i, *(x[i - lo].reshape(row)
-                                      for x in sampled))
-                Q, Q_t = fd.d1_rows(self.q.read, i, i + 1, n, dt)
-                cyl.forcing(i, Q.reshape(row), Q_t.reshape(row))
-        a = max(lo, self.q.done)
-        for i in range(a + -a % stride, hi, stride):
-            cyl.solution(i, *(x[i - lo].reshape(row) for x in sampled))
-        self._sums(self.q, self.local_sq, ready)
-        return done
-
-    def _sums(self, rows, out, ranges):
-        """The slab_sums of the ranges (a, b) of a _Rows series, as far as
-        out reaches, into out; d1_rows writes into q_out, done with Q."""
-        for a, b in ranges:
-            b = min(b, out.shape[1])
-            if a < b:
-                out[:, a:b] = norms.slab_sums(self.grid, *fd.d1_rows(
-                    rows.read, a, b, self.n, self.dt, self.q_out[:b - a]),
-                    self.work[:, :b - a])
+        if self.cylinder:
+            # evaluate_nullform_series left the rows' gradient in work[0];
+            # q_out is free once the report has put Q
+            self.cylinder.add_block(lo, u, u_t, self.work[0, :k], new,
+                                    self.work, self.q_out)
+        for a, b in done:
+            self.sq[:, a:b] = norms.slab_sums(
+                grid, *self.res.rows(a, b, self.q_out), self.work)
 
 
 def snapshot_count(t_end, dt):

@@ -7,11 +7,15 @@ and byte-level determinism are all observable without subprocesses.
 
 import filecmp
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import nullwave
 from nullwave import cli, gridio, solver
 from test_solver import _reference_solve
 
@@ -909,7 +913,8 @@ MUST_EXIT_2 = {("run", "tol", 0), ("run", "tol", -1),
                ("grid", "sponge_strength", -1),
                ("grid", "n", 10**20), ("geometry", "samples", 10**20),
                ("geometry", "extent", 1e308), ("run", "t_end", 1e308),
-               ("run", "dt", 1e-308)}
+               ("run", "dt", 1e-308), ("grid", "r0", 1e-308),
+               ("data", "eps", 1e308)}
 NUMERIC_KEYS = [(section, key)
                 for section, entries in cli.DEFAULTS.items()
                 for key, default in entries.items()
@@ -967,3 +972,43 @@ def test_numeric_keys_never_end_in_traceback(tmp_path, section, key, value):
         assert "error.json" in listing(out)
     if rc != 2:
         load_every_json(out)
+
+
+def _dispatch_targets(env):
+    """The SIMD targets past its baseline that numpy dispatches to on this
+    CPU, in a python started with env."""
+    probe = """
+try:
+    from numpy._core import _multiarray_umath as m
+except ImportError:  # numpy 1
+    from numpy.core import _multiarray_umath as m
+print(' '.join(f for f in m.__cpu_dispatch__ if m.__cpu_features__.get(f)))
+"""
+    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+def test_geometry_and_compat_bytes_hold_under_restricted_dispatch(tmp_path):
+    # the artifacts' byte identity holds per numpy build and SIMD dispatch
+    # class (README): the data path's exp moves the run artifacts' bytes
+    # when numpy's dispatch is held to its baseline, and these two, which
+    # take no exp of the data, must keep theirs
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(nullwave.__file__))]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    targets = _dispatch_targets(env)
+    if not targets:
+        pytest.skip("numpy dispatches to no target past its baseline here")
+    held = dict(env, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    assert _dispatch_targets(held) == []
+    for sub, name in (("verify-geometry", "geometry.json"),
+                      ("check-compat", "compat.json")):
+        written = []
+        for label, run_env in (("as-is", env), ("held", held)):
+            out = tmp_path / sub / label
+            subprocess.run([sys.executable, "-m", "nullwave.cli", sub,
+                            "--out", str(out), "--quiet"], env=run_env,
+                           check=True)
+            written.append((out / name).read_bytes())
+        assert written[0] == written[1]

@@ -210,8 +210,10 @@ def test_nullform_series_guards():
         evaluate_nullform_series(grid, two, *_series_rows(traj))
     # the one-sided end stencils need three snapshots
     for m in (1, 2):
+        window = fd.SeriesWindow(m, traj.dt, traj.u.shape[1:])
+        ((lo, hi),) = window.put(0, traj.u[:m])
         with pytest.raises(ParamError):
-            fd.d1_rows(lambda a, b: traj.u[a:b], 0, m, m, traj.dt)
+            window.rows(lo, hi)
     data = picard.bump_data_family(grid)(1e-3)
     with pytest.raises(ParamError):
         picard.picard_solve(data, spec, 0.5 * solver.cfl_limit(grid))
@@ -382,11 +384,14 @@ def test_tip_weighted_norm_schemes(linear_run):
     have = _fed(grid, dt, 1, u, u_t).values()[1]
     assert np.isclose(have, l8, rtol=1e-12, atol=0.0)
     assert _fed(grid, dt, 10, 0.0 * u, 0.0 * u_t).values()[1] == 0.0
-    with pytest.raises(ParamError):
-        norms.CylinderNorms(grid, len(u), dt, 10, [-0.1])
-    with pytest.raises(ParamError):
-        picard.picard_solve(sol.data, sol.spec, 12.0, time_stride=10,
-                            deltas=[1.0, -0.1])
+    # NaN and inf pass a check written as d < 0, and would drop every
+    # node from the tip-weighted sum at that delta
+    for bad in (-0.1, np.nan, np.inf):
+        with pytest.raises(ParamError):
+            norms.CylinderNorms(grid, len(u), dt, 10, [bad])
+        with pytest.raises(ParamError):
+            picard.picard_solve(sol.data, sol.spec, 12.0, time_stride=10,
+                                deltas=[1.0, bad])
 
 
 def test_delta_sums_are_the_gathers_of_the_tip_distance(nonlinear_run,
@@ -448,9 +453,10 @@ def test_sampled_time_derivatives_take_the_solver_step(linear_run):
 
 def test_row_stencil_is_the_whole_series_derivative():
     # byte for byte d1 along the snapshot axis, at the ends and next to
-    # them as well as inside, from one read of the rows the stencil uses,
-    # at two spacings: at 0.0235, unlike at 0.3, dividing by 2 h and
-    # multiplying by 0.5 / h round some values apart
+    # them as well as inside, from the rows the stencil uses alone (the
+    # window's other rows read NaN), at two spacings: at 0.0235, unlike
+    # at 0.3, dividing by 2 h and multiplying by 0.5 / h round some
+    # values apart
     rng = np.random.default_rng(5)
     F = rng.standard_normal((9, 2, 5))
     cases = (((0, 1), (0, 3)), ((1, 2), (0, 3)), ((4, 5), (3, 6)),
@@ -458,18 +464,15 @@ def test_row_stencil_is_the_whole_series_derivative():
              ((7, 9), (6, 9)), ((2, 6), (1, 7)), ((0, 9), (0, 9)))
     for h in (0.3, 0.0235):
         whole = fd.d1(F, h, axis=0)
-        for (lo, hi), reads in cases:
+        for (lo, hi), (a, b) in cases:
             for out in (None, np.full((hi - lo,) + F.shape[1:], np.nan)):
-                seen = []
-
-                def read(a, b):
-                    seen.append((a, b))
-                    return F[a:b]
-                val, d = fd.d1_rows(read, lo, hi, len(F), h, out)
-                assert out is None or d is out
+                window = fd.SeriesWindow(len(F), h, F.shape[1:])
+                assert window.put(0, F) == [(0, len(F))]
+                window.buf[:a] = window.buf[b:] = np.nan
+                val, d = window.rows(lo, hi, out)
+                assert out is None or np.shares_memory(d, out)
                 assert val.tobytes() == F[lo:hi].tobytes()
                 assert d.tobytes() == whole[lo:hi].tobytes()
-                assert seen == [reads]
 
 
 @pytest.mark.parametrize("power", [1, -3])
@@ -564,6 +567,44 @@ def test_a_sampled_row_holds_a_few_rows(linear_run):
 
     assert _peak(sampled_row) < 18 * u.nbytes
     assert cyl.frames == {}
+
+
+def test_block_entry_sums_any_cut_of_the_run(linear_run, monkeypatch):
+    # the report fed straight from the stacks, as a sweep feeds it, a
+    # block of 1 row, 3 rows or the whole run at a time: the same bytes
+    # whatever the cut, those of its rows fed one by one and of the
+    # solved run, and the whole-stack references (the cylinder one to
+    # rounding: it sums the whole frame at once, not row by row)
+    sol, dt, u, u_t, Q = linear_run
+    grid = sol.trajectory.grid
+    (u_r,) = grid.gradient(u)
+    seen = []
+    for size in (1, 3, len(u)):
+        monkeypatch.setattr(fd, "BLOCK_VALUES", size * grid.n_nodes)
+        cyl = norms.CylinderNorms(grid, len(u), dt, 10, DELTAS)
+        work = np.empty((grid.ndim, size, grid.n_nodes))
+        out = np.empty((size, grid.n_nodes))
+        for lo in range(0, len(u), size):
+            cyl.add_block(lo, *(x[lo:lo + size] for x in (u, u_t, u_r, Q)),
+                          work, out)
+        assert cyl.q.block == size and cyl.frames == {}
+        seen.append(cyl.values())
+    assert seen[0] == seen[1] == seen[2]
+    tips, l8, energy, local_linear = seen[0]
+    assert [tips, l8, energy] == list(_fed(grid, dt, 10, u, u_t, Q,
+                                           DELTAS).values()[:3])
+    assert (tips, l8, energy, local_linear) == (
+        sol.tip_norms, sol.l8_norm, sol.energy_sup, sol.local_linear)
+    want = cylinder_reference(grid, dt, 10, u, u_t, Q, DELTAS)
+    assert np.allclose(tips, want[0], rtol=1e-12, atol=0.0)
+    assert np.isclose(l8, want[1], rtol=1e-12, atol=0.0)
+    assert np.isclose(energy, want[2], rtol=1e-12, atol=0.0)
+    i1 = local_linear_rows(len(Q), dt)
+    assert local_linear == slab_norm(slab_sums(
+        grid, Q[:i1], fd.d1(Q, dt, axis=0)[:i1]), dt)
+    # nothing is held of the run before its first block
+    assert norms.CylinderNorms(grid, len(u), dt, 10, DELTAS).values()[3] \
+        is None
 
 
 def test_weighted_energy_sup_homogeneous(linear_run):

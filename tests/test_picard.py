@@ -201,14 +201,16 @@ def test_first_forcing_row_is_the_null_form_of_the_data(family, grid):
 
 @pytest.mark.parametrize("n", [3, 4, 17, 37])
 @pytest.mark.parametrize("block", [1, 2, 3, 40])
-def test_rows_hand_back_each_row_once_in_order(n, block):
+def test_rows_hand_back_each_row_once_in_order(monkeypatch, n, block):
     # rows are put a block at a time, as a sweep puts them; each comes
     # back once, in ranges of at most block rows, whose reads (the rows
     # and their stencil) are right across the buffer's slides, all within
     # the one array the window was made with
+    monkeypatch.setattr(fd, "BLOCK_VALUES", 2 * block)
     F = np.random.default_rng(7).standard_normal((n, 2))
     whole = fd.d1(F, 0.3, axis=0)
-    rows = picard._Rows(n, block, (2,))
+    rows = fd.SeriesWindow(n, 0.3, (2,))
+    assert rows.block == min(n, block)
     buf = rows.buf
     back = []
     for lo in range(0, n, block):
@@ -216,10 +218,12 @@ def test_rows_hand_back_each_row_once_in_order(n, block):
         assert rows.buf is buf
         for a, b in ranges:
             assert 0 < b - a <= block
-            assert rows.read(a, b).tobytes() == F[a:b].tobytes()
-            val, d = fd.d1_rows(rows.read, a, b, n, 0.3)
+            out = np.full((block, 2), np.nan)
+            val, d = rows.rows(a, b, out)
+            assert np.shares_memory(d, out)
             assert val.tobytes() == F[a:b].tobytes()
             assert d.tobytes() == whole[a:b].tobytes()
+            assert rows.rows(a, b)[1].tobytes() == d.tobytes()
             back.extend(range(a, b))
     # the last put returns the rows through n
     assert ranges and ranges[-1][1] == n
@@ -297,11 +301,11 @@ def _check_sweep(sweep, grid, forcing, ref, time_stride):
     assert sweep.boundary == np.max(np.abs(us[..., ~grid.updated()]),
                                     initial=0.0)
     if time_stride is None:
-        assert sweep.cylinder is None and sweep.local_sq is None
+        assert sweep.cylinder is None
         return
     # every sampled row had its solution and then its forcing summed
     assert sweep.cylinder.frames == {}
-    tips, l8, energy = sweep.cylinder.values()
+    tips, l8, energy, local_linear = sweep.cylinder.values()
     want = cylinder_reference(grid, dt, time_stride, up[:, 0], ut[:, 0],
                               q[:, 0], DELTAS)
     assert np.allclose(tips, want[0], rtol=1e-12, atol=0.0)
@@ -311,7 +315,8 @@ def _check_sweep(sweep, grid, forcing, ref, time_stride):
     i1 = norms.local_linear_rows(n, dt)
     Q = q[:, 0]
     want = norms.slab_sums(grid, Q[:i1], fd.d1(Q, dt, axis=0)[:i1])
-    assert sweep.local_sq.tobytes() == want.tobytes()
+    assert sweep.cylinder.local_sq.tobytes() == want.tobytes()
+    assert local_linear == norms.slab_norm(want, dt)
 
 
 @pytest.mark.parametrize("name", ["radial-sponge", "radial-system",
@@ -467,7 +472,7 @@ def test_cartesian_picard_holds_a_fixed_number_of_rows(monkeypatch):
     # midpoint, the damping and the first and last (u, v) of the solver;
     # then the residual window of 4 rows, its fresh buffer at a slide,
     # the block's u, v and Q, the 5 workspace rows and the 3 rows of
-    # d1_rows's end stencil
+    # the window's end stencil
     solver_rows = 10
     assert max(peaks) < n * row + (solver_rows + 24) * row
 
